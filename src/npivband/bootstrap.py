@@ -1,17 +1,25 @@
 """Multiplier bootstrap: reproducible draws, sup-t statistics, quantiles.
 
-Each bootstrap draw b perturbs the residual scores with an i.i.d. standard
-normal vector drawn from an independent substream keyed by (base_seed, b), so
-the draw is identical regardless of execution order or worker count. The
-dominant cost per draw is a single matrix-vector product against precomputed
-scaled score rows; draws are processed in fixed-size blocks so results are
-bit-identical for any number of worker threads.
+Every bootstrap statistic is a linear map of one B x n matrix Omega of i.i.d.
+standard normal multipliers. Row b of Omega is drawn from an independent
+substream keyed by (base_seed, b), so each draw is identical regardless of
+execution order or worker count. Omega is generated once per plan and sample
+size, kept read-only on the plan for the plan's lifetime (B * n * 8 bytes),
+and shared by theta*, every band's z* and every alpha level.
+
+A sup-t statistic streams its row blocks (the scaled score rows of one J, or
+of one contrast pair) through Omega one block at a time and keeps a running
+per-draw maximum, so no stacked copy of all rows is formed. Draws are taken in
+fixed 64-draw slices, which keeps results bit-identical for any number of
+worker threads. ``sup_t_single`` results are memoized on the variance field,
+so bands at several alpha levels from one field cost one statistic.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +35,8 @@ class MultiplierPlan:
 
     n_draws: int = 1000
     base_seed: int = 0
+    # (n, Omega) for the most recent sample size; see multiplier_matrix.
+    _omega: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_draws < 1:
@@ -43,33 +53,46 @@ def draw_multipliers(plan: MultiplierPlan, b: int, n: int) -> np.ndarray:
     return np.random.default_rng(seq).standard_normal(int(n))
 
 
-def _multiplier_block(plan: MultiplierPlan, start: int, stop: int, n: int) -> np.ndarray:
-    out = np.empty((n, stop - start))
-    for i, b in enumerate(range(start, stop)):
-        out[:, i] = draw_multipliers(plan, b, n)
-    return out
+def multiplier_matrix(plan: MultiplierPlan, n: int) -> np.ndarray:
+    """The read-only B x n matrix Omega whose row b is ``draw_multipliers(plan, b, n)``.
+
+    It is generated on first use and cached on the plan, which holds one
+    sample size at a time: asking for another n replaces it.
+    """
+    n = int(n)
+    cached = plan._omega
+    if cached is None or cached[0] != n:
+        object.__setattr__(plan, "_omega", None)
+        omega = np.empty((plan.n_draws, n))
+        for b in range(plan.n_draws):
+            omega[b] = draw_multipliers(plan, b, n)
+        omega.flags.writeable = False
+        cached = (n, omega)
+        object.__setattr__(plan, "_omega", cached)
+    return cached[1]
 
 
-def _sup_over_draws(rows: np.ndarray, plan: MultiplierPlan, n: int, n_workers: int = 1) -> np.ndarray:
-    """Per-draw sup |rows @ omega_b|, blocked for thread-count invariance."""
+def _sup_over_draws(row_blocks, plan: MultiplierPlan, n: int, n_workers: int = 1) -> np.ndarray:
+    """Per-draw max over all row blocks of |rows @ omega_b|.
+
+    The blocks are consumed one at a time; each is multiplied by fixed
+    64-draw slices of Omega, so the result does not depend on n_workers.
+    """
+    omega = multiplier_matrix(plan, n)
     sups = np.zeros(plan.n_draws)
-    if rows.shape[0] == 0:
-        return sups
-    blocks = [(s, min(s + _BLOCK, plan.n_draws)) for s in range(0, plan.n_draws, _BLOCK)]
+    slices = [(s, min(s + _BLOCK, plan.n_draws)) for s in range(0, plan.n_draws, _BLOCK)]
+    with ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.map
+        for rows in row_blocks:
+            if rows.shape[0] == 0:
+                continue
 
-    def one(block: tuple[int, int]) -> tuple[int, int, np.ndarray]:
-        start, stop = block
-        w = _multiplier_block(plan, start, stop, n)
-        return start, stop, np.abs(rows @ w).max(axis=0)
+            def one(bounds: tuple[int, int], rows=rows) -> np.ndarray:
+                start, stop = bounds
+                return np.abs(rows @ omega[start:stop].T).max(axis=0)
 
-    if n_workers <= 1:
-        for block in blocks:
-            start, stop, vals = one(block)
-            sups[start:stop] = vals
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            for start, stop, vals in pool.map(one, blocks):
-                sups[start:stop] = vals
+            for (start, stop), vals in zip(slices, mapper(one, slices)):
+                np.maximum(sups[start:stop], vals, out=sups[start:stop])
     return sups
 
 
@@ -79,15 +102,24 @@ def sup_t_single(
     j_set=None,
     n_workers: int = 1,
 ) -> np.ndarray:
-    """Per-draw sup over (x, J) of |D*_J(x) / sigma_J(x)|."""
+    """Per-draw sup over (x, J) of |D*_J(x) / sigma_J(x)|.
+
+    Memoized on the field per (n_draws, base_seed, J set); each call returns
+    a fresh copy of the draws.
+    """
     js = tuple(j_set) if j_set is not None else varfield.j_values
     if not js:
         raise ConfigurationError("sup_t_single needs a nonempty J set")
     missing = [j for j in js if j not in varfield.j_values]
     if missing:
         raise InvalidDimensionError(f"J values {missing} are not in the variance field")
-    rows = np.vstack([varfield.scores[j] / varfield.sigma[j][:, None] for j in js])
-    return _sup_over_draws(rows, plan, varfield.n, n_workers)
+    key = (plan.n_draws, plan.base_seed, tuple(sorted(set(js))))
+    sups = varfield.sup_t_memo.get(key)
+    if sups is None:
+        rows = (varfield.scores[j] / varfield.sigma[j][:, None] for j in key[2])
+        sups = _sup_over_draws(rows, plan, varfield.n, n_workers)
+        varfield.sup_t_memo[key] = sups
+    return sups.copy()
 
 
 def sup_t_contrast(
@@ -98,9 +130,10 @@ def sup_t_contrast(
 ) -> np.ndarray:
     """Per-draw sup over (x, J, J2), J2 > J, of |(D*_J - D*_J2)(x) / sigma_{J,J2}(x)|.
 
-    The multipliers are held fixed across the whole supremum within one draw.
-    Grid points where the contrast sd is degenerate (which certifies a
-    degenerate numerator) are excluded.
+    The multipliers are held fixed across the whole supremum within one draw;
+    the rows of each pair are formed and multiplied one pair at a time. Grid
+    points where the contrast sd is degenerate (which certifies a degenerate
+    numerator) are excluded.
     """
     if pairs is None:
         js = varfield.j_values
@@ -111,8 +144,7 @@ def sup_t_contrast(
     for j, j2 in pairs:
         if j2 <= j:
             raise InvalidDimensionError(f"contrast pairs require J2 > J, got ({j}, {j2})")
-    blocks = [varfield.scaled_contrast_rows(j, j2) for j, j2 in pairs]
-    rows = np.vstack([b for b in blocks if b.shape[0] > 0] or [np.empty((0, varfield.n))])
+    rows = (varfield.scaled_contrast_rows(j, j2) for j, j2 in pairs)
     return _sup_over_draws(rows, plan, varfield.n, n_workers)
 
 

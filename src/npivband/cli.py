@@ -220,9 +220,11 @@ def _estimates_table(selection, plan, config: RunConfig) -> tuple[list[str], lis
         bands[alpha] = band
         meta["kinds"].append(band.kind)
     columns["sigma"] = h_field.sigma[selection.j_tilde]
+    robust_field = h_field
     if config.deriv > 0:
         suffix = f"_d{config.deriv}"
         d_field = ucb._selection_field(selection, (config.deriv,) * selection.backend.grid_dim)
+        robust_field = d_field
         for alpha in config.alphas:
             band = ucb.band_deriv(selection, varfield=d_field, plan=plan, alpha=alpha, a=config.deriv)
             if f"center{suffix}" not in columns:
@@ -232,7 +234,8 @@ def _estimates_table(selection, plan, config: RunConfig) -> tuple[list[str], lis
         columns[f"sigma{suffix}"] = d_field.sigma[selection.j_tilde]
     if config.p_lower is not None:
         band = ucb.band_robustness(
-            selection, plan=plan, alpha=min(config.alphas), a=config.deriv, p_lower=config.p_lower
+            selection, varfield=robust_field, plan=plan, alpha=min(config.alphas),
+            a=config.deriv, p_lower=config.p_lower,
         )
         pct = round(100 * band.level)
         columns[f"lo{pct}_robust"] = band.lower
@@ -339,8 +342,9 @@ def _additive_estimates(selection, plan: MultiplierPlan, config: RunConfig):
         for a in ([0, config.deriv] if config.deriv > 0 else [0]):
             suffix = f"_c{comp + 1}" + (f"_d{a}" if a > 0 else "")
             sigma = None
+            field = ext.component_field(selection, comp, a, grid1)
             for alpha in config.alphas:
-                band = ext.component_band(selection, plan, alpha, comp, a=a, grid=grid1)
+                band = ext.component_band(selection, plan, alpha, comp, a=a, varfield=field)
                 if f"center{suffix}" not in columns:
                     columns[f"center{suffix}"] = band.center
                 columns.update(_band_columns(band, suffix))

@@ -188,6 +188,8 @@ class VarianceField:
     S_J = T_J * u_hat (so D_J(x) = S_J @ 1 and D*_J(x) = S_J @ omega), the
     pointwise standard deviations sigma_J(x), and lazily cached cross terms
     sigma~_{J,J2}(x) and contrast standard deviations sigma_{J,J2}(x).
+    ``sup_t_memo`` holds the bootstrap sup-t draws computed from this field,
+    keyed by (n_draws, base_seed, J set); ``bootstrap.sup_t_single`` fills it.
     """
 
     grid: np.ndarray
@@ -201,6 +203,7 @@ class VarianceField:
     _sigma2: dict[int, np.ndarray] = field(init=False)
     _cross: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
     _fitted: dict[int, np.ndarray] = field(init=False, default_factory=dict)
+    sup_t_memo: dict[tuple, np.ndarray] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.j_values = tuple(sorted(self.j_values))

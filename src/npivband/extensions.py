@@ -251,6 +251,21 @@ def select_additive(
     return ad.run_selection(backend, plan or MultiplierPlan(), mode, grid, aspec.components[0], n_workers)
 
 
+def component_field(selection: ad.AdaptiveSelection, comp: int, a: int = 0, grid=None) -> VarianceField:
+    """Variance field of additive component ``comp`` over J_minus and J_tilde."""
+    pts = bs.as_points(grid if grid is not None else np.linspace(0, 1, 100), 1)
+    needed = tuple(sorted(set(selection.j_minus_set) | {selection.j_tilde}))
+    fits = {j: selection.backend.fit(j) for j in needed}
+    return VarianceField(
+        grid=pts,
+        deriv=(a,),
+        j_values=needed,
+        influence={j: component_influence(fits[j], comp, pts, a) for j in needed},
+        u_hat={j: fits[j].u_hat for j in needed},
+        y=selection.backend.y,
+    )
+
+
 def component_band(
     selection: ad.AdaptiveSelection,
     plan: MultiplierPlan,
@@ -259,22 +274,19 @@ def component_band(
     a: int = 0,
     grid=None,
     n_workers: int = 1,
+    varfield: VarianceField | None = None,
 ) -> ucb.BandResult:
-    """Uniform band for one additive component via the padded selector vector."""
-    pts = bs.as_points(grid if grid is not None else np.linspace(0, 1, 100), 1)
-    needed = tuple(sorted(set(selection.j_minus_set) | {selection.j_tilde}))
-    fits = {j: selection.backend.fit(j) for j in needed}
-    field = VarianceField(
-        grid=pts,
-        deriv=(a,),
-        j_values=needed,
-        influence={j: component_influence(fits[j], comp, pts, a) for j in needed},
-        u_hat={j: fits[j].u_hat for j in needed},
-        y=selection.backend.y,
-    )
+    """Uniform band for one additive component via the padded selector vector.
+
+    ``varfield`` is a field from ``component_field`` for the same ``comp`` and
+    ``a``; bands at several alpha levels that share it share one bootstrap
+    statistic. Without it the field is built on ``grid``.
+    """
+    field = varfield if varfield is not None else component_field(selection, comp, a, grid)
+    pts = field.grid
     z_draws = sup_t_single(field, plan, selection.j_minus_set, n_workers=n_workers)
     z_star = quantile(z_draws, 1.0 - alpha)
-    center = evaluate_component(fits[selection.j_tilde], comp, pts, a)
+    center = evaluate_component(selection.backend.fit(selection.j_tilde), comp, pts, a)
     multiplier = z_star + selection.a_hat * selection.theta_star
     return ucb.BandResult(
         grid=pts,

@@ -35,6 +35,9 @@ from .errors import ConfigurationError
 
 DESIGN_NAMES = ("npiv_sine_log", "reg_wiggly", "trade_lognormal", "trade_pareto")
 
+#: smallest sample size a design generates
+MIN_N = 10
+
 #: numeric slack for the coverage containment check, relative to band scale
 _COVERAGE_ATOL = 1e-9
 
@@ -268,8 +271,8 @@ def get_design(name: str, calibration: TradeCalibration | None = None, **overrid
 
 def generate(design: Design, n: int, seed: int) -> tuple[est.Sample, TruthHandle]:
     """Draw one sample of size n; deterministic given the seed."""
-    if n < 10:
-        raise ConfigurationError("samples below n=10 are not supported")
+    if n < MIN_N:
+        raise ConfigurationError(f"samples below n={MIN_N} are not supported")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(int(seed),)))
     return design.sampler(n, rng), design.truth
 
@@ -356,9 +359,15 @@ def run_mc(
     interval = report_interval or design.report_interval
     if not (0.0 <= interval[0] < interval[1] <= 1.0):
         raise ConfigurationError("report interval must be an increasing pair inside [0, 1]")
+    if grid_points < 1:
+        raise ConfigurationError("need at least one report grid point")
     grid = np.linspace(interval[0], interval[1], grid_points).reshape(-1, 1)
     det_js = tuple(det_js) if det_js is not None else design.det_js
     n_list = [int(n) for n in (n_list if np.iterable(n_list) else [n_list])]
+    if not n_list:
+        raise ConfigurationError("need at least one sample size")
+    if min(n_list) < MIN_N:
+        raise ConfigurationError(f"samples below n={MIN_N} are not supported (got n={min(n_list)})")
 
     truth_by_target = {a: (design.truth.h if a == 0 else design.truth.dh)(grid[:, 0]) for a in design.targets}
     rows: list[McRow] = []
@@ -408,8 +417,9 @@ def run_mc(
                                 fit_j = selection.backend.fit(j_det)
                             except Exception:
                                 continue
-                        u95 = ucb.band_undersmoothed(fit_j, plan=rep_plan, alpha=0.05, a=a, grid=grid, n_workers=n_workers)
-                        u90 = ucb.band_undersmoothed(fit_j, plan=rep_plan, alpha=0.10, a=a, grid=grid, n_workers=n_workers)
+                        field_j = est.variance_field({fit_j.j: fit_j}, grid, a)
+                        u95 = ucb.band_undersmoothed(fit_j, field_j, rep_plan, alpha=0.05, a=a, n_workers=n_workers)
+                        u90 = ucb.band_undersmoothed(fit_j, field_j, rep_plan, alpha=0.10, a=a, n_workers=n_workers)
                         key_j = (a, f"J={j_det}")
                         losses[key_j].append(float(np.abs(u95.center - truth_vals).max()))
                         cov95[key_j].append(_covered(u95, truth_vals))

@@ -81,12 +81,18 @@ def _deriv_tuple(a, dim: int) -> tuple[int, ...]:
     return multi
 
 
-def _selection_field(selection: AdaptiveSelection, multi: tuple[int, ...]) -> VarianceField:
-    """Variance field at derivative order ``multi`` over J_minus and J_tilde."""
-    base = selection.varfield
+def _selection_field(
+    selection: AdaptiveSelection, multi: tuple[int, ...], varfield: VarianceField | None = None
+) -> VarianceField:
+    """Variance field at derivative order ``multi`` over J_minus and J_tilde.
+
+    ``varfield``, then the selection's own field, is reused when it has that
+    order and covers those J values; otherwise a new field is built.
+    """
     needed = tuple(sorted(set(selection.j_minus_set) | {selection.j_tilde}))
-    if base.deriv == multi and set(needed) <= set(base.j_values):
-        return base
+    for candidate in (varfield, selection.varfield):
+        if candidate is not None and candidate.deriv == multi and set(needed) <= set(candidate.j_values):
+            return candidate
     backend = selection.backend
     pts = selection.grid
     return VarianceField(
@@ -144,12 +150,7 @@ def band_deriv(
         raise ConfigurationError("alpha must lie in (0, 1)")
     plan = plan or MultiplierPlan()
     multi = _deriv_tuple(a, selection.backend.grid_dim)
-    if varfield is not None and varfield.deriv == multi and (
-        set(selection.j_minus_set) | {selection.j_tilde}
-    ) <= set(varfield.j_values):
-        field = varfield
-    else:
-        field = _selection_field(selection, multi)
+    field = _selection_field(selection, multi, varfield)
     z_draws = sup_t_single(field, plan, selection.j_minus_set, n_workers=n_workers)
     z_star = quantile(z_draws, 1.0 - alpha)
     a_hat = selection.a_hat if a_fixed is None else float(a_fixed)
@@ -203,7 +204,7 @@ def band_robustness(
         raise InvalidSmoothnessError(
             f"robustness band needs p_lower > |a| (got p_lower={p_lower}, |a|={order})"
         )
-    field = _selection_field(selection, multi)
+    field = _selection_field(selection, multi, varfield)
     z_draws = sup_t_single(field, plan, selection.j_minus_set, n_workers=n_workers)
     z_star = quantile(z_draws, 1.0 - alpha)
     sigma = field.sigma[selection.j_tilde]

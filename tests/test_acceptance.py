@@ -178,7 +178,9 @@ def test_criterion_6_property_suite():
     row = vf.scores[4][0] / vf.sigma[4][0]
     t_vals = np.empty(plan_big.n_draws)
     for start in range(0, plan_big.n_draws, 1000):
-        wblk = bt._multiplier_block(plan_big, start, min(start + 1000, plan_big.n_draws), n)
+        wblk = np.column_stack(
+            [bt.draw_multipliers(plan_big, b, n) for b in range(start, min(start + 1000, plan_big.n_draws))]
+        )
         t_vals[start : start + wblk.shape[1]] = row @ wblk
     ks = float(kstest(t_vals, "norm").statistic)
     checks.append((f"conditional normality KS {ks:.4f} < 0.01", ks < 0.01))

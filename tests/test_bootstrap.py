@@ -73,7 +73,7 @@ class TestSupTSingle:
         t_vals = np.empty(plan.n_draws)
         block = 1000
         for start in range(0, plan.n_draws, block):
-            w = bt._multiplier_block(plan, start, min(start + block, plan.n_draws), n)
+            w = bt.multiplier_matrix(plan, n)[start : start + block].T
             t_vals[start : start + w.shape[1]] = row @ w
         assert kstest(t_vals, "norm").statistic < 0.01
 
@@ -185,6 +185,67 @@ class TestBootstrapQuantiles:
         # quantiles are nondecreasing in the confidence level
         assert bt.quantile(record.z_draws, 0.90) <= bt.quantile(record.z_draws, 0.95)
         assert record.theta_draws.shape == (plan.n_draws,)
+
+
+class TestMultiplierReuse:
+    def test_one_replication_draws_each_multiplier_once(self, monkeypatch):
+        from npivband import simgen as sg
+
+        calls = []
+        original = bt.draw_multipliers
+        monkeypatch.setattr(bt, "draw_multipliers", lambda plan, b, n: calls.append(b) or original(plan, b, n))
+        for workers in (1, 4):
+            calls.clear()
+            plan = bt.MultiplierPlan(60, 0)
+            sg.run_mc("trade_pareto", [300], 1, plan=plan, det_js=(5, 7), n_workers=workers)
+            assert sorted(calls) == list(range(plan.n_draws))
+
+    def test_streamed_contrast_matches_stacked_reference(self):
+        # A 100-point grid and n=1000, as in the Monte Carlo designs. BLAS may
+        # round a product differently in the last bit when its shape changes
+        # (a wider slice of draws, or fewer rows below the small-matrix size),
+        # so the reference multiplies all stacked rows by the same 64-draw slices.
+        field = _field(js=(4, 5, 7), n=1000, grid=np.linspace(0, 1, 100))
+        plan = bt.MultiplierPlan(n_draws=150, base_seed=13)
+        pairs = [(4, 5), (4, 7), (5, 7)]
+        rows = np.vstack([field.scaled_contrast_rows(j, j2) for j, j2 in pairs])
+        omega = np.column_stack([bt.draw_multipliers(plan, b, field.n) for b in range(plan.n_draws)])
+        reference = np.concatenate(
+            [np.abs(rows @ omega[:, s : s + 64]).max(axis=0) for s in range(0, plan.n_draws, 64)]
+        )
+        for workers in (1, 3, 4):
+            np.testing.assert_array_equal(
+                bt.sup_t_contrast(field, plan, pairs, n_workers=workers), reference
+            )
+
+    def test_cache_leaves_plan_identity_alone(self):
+        plan = bt.MultiplierPlan(n_draws=20, base_seed=4)
+        twin = bt.MultiplierPlan(n_draws=20, base_seed=4)
+        before = (repr(plan), hash(plan))
+        omega = bt.multiplier_matrix(plan, 30)
+        assert omega.shape == (20, 30)
+        assert (repr(plan), hash(plan)) == before
+        assert plan == twin and hash(plan) == hash(twin)
+        assert bt.multiplier_matrix(plan, 30) is omega
+        assert not omega.flags.writeable
+        with pytest.raises(ValueError):
+            omega[0, 0] = 1.0
+        np.testing.assert_array_equal(omega[3], bt.draw_multipliers(plan, 3, 30))
+
+    def test_mutating_band_draws_leaves_later_bands_alone(self):
+        from npivband import adaptive as ad
+        from npivband import ucb
+
+        rng = np.random.default_rng(14)
+        x = rng.random(300)
+        y = np.sin(3 * x) + 0.4 * rng.standard_normal(300)
+        selection = ad.select(est.Sample(y, x, x), CUBIC, None, mode="regression",
+                              plan=bt.MultiplierPlan(100, 15), grid=np.linspace(0, 1, 30))
+        plan = bt.MultiplierPlan(100, 16)
+        first = ucb.band_h(selection, plan=plan, alpha=0.05)
+        first.z_draws[:] = 0.0
+        again = ucb.band_h(selection, plan=plan, alpha=0.05)
+        assert again.z_star == first.z_star > 0.0
 
 
 class TestQuantile:

@@ -199,6 +199,13 @@ class TestCmdSimulate:
         rc = main(["simulate", "--design", "nope", "--outdir", str(tmp_path)])
         assert rc == EXIT_CONFIG
 
+    @pytest.mark.parametrize("option", [["--n", "5"], ["--grid-size", "0"]])
+    def test_bad_study_size_usage_error(self, option, tmp_path, capsys):
+        rc = main(["simulate", "--design", "reg_wiggly", "--reps", "1", *option,
+                   "--outdir", str(tmp_path)])
+        assert rc == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
     def test_smoke_run_under_30s(self, tmp_path):
         start = time.time()
         rc = main(["simulate", "--design", "npiv_sine_log", "--n", "1250", "--reps", "1",
