@@ -58,7 +58,7 @@ print("robustness band / baseline width ratio:",
 # ---------------------------------------------------------------------------
 
 for j_fixed in (7, 11):
-    fit_j = selection.fits.get(j_fixed) or selection.backend.fit(j_fixed)
+    fit_j = selection.backend.fit(j_fixed)
     under = band_undersmoothed(fit_j, plan=plan, alpha=0.05, grid=grid)
     ratio = float(under.width.mean() / band.width.mean())
     print(f"undersmoothed J={j_fixed}: width ratio vs data-driven = {ratio:.2f}")

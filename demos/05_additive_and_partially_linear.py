@@ -14,12 +14,13 @@ from npivband import (
     MultiplierPlan,
     PartiallyLinearSpec,
     Sample,
+    band_deriv,
     fit_partially_linear,
     j_hat_max_npiv,
     partial_out_fixed_effects,
     select_additive,
 )
-from npivband.extensions import component_band, evaluate_component
+from npivband.extensions import component_view, evaluate_component
 
 rng = np.random.default_rng(5)
 cubic = BasisSpec(4, 0)
@@ -45,7 +46,9 @@ centered_truth = np.sin(3 * g1) - (1 - np.cos(3.0)) / 3.0
 print("component 1 max error vs centered truth:",
       round(float(np.abs(comp0 - centered_truth).max()), 3))
 
-band0 = component_band(selection, plan, alpha=0.05, comp=0, grid=g1)
+# A component is one more linear functional of the same fits, so its band is
+# the ordinary band of the selection viewed through that component.
+band0 = band_deriv(component_view(selection, 0, g1), plan=plan, alpha=0.05, a=0)
 inside = bool(np.all(np.abs(band0.center - centered_truth) <= band0.halfwidth))
 print("component band covers the centered truth:", inside)
 

@@ -23,7 +23,7 @@ from scipy.special import ndtri
 from . import basis as bs
 from . import estimator as est
 from .bootstrap import MultiplierPlan, quantile, sup_t_contrast
-from .errors import ConfigurationError, InsufficientSampleError
+from .errors import ConfigurationError
 from .estimator import VarianceField
 
 LEPSKI_FACTOR = 1.1
@@ -64,64 +64,17 @@ class AdaptiveSelection:
     a_hat: float
     mode: str
     grid: np.ndarray
-    fits: dict
-    varfield: VarianceField
+    varfield: VarianceField | None
     s_hat_by_j: dict
-    backend: object
+    backend: est.SieveBackend
     theta_draws: np.ndarray | None = None
     lepski_factor: float = LEPSKI_FACTOR
     flags: tuple[str, ...] = ()
 
-
-class _EstimatorBackend:
-    """Fit cache and influence provider for the standard NPIV/regression model."""
-
-    def __init__(self, sample: est.Sample, x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None):
-        self.sample = sample
-        self.x_spec = x_spec
-        self.ispec = ispec
-        self.grid_dim = sample.dim
-        self.n = sample.n
-        self.y = sample.y
-        self._fits: dict[int, est.NpivFit] = {}
-
-    def candidate_dims(self) -> list[int]:
-        out: list[int] = []
-        level = 0
-        while True:
-            j = (2**level + self.x_spec.order - 1) ** self.x_spec.dim
-            if j > self.n:
-                break
-            if self.ispec is not None and bs.instrument_dim(self.ispec, j) > self.n:
-                break
-            out.append(j)
-            level += 1
-        if not out:
-            raise InsufficientSampleError(
-                f"no admissible dimension J has K(J) <= n (n={self.n})"
-            )
-        return out
-
-    def next_dim(self, j: int) -> int:
-        level = bs.resolution_for_dimension(self.x_spec, j)
-        return (2 ** (level + 1) + self.x_spec.order - 1) ** self.x_spec.dim
-
-    def fit(self, j: int) -> est.NpivFit:
-        if j not in self._fits:
-            self._fits[j] = est.fit(self.sample, self.x_spec, self.ispec, j)
-        return self._fits[j]
-
-    def shat(self, j: int) -> float:
-        return self.fit(j).s_hat
-
-    def residuals(self, j: int) -> np.ndarray:
-        return self.fit(j).u_hat
-
-    def influence(self, j: int, pts: np.ndarray, deriv=0) -> np.ndarray:
-        return est.influence_rows(self.fit(j), pts, deriv)
-
-    def center(self, j: int, pts: np.ndarray, deriv=0) -> np.ndarray:
-        return est.evaluate(self.fit(j), pts, deriv)
+    @property
+    def fits(self) -> dict:
+        """The fits of the index set, {J: fit}, from the backend's cache."""
+        return {j: self.backend.fit(j) for j in self.index_set}
 
 
 def _bracket_min(cands, lhs_fn, target, beyond_fn, next_dim_fn, flags) -> int:
@@ -180,17 +133,13 @@ def _j_hat_max_regression(n: int, spec: bs.BasisSpec, flags) -> int:
     def lhs(j: int) -> float:
         return _j_log_rate(j) * ups
 
-    def next_dim(j: int) -> int:
-        level = bs.resolution_for_dimension(spec, j)
-        return (2 ** (level + 1) + spec.order - 1) ** spec.dim
-
-    return _bracket_min(cands, lhs, target, lhs, next_dim, flags)
+    return _bracket_min(cands, lhs, target, lhs, lambda j: bs.next_dimension(spec, j), flags)
 
 
 def j_hat_max_npiv(sample: est.Sample, x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec) -> int:
     """Upper truncation point of the index set for NPIV."""
     flags: list[str] = []
-    return _j_hat_max_npiv(_EstimatorBackend(sample, x_spec, ispec), flags)
+    return _j_hat_max_npiv(est.SieveBackend(sample, est.npiv_model(x_spec, ispec)), flags)
 
 
 def j_hat_max_regression(n: int, spec: bs.BasisSpec) -> int:
@@ -200,7 +149,7 @@ def j_hat_max_regression(n: int, spec: bs.BasisSpec) -> int:
 
 
 def run_selection(
-    backend,
+    backend: est.SieveBackend,
     plan: MultiplierPlan,
     mode: str,
     grid,
@@ -231,15 +180,7 @@ def run_selection(
         flags.append("alpha_hat_clamped")
 
     pts = bs.as_points(grid if grid is not None else default_grid(backend.grid_dim), backend.grid_dim)
-    fits = {j: backend.fit(j) for j in index_set}
-    varfield = VarianceField(
-        grid=pts,
-        deriv=(0,) * backend.grid_dim,
-        j_values=index_set,
-        influence={j: backend.influence(j, pts, 0) for j in index_set},
-        u_hat={j: backend.residuals(j) for j in index_set},
-        y=backend.y,
-    )
+    varfield = est.build_field(backend, pts, (0,) * backend.grid_dim, index_set)
 
     pairs = [(a, b) for i, a in enumerate(index_set) for b in index_set[i + 1 :]]
     theta_draws = None
@@ -297,7 +238,6 @@ def run_selection(
         a_hat=a_hat,
         mode=mode,
         grid=pts,
-        fits=fits,
         varfield=varfield,
         s_hat_by_j={j: backend.shat(j) for j in index_set},
         backend=backend,
@@ -318,5 +258,5 @@ def select(
     """Select the sieve dimension for the standard NPIV or regression model."""
     if mode == "npiv" and ispec is None:
         raise ConfigurationError("npiv mode needs an InstrumentSpec; use mode='regression' otherwise")
-    backend = _EstimatorBackend(sample, x_spec, ispec if mode == "npiv" else None)
+    backend = est.SieveBackend(sample, est.npiv_model(x_spec, ispec if mode == "npiv" else None))
     return run_selection(backend, plan or MultiplierPlan(), mode, grid, x_spec, n_workers)

@@ -15,6 +15,7 @@ well defined on the closed cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 from scipy.stats import rankdata
@@ -130,19 +131,29 @@ def make_spec(
 # ---------------------------------------------------------------------------
 
 
+def admissible_dimensions(spec: BasisSpec):
+    """The admissible sieve dimensions (2^l + r - 1)^d for l = 0, 1, ..., without end."""
+    level = 0
+    while True:
+        yield (2**level + spec.order - 1) ** spec.dim
+        level += 1
+
+
 def dimension_grid(spec: BasisSpec, j_cap: int) -> list[int]:
     """Admissible sieve dimensions {(2^l + r - 1)^d} up to ``j_cap``."""
-    out: list[int] = []
-    level = 0
-    while (2**level + spec.order - 1) ** spec.dim <= j_cap:
-        out.append((2**level + spec.order - 1) ** spec.dim)
-        level += 1
+    out = list(takewhile(lambda j: j <= j_cap, admissible_dimensions(spec)))
     if not out:
         raise InvalidDimensionError(
             f"j_cap={j_cap} is below the smallest admissible dimension "
             f"{spec.order ** spec.dim}"
         )
     return out
+
+
+def next_dimension(spec: BasisSpec, j: int) -> int:
+    """The admissible dimension one resolution level above ``j``."""
+    level = resolution_for_dimension(spec, j)
+    return (2 ** (level + 1) + spec.order - 1) ** spec.dim
 
 
 def resolution_for_dimension(spec: BasisSpec, j: int) -> int:
@@ -289,19 +300,22 @@ def _basis_deriv_1d(knots: np.ndarray, order: int, x: np.ndarray, k: int) -> np.
     return lower @ d
 
 
-def _normalize_deriv(spec: BasisSpec, deriv) -> tuple[int, ...]:
-    if deriv is None:
-        return (0,) * spec.dim
+def multi_index(deriv, dim: int) -> tuple[int, ...]:
+    """A derivative order as a multi-index on ``dim`` axes; None or 0 means none."""
+    if deriv is None or (np.isscalar(deriv) and int(deriv) == 0):
+        return (0,) * dim
     if np.isscalar(deriv):
-        if spec.dim != 1:
-            if int(deriv) == 0:
-                return (0,) * spec.dim
-            raise UnsupportedDerivativeError("multi-index required for a multivariate basis")
-        multi = (int(deriv),)
-    else:
-        multi = tuple(int(v) for v in deriv)
-        if len(multi) != spec.dim:
-            raise UnsupportedDerivativeError(f"multi-index must have {spec.dim} entries")
+        if dim != 1:
+            raise UnsupportedDerivativeError("multi-index required for a multivariate function")
+        return (int(deriv),)
+    multi = tuple(int(v) for v in deriv)
+    if len(multi) != dim:
+        raise UnsupportedDerivativeError(f"multi-index must have {dim} entries")
+    return multi
+
+
+def _normalize_deriv(spec: BasisSpec, deriv) -> tuple[int, ...]:
+    multi = multi_index(deriv, spec.dim)
     for a_i in multi:
         if a_i < 0:
             raise UnsupportedDerivativeError("derivative orders must be nonnegative")

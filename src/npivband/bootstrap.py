@@ -161,15 +161,3 @@ def quantile(draw_sups, level: float) -> float:
     k = int(np.ceil(level * draws.size))
     k = min(max(k, 1), draws.size)
     return float(draws[k - 1])
-
-
-@dataclass(frozen=True, eq=False)
-class BootstrapQuantiles:
-    """Audit record of the bootstrap quantiles used in one run."""
-
-    theta_star: float
-    z_star: float
-    z_star_deriv: float | None = None
-    theta_draws: np.ndarray | None = None
-    z_draws: np.ndarray | None = None
-    z_deriv_draws: np.ndarray | None = None

@@ -204,47 +204,41 @@ def _band_columns(band: ucb.BandResult, suffix: str) -> dict[str, np.ndarray]:
     }
 
 
-def _estimates_table(selection, plan, config: RunConfig) -> tuple[list[str], list[list[float]], dict]:
-    bands = {}
-    fields = {}
-    h_field = ucb._selection_field(selection, (0,) * selection.backend.grid_dim)
-    columns: dict[str, np.ndarray] = {"x": selection.grid[:, 0]}
-    center_done = False
-    meta = {"kinds": []}
+def _band_block(columns: dict, kinds: list, selection, plan, config: RunConfig, a: int, suffix: str):
+    """Center, band and sigma columns of the selection's reported function at derivative a.
+
+    Returns the variance field, which every alpha level shares.
+    """
+    field = ucb._selection_field(selection, (a,) * selection.backend.grid_dim)
     for alpha in config.alphas:
-        band = ucb.band_h(selection, varfield=h_field, plan=plan, alpha=alpha)
-        if not center_done:
-            columns["center"] = band.center
-            center_done = True
-        columns.update(_band_columns(band, ""))
-        bands[alpha] = band
-        meta["kinds"].append(band.kind)
-    columns["sigma"] = h_field.sigma[selection.j_tilde]
-    robust_field = h_field
+        band = ucb.band_deriv(selection, varfield=field, plan=plan, alpha=alpha, a=a)
+        columns.setdefault(f"center{suffix}", band.center)
+        columns.update(_band_columns(band, suffix))
+        kinds.append(band.kind)
+    columns[f"sigma{suffix}"] = field.sigma[selection.j_tilde]
+    return field
+
+
+def _table(columns: dict[str, np.ndarray]) -> tuple[list[str], list[list[float]]]:
+    header = list(columns)
+    return header, [[columns[name][i] for name in header] for i in range(columns["x"].size)]
+
+
+def _estimates_table(selection, plan, config: RunConfig) -> tuple[list[str], list[list[float]], dict]:
+    columns: dict[str, np.ndarray] = {"x": selection.grid[:, 0]}
+    meta = {"kinds": []}
+    field = _band_block(columns, meta["kinds"], selection, plan, config, 0, "")
     if config.deriv > 0:
-        suffix = f"_d{config.deriv}"
-        d_field = ucb._selection_field(selection, (config.deriv,) * selection.backend.grid_dim)
-        robust_field = d_field
-        for alpha in config.alphas:
-            band = ucb.band_deriv(selection, varfield=d_field, plan=plan, alpha=alpha, a=config.deriv)
-            if f"center{suffix}" not in columns:
-                columns[f"center{suffix}"] = band.center
-            columns.update(_band_columns(band, suffix))
-            meta["kinds"].append(band.kind)
-        columns[f"sigma{suffix}"] = d_field.sigma[selection.j_tilde]
+        field = _band_block(columns, meta["kinds"], selection, plan, config, config.deriv, f"_d{config.deriv}")
     if config.p_lower is not None:
         band = ucb.band_robustness(
-            selection, varfield=robust_field, plan=plan, alpha=min(config.alphas),
+            selection, varfield=field, plan=plan, alpha=min(config.alphas),
             a=config.deriv, p_lower=config.p_lower,
         )
-        pct = round(100 * band.level)
-        columns[f"lo{pct}_robust"] = band.lower
-        columns[f"hi{pct}_robust"] = band.upper
+        columns.update(_band_columns(band, "_robust"))
         meta["kinds"].append(band.kind)
         meta["p_lower"] = config.p_lower
-    header = list(columns)
-    table = [[columns[name][i] for name in header] for i in range(selection.grid.shape[0])]
-    return header, table, meta
+    return *_table(columns), meta
 
 
 def _selection_payload(selection) -> dict:
@@ -265,43 +259,30 @@ def _selection_payload(selection) -> dict:
     }
 
 
-class _SelectionOverride:
-    """Reconstructs an AdaptiveSelection from selection.json plus fresh fits."""
-
-    @staticmethod
-    def load(path: str, sample, x_spec, ispec, mode, grid) -> ad.AdaptiveSelection:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        backend = ad._EstimatorBackend(sample, x_spec, ispec if mode == "npiv" else None)
-        pts = bs.as_points(grid, backend.grid_dim)
-        index_set = tuple(payload["index_set"])
-        fits = {j: backend.fit(j) for j in index_set}
-        varfield = est.VarianceField(
-            grid=pts,
-            deriv=(0,) * backend.grid_dim,
-            j_values=index_set,
-            influence={j: backend.influence(j, pts, 0) for j in index_set},
-            u_hat={j: backend.residuals(j) for j in index_set},
-            y=backend.y,
-        )
-        return ad.AdaptiveSelection(
-            j_hat_max=payload["j_hat_max"],
-            index_set=index_set,
-            alpha_hat=payload["alpha_hat"],
-            theta_star=payload["theta_star"],
-            j_hat=payload["j_hat"],
-            j_hat_n=payload["j_hat_n"],
-            j_tilde=payload["j_tilde"],
-            j_minus_set=tuple(payload["j_minus_set"]),
-            a_hat=payload["a_hat"],
-            mode=payload["mode"],
-            grid=pts,
-            fits=fits,
-            varfield=varfield,
-            s_hat_by_j={int(k): v for k, v in payload["s_hat_by_j"].items()},
-            backend=backend,
-            flags=tuple(payload["flags"]) + ("selection_overridden",),
-        )
+def _load_selection(path: str, sample, x_spec, ispec, mode, grid) -> ad.AdaptiveSelection:
+    """Rebuild an AdaptiveSelection from selection.json plus fresh fits."""
+    with open(path, encoding="utf-8") as fh:
+        payload = json.load(fh)
+    backend = est.SieveBackend(sample, est.npiv_model(x_spec, ispec if mode == "npiv" else None))
+    pts = bs.as_points(grid, backend.grid_dim)
+    index_set = tuple(payload["index_set"])
+    return ad.AdaptiveSelection(
+        j_hat_max=payload["j_hat_max"],
+        index_set=index_set,
+        alpha_hat=payload["alpha_hat"],
+        theta_star=payload["theta_star"],
+        j_hat=payload["j_hat"],
+        j_hat_n=payload["j_hat_n"],
+        j_tilde=payload["j_tilde"],
+        j_minus_set=tuple(payload["j_minus_set"]),
+        a_hat=payload["a_hat"],
+        mode=payload["mode"],
+        grid=pts,
+        varfield=est.build_field(backend, pts, (0,) * backend.grid_dim, index_set),
+        s_hat_by_j={int(k): v for k, v in payload["s_hat_by_j"].items()},
+        backend=backend,
+        flags=tuple(payload["flags"]) + ("selection_overridden",),
+    )
 
 
 def _template_spec(config: RunConfig, dim: int) -> bs.BasisSpec:
@@ -320,7 +301,7 @@ def _structured_selection(config: RunConfig, sample: est.Sample, plan: Multiplie
             raise ConfigurationError("additive mode needs at least two x columns")
         aspec = ext.AdditiveSpec(tuple(uni for _ in range(sample.dim)))
         ispec = bs.InstrumentSpec(uni, q=config.q, dim_w=sample.dim_w) if has_instruments else None
-        return ext.select_additive(sample, aspec, ispec, plan), aspec
+        return ext.select_additive(sample, aspec, ispec, plan)
     linear = tuple(config.linear_cols)
     if not linear:
         raise ConfigurationError("partially_linear mode needs --linear-cols")
@@ -330,30 +311,20 @@ def _structured_selection(config: RunConfig, sample: est.Sample, plan: Multiplie
         bs.InstrumentSpec(plspec.x1_spec, q=config.q, dim_w=sample.dim_w)
         if has_instruments else None
     )
-    return ext.select_partially_linear(sample, plspec, ispec, plan, grid=grid), plspec
+    return ext.select_partially_linear(sample, plspec, ispec, plan, grid=grid)
 
 
 def _additive_estimates(selection, plan: MultiplierPlan, config: RunConfig):
     grid1 = np.linspace(config.grid_lo, config.grid_hi, config.grid_size)
     columns: dict[str, np.ndarray] = {"x": grid1}
-    kinds = []
-    n_comp = len(selection.backend.aspec.components)
+    kinds: list[str] = []
+    n_comp = selection.backend.grid_dim
     for comp in range(n_comp):
+        view = ext.component_view(selection, comp, grid1)
         for a in ([0, config.deriv] if config.deriv > 0 else [0]):
             suffix = f"_c{comp + 1}" + (f"_d{a}" if a > 0 else "")
-            sigma = None
-            field = ext.component_field(selection, comp, a, grid1)
-            for alpha in config.alphas:
-                band = ext.component_band(selection, plan, alpha, comp, a=a, varfield=field)
-                if f"center{suffix}" not in columns:
-                    columns[f"center{suffix}"] = band.center
-                columns.update(_band_columns(band, suffix))
-                sigma = band.halfwidth / (band.z_star + band.a_hat * band.theta_star)
-                kinds.append(band.kind)
-            columns[f"sigma{suffix}"] = sigma
-    header = list(columns)
-    table = [[columns[name][i] for name in header] for i in range(grid1.size)]
-    return header, table, {"kinds": kinds, "components": n_comp}
+            _band_block(columns, kinds, view, plan, config, a, suffix)
+    return *_table(columns), {"kinds": kinds, "components": n_comp}
 
 
 def _run_fit(config: RunConfig, estimates_only: bool = False) -> None:
@@ -364,7 +335,7 @@ def _run_fit(config: RunConfig, estimates_only: bool = False) -> None:
         if config.from_selection:
             raise ConfigurationError("--from-selection supports the npiv/regression modes only")
         grid = np.linspace(config.grid_lo, config.grid_hi, config.grid_size).reshape(-1, 1)
-        selection, _ = _structured_selection(config, sample, plan, grid)
+        selection = _structured_selection(config, sample, plan, grid)
         if config.mode == "additive":
             header, table, meta = _additive_estimates(selection, plan, config)
         else:
@@ -381,9 +352,7 @@ def _run_fit(config: RunConfig, estimates_only: bool = False) -> None:
         grid = np.linspace(config.grid_lo, config.grid_hi, config.grid_size).reshape(-1, 1) \
             if sample.dim == 1 else ad.default_grid(sample.dim, config.grid_size)
         if config.from_selection:
-            selection = _SelectionOverride.load(
-                config.from_selection, sample, x_spec, ispec, config.mode, grid
-            )
+            selection = _load_selection(config.from_selection, sample, x_spec, ispec, config.mode, grid)
         else:
             selection = ad.select(sample, x_spec, ispec, plan=plan, mode=config.mode, grid=grid)
         header, table, meta = _estimates_table(selection, plan, config)

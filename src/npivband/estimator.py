@@ -6,12 +6,21 @@ this gives coefficients c_hat = M_J Y, residuals u_hat, and the reduced-rank
 singular value s_hat of the orthogonalized cross matrix, which proxies the
 inverse measure of ill-posedness. When no instrument spec is given the fit is
 plain series least squares (M_J = (Psi'Psi)^- Psi'), the exogenous special
-case.
+case. Every model's fit goes through the one TSLS core ``tsls``.
+
+A ``SieveModel`` describes a model to the shared ``SieveBackend``: its fit at
+J, its design and instrument widths at J, and the selector rows of the
+function it reports. The backend caches fits per J; every reported function,
+its influence rows and its ``VarianceField`` (built in ``build_field``) come
+from those selector rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
+from itertools import takewhile
+from typing import Callable
 
 import numpy as np
 
@@ -90,6 +99,11 @@ class NpivFit:
     def n(self) -> int:
         return self.u_hat.size
 
+    @property
+    def coef(self) -> np.ndarray:
+        """The sieve coefficients, under the name the structured-model fits use."""
+        return self.c_hat
+
 
 def tsls_influence(psi: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
     """The J x n matrix M = (Psi' P_K Psi)^- Psi' P_K, never forming P_K."""
@@ -131,42 +145,54 @@ def singular_value_min(psi: np.ndarray, bmat: np.ndarray) -> tuple[float, tuple[
     return float(min(sv[rank - 1], 1.0)), flags
 
 
+def tsls(design: np.ndarray, bmat: np.ndarray | None, y: np.ndarray):
+    """Sieve TSLS of y on ``design`` with instruments ``bmat``; series least squares when None.
+
+    Returns ``(m, coef, u_hat, s_hat, flags)``: the influence matrix M with
+    coef = M y, the residuals, the singular-value proxy s_hat (computed with
+    the design as its own instrument when ``bmat`` is None) and the fit flags.
+    """
+    n, width = design.shape
+    if bmat is None:
+        g_inv, rank = pinv_psd(design.T @ design, max(n, width))
+        m = g_inv @ design.T
+        flags: tuple[str, ...] = ("design_rank_deficient",) if rank < width else ()
+    else:
+        m, flags = tsls_influence(design, bmat)
+    coef = m @ y
+    u_hat = y - design @ coef
+    s_hat, s_flags = singular_value_min(design, design if bmat is None else bmat)
+    return m, coef, u_hat, s_hat, flags + s_flags
+
+
 def fit(sample: Sample, x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None, j: int) -> NpivFit:
     """TSLS sieve fit at dimension ``j``; series regression when ispec is None."""
     if j > sample.n:
         raise InsufficientSampleError(f"J={j} exceeds the sample size n={sample.n}")
     x_basis = bs.spec_for_dimension(x_spec, j, data=sample.x)
     psi = bs.design_matrix(x_basis, sample.x)
-    flags: list[str] = []
-    if ispec is None:
-        k = j
-        bmat = psi
-        g_inv, rank = pinv_psd(psi.T @ psi, max(sample.n, j))
-        if rank < j:
-            flags.append("design_rank_deficient")
-        m = g_inv @ psi.T
-    else:
+    k, bmat = j, None
+    if ispec is not None:
         k = bs.instrument_dim(ispec, j)
         if k > sample.n:
             raise InsufficientSampleError(f"K(J)={k} exceeds the sample size n={sample.n}")
         w_basis = bs.instrument_spec_for(ispec, j, w_data=sample.w)
         bmat = bs.design_matrix(w_basis, sample.w)
-        m, tsls_flags = tsls_influence(psi, bmat)
-        flags.extend(tsls_flags)
-    c_hat = m @ sample.y
-    u_hat = sample.y - psi @ c_hat
-    s_hat, s_flags = singular_value_min(psi, bmat)
-    flags.extend(s_flags)
+    m, c_hat, u_hat, s_hat, flags = tsls(psi, bmat, sample.y)
     return NpivFit(
-        j=j, k=k, x_basis=x_basis, psi=psi, bmat=bmat, m=m,
-        c_hat=c_hat, u_hat=u_hat, s_hat=s_hat, flags=tuple(flags),
+        j=j, k=k, x_basis=x_basis, psi=psi, bmat=psi if bmat is None else bmat, m=m,
+        c_hat=c_hat, u_hat=u_hat, s_hat=s_hat, flags=flags,
     )
+
+
+def _h_rows(fit_: NpivFit, pts, deriv):
+    return bs.design_matrix(fit_.x_basis, pts, deriv), slice(None)
 
 
 def evaluate(fit_: NpivFit, x_grid, deriv=0) -> np.ndarray:
     """Point or derivative estimates (d^a h_J)(x) on a grid."""
-    design = bs.design_matrix(fit_.x_basis, x_grid, deriv)
-    return design @ fit_.c_hat
+    rows, sl = _h_rows(fit_, x_grid, deriv)
+    return rows @ fit_.c_hat[sl]
 
 
 def shat(fit_: NpivFit) -> float:
@@ -176,8 +202,8 @@ def shat(fit_: NpivFit) -> float:
 
 def influence_rows(fit_: NpivFit, grid, deriv=0) -> np.ndarray:
     """Rows (d^a psi^J(x))' M_J for x on the grid; shape (g, n)."""
-    design = bs.design_matrix(fit_.x_basis, grid, deriv)
-    return design @ fit_.m
+    rows, sl = _h_rows(fit_, grid, deriv)
+    return rows @ fit_.m[sl]
 
 
 @dataclass(eq=False)
@@ -284,6 +310,106 @@ class VarianceField:
         return float((num / self.contrast_sd(j, j2)[valid]).max())
 
 
+@dataclass(frozen=True, eq=False)
+class SieveModel:
+    """The per-model description the shared backend works from.
+
+    ``fit(sample, j)`` fits the model at sieve dimension J. ``template`` is
+    the basis whose dimension grid enumerates J, and ``widths(j)`` gives the
+    design and instrument widths at J, both of which must stay <= n.
+    ``selector(fit, pts, a)`` gives the rows and coefficient slice of the
+    reported function, so its a-th derivative at ``pts`` is rows @ coef[slice];
+    ``grid_dim`` is the dimension of that function's argument.
+    """
+
+    fit: Callable
+    template: bs.BasisSpec
+    widths: Callable[[int], tuple[int, int]]
+    selector: Callable
+    grid_dim: int
+
+
+def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveModel:
+    """The standard model Y = h(X) + u; series regression when ispec is None."""
+    return SieveModel(
+        fit=lambda sample, j: fit(sample, x_spec, ispec, j),
+        template=x_spec,
+        widths=lambda j: (j, j if ispec is None else bs.instrument_dim(ispec, j)),
+        selector=_h_rows,
+        grid_dim=x_spec.dim,
+    )
+
+
+class SieveBackend:
+    """Fit cache for one sieve model on one sample, and its reported function.
+
+    Each J is fitted once through ``model.fit``. The influence rows and the
+    estimate of the reported function are the model's selector rows times the
+    fit's M_J and coefficients. Without a sample the backend serves only the
+    fits it was given, which must share one outcome vector.
+    """
+
+    def __init__(self, sample: Sample | None, model: SieveModel, fits: dict | None = None):
+        self.sample = sample
+        self.model = model
+        self._fits = dict(fits or {})
+        self.y = sample.y if sample is not None else _check_shared_sample(self._fits)
+        self.n = self.y.size
+
+    @property
+    def grid_dim(self) -> int:
+        return self.model.grid_dim
+
+    def candidate_dims(self) -> list[int]:
+        """Grid dimensions J, smallest first, while the design and instrument widths are <= n."""
+        out = list(takewhile(
+            lambda j: max(self.model.widths(j)) <= self.n,
+            bs.admissible_dimensions(self.model.template),
+        ))
+        if not out:
+            raise InsufficientSampleError(f"no admissible dimension J fits the sample size n={self.n}")
+        return out
+
+    def next_dim(self, j: int) -> int:
+        return bs.next_dimension(self.model.template, j)
+
+    def fit(self, j: int):
+        if j not in self._fits:
+            self._fits[j] = self.model.fit(self.sample, j)
+        return self._fits[j]
+
+    def shat(self, j: int) -> float:
+        return self.fit(j).s_hat
+
+    def influence(self, j: int, pts: np.ndarray, deriv) -> np.ndarray:
+        fit_ = self.fit(j)
+        rows, sl = self.model.selector(fit_, pts, deriv)
+        return rows @ fit_.m[sl]
+
+    def center(self, j: int, pts: np.ndarray, deriv) -> np.ndarray:
+        fit_ = self.fit(j)
+        rows, sl = self.model.selector(fit_, pts, deriv)
+        return rows @ fit_.coef[sl]
+
+    def view(self, selector: Callable, grid_dim: int) -> SieveBackend:
+        """A backend sharing these fits that reports another linear functional."""
+        other = copy.copy(self)
+        other.model = replace(self.model, selector=selector, grid_dim=grid_dim)
+        return other
+
+
+def build_field(backend: SieveBackend, pts: np.ndarray, deriv: tuple[int, ...], js) -> VarianceField:
+    """Variance field of the backend's reported function at derivative ``deriv`` over J in ``js``."""
+    return VarianceField(
+        grid=pts,
+        deriv=deriv,
+        j_values=tuple(js),
+        influence={j: backend.influence(j, pts, deriv) for j in js},
+        u_hat={j: backend.fit(j).u_hat for j in js},
+        y=backend.y,
+    )
+
+
 def variance_field(fits, grid, deriv=0) -> VarianceField:
     """Build a VarianceField for a mapping {J: NpivFit} on an x-grid."""
     fits = dict(fits)
@@ -293,13 +419,9 @@ def variance_field(fits, grid, deriv=0) -> VarianceField:
     pts = bs.as_points(grid, some.x_basis.dim)
     if pts.shape[0] == 0:
         raise ValueError("evaluation grid is empty")
-    y = _check_shared_sample(fits)
     multi = bs._normalize_deriv(some.x_basis, deriv)
-    influence = {j: influence_rows(f, pts, multi) for j, f in fits.items()}
-    residuals = {j: f.u_hat for j, f in fits.items()}
-    return VarianceField(
-        grid=pts, deriv=multi, j_values=tuple(fits), influence=influence, u_hat=residuals, y=y
-    )
+    backend = SieveBackend(None, npiv_model(some.x_basis, None), fits)
+    return build_field(backend, pts, multi, tuple(fits))
 
 
 def _check_shared_sample(fits: dict[int, NpivFit]) -> np.ndarray:

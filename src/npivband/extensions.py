@@ -1,28 +1,34 @@
-"""Additive and partially linear model wrappers, and fixed-effect stripping.
+"""Additive and partially linear models, and fixed-effect stripping.
+
+Both models are sieve TSLS fits of a stacked design, run through the shared
+TSLS core (``estimator.tsls``) and the shared fit-cache backend
+(``estimator.SieveBackend``). Each supplies the backend a model description:
+its fit at J, the design and instrument widths at J, and the selector rows of
+the function it reports. Selection and bands then work as for the standard
+model.
 
 The additive model stacks an intercept with centered per-coordinate bases
 (each basis function minus its exact integral over [0, 1]); the centered
 columns of one coordinate sum to zero pointwise, so the stacked design is
 rank deficient by construction and all fits go through the generalized
-inverse. The partially linear model stacks a univariate (or d1-variate)
-basis with demeaned linear regressors. Both reuse the selection engine and
-band machinery through padded selector vectors.
+inverse. Selection contrasts the full additive estimate; ``component_view``
+reports one centered component on a 1-d grid, so ``ucb.band_deriv`` gives
+its band. The partially linear model stacks a univariate (or d1-variate)
+basis with demeaned linear regressors and reports the nonparametric block h1.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import adaptive as ad
 from . import basis as bs
 from . import estimator as est
-from . import ucb
-from .bootstrap import MultiplierPlan, quantile, sup_t_single
+from .bootstrap import MultiplierPlan
 from .errors import ConfigurationError, InvalidDimensionError
-from .estimator import VarianceField
 
 
 # ---------------------------------------------------------------------------
@@ -98,6 +104,12 @@ def _additive_design(spec: AdditiveSpec, bases, integrals, x: np.ndarray,
     return np.hstack(cols)
 
 
+def _instrument_level(aspec: AdditiveSpec, ispec: bs.InstrumentSpec, j: int) -> int:
+    """Instrument resolution ceil((l + q) d / d_w) at component dimension J on d coordinates."""
+    level = bs.resolution_for_dimension(aspec.components[0], j)
+    return -(-(level + ispec.q) * len(aspec.components) // ispec.dim_w)
+
+
 def fit_additive(sample: est.Sample, aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None, j: int) -> AdditiveFit:
     """Fit the additive model with the same component dimension J per coordinate."""
     d = len(aspec.components)
@@ -108,131 +120,70 @@ def fit_additive(sample: est.Sample, aspec: AdditiveSpec, ispec: bs.InstrumentSp
     )
     integrals = tuple(bs.basis_integrals(b) for b in bases)
     design = _additive_design(aspec, bases, integrals, sample.x)
-    n_cols = design.shape[1]
-    flags: list[str] = []
-    if ispec is None:
-        bmat = design
-        g_inv, rank = est.pinv_psd(design.T @ design, max(sample.n, n_cols))
-        m = g_inv @ design.T
-        if rank < n_cols:
-            flags.append("design_rank_deficient")
-    else:
-        level = bs.resolution_for_dimension(aspec.components[0], j)
-        level_w = -(-(level + ispec.q) * d // ispec.dim_w)
+    bmat = None
+    if ispec is not None:
+        level_w = _instrument_level(aspec, ispec, j)
         w_basis = bs.make_spec(ispec.order, level_w, ispec.dim_w, ispec.knot_rule, data=sample.w)
         bmat = bs.design_matrix(w_basis, sample.w)
-        if bmat.shape[1] < n_cols:
+        if bmat.shape[1] < design.shape[1]:
             raise InvalidDimensionError(
                 f"instrument dimension {bmat.shape[1]} is below the stacked design "
-                f"dimension {n_cols}; increase q"
+                f"dimension {design.shape[1]}; increase q"
             )
         if bmat.shape[1] > sample.n:
             raise est.InsufficientSampleError(
                 f"K={bmat.shape[1]} exceeds the sample size n={sample.n}"
             )
-        m, tsls_flags = est.tsls_influence(design, bmat)
-        flags.extend(tsls_flags)
-    coef = m @ sample.y
-    u_hat = sample.y - design @ coef
-    s_hat, s_flags = est.singular_value_min(design, bmat)
-    flags.extend(s_flags)
+    m, coef, u_hat, s_hat, flags = est.tsls(design, bmat, sample.y)
     return AdditiveFit(
         j=j, spec=aspec, bases=bases, integrals=integrals, coef=coef, m=m,
-        u_hat=u_hat, s_hat=s_hat, design=design, bmat=bmat, y=sample.y,
-        flags=tuple(flags),
+        u_hat=u_hat, s_hat=s_hat, design=design, bmat=design if bmat is None else bmat,
+        y=sample.y, flags=flags,
     )
 
 
 def evaluate_additive(fit: AdditiveFit, x, deriv=None) -> np.ndarray:
     """The full additive estimate (or its derivative) at d-dimensional points."""
-    pts = bs.as_points(x, len(fit.bases))
-    multi = _additive_deriv(deriv, len(fit.bases))
-    design = _additive_design(fit.spec, fit.bases, fit.integrals, pts, multi)
-    return design @ fit.coef
-
-
-def _additive_deriv(deriv, d: int) -> tuple[int, ...]:
-    if deriv is None or (np.isscalar(deriv) and int(deriv) == 0):
-        return (0,) * d
-    if np.isscalar(deriv):
-        raise ConfigurationError("additive derivatives need a multi-index")
-    multi = tuple(int(v) for v in deriv)
-    if len(multi) != d:
-        raise ConfigurationError(f"multi-index must have {d} entries")
-    return multi
+    rows, sl = _additive_rows(fit, bs.as_points(x, len(fit.bases)), deriv)
+    return rows @ fit.coef[sl]
 
 
 def evaluate_component(fit: AdditiveFit, comp: int, x1, deriv: int = 0) -> np.ndarray:
     """One additive component (centered so that it integrates to zero)."""
-    pts = bs.as_points(x1, 1)
-    block = _centered_block(fit.bases[comp], fit.integrals[comp], pts[:, 0], deriv)
-    return block @ fit.coef[fit.component_slice(comp)]
+    rows, sl = _component_rows(comp)(fit, bs.as_points(x1, 1), (deriv,))
+    return rows @ fit.coef[sl]
 
 
-def component_influence(fit: AdditiveFit, comp: int, x1, deriv: int = 0) -> np.ndarray:
-    """Rows of the zero-padded component selector times the influence matrix."""
-    pts = bs.as_points(x1, 1)
-    block = _centered_block(fit.bases[comp], fit.integrals[comp], pts[:, 0], deriv)
-    return block @ fit.m[fit.component_slice(comp), :]
+def _additive_rows(fit: AdditiveFit, pts: np.ndarray, deriv):
+    multi = bs.multi_index(deriv, len(fit.bases))
+    return _additive_design(fit.spec, fit.bases, fit.integrals, pts, multi), slice(None)
 
 
-class _AdditiveBackend:
-    """Selection backend: contrasts use the full additive estimate."""
+def _component_rows(comp: int):
+    def rows(fit: AdditiveFit, pts: np.ndarray, deriv):
+        block = _centered_block(fit.bases[comp], fit.integrals[comp], pts[:, 0], deriv[0])
+        return block, fit.component_slice(comp)
 
-    def __init__(self, sample: est.Sample, aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None):
-        self.sample = sample
-        self.aspec = aspec
-        self.ispec = ispec
-        self.grid_dim = sample.dim
-        self.n = sample.n
-        self.y = sample.y
-        self._fits: dict[int, AdditiveFit] = {}
+    return rows
 
-    def candidate_dims(self) -> list[int]:
-        template = self.aspec.components[0]
-        d = len(self.aspec.components)
-        out: list[int] = []
-        level = 0
-        while True:
-            j = 2**level + template.order - 1
-            n_cols = (1 if self.aspec.intercept else 0) + d * j
-            if n_cols > self.n:
-                break
-            if self.ispec is not None:
-                level_w = -(-(level + self.ispec.q) * d // self.ispec.dim_w)
-                k = (2**level_w + self.ispec.order - 1) ** self.ispec.dim_w
-                if k > self.n:
-                    break
-            out.append(j)
-            level += 1
-        if not out:
-            raise est.InsufficientSampleError("no feasible component dimension")
-        return out
 
-    def next_dim(self, j: int) -> int:
-        template = self.aspec.components[0]
-        level = bs.resolution_for_dimension(template, j)
-        return 2 ** (level + 1) + template.order - 1
+def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.SieveModel:
+    """The additive model; it reports the full additive estimate on [0, 1]^d."""
+    d = len(aspec.components)
 
-    def fit(self, j: int) -> AdditiveFit:
-        if j not in self._fits:
-            self._fits[j] = fit_additive(self.sample, self.aspec, self.ispec, j)
-        return self._fits[j]
+    def widths(j: int) -> tuple[int, int]:
+        width = (1 if aspec.intercept else 0) + d * j
+        if ispec is None:
+            return width, width
+        return width, (2 ** _instrument_level(aspec, ispec, j) + ispec.order - 1) ** ispec.dim_w
 
-    def shat(self, j: int) -> float:
-        return self.fit(j).s_hat
-
-    def residuals(self, j: int) -> np.ndarray:
-        return self.fit(j).u_hat
-
-    def influence(self, j: int, pts: np.ndarray, deriv=0) -> np.ndarray:
-        fit = self.fit(j)
-        multi = _additive_deriv(deriv, self.grid_dim)
-        design = _additive_design(fit.spec, fit.bases, fit.integrals, pts, multi)
-        return design @ fit.m
-
-    def center(self, j: int, pts: np.ndarray, deriv=0) -> np.ndarray:
-        return evaluate_additive(self.fit(j), pts, deriv)
+    return est.SieveModel(
+        fit=lambda sample, j: fit_additive(sample, aspec, ispec, j),
+        template=aspec.components[0],
+        widths=widths,
+        selector=_additive_rows,
+        grid_dim=d,
+    )
 
 
 def select_additive(
@@ -244,62 +195,24 @@ def select_additive(
     n_workers: int = 1,
 ) -> ad.AdaptiveSelection:
     """Data-driven component dimension for the additive model."""
-    backend = _AdditiveBackend(sample, aspec, ispec)
+    backend = est.SieveBackend(sample, additive_model(aspec, ispec))
     mode = "npiv" if ispec is not None else "regression"
     if grid is None:
         grid = ad.default_grid(sample.dim, points_per_axis=25 if sample.dim > 1 else 100)
     return ad.run_selection(backend, plan or MultiplierPlan(), mode, grid, aspec.components[0], n_workers)
 
 
-def component_field(selection: ad.AdaptiveSelection, comp: int, a: int = 0, grid=None) -> VarianceField:
-    """Variance field of additive component ``comp`` over J_minus and J_tilde."""
-    pts = bs.as_points(grid if grid is not None else np.linspace(0, 1, 100), 1)
-    needed = tuple(sorted(set(selection.j_minus_set) | {selection.j_tilde}))
-    fits = {j: selection.backend.fit(j) for j in needed}
-    return VarianceField(
-        grid=pts,
-        deriv=(a,),
-        j_values=needed,
-        influence={j: component_influence(fits[j], comp, pts, a) for j in needed},
-        u_hat={j: fits[j].u_hat for j in needed},
-        y=selection.backend.y,
-    )
+def component_view(selection: ad.AdaptiveSelection, comp: int, grid) -> ad.AdaptiveSelection:
+    """The additive selection reporting centered component ``comp`` on a 1-d grid.
 
-
-def component_band(
-    selection: ad.AdaptiveSelection,
-    plan: MultiplierPlan,
-    alpha: float,
-    comp: int,
-    a: int = 0,
-    grid=None,
-    n_workers: int = 1,
-    varfield: VarianceField | None = None,
-) -> ucb.BandResult:
-    """Uniform band for one additive component via the padded selector vector.
-
-    ``varfield`` is a field from ``component_field`` for the same ``comp`` and
-    ``a``; bands at several alpha levels that share it share one bootstrap
-    statistic. Without it the field is built on ``grid``.
+    The view shares the selection's fits, dimensions and bootstrap threshold;
+    ``ucb.band_deriv`` on it gives the component's uniform band.
     """
-    field = varfield if varfield is not None else component_field(selection, comp, a, grid)
-    pts = field.grid
-    z_draws = sup_t_single(field, plan, selection.j_minus_set, n_workers=n_workers)
-    z_star = quantile(z_draws, 1.0 - alpha)
-    center = evaluate_component(selection.backend.fit(selection.j_tilde), comp, pts, a)
-    multiplier = z_star + selection.a_hat * selection.theta_star
-    return ucb.BandResult(
-        grid=pts,
-        center=center,
-        halfwidth=multiplier * field.sigma[selection.j_tilde],
-        kind="h_band" if a == 0 else "deriv_band",
-        level=1.0 - alpha,
-        deriv=(a,),
-        j_used=selection.j_tilde,
-        z_star=z_star,
-        theta_star=selection.theta_star,
-        a_hat=selection.a_hat,
-        z_draws=z_draws,
+    return replace(
+        selection,
+        backend=selection.backend.view(_component_rows(comp), grid_dim=1),
+        grid=bs.as_points(grid, 1),
+        varfield=None,
     )
 
 
@@ -361,14 +274,15 @@ def fit_partially_linear(
     x1, x2 = _pl_blocks(sample, plspec)
     x2_mean = x2.mean(axis=0) if plspec.demean and x2.size else np.zeros(x2.shape[1])
     x2c = x2 - x2_mean[None, :]
-    flags: list[str] = []
+    bmat = None
     if plspec.x1_spec is None:
         x1_basis = None
         n_nonpar = 1
         design = np.hstack([np.ones((sample.n, 1)), x2c])
-        bmat = design if ispec is None else np.hstack([np.ones((sample.n, 1)), sample.w])
-        if bmat.shape[1] < design.shape[1]:
-            raise InvalidDimensionError("fewer instruments than linear regressors")
+        if ispec is not None:
+            bmat = np.hstack([np.ones((sample.n, 1)), sample.w])
+            if bmat.shape[1] < design.shape[1]:
+                raise InvalidDimensionError("fewer instruments than linear regressors")
     else:
         if plspec.x1_spec.dim != (sample.dim - len(plspec.linear_cols)):
             raise ConfigurationError("x1_spec dimension does not match the nonparametric block")
@@ -376,9 +290,7 @@ def fit_partially_linear(
         psi1 = bs.design_matrix(x1_basis, x1)
         n_nonpar = psi1.shape[1]
         design = np.hstack([psi1, x2c])
-        if ispec is None:
-            bmat = design
-        else:
+        if ispec is not None:
             k = bs.instrument_dim(ispec, j)
             if k < design.shape[1]:
                 raise InvalidDimensionError(
@@ -389,22 +301,11 @@ def fit_partially_linear(
                 raise est.InsufficientSampleError(f"K(J)={k} exceeds n={sample.n}")
             w_basis = bs.instrument_spec_for(ispec, j, w_data=sample.w)
             bmat = bs.design_matrix(w_basis, sample.w)
-    if bmat is design:
-        g_inv, rank = est.pinv_psd(design.T @ design, max(sample.n, design.shape[1]))
-        m = g_inv @ design.T
-        if rank < design.shape[1]:
-            flags.append("design_rank_deficient")
-    else:
-        m, tsls_flags = est.tsls_influence(design, bmat)
-        flags.extend(tsls_flags)
-    coef = m @ sample.y
-    u_hat = sample.y - design @ coef
-    s_hat, s_flags = est.singular_value_min(design, bmat)
-    flags.extend(s_flags)
+    m, coef, u_hat, s_hat, flags = est.tsls(design, bmat, sample.y)
     return PartiallyLinearFit(
         j=j, x1_basis=x1_basis, coef=coef, beta=coef[n_nonpar:], x2_mean=x2_mean,
-        m=m, u_hat=u_hat, s_hat=s_hat, design=design, bmat=bmat, y=sample.y,
-        n_nonpar=n_nonpar, flags=tuple(flags),
+        m=m, u_hat=u_hat, s_hat=s_hat, design=design, bmat=design if bmat is None else bmat,
+        y=sample.y, n_nonpar=n_nonpar, flags=flags,
     )
 
 
@@ -412,70 +313,26 @@ def evaluate_h1(fit: PartiallyLinearFit, x1, deriv=0) -> np.ndarray:
     """The nonparametric block estimate h1 (or its derivative)."""
     if fit.x1_basis is None:
         raise ConfigurationError("fit has no nonparametric block")
-    design = bs.design_matrix(fit.x1_basis, x1, deriv)
-    return design @ fit.coef[: fit.n_nonpar]
+    rows, sl = _h1_rows(fit, x1, deriv)
+    return rows @ fit.coef[sl]
 
 
-def h1_influence(fit: PartiallyLinearFit, x1, deriv=0) -> np.ndarray:
-    """Rows of the selector (psi^J(x1)', 0')' times the influence matrix."""
-    if fit.x1_basis is None:
-        raise ConfigurationError("fit has no nonparametric block")
-    design = bs.design_matrix(fit.x1_basis, x1, deriv)
-    return design @ fit.m[: fit.n_nonpar, :]
+def _h1_rows(fit: PartiallyLinearFit, pts: np.ndarray, deriv):
+    return bs.design_matrix(fit.x1_basis, pts, deriv), slice(0, fit.n_nonpar)
 
 
-class _PartiallyLinearBackend:
-    """Selection backend: contrasts and variances use the h1 selector."""
-
-    def __init__(self, sample: est.Sample, plspec: PartiallyLinearSpec, ispec: bs.InstrumentSpec | None):
-        if plspec.x1_spec is None:
-            raise ConfigurationError("selection needs a nonparametric block")
-        self.sample = sample
-        self.plspec = plspec
-        self.ispec = ispec
-        self.grid_dim = plspec.x1_spec.dim
-        self.n = sample.n
-        self.y = sample.y
-        self._fits: dict[int, PartiallyLinearFit] = {}
-
-    def candidate_dims(self) -> list[int]:
-        template = self.plspec.x1_spec
-        d2 = len(self.plspec.linear_cols)
-        out: list[int] = []
-        level = 0
-        while True:
-            j = (2**level + template.order - 1) ** template.dim
-            if j + d2 > self.n:
-                break
-            if self.ispec is not None and bs.instrument_dim(self.ispec, j) + d2 > self.n:
-                break
-            out.append(j)
-            level += 1
-        if not out:
-            raise est.InsufficientSampleError("no feasible nonparametric dimension")
-        return out
-
-    def next_dim(self, j: int) -> int:
-        template = self.plspec.x1_spec
-        level = bs.resolution_for_dimension(template, j)
-        return (2 ** (level + 1) + template.order - 1) ** template.dim
-
-    def fit(self, j: int) -> PartiallyLinearFit:
-        if j not in self._fits:
-            self._fits[j] = fit_partially_linear(self.sample, self.plspec, self.ispec, j)
-        return self._fits[j]
-
-    def shat(self, j: int) -> float:
-        return self.fit(j).s_hat
-
-    def residuals(self, j: int) -> np.ndarray:
-        return self.fit(j).u_hat
-
-    def influence(self, j: int, pts: np.ndarray, deriv=0) -> np.ndarray:
-        return h1_influence(self.fit(j), pts, deriv)
-
-    def center(self, j: int, pts: np.ndarray, deriv=0) -> np.ndarray:
-        return evaluate_h1(self.fit(j), pts, deriv)
+def partially_linear_model(plspec: PartiallyLinearSpec, ispec: bs.InstrumentSpec | None) -> est.SieveModel:
+    """The partially linear model; it reports the nonparametric block h1."""
+    if plspec.x1_spec is None:
+        raise ConfigurationError("selection needs a nonparametric block")
+    d2 = len(plspec.linear_cols)
+    return est.SieveModel(
+        fit=lambda sample, j: fit_partially_linear(sample, plspec, ispec, j),
+        template=plspec.x1_spec,
+        widths=lambda j: (j + d2, j + d2 if ispec is None else bs.instrument_dim(ispec, j)),
+        selector=_h1_rows,
+        grid_dim=plspec.x1_spec.dim,
+    )
 
 
 def select_partially_linear(
@@ -487,7 +344,7 @@ def select_partially_linear(
     n_workers: int = 1,
 ) -> ad.AdaptiveSelection:
     """Data-driven dimension for the nonparametric block of a partially linear model."""
-    backend = _PartiallyLinearBackend(sample, plspec, ispec)
+    backend = est.SieveBackend(sample, partially_linear_model(plspec, ispec))
     mode = "npiv" if ispec is not None else "regression"
     return ad.run_selection(
         backend, plan or MultiplierPlan(), mode, grid, plspec.x1_spec, n_workers

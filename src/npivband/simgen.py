@@ -31,7 +31,7 @@ from . import basis as bs
 from . import estimator as est
 from . import ucb
 from .bootstrap import MultiplierPlan
-from .errors import ConfigurationError
+from .errors import ConfigurationError, InvalidDimensionError
 
 DESIGN_NAMES = ("npiv_sine_log", "reg_wiggly", "trade_lognormal", "trade_pareto")
 
@@ -368,6 +368,17 @@ def run_mc(
         raise ConfigurationError("need at least one sample size")
     if min(n_list) < MIN_N:
         raise ConfigurationError(f"samples below n={MIN_N} are not supported (got n={min(n_list)})")
+    model = est.npiv_model(design.x_spec, design.ispec if design.mode == "npiv" else None)
+    for j in det_js:
+        try:
+            bs.resolution_for_dimension(design.x_spec, j)
+            fits_in_n = max(model.widths(j)) <= min(n_list)
+        except InvalidDimensionError as exc:
+            raise ConfigurationError(f"fixed dimension J={j} is not admissible: {exc}") from None
+        if not fits_in_n:
+            raise ConfigurationError(
+                f"fixed dimension J={j} needs J and K(J) <= n (smallest n={min(n_list)})"
+            )
 
     truth_by_target = {a: (design.truth.h if a == 0 else design.truth.dh)(grid[:, 0]) for a in design.targets}
     rows: list[McRow] = []
@@ -383,6 +394,13 @@ def run_mc(
         j_selected: list[int] = []
         diag_m, diag_z, diag_theta, diag_ahat = [], [], [], []
 
+        def record(key, b95: ucb.BandResult, b90: ucb.BandResult, truth_vals: np.ndarray) -> None:
+            losses[key].append(float(np.abs(b95.center - truth_vals).max()))
+            cov95[key].append(_covered(b95, truth_vals))
+            cov90[key].append(_covered(b90, truth_vals))
+            widths[key].append(float(b95.width.mean()))
+            rejects[key].append(ucb.excludes_constant(b95))
+
         for rep in range(reps):
             try:
                 data_seed, boot_seed = _rep_seeds(base_seed, n, rep)
@@ -396,12 +414,7 @@ def run_mc(
                 for a in design.targets:
                     truth_vals = truth_by_target[a]
                     b95, b90 = _band_pair(selection, rep_plan, a, n_workers)
-                    key = (a, "data_driven")
-                    losses[key].append(float(np.abs(b95.center - truth_vals).max()))
-                    cov95[key].append(_covered(b95, truth_vals))
-                    cov90[key].append(_covered(b90, truth_vals))
-                    widths[key].append(float(b95.width.mean()))
-                    rejects[key].append(ucb.excludes_constant(b95))
+                    record((a, "data_driven"), b95, b90, truth_vals)
                     if a == 0:
                         dev = np.abs(b95.center - truth_vals) / b95.halfwidth * (
                             b95.z_star + b95.a_hat * b95.theta_star
@@ -411,21 +424,11 @@ def run_mc(
                         diag_theta.append(selection.theta_star)
                         diag_ahat.append(selection.a_hat)
                     for j_det in det_js:
-                        fit_j = selection.fits.get(j_det)
-                        if fit_j is None:
-                            try:
-                                fit_j = selection.backend.fit(j_det)
-                            except Exception:
-                                continue
-                        field_j = est.variance_field({fit_j.j: fit_j}, grid, a)
+                        fit_j = selection.backend.fit(j_det)
+                        field_j = est.build_field(selection.backend, grid, (a,), (j_det,))
                         u95 = ucb.band_undersmoothed(fit_j, field_j, rep_plan, alpha=0.05, a=a, n_workers=n_workers)
                         u90 = ucb.band_undersmoothed(fit_j, field_j, rep_plan, alpha=0.10, a=a, n_workers=n_workers)
-                        key_j = (a, f"J={j_det}")
-                        losses[key_j].append(float(np.abs(u95.center - truth_vals).max()))
-                        cov95[key_j].append(_covered(u95, truth_vals))
-                        cov90[key_j].append(_covered(u90, truth_vals))
-                        widths[key_j].append(float(u95.width.mean()))
-                        rejects[key_j].append(ucb.excludes_constant(u95))
+                        record((a, f"J={j_det}"), u95, u90, truth_vals)
             except Exception as exc:
                 raise RuntimeError(f"replication {rep} failed for n={n}: {exc}") from exc
 
@@ -441,14 +444,12 @@ def run_mc(
             dd_widths = np.asarray(widths[(a, "data_driven")])
             for method in ["data_driven", *[f"J={j}" for j in det_js]]:
                 key = (a, method)
-                if not losses[key]:
-                    continue
                 loss = np.asarray(losses[key])
                 c95 = float(np.mean(cov95[key]))
                 if method == "data_driven":
                     ratio_mean = ratio_med = None
                 else:
-                    ratios = np.asarray(widths[key]) / dd_widths[: len(widths[key])]
+                    ratios = np.asarray(widths[key]) / dd_widths
                     ratio_mean, ratio_med = float(ratios.mean()), float(np.median(ratios))
                 rows.append(
                     McRow(

@@ -2,22 +2,26 @@
 
 Data-driven bands center at the adaptively selected fit and use the halfwidth
 (z* + A_hat theta*) sigma_tilde(x), where z* is the bootstrap quantile of the
-sup-t process over the grid and the conservative index set. The robustness
-variant widens the inflation term to max{theta*, J^{(|a|-p)/d} / sigma(x)} to
-allow for bias-dominating regimes. Undersmoothed bands use a deterministic J
+sup-t process over the grid and the conservative index set. ``band_deriv``
+builds them for whatever function the selection's backend reports: h, the h1
+block of a partially linear model, or an additive component through
+``extensions.component_view``. The robustness variant widens the inflation
+term to max{theta*, J^{(|a|-p)/d} / sigma(x)} to allow for bias-dominating
+regimes. Undersmoothed bands use a deterministic J
 and the plain quantile z*_{1-alpha,J} with no inflation term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import basis as bs
 from . import estimator as est
 from .adaptive import AdaptiveSelection
 from .bootstrap import MultiplierPlan, quantile, sup_t_single
-from .errors import ConfigurationError, InvalidSmoothnessError, UnsupportedDerivativeError
+from .errors import ConfigurationError, InvalidSmoothnessError
 from .estimator import VarianceField
 
 BAND_KINDS = ("h_band", "deriv_band", "undersmoothed", "robustness")
@@ -68,19 +72,6 @@ def excludes_constant(band: BandResult) -> bool:
     return bool(np.max(band.lower) > np.min(band.upper))
 
 
-def _deriv_tuple(a, dim: int) -> tuple[int, ...]:
-    if np.isscalar(a):
-        if dim == 1:
-            return (int(a),)
-        if int(a) == 0:
-            return (0,) * dim
-        raise UnsupportedDerivativeError("multi-index required for a multivariate band")
-    multi = tuple(int(v) for v in a)
-    if len(multi) != dim:
-        raise UnsupportedDerivativeError(f"multi-index must have {dim} entries")
-    return multi
-
-
 def _selection_field(
     selection: AdaptiveSelection, multi: tuple[int, ...], varfield: VarianceField | None = None
 ) -> VarianceField:
@@ -93,51 +84,11 @@ def _selection_field(
     for candidate in (varfield, selection.varfield):
         if candidate is not None and candidate.deriv == multi and set(needed) <= set(candidate.j_values):
             return candidate
-    backend = selection.backend
-    pts = selection.grid
-    return VarianceField(
-        grid=pts,
-        deriv=multi,
-        j_values=needed,
-        influence={j: backend.influence(j, pts, multi) for j in needed},
-        u_hat={j: backend.residuals(j) for j in needed},
-        y=backend.y,
-    )
-
-
-def _assemble(
-    field: VarianceField,
-    center: np.ndarray,
-    multiplier,
-    kind: str,
-    level: float,
-    multi: tuple[int, ...],
-    j_used: int,
-    z_star: float,
-    theta_star: float | None = None,
-    a_hat: float | None = None,
-    p_lower: float | None = None,
-    z_draws: np.ndarray | None = None,
-) -> BandResult:
-    return BandResult(
-        grid=field.grid,
-        center=center,
-        halfwidth=np.asarray(multiplier) * field.sigma[j_used],
-        kind=kind,
-        level=level,
-        deriv=multi,
-        j_used=j_used,
-        z_star=z_star,
-        theta_star=theta_star,
-        a_hat=a_hat,
-        p_lower=p_lower,
-        z_draws=z_draws,
-    )
+    return est.build_field(selection.backend, selection.grid, multi, needed)
 
 
 def band_deriv(
     selection: AdaptiveSelection,
-    fits=None,
     varfield: VarianceField | None = None,
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
@@ -145,27 +96,32 @@ def band_deriv(
     a_fixed: float | None = None,
     n_workers: int = 1,
 ) -> BandResult:
-    """Data-driven uniform confidence band for d^a h (a = 0 gives the h band)."""
+    """Data-driven uniform confidence band for d^a of the reported function (a = 0: the h band)."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
     plan = plan or MultiplierPlan()
-    multi = _deriv_tuple(a, selection.backend.grid_dim)
+    multi = bs.multi_index(a, selection.backend.grid_dim)
     field = _selection_field(selection, multi, varfield)
     z_draws = sup_t_single(field, plan, selection.j_minus_set, n_workers=n_workers)
     z_star = quantile(z_draws, 1.0 - alpha)
     a_hat = selection.a_hat if a_fixed is None else float(a_fixed)
-    center = selection.backend.center(selection.j_tilde, field.grid, multi)
-    multiplier = z_star + a_hat * selection.theta_star
-    kind = "h_band" if all(v == 0 for v in multi) else "deriv_band"
-    return _assemble(
-        field, center, multiplier, kind, 1.0 - alpha, multi, selection.j_tilde,
-        z_star, theta_star=selection.theta_star, a_hat=a_hat, z_draws=z_draws,
+    return BandResult(
+        grid=field.grid,
+        center=selection.backend.center(selection.j_tilde, field.grid, multi),
+        halfwidth=(z_star + a_hat * selection.theta_star) * field.sigma[selection.j_tilde],
+        kind="h_band" if all(v == 0 for v in multi) else "deriv_band",
+        level=1.0 - alpha,
+        deriv=multi,
+        j_used=selection.j_tilde,
+        z_star=z_star,
+        theta_star=selection.theta_star,
+        a_hat=a_hat,
+        z_draws=z_draws,
     )
 
 
 def band_h(
     selection: AdaptiveSelection,
-    fits=None,
     varfield: VarianceField | None = None,
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
@@ -173,7 +129,7 @@ def band_h(
     n_workers: int = 1,
 ) -> BandResult:
     """Data-driven uniform confidence band for the structural function."""
-    return band_deriv(selection, fits, varfield, plan, alpha, a=0, a_fixed=a_fixed, n_workers=n_workers)
+    return band_deriv(selection, varfield, plan, alpha, a=0, a_fixed=a_fixed, n_workers=n_workers)
 
 
 def default_p_lower(dim: int, deriv_order: int) -> float:
@@ -183,7 +139,6 @@ def default_p_lower(dim: int, deriv_order: int) -> float:
 
 def band_robustness(
     selection: AdaptiveSelection,
-    fits=None,
     varfield: VarianceField | None = None,
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
@@ -191,11 +146,12 @@ def band_robustness(
     p_lower: float | None = None,
     n_workers: int = 1,
 ) -> BandResult:
-    """Robustness-check band with a bias allowance of order J^{(|a|-p)/d}."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1)")
-    plan = plan or MultiplierPlan()
-    multi = _deriv_tuple(a, selection.backend.grid_dim)
+    """Robustness-check band with a bias allowance of order J^{(|a|-p)/d}.
+
+    It is the data-driven band of ``band_deriv`` with the inflation theta*
+    widened pointwise to max{theta*, J^{(|a|-p)/d} / sigma(x)}.
+    """
+    multi = bs.multi_index(a, selection.backend.grid_dim)
     order = sum(multi)
     dim = selection.backend.grid_dim
     if p_lower is None:
@@ -205,18 +161,12 @@ def band_robustness(
             f"robustness band needs p_lower > |a| (got p_lower={p_lower}, |a|={order})"
         )
     field = _selection_field(selection, multi, varfield)
-    z_draws = sup_t_single(field, plan, selection.j_minus_set, n_workers=n_workers)
-    z_star = quantile(z_draws, 1.0 - alpha)
+    band = band_deriv(selection, field, plan, alpha, multi, n_workers=n_workers)
     sigma = field.sigma[selection.j_tilde]
     bias_term = selection.j_tilde ** ((order - p_lower) / dim) / sigma
     inflation = np.maximum(selection.theta_star, bias_term)
-    center = selection.backend.center(selection.j_tilde, field.grid, multi)
-    multiplier = z_star + selection.a_hat * inflation
-    return _assemble(
-        field, center, multiplier, "robustness", 1.0 - alpha, multi,
-        selection.j_tilde, z_star, theta_star=selection.theta_star,
-        a_hat=selection.a_hat, p_lower=float(p_lower), z_draws=z_draws,
-    )
+    halfwidth = (band.z_star + selection.a_hat * inflation) * sigma
+    return replace(band, halfwidth=halfwidth, kind="robustness", p_lower=float(p_lower))
 
 
 def band_undersmoothed(
@@ -232,7 +182,7 @@ def band_undersmoothed(
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
     plan = plan or MultiplierPlan()
-    multi = _deriv_tuple(a, fit.x_basis.dim)
+    multi = bs.multi_index(a, fit.x_basis.dim)
     if varfield is not None and fit.j in varfield.j_values and varfield.deriv == multi:
         field = varfield
     else:
@@ -242,8 +192,14 @@ def band_undersmoothed(
         field = est.variance_field({fit.j: fit}, pts, multi)
     z_draws = sup_t_single(field, plan, (fit.j,), n_workers=n_workers)
     z_star = quantile(z_draws, 1.0 - alpha)
-    center = est.evaluate(fit, field.grid, multi)
-    return _assemble(
-        field, center, z_star, "undersmoothed", 1.0 - alpha, multi, fit.j,
-        z_star, z_draws=z_draws,
+    return BandResult(
+        grid=field.grid,
+        center=est.evaluate(fit, field.grid, multi),
+        halfwidth=z_star * field.sigma[fit.j],
+        kind="undersmoothed",
+        level=1.0 - alpha,
+        deriv=multi,
+        j_used=fit.j,
+        z_star=z_star,
+        z_draws=z_draws,
     )

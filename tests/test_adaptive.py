@@ -149,7 +149,7 @@ class TestSelect:
         x = rng.random(n)
         w = np.clip(x + 0.2 * rng.standard_normal(n), 0, 1)
         y = x + 0.2 * rng.standard_normal(n)
-        backend = ad._EstimatorBackend(est.Sample(y, x, w), CUBIC, ISPEC)
+        backend = est.SieveBackend(est.Sample(y, x, w), est.npiv_model(CUBIC, ISPEC))
         backend.candidate_dims = lambda: [4]
         import warnings
 

@@ -167,26 +167,6 @@ class TestSupTContrast:
         assert bt.quantile(sups, 0.90) <= bt.quantile(sups, 0.95)
 
 
-class TestBootstrapQuantiles:
-    def test_audit_record_invariants(self):
-        # assemble the audit record from one shared set of multiplier draws
-        field = _field(js=(4, 7))
-        plan = bt.MultiplierPlan(300, 12)
-        theta_draws = bt.sup_t_contrast(field, plan, [(4, 7)])
-        z_draws = bt.sup_t_single(field, plan, (4,))
-        record = bt.BootstrapQuantiles(
-            theta_star=bt.quantile(theta_draws, 0.75),
-            z_star=bt.quantile(z_draws, 0.95),
-            z_star_deriv=None,
-            theta_draws=theta_draws,
-            z_draws=z_draws,
-        )
-        assert record.theta_star >= 0.0 and record.z_star >= 0.0
-        # quantiles are nondecreasing in the confidence level
-        assert bt.quantile(record.z_draws, 0.90) <= bt.quantile(record.z_draws, 0.95)
-        assert record.theta_draws.shape == (plan.n_draws,)
-
-
 class TestMultiplierReuse:
     def test_one_replication_draws_each_multiplier_once(self, monkeypatch):
         from npivband import simgen as sg

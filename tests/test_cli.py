@@ -169,6 +169,32 @@ class TestStructuredModes:
         for col in ("center_c1", "lo95_c1", "sigma_c1", "center_c2", "hi90_c2"):
             assert col in header
 
+    def test_additive_sigma_is_the_component_field_sigma(self, additive_csv, tmp_path):
+        from npivband import basis as bs
+        from npivband import estimator as est
+        from npivband import extensions as ext
+
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", additive_csv, "--mode", "additive", "--seed", "2",
+                   "--draws", "50", "--outdir", str(out)])
+        assert rc == EXIT_OK
+        j = json.load(open(out / "selection.json"))["j_tilde"]
+        data = np.loadtxt(additive_csv, delimiter=",", skiprows=1)
+        x = data[:, 1:]
+        cubic = bs.BasisSpec(4, 0)
+        fit = ext.fit_additive(est.Sample(data[:, 0], x, x), ext.AdditiveSpec((cubic, cubic)), None, j)
+        rows = list(csv.reader(open(out / "estimates.csv")))
+        header = rows[0]
+        grid = np.array([float(r[header.index("x")]) for r in rows[1:]])
+        for comp in (0, 1):
+            block = ext._centered_block(fit.bases[comp], fit.integrals[comp], grid, 0)
+            field = est.VarianceField(
+                grid=grid.reshape(-1, 1), deriv=(0,), j_values=(j,),
+                influence={j: block @ fit.m[fit.component_slice(comp)]}, u_hat={j: fit.u_hat},
+            )
+            written = [float(r[header.index(f"sigma_c{comp + 1}")]) for r in rows[1:]]
+            assert written == field.sigma[j].tolist()
+
     def test_partially_linear_mode_beta(self, tmp_path):
         rng = np.random.default_rng(4)
         n = 400

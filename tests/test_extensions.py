@@ -5,6 +5,7 @@ from npivband import adaptive as ad
 from npivband import basis as bs
 from npivband import estimator as est
 from npivband import extensions as ext
+from npivband import ucb
 from npivband.bootstrap import MultiplierPlan
 
 CUBIC = bs.BasisSpec(4, 0)
@@ -113,7 +114,7 @@ class TestAdditiveFit:
         plan = MultiplierPlan(100, 5)
         sel = ext.select_additive(est.Sample(y, x, x), ASPEC, None, plan, grid=ad.default_grid(2, 12))
         g1 = np.linspace(0, 1, 40)
-        band = ext.component_band(sel, plan, 0.05, comp=0, grid=g1)
+        band = ucb.band_deriv(ext.component_view(sel, 0, g1), plan=plan, alpha=0.05, a=0)
         centered_truth = np.sin(3 * g1) - (1 - np.cos(3.0)) / 3.0
         assert (band.halfwidth > 0).all()
         assert np.abs(band.center - centered_truth).max() < 5 * band.halfwidth.max()

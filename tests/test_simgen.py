@@ -138,6 +138,12 @@ class TestRunMc:
         with pytest.raises(RuntimeError, match="replication 0"):
             sg.run_mc(design, [60], 1, plan=MultiplierPlan(20, 0), det_js=())
 
+    @pytest.mark.parametrize("j_det", [1000, 131])
+    def test_infeasible_fixed_dimension_rejected(self, j_det):
+        # J=1000 is off the dimension grid; J=131 is on it but K(131) > n = 300
+        with pytest.raises(ConfigurationError, match=f"J={j_det}"):
+            sg.run_mc("trade_pareto", [300], 1, plan=MultiplierPlan(20, 0), det_js=(5, 7, j_det))
+
     def test_interval_validation(self):
         with pytest.raises(ConfigurationError):
             sg.run_mc("reg_wiggly", [100], 1, report_interval=(0.9, 0.1))
