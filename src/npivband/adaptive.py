@@ -153,7 +153,6 @@ def run_selection(
     plan: MultiplierPlan,
     mode: str,
     grid,
-    x_spec: bs.BasisSpec,
     n_workers: int = 1,
 ) -> AdaptiveSelection:
     """Generic Lepski selection over a fit backend; used by all model variants."""
@@ -163,7 +162,7 @@ def run_selection(
     if mode == "npiv":
         j_hat_max = _j_hat_max_npiv(backend, flags)
     else:
-        j_hat_max = _j_hat_max_regression(backend.n, x_spec, flags)
+        j_hat_max = _j_hat_max_regression(backend.n, backend.model.template, flags)
 
     cands = backend.candidate_dims()
     if j_hat_max > cands[-1]:
@@ -259,4 +258,4 @@ def select(
     if mode == "npiv" and ispec is None:
         raise ConfigurationError("npiv mode needs an InstrumentSpec; use mode='regression' otherwise")
     backend = est.SieveBackend(sample, est.npiv_model(x_spec, ispec if mode == "npiv" else None))
-    return run_selection(backend, plan or MultiplierPlan(), mode, grid, x_spec, n_workers)
+    return run_selection(backend, plan or MultiplierPlan(), mode, grid, n_workers)

@@ -1,10 +1,17 @@
 """Command-line front end: fit, simulate, bands-plotdata.
 
+``fit`` and ``bands-plotdata`` take one path for every ``--mode``: build the
+model description (standard NPIV or regression, additive, or partially
+linear), run the data-driven selection of J or load a stored one
+(``--from-selection``), then write one estimates table of band blocks, one
+block set per reported function (h, h1, or each additive component).
+
 All randomness flows from a single seed (flag ``--seed``, falling back to the
 ``NPIVBAND_SEED`` environment variable, then 0). Output files are written
 with 17 significant digits so identical configurations reproduce identical
 bytes; ``run_meta.json`` additionally records wall time and is therefore the
-one file excluded from the bit-for-bit contract.
+one file excluded from the bit-for-bit contract. Its ``config`` echoes the
+subcommand's options.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 degeneracy or an infeasible sample size.
@@ -18,7 +25,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,40 +50,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 _TRANSFORMS = ("none", "ecdf", "affine", "trade_clamp")
-
-
-@dataclass
-class RunConfig:
-    """Echoes every option of a run; serialized into run_meta.json."""
-
-    subcommand: str
-    input: str | None = None
-    y_col: str = "y"
-    x_cols: list[str] = field(default_factory=list)
-    w_cols: list[str] = field(default_factory=list)
-    fe_cols: list[str] = field(default_factory=list)
-    mode: str = "npiv"
-    linear_cols: list[int] = field(default_factory=list)
-    order: int = 4
-    q: int = 2
-    knot_rule: str = "uniform_dyadic"
-    x_transform: str = "none"
-    w_transform: str = "none"
-    affine_lo: float = 0.0
-    affine_hi: float = 1.0
-    grid_size: int = 100
-    grid_lo: float = 0.0
-    grid_hi: float = 1.0
-    alphas: list[float] = field(default_factory=lambda: [0.05, 0.10])
-    draws: int = 500
-    seed: int = 0
-    deriv: int = 0
-    p_lower: float | None = None
-    design: str | None = None
-    n: list[int] = field(default_factory=list)
-    reps: int = 200
-    outdir: str = "."
-    from_selection: str | None = None
 
 
 def _fmt(value: float) -> str:
@@ -121,18 +93,17 @@ def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
     return [h.strip() for h in header], rows
 
 
-def _resolve_columns(header: list[str], config: RunConfig) -> tuple[str, list[str], list[str]]:
+def _numbered(header: list[str], prefix: str) -> list[str]:
+    """The columns named prefix1, prefix2, ... in numeric order."""
+    return sorted((c for c in header if c[:1] == prefix and c[1:].isdigit()), key=lambda c: int(c[1:]))
+
+
+def _resolve_columns(header: list[str], config: argparse.Namespace) -> tuple[str, list[str], list[str]]:
     y_col = config.y_col
     if y_col not in header:
         raise ConfigurationError(f"outcome column {y_col!r} not found in {header}")
-    x_cols = config.x_cols or sorted(
-        (c for c in header if c.startswith("x") and c[1:].isdigit()),
-        key=lambda c: int(c[1:]),
-    )
-    w_cols = config.w_cols or sorted(
-        (c for c in header if c.startswith("w") and c[1:].isdigit()),
-        key=lambda c: int(c[1:]),
-    )
+    x_cols = config.x_cols or _numbered(header, "x")
+    w_cols = config.w_cols or _numbered(header, "w")
     if not x_cols:
         raise ConfigurationError("no regressor columns found (expected x1, x2, ... or --x-cols)")
     missing = [c for c in [*x_cols, *w_cols] if c not in header]
@@ -157,29 +128,29 @@ def _parse_numeric(rows: list[list[str]], header: list[str], cols: list[str]) ->
     return out
 
 
-def _apply_cli_transform(kind: str, data: np.ndarray, config: RunConfig) -> np.ndarray:
+def _apply_cli_transform(kind: str, data: np.ndarray, config: argparse.Namespace) -> np.ndarray:
     if kind == "none":
         return data
-    cols = []
-    for j in range(data.shape[1]):
-        if kind == "ecdf":
-            t = bs.SupportTransform("empirical_cdf")
-        elif kind == "trade_clamp":
-            t = bs.TRADE_CLAMP
-        else:
-            t = bs.SupportTransform("affine", lo=config.affine_lo, hi=config.affine_hi)
-        cols.append(bs.apply_transform(t, data[:, j]))
-    return np.column_stack(cols)
+    if kind == "ecdf":
+        t = bs.SupportTransform("empirical_cdf")
+    elif kind == "trade_clamp":
+        t = bs.TRADE_CLAMP
+    else:
+        t = bs.SupportTransform("affine", lo=config.affine_lo, hi=config.affine_hi)
+    return np.column_stack([bs.apply_transform(t, col) for col in data.T])
 
 
 def _seed_from_env(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("NPIVBAND_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise ConfigurationError(f"NPIVBAND_SEED must be an integer, got {env!r}") from None
 
 
-def _build_sample(config: RunConfig) -> est.Sample:
+def _build_sample(config: argparse.Namespace) -> est.Sample:
     header, rows = _read_table(config.input)
     y_col, x_cols, w_cols = _resolve_columns(header, config)
     y = _parse_numeric(rows, header, [y_col])[:, 0]
@@ -204,12 +175,12 @@ def _band_columns(band: ucb.BandResult, suffix: str) -> dict[str, np.ndarray]:
     }
 
 
-def _band_block(columns: dict, kinds: list, selection, plan, config: RunConfig, a: int, suffix: str):
+def _band_block(columns: dict, kinds: list, selection, plan, config: argparse.Namespace, a: int, suffix: str):
     """Center, band and sigma columns of the selection's reported function at derivative a.
 
     Returns the variance field, which every alpha level shares.
     """
-    field = ucb._selection_field(selection, (a,) * selection.backend.grid_dim)
+    field = ucb._selection_field(selection, bs.multi_index(a, selection.backend.grid_dim))
     for alpha in config.alphas:
         band = ucb.band_deriv(selection, varfield=field, plan=plan, alpha=alpha, a=a)
         columns.setdefault(f"center{suffix}", band.center)
@@ -219,154 +190,140 @@ def _band_block(columns: dict, kinds: list, selection, plan, config: RunConfig, 
     return field
 
 
-def _table(columns: dict[str, np.ndarray]) -> tuple[list[str], list[list[float]]]:
+def _estimates_table(selection, plan, config: argparse.Namespace) -> tuple[list[str], list[list[float]], dict]:
+    """One row per grid point; per reported function the a=0, --deriv and robustness columns."""
+    meta: dict = {"kinds": []}
+    if config.mode == "additive":
+        line = np.linspace(config.grid_lo, config.grid_hi, config.grid_size)
+        meta["components"] = selection.backend.grid_dim
+        views = [(ext.component_view(selection, comp, line), f"_c{comp + 1}")
+                 for comp in range(meta["components"])]
+    else:
+        views = [(selection, "")]
+    columns: dict[str, np.ndarray] = {"x": views[0][0].grid[:, 0]}
+    for view, suffix in views:
+        field = _band_block(columns, meta["kinds"], view, plan, config, 0, suffix)
+        if config.deriv > 0:
+            field = _band_block(columns, meta["kinds"], view, plan, config, config.deriv,
+                                f"{suffix}_d{config.deriv}")
+        if config.p_lower is not None:
+            band = ucb.band_robustness(
+                view, varfield=field, plan=plan, alpha=min(config.alphas),
+                a=config.deriv, p_lower=config.p_lower,
+            )
+            columns.update(_band_columns(band, f"_robust{suffix}"))
+            meta["kinds"].append(band.kind)
+            meta["p_lower"] = config.p_lower
     header = list(columns)
-    return header, [[columns[name][i] for name in header] for i in range(columns["x"].size)]
+    return header, [[columns[name][i] for name in header] for i in range(columns["x"].size)], meta
 
 
-def _estimates_table(selection, plan, config: RunConfig) -> tuple[list[str], list[list[float]], dict]:
-    columns: dict[str, np.ndarray] = {"x": selection.grid[:, 0]}
-    meta = {"kinds": []}
-    field = _band_block(columns, meta["kinds"], selection, plan, config, 0, "")
-    if config.deriv > 0:
-        field = _band_block(columns, meta["kinds"], selection, plan, config, config.deriv, f"_d{config.deriv}")
-    if config.p_lower is not None:
-        band = ucb.band_robustness(
-            selection, varfield=field, plan=plan, alpha=min(config.alphas),
-            a=config.deriv, p_lower=config.p_lower,
-        )
-        columns.update(_band_columns(band, "_robust"))
-        meta["kinds"].append(band.kind)
-        meta["p_lower"] = config.p_lower
-    return *_table(columns), meta
+# The AdaptiveSelection fields that selection.json stores and --from-selection reads.
+_STORED = (
+    "j_hat_max", "index_set", "alpha_hat", "theta_star", "j_hat", "j_hat_n", "j_tilde",
+    "j_minus_set", "a_hat", "lepski_factor", "s_hat_by_j", "mode", "flags",
+)
 
 
 def _selection_payload(selection) -> dict:
-    return {
-        "j_hat_max": selection.j_hat_max,
-        "index_set": list(selection.index_set),
-        "alpha_hat": selection.alpha_hat,
-        "theta_star": selection.theta_star,
-        "j_hat": selection.j_hat,
-        "j_hat_n": selection.j_hat_n,
-        "j_tilde": selection.j_tilde,
-        "j_minus_set": list(selection.j_minus_set),
-        "a_hat": selection.a_hat,
-        "lepski_factor": selection.lepski_factor,
-        "s_hat_by_j": {str(j): v for j, v in selection.s_hat_by_j.items()},
-        "mode": selection.mode,
-        "flags": list(selection.flags),
-    }
+    payload = {name: getattr(selection, name) for name in _STORED}
+    payload["s_hat_by_j"] = {str(j): v for j, v in selection.s_hat_by_j.items()}
+    return payload
 
 
-def _load_selection(path: str, sample, x_spec, ispec, mode, grid) -> ad.AdaptiveSelection:
-    """Rebuild an AdaptiveSelection from selection.json plus fresh fits."""
+def _load_selection(path: str, backend: est.SieveBackend, grid) -> ad.AdaptiveSelection:
+    """Rebuild an AdaptiveSelection from selection.json plus fresh fits.
+
+    The bands build their variance fields over the J values they use.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
-    backend = est.SieveBackend(sample, est.npiv_model(x_spec, ispec if mode == "npiv" else None))
-    pts = bs.as_points(grid, backend.grid_dim)
-    index_set = tuple(payload["index_set"])
+    stored = {name: payload[name] for name in _STORED}
+    stored.update(
+        index_set=tuple(stored["index_set"]),
+        j_minus_set=tuple(stored["j_minus_set"]),
+        s_hat_by_j={int(j): v for j, v in stored["s_hat_by_j"].items()},
+        flags=(*stored["flags"], "selection_overridden"),
+    )
     return ad.AdaptiveSelection(
-        j_hat_max=payload["j_hat_max"],
-        index_set=index_set,
-        alpha_hat=payload["alpha_hat"],
-        theta_star=payload["theta_star"],
-        j_hat=payload["j_hat"],
-        j_hat_n=payload["j_hat_n"],
-        j_tilde=payload["j_tilde"],
-        j_minus_set=tuple(payload["j_minus_set"]),
-        a_hat=payload["a_hat"],
-        mode=payload["mode"],
-        grid=pts,
-        varfield=est.build_field(backend, pts, (0,) * backend.grid_dim, index_set),
-        s_hat_by_j={int(k): v for k, v in payload["s_hat_by_j"].items()},
-        backend=backend,
-        flags=tuple(payload["flags"]) + ("selection_overridden",),
+        **stored, grid=bs.as_points(grid, backend.grid_dim), varfield=None, backend=backend
     )
 
 
-def _template_spec(config: RunConfig, dim: int) -> bs.BasisSpec:
+def _template_spec(config: argparse.Namespace, dim: int) -> bs.BasisSpec:
     return bs.BasisSpec(
         config.order, 0, dim, config.knot_rule,
         interior_knots=(((),) * dim if config.knot_rule == "empirical_quantile" else None),
     )
 
 
-def _structured_selection(config: RunConfig, sample: est.Sample, plan: MultiplierPlan, grid):
-    """Selection for the additive / partially linear modes."""
-    has_instruments = not np.array_equal(sample.w, sample.x)
-    uni = _template_spec(config, 1)
-    if config.mode == "additive":
-        if sample.dim < 2:
-            raise ConfigurationError("additive mode needs at least two x columns")
-        aspec = ext.AdditiveSpec(tuple(uni for _ in range(sample.dim)))
-        ispec = bs.InstrumentSpec(uni, q=config.q, dim_w=sample.dim_w) if has_instruments else None
-        return ext.select_additive(sample, aspec, ispec, plan)
-    linear = tuple(config.linear_cols)
-    if not linear:
-        raise ConfigurationError("partially_linear mode needs --linear-cols")
-    d1 = sample.dim - len(linear)
-    plspec = ext.PartiallyLinearSpec(_template_spec(config, d1), linear_cols=linear)
-    ispec = (
-        bs.InstrumentSpec(plspec.x1_spec, q=config.q, dim_w=sample.dim_w)
-        if has_instruments else None
+def _model(config: argparse.Namespace, sample: est.Sample):
+    """The model description, its selection mode and its selection grid.
+
+    Every fit option is checked here, against the sample, before any fit.
+    """
+    if not all(0.0 < alpha < 1.0 for alpha in config.alphas):
+        raise ConfigurationError("alpha levels must lie in (0, 1)")
+    if config.grid_size < 1:
+        raise ConfigurationError("--grid-size must be at least 1")
+    if config.deriv < 0:
+        raise ConfigurationError("--deriv must be nonnegative")
+    instrumented = config.mode == "npiv" or (
+        config.mode != "regression" and not np.array_equal(sample.w, sample.x)
     )
-    return ext.select_partially_linear(sample, plspec, ispec, plan, grid=grid)
+    linear = tuple(config.linear_cols) if config.mode == "partially_linear" else ()
+    if config.mode == "partially_linear" and not (
+        0 < len(set(linear)) == len(linear) < sample.dim and all(0 <= c < sample.dim for c in linear)
+    ):
+        raise ConfigurationError(
+            f"partially_linear mode needs --linear-cols: distinct x-column indices in "
+            f"0..{sample.dim - 1} that leave at least one column nonparametric"
+        )
+    if config.mode == "additive" and sample.dim < 2:
+        raise ConfigurationError("additive mode needs at least two x columns")
+    spec = _template_spec(config, 1 if config.mode == "additive" else sample.dim - len(linear))
+    # Derivative bands need a univariate reported function (each additive component is one,
+    # and spec has the reported function's dimension) and an order within the spline's smoothness.
+    bs._normalize_deriv(spec, config.deriv)
+    ispec = bs.InstrumentSpec(spec, q=config.q, dim_w=sample.dim_w) if instrumented else None
+    if config.mode == "additive":
+        model = ext.additive_model(ext.AdditiveSpec((spec,) * sample.dim), ispec)
+    elif config.mode == "partially_linear":
+        model = ext.partially_linear_model(ext.PartiallyLinearSpec(spec, linear_cols=linear), ispec)
+    else:
+        model = est.npiv_model(spec, ispec)
+    if model.grid_dim == 1:
+        grid = np.linspace(config.grid_lo, config.grid_hi, config.grid_size).reshape(-1, 1)
+    else:
+        # The additive selection contrasts the full estimate on 25 points per axis.
+        grid = ad.default_grid(model.grid_dim, 25 if config.mode == "additive" else config.grid_size)
+    return model, "npiv" if ispec is not None else "regression", grid
 
 
-def _additive_estimates(selection, plan: MultiplierPlan, config: RunConfig):
-    grid1 = np.linspace(config.grid_lo, config.grid_hi, config.grid_size)
-    columns: dict[str, np.ndarray] = {"x": grid1}
-    kinds: list[str] = []
-    n_comp = selection.backend.grid_dim
-    for comp in range(n_comp):
-        view = ext.component_view(selection, comp, grid1)
-        for a in ([0, config.deriv] if config.deriv > 0 else [0]):
-            suffix = f"_c{comp + 1}" + (f"_d{a}" if a > 0 else "")
-            _band_block(columns, kinds, view, plan, config, a, suffix)
-    return *_table(columns), {"kinds": kinds, "components": n_comp}
-
-
-def _run_fit(config: RunConfig, estimates_only: bool = False) -> None:
+def _run_fit(config: argparse.Namespace, estimates_only: bool = False) -> None:
     t0 = time.time()
     sample = _build_sample(config)
+    model, mode, grid = _model(config, sample)
+    backend = est.SieveBackend(sample, model)
     plan = MultiplierPlan(n_draws=config.draws, base_seed=config.seed)
-    if config.mode in ("additive", "partially_linear"):
-        if config.from_selection:
-            raise ConfigurationError("--from-selection supports the npiv/regression modes only")
-        grid = np.linspace(config.grid_lo, config.grid_hi, config.grid_size).reshape(-1, 1)
-        selection = _structured_selection(config, sample, plan, grid)
-        if config.mode == "additive":
-            header, table, meta = _additive_estimates(selection, plan, config)
-        else:
-            header, table, meta = _estimates_table(selection, plan, config)
-        payload = _selection_payload(selection)
-        if config.mode == "partially_linear":
-            payload["beta"] = selection.backend.fit(selection.j_tilde).beta.tolist()
+    if config.from_selection:
+        selection = _load_selection(config.from_selection, backend, grid)
     else:
-        x_spec = _template_spec(config, sample.dim)
-        ispec = (
-            bs.InstrumentSpec(x_spec, q=config.q, dim_w=sample.dim_w)
-            if config.mode == "npiv" else None
-        )
-        grid = np.linspace(config.grid_lo, config.grid_hi, config.grid_size).reshape(-1, 1) \
-            if sample.dim == 1 else ad.default_grid(sample.dim, config.grid_size)
-        if config.from_selection:
-            selection = _load_selection(config.from_selection, sample, x_spec, ispec, config.mode, grid)
-        else:
-            selection = ad.select(sample, x_spec, ispec, plan=plan, mode=config.mode, grid=grid)
-        header, table, meta = _estimates_table(selection, plan, config)
-        payload = _selection_payload(selection)
+        selection = ad.run_selection(backend, plan, mode, grid)
+    header, table, meta = _estimates_table(selection, plan, config)
     os.makedirs(config.outdir, exist_ok=True)
     _write_csv(os.path.join(config.outdir, "estimates.csv"), header, table)
     if not estimates_only:
+        payload = _selection_payload(selection)
+        if config.mode == "partially_linear":
+            payload["beta"] = backend.fit(selection.j_tilde).beta.tolist()
         _write_json(os.path.join(config.outdir, "selection.json"), payload)
         _write_meta(config, t0, extra=meta)
 
 
-def _write_meta(config: RunConfig, t0: float, extra: dict | None = None) -> None:
+def _write_meta(config: argparse.Namespace, t0: float, extra: dict | None = None) -> None:
     payload = {
-        "config": {k: v for k, v in vars(config).items()},
+        "config": vars(config),
         "seed": config.seed,
         "version": __version__,
         "wall_time_seconds": time.time() - t0,
@@ -376,12 +333,8 @@ def _write_meta(config: RunConfig, t0: float, extra: dict | None = None) -> None
     _write_json(os.path.join(config.outdir, "run_meta.json"), payload)
 
 
-def _run_simulate(config: RunConfig) -> None:
+def _run_simulate(config: argparse.Namespace) -> None:
     t0 = time.time()
-    if config.design not in sg.DESIGN_NAMES:
-        raise ConfigurationError(
-            f"unknown design {config.design!r}; choose from {sg.DESIGN_NAMES}"
-        )
     plan = MultiplierPlan(n_draws=config.draws, base_seed=config.seed)
     report = sg.run_mc(
         config.design, config.n or [1250], config.reps, plan=plan,
@@ -429,7 +382,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--y-col", default="y")
         p.add_argument("--x-cols", nargs="*", default=[])
         p.add_argument("--w-cols", nargs="*", default=[])
-        p.add_argument("--fe-cols", nargs="*", default=[])
         p.add_argument(
             "--mode",
             choices=("npiv", "regression", "additive", "partially_linear"),
@@ -467,21 +419,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    payload = {k.replace("-", "_"): v for k, v in vars(args).items()}
-    payload["seed"] = _seed_from_env(payload.get("seed"))
-    known = {f for f in RunConfig.__dataclass_fields__}
-    return RunConfig(**{k: v for k, v in payload.items() if k in known})
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
-        for alpha in config.alphas:
-            if not 0.0 < alpha < 1.0:
-                raise ConfigurationError("alpha levels must lie in (0, 1)")
+        config = parser.parse_args(argv)
+        config.seed = _seed_from_env(config.seed)
         if config.subcommand == "fit":
             _run_fit(config)
         elif config.subcommand == "bands-plotdata":

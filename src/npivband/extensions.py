@@ -199,7 +199,7 @@ def select_additive(
     mode = "npiv" if ispec is not None else "regression"
     if grid is None:
         grid = ad.default_grid(sample.dim, points_per_axis=25 if sample.dim > 1 else 100)
-    return ad.run_selection(backend, plan or MultiplierPlan(), mode, grid, aspec.components[0], n_workers)
+    return ad.run_selection(backend, plan or MultiplierPlan(), mode, grid, n_workers)
 
 
 def component_view(selection: ad.AdaptiveSelection, comp: int, grid) -> ad.AdaptiveSelection:
@@ -346,9 +346,7 @@ def select_partially_linear(
     """Data-driven dimension for the nonparametric block of a partially linear model."""
     backend = est.SieveBackend(sample, partially_linear_model(plspec, ispec))
     mode = "npiv" if ispec is not None else "regression"
-    return ad.run_selection(
-        backend, plan or MultiplierPlan(), mode, grid, plspec.x1_spec, n_workers
-    )
+    return ad.run_selection(backend, plan or MultiplierPlan(), mode, grid, n_workers)
 
 
 # ---------------------------------------------------------------------------

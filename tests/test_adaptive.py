@@ -155,9 +155,7 @@ class TestSelect:
 
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            sel = ad.run_selection(
-                backend, MultiplierPlan(50, 0), "npiv", np.linspace(0, 1, 30), CUBIC
-            )
+            sel = ad.run_selection(backend, MultiplierPlan(50, 0), "npiv", np.linspace(0, 1, 30))
         assert sel.index_set == (4,)
         assert sel.j_tilde == 4
         assert "singleton_index_set" in sel.flags

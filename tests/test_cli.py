@@ -117,6 +117,43 @@ class TestCmdFit:
         assert main([*_fit_args(linear_csv, b)]) == EXIT_OK
         assert filecmp.cmp(a / "estimates.csv", b / "estimates.csv", shallow=False)
 
+    @pytest.mark.parametrize(
+        "option, env",
+        [
+            (["--grid-size", "0"], None),
+            (["--deriv", "-1"], None),
+            (["--mode", "partially_linear", "--linear-cols", "5"], None),
+            (["--mode", "partially_linear", "--linear-cols", "-1"], None),
+            (["--mode", "partially_linear", "--linear-cols", "0", "1"], None),
+            ([], "abc"),
+        ],
+        ids=["grid-size-0", "negative-deriv", "linear-col-out-of-range", "negative-linear-col",
+             "no-nonparametric-col", "non-integer-seed-env"],
+    )
+    def test_bad_fit_option_usage_error(self, option, env, tmp_path, monkeypatch, capsys):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "two.csv"
+        _write_csv(path, ["y", "x1", "x2"],
+                   [[format(v, ".17g") for v in row] for row in rng.random((60, 3))])
+        if env is not None:
+            monkeypatch.setenv("NPIVBAND_SEED", env)
+        rc = main(["fit", "--input", str(path), "--mode", "regression", "--draws", "20",
+                   "--outdir", str(tmp_path / "o"), *option])
+        assert rc == EXIT_CONFIG
+        assert "configuration error" in capsys.readouterr().err
+
+    def test_multivariate_deriv_rejected_before_selection(self, tmp_path, monkeypatch):
+        from npivband import adaptive as ad
+
+        def no_selection(*args, **kwargs):
+            raise AssertionError("selection must not run")
+
+        monkeypatch.setattr(ad, "run_selection", no_selection)
+        reg2d = os.path.join(os.path.dirname(__file__), "data", "golden", "reg2d.csv")
+        rc = main(["fit", "--input", reg2d, "--mode", "regression", "--deriv", "1",
+                   "--draws", "20", "--grid-size", "5", "--outdir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+
 
 class TestBandsPlotdata:
     def test_schema(self, npiv_csv, tmp_path):
@@ -195,6 +232,28 @@ class TestStructuredModes:
             written = [float(r[header.index(f"sigma_c{comp + 1}")]) for r in rows[1:]]
             assert written == field.sigma[j].tolist()
 
+    def test_additive_robust_columns_per_component(self, additive_csv, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", additive_csv, "--mode", "additive", "--seed", "2",
+                   "--draws", "50", "--grid-size", "20", "--p-lower", "2.5", "--outdir", str(out)])
+        assert rc == EXIT_OK
+        rows = list(csv.reader(open(out / "estimates.csv")))
+        col = lambda name: np.array([float(r[rows[0].index(name)]) for r in rows[1:]])  # noqa: E731
+        for comp in ("c1", "c2"):
+            assert np.all(col(f"lo95_robust_{comp}") <= col(f"lo95_{comp}"))
+            assert np.all(col(f"hi95_robust_{comp}") >= col(f"hi95_{comp}"))
+
+    @pytest.mark.parametrize("mode", ["additive", "partially_linear"])
+    def test_structured_from_selection_reproduces_fit(self, mode, additive_csv, tmp_path):
+        linear = ["--linear-cols", "1"] if mode == "partially_linear" else []
+        args = ["--input", additive_csv, "--mode", mode, *linear,
+                "--seed", "2", "--draws", "50", "--grid-size", "20"]
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert main(["fit", *args, "--outdir", str(a)]) == EXIT_OK
+        assert main(["bands-plotdata", *args, "--outdir", str(b),
+                     "--from-selection", str(a / "selection.json")]) == EXIT_OK
+        assert filecmp.cmp(a / "estimates.csv", b / "estimates.csv", shallow=False)
+
     def test_partially_linear_mode_beta(self, tmp_path):
         rng = np.random.default_rng(4)
         n = 400
@@ -213,6 +272,21 @@ class TestStructuredModes:
         assert sel["beta"][0] == pytest.approx(1.5, abs=0.2)
         header = next(csv.reader(open(out / "estimates.csv")))
         assert header == ["x", "center", "lo95", "hi95", "lo90", "hi90", "sigma"]
+
+    def test_partially_linear_bivariate_block(self, tmp_path):
+        # With two nonparametric columns h1 is evaluated on a 2-d grid, as h is in regression mode.
+        rng = np.random.default_rng(5)
+        x = rng.random((300, 3))
+        y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 1.5 * x[:, 2] + 0.3 * rng.standard_normal(300)
+        path = tmp_path / "pl3.csv"
+        _write_csv(path, ["y", "x1", "x2", "x3"],
+                   [[format(v, ".17g") for v in row] for row in np.column_stack([y, x])])
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", str(path), "--mode", "partially_linear", "--linear-cols", "2",
+                   "--seed", "2", "--draws", "30", "--grid-size", "8", "--outdir", str(out)])
+        assert rc == EXIT_OK
+        assert len(list(csv.reader(open(out / "estimates.csv")))) == 1 + 8 * 8
+        assert len(json.load(open(out / "selection.json"))["beta"]) == 1
 
     def test_partially_linear_requires_linear_cols(self, additive_csv, tmp_path):
         rc = main(["fit", "--input", additive_csv, "--mode", "partially_linear",
