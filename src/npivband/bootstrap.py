@@ -7,12 +7,12 @@ execution order or worker count. Omega is generated once per plan and sample
 size, kept read-only on the plan for the plan's lifetime (B * n * 8 bytes),
 and shared by theta*, every band's z* and every alpha level.
 
-A sup-t statistic streams its row blocks (the scaled score rows of one J, or
-of one contrast pair) through Omega one block at a time and keeps a running
-per-draw maximum, so no stacked copy of all rows is formed. Draws are taken in
-fixed 64-draw slices, which keeps results bit-identical for any number of
-worker threads. ``sup_t_single`` results are memoized on the variance field,
-so bands at several alpha levels from one field cost one statistic.
+The scores factor through the sieve (see ``VarianceField``), so Omega enters
+only through the p x B projections W_J Omega', computed once per (field,
+plan) and memoized on the field. A sup-t statistic multiplies small row
+blocks by them with a running per-draw maximum, in fixed 64-draw slices,
+which keeps results bit-identical for any number of worker threads.
+``sup_t_single`` results are memoized on the field as well.
 """
 
 from __future__ import annotations
@@ -72,24 +72,29 @@ def multiplier_matrix(plan: MultiplierPlan, n: int) -> np.ndarray:
     return cached[1]
 
 
-def _sup_over_draws(row_blocks, plan: MultiplierPlan, n: int, n_workers: int = 1) -> np.ndarray:
-    """Per-draw max over all row blocks of |rows @ omega_b|.
+def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.ndarray]:
+    """The p x B projections {J: W_J Omega'} of the field's weights; memoized on the field per plan."""
+    key = (plan.n_draws, plan.base_seed)
+    if key not in varfield.projections:
+        omega_t = multiplier_matrix(plan, varfield.n).T
+        varfield.projections[key] = {j: w @ omega_t for j, w in varfield.weights.items()}
+    return varfield.projections[key]
 
-    The blocks are consumed one at a time; each is multiplied by fixed
-    64-draw slices of Omega, so the result does not depend on n_workers.
-    """
-    omega = multiplier_matrix(plan, n)
-    sups = np.zeros(plan.n_draws)
-    slices = [(s, min(s + _BLOCK, plan.n_draws)) for s in range(0, plan.n_draws, _BLOCK)]
+
+def _sup_over_draws(blocks, n_draws: int, n_workers: int = 1) -> np.ndarray:
+    """Per-draw max of |rows @ projection| over the blocks, in fixed 64-draw slices (so for any n_workers)."""
+    sups = np.zeros(n_draws)
+    slices = [(s, min(s + _BLOCK, n_draws)) for s in range(0, n_draws, _BLOCK)]
     with ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        for rows in row_blocks:
+        for rows, proj in blocks:
             if rows.shape[0] == 0:
                 continue
 
-            def one(bounds: tuple[int, int], rows=rows) -> np.ndarray:
+            def one(bounds: tuple[int, int], rows=rows, proj=proj) -> np.ndarray:
                 start, stop = bounds
-                return np.abs(rows @ omega[start:stop].T).max(axis=0)
+                vals = rows @ proj[:, start:stop]
+                return np.abs(vals, out=vals).max(axis=0)
 
             for (start, stop), vals in zip(slices, mapper(one, slices)):
                 np.maximum(sups[start:stop], vals, out=sups[start:stop])
@@ -116,8 +121,9 @@ def sup_t_single(
     key = (plan.n_draws, plan.base_seed, tuple(sorted(set(js))))
     sups = varfield.sup_t_memo.get(key)
     if sups is None:
-        rows = (varfield.scores[j] / varfield.sigma[j][:, None] for j in key[2])
-        sups = _sup_over_draws(rows, plan, varfield.n, n_workers)
+        proj = _projections(varfield, plan)
+        blocks = ((varfield.rows[j] / varfield.sigma[j][:, None], proj[j]) for j in key[2])
+        sups = _sup_over_draws(blocks, plan.n_draws, n_workers)
         varfield.sup_t_memo[key] = sups
     return sups.copy()
 
@@ -130,10 +136,9 @@ def sup_t_contrast(
 ) -> np.ndarray:
     """Per-draw sup over (x, J, J2), J2 > J, of |(D*_J - D*_J2)(x) / sigma_{J,J2}(x)|.
 
-    The multipliers are held fixed across the whole supremum within one draw;
-    the rows of each pair are formed and multiplied one pair at a time. Grid
-    points where the contrast sd is degenerate (which certifies a degenerate
-    numerator) are excluded.
+    The multipliers are held fixed across the whole supremum within one draw.
+    Grid points where the contrast sd is degenerate (which certifies a
+    degenerate numerator) are excluded.
     """
     if pairs is None:
         js = varfield.j_values
@@ -144,8 +149,9 @@ def sup_t_contrast(
     for j, j2 in pairs:
         if j2 <= j:
             raise InvalidDimensionError(f"contrast pairs require J2 > J, got ({j}, {j2})")
-    rows = (varfield.scaled_contrast_rows(j, j2) for j, j2 in pairs)
-    return _sup_over_draws(rows, plan, varfield.n, n_workers)
+    proj = _projections(varfield, plan)
+    blocks = ((varfield.contrast_rows(j, j2), np.vstack([proj[j], proj[j2]])) for j, j2 in pairs)
+    return _sup_over_draws(blocks, plan.n_draws, n_workers)
 
 
 def quantile(draw_sups, level: float) -> float:

@@ -236,15 +236,18 @@ def _load_selection(path: str, backend: est.SieveBackend, grid) -> ad.AdaptiveSe
 
     The bands build their variance fields over the J values they use.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    stored = {name: payload[name] for name in _STORED}
-    stored.update(
-        index_set=tuple(stored["index_set"]),
-        j_minus_set=tuple(stored["j_minus_set"]),
-        s_hat_by_j={int(j): v for j, v in stored["s_hat_by_j"].items()},
-        flags=(*stored["flags"], "selection_overridden"),
-    )
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        stored = {name: payload[name] for name in _STORED}
+        stored.update(
+            index_set=tuple(stored["index_set"]),
+            j_minus_set=tuple(stored["j_minus_set"]),
+            s_hat_by_j={int(j): v for j, v in stored["s_hat_by_j"].items()},
+            flags=(*stored["flags"], "selection_overridden"),
+        )
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"cannot read selection file {path}: {type(exc).__name__}: {exc}") from None
     return ad.AdaptiveSelection(
         **stored, grid=bs.as_points(grid, backend.grid_dim), varfield=None, backend=backend
     )
@@ -296,7 +299,8 @@ def _model(config: argparse.Namespace, sample: est.Sample):
         grid = np.linspace(config.grid_lo, config.grid_hi, config.grid_size).reshape(-1, 1)
     else:
         # The additive selection contrasts the full estimate on 25 points per axis.
-        grid = ad.default_grid(model.grid_dim, 25 if config.mode == "additive" else config.grid_size)
+        unit = ad.default_grid(model.grid_dim, 25 if config.mode == "additive" else config.grid_size)
+        grid = config.grid_lo + (config.grid_hi - config.grid_lo) * unit
     return model, "npiv" if ispec is not None else "regression", grid
 
 

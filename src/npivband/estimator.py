@@ -18,6 +18,7 @@ from those selector rows.
 from __future__ import annotations
 
 import copy
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from itertools import takewhile
 from typing import Callable
@@ -200,47 +201,51 @@ def shat(fit_: NpivFit) -> float:
     return fit_.s_hat
 
 
-def influence_rows(fit_: NpivFit, grid, deriv=0) -> np.ndarray:
-    """Rows (d^a psi^J(x))' M_J for x on the grid; shape (g, n)."""
-    rows, sl = _h_rows(fit_, grid, deriv)
-    return rows @ fit_.m[sl]
+class _OnRead(Mapping):
+    """A read-only {J: array} mapping that computes each array when it is read and keeps none."""
+
+    def __init__(self, keys: tuple[int, ...], make: Callable[[int], np.ndarray]):
+        self._keys, self._make = keys, make
+
+    def __getitem__(self, j: int) -> np.ndarray:
+        return self._make(j)
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self) -> int:
+        return len(self._keys)
 
 
 @dataclass(eq=False)
 class VarianceField:
-    """Sieve variance machinery for several fits on one evaluation grid.
+    """Sieve variance machinery for several fits on one grid, factored through the sieve.
 
-    Holds the influence rows T_J(x)' = (d^a psi^J(x))' M_J, the score rows
-    S_J = T_J * u_hat (so D_J(x) = S_J @ 1 and D*_J(x) = S_J @ omega), the
-    pointwise standard deviations sigma_J(x), and lazily cached cross terms
-    sigma~_{J,J2}(x) and contrast standard deviations sigma_{J,J2}(x).
-    ``sup_t_memo`` holds the bootstrap sup-t draws computed from this field,
-    keyed by (n_draws, base_seed, J set); ``bootstrap.sup_t_single`` fills it.
+    Per J: the G x p selector rows d^a psi^J(x)', the rows M_J[slice] of the
+    fit's influence matrix, its residuals and c_hat[slice]. The scores are
+    S_J = rows_J W_J with p x n weights W_J = M_J[slice] diag(u_J): sigma_J^2
+    and sigma~_{J,J2} are row-wise quadratic forms in W_J W_J2', and the
+    bootstrap needs only W_J Omega' (memoized in ``projections``; its draws in
+    ``sup_t_memo``). ``influence`` and ``scores`` compute G x n rows on read.
     """
 
     grid: np.ndarray
     deriv: tuple[int, ...]
     j_values: tuple[int, ...]
-    influence: dict[int, np.ndarray]
+    rows: dict[int, np.ndarray]
+    m: dict[int, np.ndarray]
     u_hat: dict[int, np.ndarray]
-    y: np.ndarray | None = None
-    scores: dict[int, np.ndarray] = field(init=False)
+    coef: dict[int, np.ndarray]
+    weights: dict[int, np.ndarray] = field(init=False)
     sigma: dict[int, np.ndarray] = field(init=False)
-    _sigma2: dict[int, np.ndarray] = field(init=False)
     _cross: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
-    _fitted: dict[int, np.ndarray] = field(init=False, default_factory=dict)
+    projections: dict[tuple, np.ndarray] = field(init=False, default_factory=dict, repr=False)
     sup_t_memo: dict[tuple, np.ndarray] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.j_values = tuple(sorted(self.j_values))
-        self.scores = {}
-        self.sigma = {}
-        self._sigma2 = {}
-        for j in self.j_values:
-            scores = self.influence[j] * self.u_hat[j][None, :]
-            self.scores[j] = scores
-            self._sigma2[j] = np.einsum("gi,gi->g", scores, scores)
-            self.sigma[j] = np.sqrt(self._sigma2[j])
+        self.weights = {j: self.m[j] * self.u_hat[j][None, :] for j in self.j_values}
+        self.sigma = {j: np.sqrt(self.cross(j, j)) for j in self.j_values}
         max_sigma = max((float(s.max()) for s in self.sigma.values()), default=0.0)
         if max_sigma == 0.0:
             raise DegenerateVarianceError(
@@ -252,28 +257,40 @@ class VarianceField:
                     f"sigma_J collapses on the grid for J={j}; variance is degenerate"
                 )
 
+    def _quadratic(self, j: int, j2: int) -> np.ndarray:
+        """rows_J(x) W_J W_J2' rows_J2(x)' at every grid point x."""
+        # One general product for every pair: w @ w.T would take the symmetric BLAS
+        # routine, which rounds differently, and aliased fits must contrast to exactly zero.
+        gram = self.weights[j] @ np.ascontiguousarray(self.weights[j2].T)
+        out = np.einsum("gp,gp->g", self.rows[j] @ gram, self.rows[j2])
+        return np.maximum(out, 0.0) if j == j2 else out
+
     @property
     def n(self) -> int:
         return next(iter(self.u_hat.values())).size
 
+    @property
+    def influence(self) -> Mapping[int, np.ndarray]:
+        """The G x n influence rows rows_J M_J[slice] per J, computed on each read."""
+        return _OnRead(self.j_values, lambda j: self.rows[j] @ self.m[j])
+
+    @property
+    def scores(self) -> Mapping[int, np.ndarray]:
+        """The G x n score rows S_J = rows_J W_J per J, computed on each read."""
+        return _OnRead(self.j_values, lambda j: self.rows[j] @ self.weights[j])
+
     def sigma2(self, j: int) -> np.ndarray:
-        return self._sigma2[j]
+        return self.cross(j, j)
 
     def fitted(self, j: int) -> np.ndarray:
-        """The estimate (d^a h_J)(x) = T_J(x) y on the grid."""
-        if self.y is None:
-            raise ValueError("variance field was built without the outcome vector")
-        if j not in self._fitted:
-            self._fitted[j] = self.influence[j] @ self.y
-        return self._fitted[j]
+        """The estimate (d^a h_J)(x) = rows_J(x) c_hat[slice] on the grid."""
+        return self.rows[j] @ self.coef[j]
 
     def cross(self, j: int, j2: int) -> np.ndarray:
-        """sigma~_{J,J2}(x) = psi' M_J diag(u_J u_J2) M_J2' psi."""
-        if j == j2:
-            return self._sigma2[j]
+        """sigma~_{J,J2}(x) = psi' M_J diag(u_J u_J2) M_J2' psi; sigma_J^2(x) when J2 = J."""
         key = (j, j2) if j <= j2 else (j2, j)
         if key not in self._cross:
-            self._cross[key] = np.einsum("gi,gi->g", self.scores[key[0]], self.scores[key[1]])
+            self._cross[key] = self._quadratic(*key)
         return self._cross[key]
 
     def contrast_sd(self, j: int, j2: int) -> np.ndarray:
@@ -281,20 +298,13 @@ class VarianceField:
         var = self.sigma2(j) + self.sigma2(j2) - 2.0 * self.cross(j, j2)
         return np.sqrt(np.maximum(var, 0.0))
 
-    def _contrast_valid(self, j: int, j2: int) -> np.ndarray:
-        # The contrast sd equals the l2 norm of the score-difference row, so a
-        # sub-floor sd certifies a degenerate numerator and the point is dropped.
+    def contrast_rows(self, j: int, j2: int) -> np.ndarray:
+        """Contrast rows [rows_J, -rows_J2] / sigma_{J,J2} at the grid points above the floor."""
+        # A point with a sub-floor sd is dropped: the sd is the l2 norm of the
+        # score-difference row, so it certifies a degenerate numerator.
         sd = self.contrast_sd(j, j2)
-        scale = max(float(self.sigma[j].max()), float(self.sigma[j2].max()))
-        return sd > VARIANCE_FLOOR * scale
-
-    def scaled_contrast_rows(self, j: int, j2: int) -> np.ndarray:
-        """Rows (S_J - S_J2) / sigma_{J,J2} at valid grid points; shape (m, n)."""
-        valid = self._contrast_valid(j, j2)
-        if not valid.any():
-            return np.empty((0, self.n))
-        diff = self.scores[j][valid] - self.scores[j2][valid]
-        return diff / self.contrast_sd(j, j2)[valid, None]
+        valid = sd > VARIANCE_FLOOR * max(float(self.sigma[j].max()), float(self.sigma[j2].max()))
+        return np.hstack([self.rows[j][valid], -self.rows[j2][valid]]) / sd[valid, None]
 
     def contrast_stat(self, j: int, j2: int) -> float:
         """sup over valid x of |h_J(x) - h_J2(x)| / sigma_{J,J2}(x).
@@ -303,11 +313,8 @@ class VarianceField:
         bootstrap contrast process calibrates (the residual projection
         psi' M_J u_hat is identically zero by the TSLS normal equations).
         """
-        valid = self._contrast_valid(j, j2)
-        if not valid.any():
-            return 0.0
-        num = np.abs(self.fitted(j) - self.fitted(j2))[valid]
-        return float((num / self.contrast_sd(j, j2)[valid]).max())
+        t = self.contrast_rows(j, j2) @ np.concatenate([self.coef[j], self.coef[j2]])
+        return float(np.abs(t).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -343,18 +350,16 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
 class SieveBackend:
     """Fit cache for one sieve model on one sample, and its reported function.
 
-    Each J is fitted once through ``model.fit``. The influence rows and the
-    estimate of the reported function are the model's selector rows times the
-    fit's M_J and coefficients. Without a sample the backend serves only the
-    fits it was given, which must share one outcome vector.
+    Each J is fitted once through ``model.fit``; ``build_field`` combines the
+    model's selector rows with those fits. Without a sample the backend
+    serves only the fits it was given, which must share one outcome vector.
     """
 
     def __init__(self, sample: Sample | None, model: SieveModel, fits: dict | None = None):
         self.sample = sample
         self.model = model
         self._fits = dict(fits or {})
-        self.y = sample.y if sample is not None else _check_shared_sample(self._fits)
-        self.n = self.y.size
+        self.n = sample.n if sample is not None else _check_shared_sample(self._fits)
 
     @property
     def grid_dim(self) -> int:
@@ -381,16 +386,6 @@ class SieveBackend:
     def shat(self, j: int) -> float:
         return self.fit(j).s_hat
 
-    def influence(self, j: int, pts: np.ndarray, deriv) -> np.ndarray:
-        fit_ = self.fit(j)
-        rows, sl = self.model.selector(fit_, pts, deriv)
-        return rows @ fit_.m[sl]
-
-    def center(self, j: int, pts: np.ndarray, deriv) -> np.ndarray:
-        fit_ = self.fit(j)
-        rows, sl = self.model.selector(fit_, pts, deriv)
-        return rows @ fit_.coef[sl]
-
     def view(self, selector: Callable, grid_dim: int) -> SieveBackend:
         """A backend sharing these fits that reports another linear functional."""
         other = copy.copy(self)
@@ -400,14 +395,12 @@ class SieveBackend:
 
 def build_field(backend: SieveBackend, pts: np.ndarray, deriv: tuple[int, ...], js) -> VarianceField:
     """Variance field of the backend's reported function at derivative ``deriv`` over J in ``js``."""
-    return VarianceField(
-        grid=pts,
-        deriv=deriv,
-        j_values=tuple(js),
-        influence={j: backend.influence(j, pts, deriv) for j in js},
-        u_hat={j: backend.fit(j).u_hat for j in js},
-        y=backend.y,
-    )
+    rows, m, u_hat, coef = {}, {}, {}, {}
+    for j in js:
+        fit_ = backend.fit(j)
+        rows[j], sl = backend.model.selector(fit_, pts, deriv)
+        m[j], u_hat[j], coef[j] = fit_.m[sl], fit_.u_hat, fit_.coef[sl]
+    return VarianceField(grid=pts, deriv=deriv, j_values=tuple(js), rows=rows, m=m, u_hat=u_hat, coef=coef)
 
 
 def variance_field(fits, grid, deriv=0) -> VarianceField:
@@ -424,7 +417,7 @@ def variance_field(fits, grid, deriv=0) -> VarianceField:
     return build_field(backend, pts, multi, tuple(fits))
 
 
-def _check_shared_sample(fits: dict[int, NpivFit]) -> np.ndarray:
+def _check_shared_sample(fits: dict[int, NpivFit]) -> int:
     items = list(fits.values())
     n = items[0].n
     if any(f.n != n for f in items):
@@ -435,4 +428,4 @@ def _check_shared_sample(fits: dict[int, NpivFit]) -> np.ndarray:
         y = f.u_hat + f.psi @ f.c_hat
         if np.abs(y - y0).max() > 1e-8 * scale:
             raise ValueError("fits disagree on the outcome vector; samples differ")
-    return y0
+    return n

@@ -65,7 +65,6 @@ class AdditiveFit:
     s_hat: float
     design: np.ndarray
     bmat: np.ndarray
-    y: np.ndarray
     flags: tuple[str, ...] = ()
 
     @property
@@ -137,8 +136,7 @@ def fit_additive(sample: est.Sample, aspec: AdditiveSpec, ispec: bs.InstrumentSp
     m, coef, u_hat, s_hat, flags = est.tsls(design, bmat, sample.y)
     return AdditiveFit(
         j=j, spec=aspec, bases=bases, integrals=integrals, coef=coef, m=m,
-        u_hat=u_hat, s_hat=s_hat, design=design, bmat=design if bmat is None else bmat,
-        y=sample.y, flags=flags,
+        u_hat=u_hat, s_hat=s_hat, design=design, bmat=design if bmat is None else bmat, flags=flags,
     )
 
 
@@ -242,7 +240,6 @@ class PartiallyLinearFit:
     s_hat: float
     design: np.ndarray
     bmat: np.ndarray
-    y: np.ndarray
     n_nonpar: int
     flags: tuple[str, ...] = ()
 
@@ -305,7 +302,7 @@ def fit_partially_linear(
     return PartiallyLinearFit(
         j=j, x1_basis=x1_basis, coef=coef, beta=coef[n_nonpar:], x2_mean=x2_mean,
         m=m, u_hat=u_hat, s_hat=s_hat, design=design, bmat=design if bmat is None else bmat,
-        y=sample.y, n_nonpar=n_nonpar, flags=flags,
+        n_nonpar=n_nonpar, flags=flags,
     )
 
 

@@ -107,7 +107,7 @@ def band_deriv(
     a_hat = selection.a_hat if a_fixed is None else float(a_fixed)
     return BandResult(
         grid=field.grid,
-        center=selection.backend.center(selection.j_tilde, field.grid, multi),
+        center=field.fitted(selection.j_tilde),
         halfwidth=(z_star + a_hat * selection.theta_star) * field.sigma[selection.j_tilde],
         kind="h_band" if all(v == 0 for v in multi) else "deriv_band",
         level=1.0 - alpha,

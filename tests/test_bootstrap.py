@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -5,6 +7,7 @@ from scipy.stats import kstest
 from npivband import basis as bs
 from npivband import bootstrap as bt
 from npivband import estimator as est
+from npivband import extensions as ext
 from npivband.errors import ConfigurationError, DegenerateVarianceError, InvalidDimensionError
 
 CUBIC = bs.BasisSpec(4, 0)
@@ -19,6 +22,83 @@ def _field(n=120, seed=0, js=(4, 7), grid=None, deriv=0):
     s = est.Sample(y, x, w)
     fits = {j: est.fit(s, CUBIC, ISPEC, j) for j in js}
     return est.variance_field(fits, grid if grid is not None else np.linspace(0, 1, 30), deriv)
+
+
+def _dense_sup_t(field, plan, js=None, pairs=None):
+    """Oracle: per-draw sup of the dense score rows S_J = influence * u times Omega."""
+    scores = {j: field.influence[j] * field.u_hat[j][None, :] for j in field.j_values}
+    sigma = {j: np.sqrt((s**2).sum(axis=1)) for j, s in scores.items()}
+    if pairs is None:
+        rows = [scores[j] / sigma[j][:, None] for j in js]
+    else:
+        rows = []
+        for j, j2 in pairs:
+            diff = scores[j] - scores[j2]
+            sd = np.sqrt((diff**2).sum(axis=1))
+            valid = sd > est.VARIANCE_FLOOR * max(sigma[j].max(), sigma[j2].max())
+            rows.append(diff[valid] / sd[valid, None])
+    omega = np.column_stack([bt.draw_multipliers(plan, b, field.n) for b in range(plan.n_draws)])
+    return np.abs(np.vstack(rows) @ omega).max(axis=0)
+
+
+def _model_fields():
+    """Fields of the npiv, additive component-view and partially linear selectors."""
+    rng = np.random.default_rng(21)
+    n = 300
+    x = rng.random((n, 2))
+    w = np.clip(x + 0.1 * rng.standard_normal((n, 2)), 0, 1)
+    y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.4 * rng.standard_normal(n)
+    sample = est.Sample(y, x, w)
+    backends = {
+        "npiv": est.SieveBackend(est.Sample(y, x[:, 0], w[:, 0]), est.npiv_model(CUBIC, ISPEC)),
+        "additive_component": est.SieveBackend(
+            sample, ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)
+        ).view(ext._component_rows(1), grid_dim=1),
+        "partially_linear": est.SieveBackend(
+            sample, ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1,)), None)
+        ),
+    }
+    grid = np.linspace(0, 1, 40).reshape(-1, 1)
+    return {name: est.build_field(b, grid, (0,), (4, 5, 7)) for name, b in backends.items()}
+
+
+class TestFactoredScores:
+    @pytest.mark.parametrize("model", ["npiv", "additive_component", "partially_linear"])
+    def test_sup_t_matches_dense_oracle(self, model):
+        field = _model_fields()[model]
+        plan = bt.MultiplierPlan(n_draws=130, base_seed=17)
+        pairs = [(4, 5), (4, 7), (5, 7)]
+        single = bt.sup_t_single(field, plan, (4, 5, 7))
+        contrast = bt.sup_t_contrast(field, plan, pairs)
+        np.testing.assert_allclose(single, _dense_sup_t(field, plan, js=(4, 5, 7)), rtol=1e-12)
+        np.testing.assert_allclose(contrast, _dense_sup_t(field, plan, pairs=pairs), rtol=1e-12)
+        for workers in (3, 4):
+            fresh = _model_fields()[model]
+            np.testing.assert_array_equal(bt.sup_t_single(fresh, plan, (4, 5, 7), n_workers=workers), single)
+            np.testing.assert_array_equal(bt.sup_t_contrast(fresh, plan, pairs, n_workers=workers), contrast)
+
+    def test_field_stores_no_grid_by_n_array(self):
+        # 10,000 grid points at n=2000: one G x n array alone takes G * n * 8 bytes.
+        rng = np.random.default_rng(22)
+        n, g = 2000, 10_000
+        x = rng.random(n)
+        w = np.clip(x + 0.15 * rng.standard_normal(n), 0, 1)
+        backend = est.SieveBackend(est.Sample(np.sin(3 * x) + rng.standard_normal(n), x, w),
+                                   est.npiv_model(CUBIC, ISPEC))
+        js = (4, 5, 7, 11)
+        for j in js:
+            backend.fit(j)
+        plan = bt.MultiplierPlan(n_draws=50, base_seed=18)
+        bt.multiplier_matrix(plan, n)
+        tracemalloc.start()
+        try:
+            field = est.build_field(backend, np.linspace(0, 1, g).reshape(-1, 1), (0,), js)
+            bt.sup_t_single(field, plan)
+            bt.sup_t_contrast(field, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g * n * 8 / 10
 
 
 class TestDrawMultipliers:
@@ -154,9 +234,10 @@ class TestSupTContrast:
             grid=field.grid,
             deriv=(0,),
             j_values=(4, 5),
-            influence={4: field.influence[4], 5: field.influence[4].copy()},
+            rows={4: field.rows[4], 5: field.rows[4].copy()},
+            m={4: field.m[4], 5: field.m[4].copy()},
             u_hat={4: field.u_hat[4], 5: field.u_hat[4].copy()},
-            y=field.y,
+            coef={4: field.coef[4], 5: field.coef[4].copy()},
         )
         sups = bt.sup_t_contrast(alias, bt.MultiplierPlan(50, 1), [(4, 5)])
         np.testing.assert_array_equal(sups, np.zeros(50))
@@ -181,22 +262,17 @@ class TestMultiplierReuse:
             assert sorted(calls) == list(range(plan.n_draws))
 
     def test_streamed_contrast_matches_stacked_reference(self):
-        # A 100-point grid and n=1000, as in the Monte Carlo designs. BLAS may
-        # round a product differently in the last bit when its shape changes
-        # (a wider slice of draws, or fewer rows below the small-matrix size),
-        # so the reference multiplies all stacked rows by the same 64-draw slices.
+        # A 100-point grid and n=1000, as in the Monte Carlo designs. The
+        # factored statistic sums in another order than the stacked dense
+        # score rows, so the two agree to rounding; the factored one is
+        # bit-identical for any worker count.
         field = _field(js=(4, 5, 7), n=1000, grid=np.linspace(0, 1, 100))
         plan = bt.MultiplierPlan(n_draws=150, base_seed=13)
         pairs = [(4, 5), (4, 7), (5, 7)]
-        rows = np.vstack([field.scaled_contrast_rows(j, j2) for j, j2 in pairs])
-        omega = np.column_stack([bt.draw_multipliers(plan, b, field.n) for b in range(plan.n_draws)])
-        reference = np.concatenate(
-            [np.abs(rows @ omega[:, s : s + 64]).max(axis=0) for s in range(0, plan.n_draws, 64)]
-        )
+        base = bt.sup_t_contrast(field, plan, pairs)
+        np.testing.assert_allclose(base, _dense_sup_t(field, plan, pairs=pairs), rtol=1e-12)
         for workers in (1, 3, 4):
-            np.testing.assert_array_equal(
-                bt.sup_t_contrast(field, plan, pairs, n_workers=workers), reference
-            )
+            np.testing.assert_array_equal(bt.sup_t_contrast(field, plan, pairs, n_workers=workers), base)
 
     def test_cache_leaves_plan_identity_alone(self):
         plan = bt.MultiplierPlan(n_draws=20, base_seed=4)

@@ -6,8 +6,13 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from npivband.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
+
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden")
 
 
 def _write_csv(path, header, rows):
@@ -154,8 +159,95 @@ class TestCmdFit:
                    "--draws", "20", "--grid-size", "5", "--outdir", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    def test_grid_bounds_map_the_multivariate_grid(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", os.path.join(GOLDEN, "reg2d.csv"), "--mode", "regression",
+                   "--grid-lo", "0.2", "--grid-hi", "0.8", "--grid-size", "5", "--seed", "7",
+                   "--draws", "20", "--outdir", str(out)])
+        assert rc == EXIT_OK
+        rows = list(csv.reader(open(out / "estimates.csv")))
+        xs = np.array([float(r[rows[0].index("x")]) for r in rows[1:]])
+        assert xs.min() == pytest.approx(0.2) and xs.max() == pytest.approx(0.8)
+        assert np.all((xs >= 0.2) & (xs <= 0.8))
+
+
+def _not_an_integer(text: str) -> bool:
+    try:
+        int(text)
+    except ValueError:
+        return True
+    return False
+
+
+_BAD_FIT_OPTIONS = st.one_of(
+    st.tuples(st.just("npiv"), st.integers(max_value=0).map(lambda g: ["--grid-size", str(g)]), st.none()),
+    st.tuples(
+        st.sampled_from(["npiv", "plm"]),
+        st.one_of(st.integers(max_value=-1), st.integers(min_value=3, max_value=50)).map(
+            lambda a: ["--deriv", str(a)]
+        ),
+        st.none(),
+    ),
+    st.tuples(
+        st.just("plm"),
+        st.one_of(
+            st.lists(st.integers(-5, 5), min_size=1, max_size=4).filter(
+                lambda cols: cols != [1] and cols != [0]
+            ),
+            st.just([]),
+        ).map(lambda cols: ["--linear-cols", *map(str, cols)]),
+        st.none(),
+    ),
+    st.tuples(
+        st.sampled_from(["npiv", "plm"]),
+        st.just([]),
+        st.one_of(
+            st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), min_size=1)
+            .filter(_not_an_integer),
+            st.integers(max_value=-1).map(str),
+        ),
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_BAD_FIT_OPTIONS)
+def test_bad_fit_options_exit_2_before_any_fit(case, tmp_path_factory):
+    """Exit-code map: a bad --grid-size, --deriv, --linear-cols or NPIVBAND_SEED exits 2 before any fit."""
+    from unittest import mock
+
+    from npivband import adaptive as ad
+    from npivband import estimator as est
+
+    kind, option, env = case
+    base = {
+        "npiv": ["--input", os.path.join(GOLDEN, "npiv.csv"), "--mode", "npiv"],
+        "plm": ["--input", os.path.join(GOLDEN, "plm.csv"), "--mode", "partially_linear",
+                *([] if "--linear-cols" in option else ["--linear-cols", "1"])],
+    }[kind]
+    no_fit = AssertionError("a fit ran before the options were checked")
+    environ = {} if env is None else {"NPIVBAND_SEED": env}
+    with mock.patch.object(ad, "run_selection", side_effect=no_fit), \
+            mock.patch.object(est.SieveBackend, "fit", side_effect=no_fit), \
+            mock.patch.dict(os.environ, environ):
+        if env is None:
+            os.environ.pop("NPIVBAND_SEED", None)
+        rc = main(["fit", *base, *option, "--draws", "20", "--outdir", str(tmp_path_factory.mktemp("o"))])
+    assert rc == EXIT_CONFIG
+
 
 class TestBandsPlotdata:
+    @pytest.mark.parametrize("content", [None, "{not json", '{"j_hat_max": 5}'],
+                             ids=["missing-file", "invalid-json", "missing-stored-key"])
+    def test_unreadable_selection_data_error(self, content, tmp_path, capsys):
+        stored = tmp_path / "selection.json"
+        if content is not None:
+            stored.write_text(content)
+        rc = main(["bands-plotdata", "--input", os.path.join(GOLDEN, "npiv.csv"), "--seed", "7",
+                   "--draws", "20", "--from-selection", str(stored), "--outdir", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
     def test_schema(self, npiv_csv, tmp_path):
         out = tmp_path / "o"
         rc = main(["bands-plotdata", "--input", npiv_csv, "--seed", "3", "--draws", "60",
@@ -227,7 +319,8 @@ class TestStructuredModes:
             block = ext._centered_block(fit.bases[comp], fit.integrals[comp], grid, 0)
             field = est.VarianceField(
                 grid=grid.reshape(-1, 1), deriv=(0,), j_values=(j,),
-                influence={j: block @ fit.m[fit.component_slice(comp)]}, u_hat={j: fit.u_hat},
+                rows={j: block}, m={j: fit.m[fit.component_slice(comp)]}, u_hat={j: fit.u_hat},
+                coef={j: fit.coef[fit.component_slice(comp)]},
             )
             written = [float(r[header.index(f"sigma_c{comp + 1}")]) for r in rows[1:]]
             assert written == field.sigma[j].tolist()
@@ -287,6 +380,19 @@ class TestStructuredModes:
         assert rc == EXIT_OK
         assert len(list(csv.reader(open(out / "estimates.csv")))) == 1 + 8 * 8
         assert len(json.load(open(out / "selection.json"))["beta"]) == 1
+
+    def test_three_column_additive_fit(self, tmp_path):
+        rng = np.random.default_rng(9)
+        x = rng.random((400, 3))
+        y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 - x[:, 2] + 0.3 * rng.standard_normal(400)
+        path = tmp_path / "add3.csv"
+        _write_csv(path, ["y", "x1", "x2", "x3"],
+                   [[format(v, ".17g") for v in row] for row in np.column_stack([y, x])])
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", str(path), "--mode", "additive", "--seed", "2", "--draws", "50",
+                   "--outdir", str(out)])
+        assert rc == EXIT_OK
+        assert "sigma_c3" in next(csv.reader(open(out / "estimates.csv")))
 
     def test_partially_linear_requires_linear_cols(self, additive_csv, tmp_path):
         rc = main(["fit", "--input", additive_csv, "--mode", "partially_linear",

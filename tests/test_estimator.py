@@ -174,15 +174,16 @@ class TestVarianceField:
         # inject u == c: sigma^2(x) must equal c^2 sum_i (psi(x)' M)_i^2
         f = est.fit(_noisy_sample(), CUBIC, ISPEC, 4)
         grid = np.linspace(0, 1, 30)
-        rows = est.influence_rows(f, grid)
+        rows = bs.design_matrix(f.x_basis, grid) @ f.m
         c = 0.7
         vf = est.VarianceField(
             grid=grid.reshape(-1, 1),
             deriv=(0,),
             j_values=(4,),
-            influence={4: rows},
+            rows={4: bs.design_matrix(f.x_basis, grid)},
+            m={4: f.m},
             u_hat={4: np.full(f.n, c)},
-            y=f.u_hat + f.psi @ f.c_hat,
+            coef={4: f.c_hat},
         )
         oracle = c**2 * np.einsum("gi,gi->g", rows, rows)
         np.testing.assert_allclose(vf.sigma2(4), oracle, rtol=1e-12)
