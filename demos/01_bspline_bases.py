@@ -13,8 +13,6 @@ from npivband import (
     apply_transform,
     design_matrix,
     dimension_grid,
-    eval_basis,
-    eval_basis_deriv,
     instrument_dim,
 )
 
@@ -35,12 +33,12 @@ print("tensor grid in d=2 up to 130:  ", dimension_grid(BasisSpec(4, 0, dim=2), 
 spec = BasisSpec(order=4, resolution=2)  # 7 basis functions, knots at 1/4, 1/2, 3/4
 x = np.linspace(0, 1, 9)
 values = design_matrix(spec, x)
-print("\nbasis values at x=0.5:", np.round(eval_basis(spec, 0.5), 4))
+print("\nbasis values at x=0.5:", np.round(design_matrix(spec, 0.5)[0], 4))
 print("row sums (partition of unity):", np.round(values.sum(axis=1), 12))
 print("nonzero entries per row:", np.count_nonzero(values, axis=1))
 
 # Derivatives are analytic; entries of the differentiated basis sum to zero.
-d1 = eval_basis_deriv(spec, 0.5, 1)
+d1 = design_matrix(spec, 0.5, 1)[0]
 print("first-derivative row at 0.5 sums to", round(d1.sum(), 14))
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from npivband import (
     band_h,
     band_robustness,
     band_undersmoothed,
+    build_field,
     generate,
     get_design,
     select,
@@ -58,7 +59,7 @@ print("robustness band / baseline width ratio:",
 # ---------------------------------------------------------------------------
 
 for j_fixed in (7, 11):
-    fit_j = selection.backend.fit(j_fixed)
-    under = band_undersmoothed(fit_j, plan=plan, alpha=0.05, grid=grid)
+    field = build_field(selection.backend, grid, 0, (j_fixed,))
+    under = band_undersmoothed(field, j_fixed, plan=plan, alpha=0.05)
     ratio = float(under.width.mean() / band.width.mean())
     print(f"undersmoothed J={j_fixed}: width ratio vs data-driven = {ratio:.2f}")

@@ -16,11 +16,12 @@ from npivband import (
     Sample,
     band_deriv,
     fit_partially_linear,
-    j_hat_max_npiv,
     partial_out_fixed_effects,
-    select_additive,
+    select,
 )
-from npivband.extensions import component_view, evaluate_component
+from npivband.adaptive import default_grid, run_selection
+from npivband.estimator import SieveBackend
+from npivband.extensions import additive_model, component_view, evaluate_component
 
 rng = np.random.default_rng(5)
 cubic = BasisSpec(4, 0)
@@ -36,7 +37,9 @@ sample = Sample(y, x, x)
 
 aspec = AdditiveSpec((cubic, cubic))
 plan = MultiplierPlan(n_draws=300, base_seed=2)
-selection = select_additive(sample, aspec, None, plan, grid=None)
+# The selection contrasts the full additive estimate on 25 x 25 grid points.
+backend = SieveBackend(sample, additive_model(aspec, None))
+selection = run_selection(backend, plan, "regression", default_grid(2, 25))
 print("additive component dimension J~:", selection.j_tilde)
 
 g1 = np.linspace(0, 1, 50)
@@ -76,7 +79,7 @@ y_fe = np.sin(3 * x[:, 0]) + delta[exporters] + 0.3 * rng.standard_normal(n)
 panel = Sample(y_fe, x[:, 0], w)
 
 ispec = InstrumentSpec(cubic, q=2)
-j_max = j_hat_max_npiv(panel, cubic, ispec)
+j_max = select(panel, cubic, ispec, plan=plan).j_hat_max
 adjusted, info = partial_out_fixed_effects(panel, FixedEffectsPlan((exporters, importers), j_max), ispec)
 recovered = info["effects"][0]["effects"]
 corr = np.corrcoef(recovered - recovered.mean(), delta - delta.mean())[0, 1]

@@ -11,12 +11,10 @@ from .basis import (
     apply_transform,
     design_matrix,
     dimension_grid,
-    eval_basis,
-    eval_basis_deriv,
     instrument_dim,
     make_spec,
 )
-from .estimator import NpivFit, Sample, VarianceField, evaluate, fit, shat, variance_field
+from .estimator import NpivFit, Sample, VarianceField, build_field, evaluate, fit
 from .bootstrap import (
     MultiplierPlan,
     draw_multipliers,
@@ -25,7 +23,7 @@ from .bootstrap import (
     sup_t_contrast,
     sup_t_single,
 )
-from .adaptive import AdaptiveSelection, j_hat_max_npiv, j_hat_max_regression, select
+from .adaptive import AdaptiveSelection, select
 from .ucb import (
     BandResult,
     band_deriv,
@@ -41,8 +39,6 @@ from .extensions import (
     fit_additive,
     fit_partially_linear,
     partial_out_fixed_effects,
-    select_additive,
-    select_partially_linear,
 )
 from .simgen import Design, McReport, TradeCalibration, a_sweep, generate, get_design, run_mc
 
@@ -69,11 +65,10 @@ __all__ = [
     "band_h",
     "band_robustness",
     "band_undersmoothed",
+    "build_field",
     "design_matrix",
     "dimension_grid",
     "draw_multipliers",
-    "eval_basis",
-    "eval_basis_deriv",
     "evaluate",
     "excludes_constant",
     "fit",
@@ -82,19 +77,13 @@ __all__ = [
     "generate",
     "get_design",
     "instrument_dim",
-    "j_hat_max_npiv",
-    "j_hat_max_regression",
     "make_spec",
     "multiplier_matrix",
     "partial_out_fixed_effects",
     "quantile",
     "run_mc",
     "select",
-    "select_additive",
-    "select_partially_linear",
-    "shat",
     "sup_t_contrast",
     "sup_t_single",
-    "variance_field",
     "__version__",
 ]

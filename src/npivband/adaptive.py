@@ -136,18 +136,6 @@ def _j_hat_max_regression(n: int, spec: bs.BasisSpec, flags) -> int:
     return _bracket_min(cands, lhs, target, lhs, lambda j: bs.next_dimension(spec, j), flags)
 
 
-def j_hat_max_npiv(sample: est.Sample, x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec) -> int:
-    """Upper truncation point of the index set for NPIV."""
-    flags: list[str] = []
-    return _j_hat_max_npiv(est.SieveBackend(sample, est.npiv_model(x_spec, ispec)), flags)
-
-
-def j_hat_max_regression(n: int, spec: bs.BasisSpec) -> int:
-    """Upper truncation point for series regression (no first-stage fits)."""
-    flags: list[str] = []
-    return _j_hat_max_regression(n, spec, flags)
-
-
 def run_selection(
     backend: est.SieveBackend,
     plan: MultiplierPlan,

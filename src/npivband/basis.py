@@ -314,7 +314,8 @@ def multi_index(deriv, dim: int) -> tuple[int, ...]:
     return multi
 
 
-def _normalize_deriv(spec: BasisSpec, deriv) -> tuple[int, ...]:
+def normalize_deriv(spec: BasisSpec, deriv) -> tuple[int, ...]:
+    """``multi_index`` of ``deriv``, checked against the order of the spline."""
     multi = multi_index(deriv, spec.dim)
     for a_i in multi:
         if a_i < 0:
@@ -330,22 +331,12 @@ def _normalize_deriv(spec: BasisSpec, deriv) -> tuple[int, ...]:
 def design_matrix(spec: BasisSpec, x, deriv=None) -> np.ndarray:
     """Evaluate the (possibly differentiated) basis at points; shape (n, J)."""
     pts = as_points(x, spec.dim)
-    multi = _normalize_deriv(spec, deriv)
+    multi = normalize_deriv(spec, deriv)
     out = _basis_deriv_1d(spec.knots(0), spec.order, pts[:, 0], multi[0])
     for axis in range(1, spec.dim):
         mat = _basis_deriv_1d(spec.knots(axis), spec.order, pts[:, axis], multi[axis])
         out = (out[:, :, None] * mat[:, None, :]).reshape(pts.shape[0], -1)
     return out
-
-
-def eval_basis(spec: BasisSpec, x) -> np.ndarray:
-    """Basis vector psi^J(x) at a single point."""
-    return design_matrix(spec, x)[0]
-
-
-def eval_basis_deriv(spec: BasisSpec, x, deriv) -> np.ndarray:
-    """Differentiated basis vector at a single point."""
-    return design_matrix(spec, x, deriv)[0]
 
 
 def basis_integrals(spec: BasisSpec) -> np.ndarray:

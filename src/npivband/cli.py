@@ -180,7 +180,7 @@ def _band_block(columns: dict, kinds: list, selection, plan, config: argparse.Na
 
     Returns the variance field, which every alpha level shares.
     """
-    field = ucb._selection_field(selection, bs.multi_index(a, selection.backend.grid_dim))
+    field = ucb.selection_field(selection, bs.multi_index(a, selection.backend.grid_dim))
     for alpha in config.alphas:
         band = ucb.band_deriv(selection, varfield=field, plan=plan, alpha=alpha, a=a)
         columns.setdefault(f"center{suffix}", band.center)
@@ -265,8 +265,8 @@ def _model(config: argparse.Namespace, sample: est.Sample):
 
     Every fit option is checked here, against the sample, before any fit.
     """
-    if not all(0.0 < alpha < 1.0 for alpha in config.alphas):
-        raise ConfigurationError("alpha levels must lie in (0, 1)")
+    if not config.alphas or not all(0.0 < alpha < 1.0 for alpha in config.alphas):
+        raise ConfigurationError("--alpha needs one or more levels in (0, 1)")
     if config.grid_size < 1:
         raise ConfigurationError("--grid-size must be at least 1")
     if config.deriv < 0:
@@ -287,7 +287,7 @@ def _model(config: argparse.Namespace, sample: est.Sample):
     spec = _template_spec(config, 1 if config.mode == "additive" else sample.dim - len(linear))
     # Derivative bands need a univariate reported function (each additive component is one,
     # and spec has the reported function's dimension) and an order within the spline's smoothness.
-    bs._normalize_deriv(spec, config.deriv)
+    bs.normalize_deriv(spec, config.deriv)
     ispec = bs.InstrumentSpec(spec, q=config.q, dim_w=sample.dim_w) if instrumented else None
     if config.mode == "additive":
         model = ext.additive_model(ext.AdditiveSpec((spec,) * sample.dim), ispec)

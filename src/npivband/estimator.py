@@ -2,7 +2,7 @@
 
 The fit at dimension J regresses Y on the basis psi^J(X) by two-stage least
 squares using b^{K(J)}(W) as instruments. With M_J = (Psi' P_K Psi)^- Psi' P_K
-this gives coefficients c_hat = M_J Y, residuals u_hat, and the reduced-rank
+this gives coefficients coef = M_J Y, residuals u_hat, and the reduced-rank
 singular value s_hat of the orthogonalized cross matrix, which proxies the
 inverse measure of ill-posedness. When no instrument spec is given the fit is
 plain series least squares (M_J = (Psi'Psi)^- Psi'), the exogenous special
@@ -91,7 +91,7 @@ class NpivFit:
     psi: np.ndarray
     bmat: np.ndarray
     m: np.ndarray
-    c_hat: np.ndarray
+    coef: np.ndarray
     u_hat: np.ndarray
     s_hat: float
     flags: tuple[str, ...] = ()
@@ -99,11 +99,6 @@ class NpivFit:
     @property
     def n(self) -> int:
         return self.u_hat.size
-
-    @property
-    def coef(self) -> np.ndarray:
-        """The sieve coefficients, under the name the structured-model fits use."""
-        return self.c_hat
 
 
 def tsls_influence(psi: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -179,10 +174,10 @@ def fit(sample: Sample, x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None, j
             raise InsufficientSampleError(f"K(J)={k} exceeds the sample size n={sample.n}")
         w_basis = bs.instrument_spec_for(ispec, j, w_data=sample.w)
         bmat = bs.design_matrix(w_basis, sample.w)
-    m, c_hat, u_hat, s_hat, flags = tsls(psi, bmat, sample.y)
+    m, coef, u_hat, s_hat, flags = tsls(psi, bmat, sample.y)
     return NpivFit(
         j=j, k=k, x_basis=x_basis, psi=psi, bmat=psi if bmat is None else bmat, m=m,
-        c_hat=c_hat, u_hat=u_hat, s_hat=s_hat, flags=flags,
+        coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags,
     )
 
 
@@ -193,12 +188,7 @@ def _h_rows(fit_: NpivFit, pts, deriv):
 def evaluate(fit_: NpivFit, x_grid, deriv=0) -> np.ndarray:
     """Point or derivative estimates (d^a h_J)(x) on a grid."""
     rows, sl = _h_rows(fit_, x_grid, deriv)
-    return rows @ fit_.c_hat[sl]
-
-
-def shat(fit_: NpivFit) -> float:
-    """The singular-value proxy for inverse ill-posedness, in [0, 1]."""
-    return fit_.s_hat
+    return rows @ fit_.coef[sl]
 
 
 class _OnRead(Mapping):
@@ -222,7 +212,7 @@ class VarianceField:
     """Sieve variance machinery for several fits on one grid, factored through the sieve.
 
     Per J: the G x p selector rows d^a psi^J(x)', the rows M_J[slice] of the
-    fit's influence matrix, its residuals and c_hat[slice]. The scores are
+    fit's influence matrix, its residuals and coef[slice]. The scores are
     S_J = rows_J W_J with p x n weights W_J = M_J[slice] diag(u_J): sigma_J^2
     and sigma~_{J,J2} are row-wise quadratic forms in W_J W_J2', and the
     bootstrap needs only W_J Omega' (memoized in ``projections``; its draws in
@@ -279,11 +269,8 @@ class VarianceField:
         """The G x n score rows S_J = rows_J W_J per J, computed on each read."""
         return _OnRead(self.j_values, lambda j: self.rows[j] @ self.weights[j])
 
-    def sigma2(self, j: int) -> np.ndarray:
-        return self.cross(j, j)
-
     def fitted(self, j: int) -> np.ndarray:
-        """The estimate (d^a h_J)(x) = rows_J(x) c_hat[slice] on the grid."""
+        """The estimate (d^a h_J)(x) = rows_J(x) coef[slice] on the grid."""
         return self.rows[j] @ self.coef[j]
 
     def cross(self, j: int, j2: int) -> np.ndarray:
@@ -295,7 +282,7 @@ class VarianceField:
 
     def contrast_sd(self, j: int, j2: int) -> np.ndarray:
         """sigma_{J,J2}(x) = sqrt(sigma_J^2 + sigma_J2^2 - 2 sigma~_{J,J2})."""
-        var = self.sigma2(j) + self.sigma2(j2) - 2.0 * self.cross(j, j2)
+        var = self.cross(j, j) + self.cross(j2, j2) - 2.0 * self.cross(j, j2)
         return np.sqrt(np.maximum(var, 0.0))
 
     def contrast_rows(self, j: int, j2: int) -> np.ndarray:
@@ -304,7 +291,16 @@ class VarianceField:
         # score-difference row, so it certifies a degenerate numerator.
         sd = self.contrast_sd(j, j2)
         valid = sd > VARIANCE_FLOOR * max(float(self.sigma[j].max()), float(self.sigma[j2].max()))
-        return np.hstack([self.rows[j][valid], -self.rows[j2][valid]]) / sd[valid, None]
+        rows, rows2 = self.rows[j], self.rows[j2]
+        if not valid.all():
+            rows, rows2, sd = rows[valid], rows2[valid], sd[valid]
+        # Filled and scaled in place, so a pair holds one G x (p + p2) array at a time.
+        p = rows.shape[1]
+        out = np.empty((sd.size, p + rows2.shape[1]))
+        out[:, :p] = rows
+        np.negative(rows2, out=out[:, p:])
+        out /= sd[:, None]
+        return out
 
     def contrast_stat(self, j: int, j2: int) -> float:
         """sup over valid x of |h_J(x) - h_J2(x)| / sigma_{J,J2}(x).
@@ -351,15 +347,14 @@ class SieveBackend:
     """Fit cache for one sieve model on one sample, and its reported function.
 
     Each J is fitted once through ``model.fit``; ``build_field`` combines the
-    model's selector rows with those fits. Without a sample the backend
-    serves only the fits it was given, which must share one outcome vector.
+    model's selector rows with those fits.
     """
 
-    def __init__(self, sample: Sample | None, model: SieveModel, fits: dict | None = None):
+    def __init__(self, sample: Sample, model: SieveModel):
         self.sample = sample
         self.model = model
-        self._fits = dict(fits or {})
-        self.n = sample.n if sample is not None else _check_shared_sample(self._fits)
+        self._fits: dict = {}
+        self.n = sample.n
 
     @property
     def grid_dim(self) -> int:
@@ -393,39 +388,16 @@ class SieveBackend:
         return other
 
 
-def build_field(backend: SieveBackend, pts: np.ndarray, deriv: tuple[int, ...], js) -> VarianceField:
-    """Variance field of the backend's reported function at derivative ``deriv`` over J in ``js``."""
+def build_field(backend: SieveBackend, pts, deriv, js) -> VarianceField:
+    """Variance field of the backend's reported function at derivative ``deriv`` over J in ``js``.
+
+    ``pts`` is any grid ``basis.as_points`` accepts and ``deriv`` any order ``basis.multi_index`` accepts.
+    """
+    pts = bs.as_points(pts, backend.grid_dim)
+    deriv = bs.multi_index(deriv, backend.grid_dim)
     rows, m, u_hat, coef = {}, {}, {}, {}
     for j in js:
         fit_ = backend.fit(j)
         rows[j], sl = backend.model.selector(fit_, pts, deriv)
         m[j], u_hat[j], coef[j] = fit_.m[sl], fit_.u_hat, fit_.coef[sl]
     return VarianceField(grid=pts, deriv=deriv, j_values=tuple(js), rows=rows, m=m, u_hat=u_hat, coef=coef)
-
-
-def variance_field(fits, grid, deriv=0) -> VarianceField:
-    """Build a VarianceField for a mapping {J: NpivFit} on an x-grid."""
-    fits = dict(fits)
-    if not fits:
-        raise ValueError("variance_field needs at least one fit")
-    some = next(iter(fits.values()))
-    pts = bs.as_points(grid, some.x_basis.dim)
-    if pts.shape[0] == 0:
-        raise ValueError("evaluation grid is empty")
-    multi = bs._normalize_deriv(some.x_basis, deriv)
-    backend = SieveBackend(None, npiv_model(some.x_basis, None), fits)
-    return build_field(backend, pts, multi, tuple(fits))
-
-
-def _check_shared_sample(fits: dict[int, NpivFit]) -> int:
-    items = list(fits.values())
-    n = items[0].n
-    if any(f.n != n for f in items):
-        raise ValueError("all fits must come from the same sample")
-    y0 = items[0].u_hat + items[0].psi @ items[0].c_hat
-    scale = float(np.abs(y0).max()) + 1.0
-    for f in items[1:]:
-        y = f.u_hat + f.psi @ f.c_hat
-        if np.abs(y - y0).max() > 1e-8 * scale:
-            raise ValueError("fits disagree on the outcome vector; samples differ")
-    return n

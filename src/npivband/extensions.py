@@ -27,7 +27,6 @@ import numpy as np
 from . import adaptive as ad
 from . import basis as bs
 from . import estimator as est
-from .bootstrap import MultiplierPlan
 from .errors import ConfigurationError, InvalidDimensionError
 
 
@@ -38,10 +37,9 @@ from .errors import ConfigurationError, InvalidDimensionError
 
 @dataclass(frozen=True)
 class AdditiveSpec:
-    """Per-coordinate univariate basis templates plus an intercept."""
+    """Per-coordinate univariate basis templates; the model adds an intercept."""
 
     components: tuple[bs.BasisSpec, ...]
-    intercept: bool = True
 
     def __post_init__(self) -> None:
         if len(self.components) < 2:
@@ -72,12 +70,11 @@ class AdditiveFit:
         return self.u_hat.size
 
     def component_slice(self, comp: int) -> slice:
-        offset = 1 if self.spec.intercept else 0
-        return slice(offset + comp * self.j, offset + (comp + 1) * self.j)
+        return slice(1 + comp * self.j, 1 + (comp + 1) * self.j)
 
     @property
     def intercept_hat(self) -> float:
-        return float(self.coef[0]) if self.spec.intercept else 0.0
+        return float(self.coef[0])
 
 
 def _centered_block(basis: bs.BasisSpec, integrals: np.ndarray, col: np.ndarray, deriv: int) -> np.ndarray:
@@ -87,13 +84,10 @@ def _centered_block(basis: bs.BasisSpec, integrals: np.ndarray, col: np.ndarray,
     return block
 
 
-def _additive_design(spec: AdditiveSpec, bases, integrals, x: np.ndarray,
-                     deriv: tuple[int, ...] | None = None) -> np.ndarray:
+def _additive_design(bases, integrals, x: np.ndarray, deriv: tuple[int, ...] | None = None) -> np.ndarray:
     n = x.shape[0]
     deriv = deriv or (0,) * len(bases)
-    cols = []
-    if spec.intercept:
-        cols.append(np.ones((n, 1)) if all(a == 0 for a in deriv) else np.zeros((n, 1)))
+    cols = [np.ones((n, 1)) if all(a == 0 for a in deriv) else np.zeros((n, 1))]
     for i, basis in enumerate(bases):
         block = _centered_block(basis, integrals[i], x[:, i], deriv[i])
         zero_others = [a for k, a in enumerate(deriv) if k != i]
@@ -118,7 +112,7 @@ def fit_additive(sample: est.Sample, aspec: AdditiveSpec, ispec: bs.InstrumentSp
         bs.spec_for_dimension(aspec.components[i], j, data=sample.x[:, i]) for i in range(d)
     )
     integrals = tuple(bs.basis_integrals(b) for b in bases)
-    design = _additive_design(aspec, bases, integrals, sample.x)
+    design = _additive_design(bases, integrals, sample.x)
     bmat = None
     if ispec is not None:
         level_w = _instrument_level(aspec, ispec, j)
@@ -154,7 +148,7 @@ def evaluate_component(fit: AdditiveFit, comp: int, x1, deriv: int = 0) -> np.nd
 
 def _additive_rows(fit: AdditiveFit, pts: np.ndarray, deriv):
     multi = bs.multi_index(deriv, len(fit.bases))
-    return _additive_design(fit.spec, fit.bases, fit.integrals, pts, multi), slice(None)
+    return _additive_design(fit.bases, fit.integrals, pts, multi), slice(None)
 
 
 def _component_rows(comp: int):
@@ -170,7 +164,7 @@ def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.
     d = len(aspec.components)
 
     def widths(j: int) -> tuple[int, int]:
-        width = (1 if aspec.intercept else 0) + d * j
+        width = 1 + d * j
         if ispec is None:
             return width, width
         return width, (2 ** _instrument_level(aspec, ispec, j) + ispec.order - 1) ** ispec.dim_w
@@ -182,22 +176,6 @@ def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.
         selector=_additive_rows,
         grid_dim=d,
     )
-
-
-def select_additive(
-    sample: est.Sample,
-    aspec: AdditiveSpec,
-    ispec: bs.InstrumentSpec | None = None,
-    plan: MultiplierPlan | None = None,
-    grid=None,
-    n_workers: int = 1,
-) -> ad.AdaptiveSelection:
-    """Data-driven component dimension for the additive model."""
-    backend = est.SieveBackend(sample, additive_model(aspec, ispec))
-    mode = "npiv" if ispec is not None else "regression"
-    if grid is None:
-        grid = ad.default_grid(sample.dim, points_per_axis=25 if sample.dim > 1 else 100)
-    return ad.run_selection(backend, plan or MultiplierPlan(), mode, grid, n_workers)
 
 
 def component_view(selection: ad.AdaptiveSelection, comp: int, grid) -> ad.AdaptiveSelection:
@@ -223,15 +201,18 @@ def component_view(selection: ad.AdaptiveSelection, comp: int, grid) -> ad.Adapt
 class PartiallyLinearSpec:
     """Nonparametric block basis plus indices of the linear columns of X."""
 
-    x1_spec: bs.BasisSpec | None
+    x1_spec: bs.BasisSpec
     linear_cols: tuple[int, ...] = ()
-    demean: bool = True
+
+    def __post_init__(self) -> None:
+        if self.x1_spec is None:
+            raise ConfigurationError("partially linear model needs a nonparametric block basis")
 
 
 @dataclass(eq=False)
 class PartiallyLinearFit:
     j: int
-    x1_basis: bs.BasisSpec | None
+    x1_basis: bs.BasisSpec
     coef: np.ndarray
     beta: np.ndarray
     x2_mean: np.ndarray
@@ -264,40 +245,29 @@ def fit_partially_linear(
 ) -> PartiallyLinearFit:
     """TSLS fit of (psi^J(x1)', x2')' using b^{K(J)}(w) as instruments.
 
-    With ``ispec=None`` the regressors instrument themselves (the exogenous
-    case), and with ``x1_spec=None`` the fit degenerates to ordinary linear IV
-    of Y on an intercept plus the demeaned linear block.
+    The linear block x2 enters demeaned. With ``ispec=None`` the regressors
+    instrument themselves (the exogenous case).
     """
     x1, x2 = _pl_blocks(sample, plspec)
-    x2_mean = x2.mean(axis=0) if plspec.demean and x2.size else np.zeros(x2.shape[1])
-    x2c = x2 - x2_mean[None, :]
+    if plspec.x1_spec.dim != (sample.dim - len(plspec.linear_cols)):
+        raise ConfigurationError("x1_spec dimension does not match the nonparametric block")
+    x2_mean = x2.mean(axis=0)
+    x1_basis = bs.spec_for_dimension(plspec.x1_spec, j, data=x1)
+    psi1 = bs.design_matrix(x1_basis, x1)
+    n_nonpar = psi1.shape[1]
+    design = np.hstack([psi1, x2 - x2_mean[None, :]])
     bmat = None
-    if plspec.x1_spec is None:
-        x1_basis = None
-        n_nonpar = 1
-        design = np.hstack([np.ones((sample.n, 1)), x2c])
-        if ispec is not None:
-            bmat = np.hstack([np.ones((sample.n, 1)), sample.w])
-            if bmat.shape[1] < design.shape[1]:
-                raise InvalidDimensionError("fewer instruments than linear regressors")
-    else:
-        if plspec.x1_spec.dim != (sample.dim - len(plspec.linear_cols)):
-            raise ConfigurationError("x1_spec dimension does not match the nonparametric block")
-        x1_basis = bs.spec_for_dimension(plspec.x1_spec, j, data=x1)
-        psi1 = bs.design_matrix(x1_basis, x1)
-        n_nonpar = psi1.shape[1]
-        design = np.hstack([psi1, x2c])
-        if ispec is not None:
-            k = bs.instrument_dim(ispec, j)
-            if k < design.shape[1]:
-                raise InvalidDimensionError(
-                    f"K(J)={k} is below the stacked design dimension {design.shape[1]}; "
-                    "increase q"
-                )
-            if k > sample.n:
-                raise est.InsufficientSampleError(f"K(J)={k} exceeds n={sample.n}")
-            w_basis = bs.instrument_spec_for(ispec, j, w_data=sample.w)
-            bmat = bs.design_matrix(w_basis, sample.w)
+    if ispec is not None:
+        k = bs.instrument_dim(ispec, j)
+        if k < design.shape[1]:
+            raise InvalidDimensionError(
+                f"K(J)={k} is below the stacked design dimension {design.shape[1]}; "
+                "increase q"
+            )
+        if k > sample.n:
+            raise est.InsufficientSampleError(f"K(J)={k} exceeds n={sample.n}")
+        w_basis = bs.instrument_spec_for(ispec, j, w_data=sample.w)
+        bmat = bs.design_matrix(w_basis, sample.w)
     m, coef, u_hat, s_hat, flags = est.tsls(design, bmat, sample.y)
     return PartiallyLinearFit(
         j=j, x1_basis=x1_basis, coef=coef, beta=coef[n_nonpar:], x2_mean=x2_mean,
@@ -308,8 +278,6 @@ def fit_partially_linear(
 
 def evaluate_h1(fit: PartiallyLinearFit, x1, deriv=0) -> np.ndarray:
     """The nonparametric block estimate h1 (or its derivative)."""
-    if fit.x1_basis is None:
-        raise ConfigurationError("fit has no nonparametric block")
     rows, sl = _h1_rows(fit, x1, deriv)
     return rows @ fit.coef[sl]
 
@@ -320,8 +288,6 @@ def _h1_rows(fit: PartiallyLinearFit, pts: np.ndarray, deriv):
 
 def partially_linear_model(plspec: PartiallyLinearSpec, ispec: bs.InstrumentSpec | None) -> est.SieveModel:
     """The partially linear model; it reports the nonparametric block h1."""
-    if plspec.x1_spec is None:
-        raise ConfigurationError("selection needs a nonparametric block")
     d2 = len(plspec.linear_cols)
     return est.SieveModel(
         fit=lambda sample, j: fit_partially_linear(sample, plspec, ispec, j),
@@ -330,20 +296,6 @@ def partially_linear_model(plspec: PartiallyLinearSpec, ispec: bs.InstrumentSpec
         selector=_h1_rows,
         grid_dim=plspec.x1_spec.dim,
     )
-
-
-def select_partially_linear(
-    sample: est.Sample,
-    plspec: PartiallyLinearSpec,
-    ispec: bs.InstrumentSpec | None = None,
-    plan: MultiplierPlan | None = None,
-    grid=None,
-    n_workers: int = 1,
-) -> ad.AdaptiveSelection:
-    """Data-driven dimension for the nonparametric block of a partially linear model."""
-    backend = est.SieveBackend(sample, partially_linear_model(plspec, ispec))
-    mode = "npiv" if ispec is not None else "regression"
-    return ad.run_selection(backend, plan or MultiplierPlan(), mode, grid, n_workers)
 
 
 # ---------------------------------------------------------------------------

@@ -333,7 +333,7 @@ def _covered(band: ucb.BandResult, truth_vals: np.ndarray) -> bool:
 
 
 def _band_pair(selection, plan, deriv, n_workers):
-    field = ucb._selection_field(selection, (deriv,))
+    field = ucb.selection_field(selection, (deriv,))
     b95 = ucb.band_deriv(selection, varfield=field, plan=plan, alpha=0.05, a=deriv, n_workers=n_workers)
     b90 = ucb.band_deriv(selection, varfield=field, plan=plan, alpha=0.10, a=deriv, n_workers=n_workers)
     return b95, b90
@@ -424,10 +424,9 @@ def run_mc(
                         diag_theta.append(selection.theta_star)
                         diag_ahat.append(selection.a_hat)
                     for j_det in det_js:
-                        fit_j = selection.backend.fit(j_det)
                         field_j = est.build_field(selection.backend, grid, (a,), (j_det,))
-                        u95 = ucb.band_undersmoothed(fit_j, field_j, rep_plan, alpha=0.05, a=a, n_workers=n_workers)
-                        u90 = ucb.band_undersmoothed(fit_j, field_j, rep_plan, alpha=0.10, a=a, n_workers=n_workers)
+                        u95 = ucb.band_undersmoothed(field_j, j_det, rep_plan, alpha=0.05, n_workers=n_workers)
+                        u90 = ucb.band_undersmoothed(field_j, j_det, rep_plan, alpha=0.10, n_workers=n_workers)
                         record((a, f"J={j_det}"), u95, u90, truth_vals)
             except Exception as exc:
                 raise RuntimeError(f"replication {rep} failed for n={n}: {exc}") from exc

@@ -72,7 +72,7 @@ def excludes_constant(band: BandResult) -> bool:
     return bool(np.max(band.lower) > np.min(band.upper))
 
 
-def _selection_field(
+def selection_field(
     selection: AdaptiveSelection, multi: tuple[int, ...], varfield: VarianceField | None = None
 ) -> VarianceField:
     """Variance field at derivative order ``multi`` over J_minus and J_tilde.
@@ -101,7 +101,7 @@ def band_deriv(
         raise ConfigurationError("alpha must lie in (0, 1)")
     plan = plan or MultiplierPlan()
     multi = bs.multi_index(a, selection.backend.grid_dim)
-    field = _selection_field(selection, multi, varfield)
+    field = selection_field(selection, multi, varfield)
     z_draws = sup_t_single(field, plan, selection.j_minus_set, n_workers=n_workers)
     z_star = quantile(z_draws, 1.0 - alpha)
     a_hat = selection.a_hat if a_fixed is None else float(a_fixed)
@@ -160,7 +160,7 @@ def band_robustness(
         raise InvalidSmoothnessError(
             f"robustness band needs p_lower > |a| (got p_lower={p_lower}, |a|={order})"
         )
-    field = _selection_field(selection, multi, varfield)
+    field = selection_field(selection, multi, varfield)
     band = band_deriv(selection, field, plan, alpha, multi, n_workers=n_workers)
     sigma = field.sigma[selection.j_tilde]
     bias_term = selection.j_tilde ** ((order - p_lower) / dim) / sigma
@@ -170,36 +170,25 @@ def band_robustness(
 
 
 def band_undersmoothed(
-    fit: est.NpivFit,
-    varfield: VarianceField | None = None,
+    varfield: VarianceField,
+    j: int,
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
-    a=0,
-    grid=None,
     n_workers: int = 1,
 ) -> BandResult:
-    """Deterministic-J band with halfwidth z*_{1-alpha,J} sigma_J(x)."""
+    """Deterministic-J band of the field's function: fit at J +/- z*_{1-alpha,J} sigma_J(x)."""
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
-    plan = plan or MultiplierPlan()
-    multi = bs.multi_index(a, fit.x_basis.dim)
-    if varfield is not None and fit.j in varfield.j_values and varfield.deriv == multi:
-        field = varfield
-    else:
-        pts = grid if grid is not None else (varfield.grid if varfield is not None else None)
-        if pts is None:
-            raise ConfigurationError("band_undersmoothed needs a grid or a variance field")
-        field = est.variance_field({fit.j: fit}, pts, multi)
-    z_draws = sup_t_single(field, plan, (fit.j,), n_workers=n_workers)
+    z_draws = sup_t_single(varfield, plan or MultiplierPlan(), (j,), n_workers=n_workers)
     z_star = quantile(z_draws, 1.0 - alpha)
     return BandResult(
-        grid=field.grid,
-        center=est.evaluate(fit, field.grid, multi),
-        halfwidth=z_star * field.sigma[fit.j],
+        grid=varfield.grid,
+        center=varfield.fitted(j),
+        halfwidth=z_star * varfield.sigma[j],
         kind="undersmoothed",
         level=1.0 - alpha,
-        deriv=multi,
-        j_used=fit.j,
+        deriv=varfield.deriv,
+        j_used=j,
         z_star=z_star,
         z_draws=z_draws,
     )

@@ -168,9 +168,9 @@ def test_criterion_6_property_suite():
     checks.append((f"polynomial reproduction {poly_err:.1e} < 1e-9", poly_err < 1e-9))
 
     # sigma~_{J,J} equals sigma^2_J exactly
-    fits = {j: est.fit(sample, cubic, ispec, j) for j in (4, 7)}
-    vf = est.variance_field(fits, np.linspace(0, 1, 50))
-    exact_cross = bool(np.array_equal(vf.cross(4, 4), vf.sigma2(4)))
+    backend = est.SieveBackend(sample, est.npiv_model(cubic, ispec))
+    vf = est.build_field(backend, np.linspace(0, 1, 50), 0, (4, 7))
+    exact_cross = bool(np.array_equal(vf.sigma[4], np.sqrt(vf.cross(4, 4))))
     checks.append(("self cross term equals sigma^2 exactly", exact_cross))
 
     # exact conditional normality: KS < 0.01 at B=1e5
@@ -230,8 +230,8 @@ def test_criterion_6_property_suite():
     spec = bs.BasisSpec(4, 2)
     x0, errs = 0.33, []
     for h in (1e-3, 5e-4):
-        fd = (bs.eval_basis(spec, x0 + h) - bs.eval_basis(spec, x0 - h)) / (2 * h)
-        errs.append(float(np.abs(fd - bs.eval_basis_deriv(spec, x0, 1)).max()))
+        fd = (bs.design_matrix(spec, x0 + h)[0] - bs.design_matrix(spec, x0 - h)[0]) / (2 * h)
+        errs.append(float(np.abs(fd - bs.design_matrix(spec, x0, 1)[0]).max()))
     ratio = errs[0] / errs[1]
     checks.append((f"derivative FD ratio {ratio:.2f} in [3.5, 4.5]", 3.5 < ratio < 4.5))
 

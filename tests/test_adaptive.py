@@ -34,11 +34,11 @@ class TestJHatMaxRegression:
 
     def test_n_1000(self):
         # 131 sqrt(log 131) ~ 289 <= 316.2 < 610 ~ 259 sqrt(log 259)
-        assert ad.j_hat_max_regression(1000, CUBIC) == 131
+        assert ad._j_hat_max_regression(1000, CUBIC, []) == 131
 
     def test_n_10000(self):
         # 259*2.356 ~ 610 <= 1000 < 515*2.498 ~ 1287
-        assert ad.j_hat_max_regression(10_000, CUBIC) == 259
+        assert ad._j_hat_max_regression(10_000, CUBIC, []) == 259
 
     def test_upsilon_shrinks_j_max(self):
         # exercise the bracket rule directly at a symbolic huge n: upsilon = 16
@@ -53,7 +53,7 @@ class TestJHatMaxRegression:
 
     def test_small_n_rejected(self):
         with pytest.raises(ConfigurationError):
-            ad.j_hat_max_regression(1, CUBIC)
+            ad._j_hat_max_regression(1, CUBIC, [])
 
 
 class TestJHatMaxNpiv:
@@ -79,8 +79,8 @@ class TestJHatMaxNpiv:
 
     def test_ill_posed_smaller_than_unit(self):
         sample = _npiv_sample(n=800, seed=3)
-        j_data = ad.j_hat_max_npiv(sample, CUBIC, ISPEC)
-        j_unit = ad.j_hat_max_regression(800, CUBIC)  # upsilon(800)=1, the s=1 rule
+        j_data = ad._j_hat_max_npiv(est.SieveBackend(sample, est.npiv_model(CUBIC, ISPEC)), [])
+        j_unit = ad._j_hat_max_regression(800, CUBIC, [])  # upsilon(800)=1, the s=1 rule
         assert j_data < j_unit
 
     def test_left_violation_flagged(self):
@@ -197,7 +197,7 @@ class TestSelect:
         y = np.sin(6 * x) + 0.4 * rng.standard_normal(n)
         sel = ad.select(est.Sample(y, x, x), CUBIC, mode="regression", plan=MultiplierPlan(100, 0))
         assert sel.j_tilde == sel.j_hat
-        assert sel.j_hat_max == ad.j_hat_max_regression(n, CUBIC)
+        assert sel.j_hat_max == ad._j_hat_max_regression(n, CUBIC, [])
 
     def test_npiv_requires_instruments(self):
         sample = _npiv_sample(n=100)

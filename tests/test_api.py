@@ -1,0 +1,44 @@
+"""The public surface: every exported name resolves, and modules use only each other's public names."""
+
+import ast
+from pathlib import Path
+
+import npivband
+
+PACKAGE = Path(npivband.__file__).parent
+
+
+def test_all_names_resolve():
+    missing = [name for name in npivband.__all__ if not hasattr(npivband, name)]
+    assert not missing
+
+
+def test_star_import():
+    namespace: dict = {}
+    exec("from npivband import *", namespace)
+    assert set(npivband.__all__) - {"__version__"} <= set(namespace)
+
+
+def _private_cross_module_uses(path: Path, modules: set[str]) -> list[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or node.module == "npivband"):
+            aliases |= {a.asname or a.name for a in node.names if a.name in modules}
+        elif isinstance(node, ast.Import):
+            aliases |= {a.asname for a in node.names if a.asname and a.name.startswith("npivband.")}
+    return [
+        f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in aliases
+        and node.attr.startswith("_")
+        and not node.attr.startswith("__")
+    ]
+
+
+def test_no_private_cross_module_access():
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    found = [use for path in sorted(PACKAGE.glob("*.py")) for use in _private_cross_module_uses(path, modules)]
+    assert not found, found

@@ -42,12 +42,12 @@ class TestDimensionGrid:
 
 class TestEvalBasis:
     def test_clamped_endpoint(self):
-        np.testing.assert_allclose(bs.eval_basis(CUBIC, 0.0), [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(bs.design_matrix(CUBIC, 0.0)[0], [1, 0, 0, 0], atol=1e-15)
 
     def test_bernstein_midpoint(self):
         # no interior knots => Bernstein degree-3 values C(3,k) x^k (1-x)^(3-k)
         expected = [comb(3, k) * 0.5**3 for k in range(4)]
-        np.testing.assert_allclose(bs.eval_basis(CUBIC, 0.5), expected, atol=1e-15)
+        np.testing.assert_allclose(bs.design_matrix(CUBIC, 0.5)[0], expected, atol=1e-15)
 
     def test_partition_of_unity_random(self):
         rng = np.random.default_rng(0)
@@ -64,9 +64,9 @@ class TestEvalBasis:
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
-            bs.eval_basis(CUBIC, 1.2)
+            bs.design_matrix(CUBIC, 1.2)
         with pytest.raises(DomainError):
-            bs.eval_basis(CUBIC, -0.1)
+            bs.design_matrix(CUBIC, -0.1)
 
     def test_at_most_order_nonzero(self):
         spec = bs.BasisSpec(4, 3)
@@ -82,8 +82,8 @@ class TestEvalBasis:
     def test_continuity_at_knots(self):
         spec = bs.BasisSpec(4, 2)
         for knot in spec.interior_knots[0]:
-            left = bs.eval_basis(spec, knot - 1e-11)
-            at = bs.eval_basis(spec, knot)
+            left = bs.design_matrix(spec, knot - 1e-11)[0]
+            at = bs.design_matrix(spec, knot)[0]
             assert np.abs(left - at).max() < 1e-10
 
 
@@ -106,7 +106,7 @@ class TestDerivatives:
 
     def test_bernstein_derivative(self):
         np.testing.assert_allclose(
-            bs.eval_basis_deriv(CUBIC, 0.5, 1), [-0.75, -0.75, 0.75, 0.75], atol=1e-14
+            bs.design_matrix(CUBIC, 0.5, 1)[0], [-0.75, -0.75, 0.75, 0.75], atol=1e-14
         )
 
     def test_derivative_sums_to_zero(self):
@@ -117,9 +117,9 @@ class TestDerivatives:
 
     def test_order_too_large(self):
         with pytest.raises(UnsupportedDerivativeError):
-            bs.eval_basis_deriv(CUBIC, 0.5, 3)
+            bs.design_matrix(CUBIC, 0.5, 3)
         with pytest.raises(UnsupportedDerivativeError):
-            bs.eval_basis_deriv(bs.BasisSpec(2, 1), 0.5, 1)
+            bs.design_matrix(bs.BasisSpec(2, 1), 0.5, 1)
 
     def test_finite_difference_second_order(self):
         # central difference error is O(h^2): halving h divides the error by ~4
@@ -127,8 +127,8 @@ class TestDerivatives:
         x0 = 0.33  # not a knot
         errs = []
         for h in (1e-3, 5e-4):
-            fd = (bs.eval_basis(spec, x0 + h) - bs.eval_basis(spec, x0 - h)) / (2 * h)
-            errs.append(np.abs(fd - bs.eval_basis_deriv(spec, x0, 1)).max())
+            fd = (bs.design_matrix(spec, x0 + h)[0] - bs.design_matrix(spec, x0 - h)[0]) / (2 * h)
+            errs.append(np.abs(fd - bs.design_matrix(spec, x0, 1)[0]).max())
         ratio = errs[0] / errs[1]
         assert 3.5 < ratio < 4.5
 
@@ -136,8 +136,8 @@ class TestDerivatives:
         spec = bs.BasisSpec(5, 2)
         x0 = 0.41
         h = 1e-4
-        fd = (bs.eval_basis_deriv(spec, x0 + h, 1) - bs.eval_basis_deriv(spec, x0 - h, 1)) / (2 * h)
-        np.testing.assert_allclose(fd, bs.eval_basis_deriv(spec, x0, 2), atol=1e-4)
+        fd = (bs.design_matrix(spec, x0 + h, 1)[0] - bs.design_matrix(spec, x0 - h, 1)[0]) / (2 * h)
+        np.testing.assert_allclose(fd, bs.design_matrix(spec, x0, 2)[0], atol=1e-4)
 
 
 class TestInstrumentDim:

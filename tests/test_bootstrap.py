@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,9 +20,8 @@ def _field(n=120, seed=0, js=(4, 7), grid=None, deriv=0):
     x = rng.random(n)
     w = np.clip(x + 0.15 * rng.standard_normal(n), 0, 1)
     y = np.sin(3 * x) + 0.5 * rng.standard_normal(n)
-    s = est.Sample(y, x, w)
-    fits = {j: est.fit(s, CUBIC, ISPEC, j) for j in js}
-    return est.variance_field(fits, grid if grid is not None else np.linspace(0, 1, 30), deriv)
+    backend = est.SieveBackend(est.Sample(y, x, w), est.npiv_model(CUBIC, ISPEC))
+    return est.build_field(backend, grid if grid is not None else np.linspace(0, 1, 30), deriv, js)
 
 
 def _dense_sup_t(field, plan, js=None, pairs=None):
@@ -160,13 +160,12 @@ class TestSupTSingle:
     def test_zero_residuals_error_propagates(self):
         rng = np.random.default_rng(5)
         x = rng.random(100)
-        f = est.fit(est.Sample(2 + 3 * x, x, x), CUBIC, None, 4)
-        f_zero = est.NpivFit(
-            j=4, k=4, x_basis=f.x_basis, psi=f.psi, bmat=f.bmat, m=f.m,
-            c_hat=f.c_hat, u_hat=np.zeros(f.n), s_hat=1.0,
-        )
+        sample = est.Sample(2 + 3 * x, x, x)
+        f = est.fit(sample, CUBIC, None, 4)
+        f_zero = replace(f, u_hat=np.zeros(f.n), s_hat=1.0)
+        model = replace(est.npiv_model(CUBIC, None), fit=lambda s, j: f_zero)
         with pytest.raises(DegenerateVarianceError):
-            est.variance_field({4: f_zero}, np.linspace(0, 1, 10))
+            est.build_field(est.SieveBackend(sample, model), np.linspace(0, 1, 10), 0, (4,))
 
     def test_sup_monotone_in_index_set(self):
         field = _field(js=(4, 7))
@@ -200,12 +199,9 @@ class TestSupTSingle:
         y = np.sin(3 * x) + 0.4 * rng.standard_normal(150)
         grid = np.linspace(0, 1, 25)
         plan = bt.MultiplierPlan(n_draws=150, base_seed=9)
-        f1 = est.variance_field(
-            {j: est.fit(est.Sample(y, x, w), CUBIC, ISPEC, j) for j in (4, 7)}, grid
-        )
-        f2 = est.variance_field(
-            {j: est.fit(est.Sample(2 * y, x, w), CUBIC, ISPEC, j) for j in (4, 7)}, grid
-        )
+        model = est.npiv_model(CUBIC, ISPEC)
+        f1 = est.build_field(est.SieveBackend(est.Sample(y, x, w), model), grid, 0, (4, 7))
+        f2 = est.build_field(est.SieveBackend(est.Sample(2 * y, x, w), model), grid, 0, (4, 7))
         np.testing.assert_array_equal(
             bt.sup_t_single(f1, plan, (4, 7)), bt.sup_t_single(f2, plan, (4, 7))
         )

@@ -131,9 +131,11 @@ class TestCmdFit:
             (["--mode", "partially_linear", "--linear-cols", "-1"], None),
             (["--mode", "partially_linear", "--linear-cols", "0", "1"], None),
             ([], "abc"),
+            (["--alpha"], None),
+            (["--alpha", "--p-lower", "2.5"], None),
         ],
         ids=["grid-size-0", "negative-deriv", "linear-col-out-of-range", "negative-linear-col",
-             "no-nonparametric-col", "non-integer-seed-env"],
+             "no-nonparametric-col", "non-integer-seed-env", "empty-alpha", "empty-alpha-p-lower"],
     )
     def test_bad_fit_option_usage_error(self, option, env, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(6)

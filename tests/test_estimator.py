@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -72,7 +75,7 @@ class TestFit:
     def test_normal_equations(self):
         f = est.fit(_noisy_sample(), CUBIC, ISPEC, 7)
         proj = f.bmat @ (np.linalg.pinv(f.bmat.T @ f.bmat) @ (f.bmat.T @ f.u_hat))
-        y_norm = np.linalg.norm(f.u_hat + f.psi @ f.c_hat)
+        y_norm = np.linalg.norm(f.u_hat + f.psi @ f.coef)
         assert np.abs(f.psi.T @ proj).max() < 1e-8 * y_norm
 
     def test_dense_oracle_small_sample(self):
@@ -84,7 +87,7 @@ class TestFit:
         f = est.fit(est.Sample(y6, x6, w6), spec, bs.InstrumentSpec(spec, q=0), 2)
         p = f.bmat @ np.linalg.pinv(f.bmat.T @ f.bmat) @ f.bmat.T
         c_oracle = np.linalg.solve(f.psi.T @ p @ f.psi, f.psi.T @ p @ y6)
-        np.testing.assert_allclose(f.c_hat, c_oracle, atol=1e-10)
+        np.testing.assert_allclose(f.coef, c_oracle, atol=1e-10)
 
     def test_insufficient_sample(self):
         s = _noisy_sample(n=15)
@@ -147,24 +150,26 @@ class TestShat:
         assert 0.0 <= f.s_hat <= 1.0
 
 
-class TestVarianceField:
-    def _fits(self, sample):
-        return {j: est.fit(sample, CUBIC, ISPEC, j) for j in (4, 7)}
+def _field(sample, grid, deriv=0, js=(4, 7), model=None):
+    backend = est.SieveBackend(sample, model or est.npiv_model(CUBIC, ISPEC))
+    return est.build_field(backend, grid, deriv, js)
 
+
+class TestVarianceField:
     def test_self_cross_equals_sigma2_exactly(self):
-        vf = est.variance_field(self._fits(_noisy_sample()), np.linspace(0, 1, 50))
-        np.testing.assert_array_equal(vf.cross(4, 4), vf.sigma2(4))
+        vf = _field(_noisy_sample(), np.linspace(0, 1, 50))
+        np.testing.assert_array_equal(vf.sigma[4], np.sqrt(vf.cross(4, 4)))
 
     def test_self_contrast_sd_zero(self):
-        vf = est.variance_field(self._fits(_noisy_sample()), np.linspace(0, 1, 50))
+        vf = _field(_noisy_sample(), np.linspace(0, 1, 50))
         assert np.abs(vf.contrast_sd(7, 7)).max() < 1e-10
 
     def test_scale_by_two_exact(self):
         s = _noisy_sample()
         s2 = est.Sample(2.0 * s.y, s.x, s.w)
         grid = np.linspace(0, 1, 40)
-        vf = est.variance_field(self._fits(s), grid)
-        vf2 = est.variance_field(self._fits(s2), grid)
+        vf = _field(s, grid)
+        vf2 = _field(s2, grid)
         np.testing.assert_array_equal(vf2.sigma[4], 2.0 * vf.sigma[4])
         # t-statistics of the fit difference are exactly invariant
         stat = vf.contrast_stat(4, 7)
@@ -183,19 +188,18 @@ class TestVarianceField:
             rows={4: bs.design_matrix(f.x_basis, grid)},
             m={4: f.m},
             u_hat={4: np.full(f.n, c)},
-            coef={4: f.c_hat},
+            coef={4: f.coef},
         )
         oracle = c**2 * np.einsum("gi,gi->g", rows, rows)
-        np.testing.assert_allclose(vf.sigma2(4), oracle, rtol=1e-12)
+        np.testing.assert_allclose(vf.cross(4, 4), oracle, rtol=1e-12)
 
     def test_zero_residuals_degenerate(self):
-        f = est.fit(_linear_sample(), CUBIC, None, 4)
-        f_zero = est.NpivFit(
-            j=f.j, k=f.k, x_basis=f.x_basis, psi=f.psi, bmat=f.bmat, m=f.m,
-            c_hat=f.c_hat, u_hat=np.zeros(f.n), s_hat=f.s_hat,
-        )
+        sample = _linear_sample()
+        f = est.fit(sample, CUBIC, None, 4)
+        f_zero = replace(f, u_hat=np.zeros(f.n))
+        model = replace(est.npiv_model(CUBIC, None), fit=lambda s, j: f_zero)
         with pytest.raises(DegenerateVarianceError):
-            est.variance_field({4: f_zero}, np.linspace(0, 1, 20))
+            _field(sample, np.linspace(0, 1, 20), js=(4,), model=model)
 
     def test_shift_invariance(self):
         s = _noisy_sample()
@@ -207,13 +211,24 @@ class TestVarianceField:
         grid = np.linspace(0, 1, 31)
         assert np.abs(est.evaluate(f2, grid) - est.evaluate(f, grid) - 5.0).max() < 1e-9
 
-    def test_mixed_samples_rejected(self):
-        f1 = est.fit(_noisy_sample(seed=1), CUBIC, ISPEC, 4)
-        f2 = est.fit(_noisy_sample(seed=2), CUBIC, ISPEC, 7)
-        with pytest.raises(ValueError):
-            est.variance_field({4: f1, 7: f2}, np.linspace(0, 1, 10))
-
     def test_derivative_field(self):
-        vf = est.variance_field(self._fits(_noisy_sample()), np.linspace(0, 1, 25), 1)
+        vf = _field(_noisy_sample(), np.linspace(0, 1, 25), 1)
         assert vf.deriv == (1,)
         assert (vf.sigma[4] > 0).all()
+
+    def test_contrast_rows_built_in_place(self):
+        # One G x (p + p2) array at the peak, no stacked, negated or masked copies beside it.
+        rng = np.random.default_rng(3)
+        x = rng.random(2000)
+        sample = est.Sample(np.sin(3 * x) + 0.5 * rng.standard_normal(2000), x, x)
+        vf = _field(sample, np.linspace(0, 1, 20_000), js=(67, 131), model=est.npiv_model(CUBIC, None))
+        tracemalloc.start()
+        try:
+            out = vf.contrast_rows(67, 131)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * out.nbytes
+        r1, r2, sd = vf.rows[67], vf.rows[131], vf.contrast_sd(67, 131)
+        v = sd > est.VARIANCE_FLOOR * max(vf.sigma[67].max(), vf.sigma[131].max())
+        np.testing.assert_array_equal(out, np.hstack([r1[v], -r2[v]]) / sd[v, None])

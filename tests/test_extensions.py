@@ -7,9 +7,14 @@ from npivband import estimator as est
 from npivband import extensions as ext
 from npivband import ucb
 from npivband.bootstrap import MultiplierPlan
+from npivband.errors import ConfigurationError
 
 CUBIC = bs.BasisSpec(4, 0)
 ASPEC = ext.AdditiveSpec((CUBIC, CUBIC))
+
+
+def _select(sample, model, plan, grid=None):
+    return ad.run_selection(est.SieveBackend(sample, model), plan, "regression", grid)
 
 
 def _additive_sample(n=400, seed=0, noise=0.0):
@@ -91,9 +96,10 @@ class TestAdditiveFit:
         y = 1 + np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
         plan = MultiplierPlan(80, 3)
         grid = ad.default_grid(2, 12)
-        sel_a = ext.select_additive(est.Sample(y, x, x), ASPEC, None, plan, grid=grid)
+        model = ext.additive_model(ASPEC, None)
+        sel_a = _select(est.Sample(y, x, x), model, plan, grid)
         x_sw = x[:, ::-1].copy()
-        sel_b = ext.select_additive(est.Sample(y, x_sw, x_sw), ASPEC, None, plan, grid=grid)
+        sel_b = _select(est.Sample(y, x_sw, x_sw), model, plan, grid)
         assert sel_a.j_tilde == sel_b.j_tilde
         # column reordering perturbs BLAS summation order at the last few bits
         assert sel_a.theta_star == pytest.approx(sel_b.theta_star, rel=1e-6)
@@ -112,7 +118,7 @@ class TestAdditiveFit:
         truth1 = np.sin(3 * x[:, 0])
         y = 1 + truth1 + x[:, 1] + 0.4 * rng.standard_normal(n)
         plan = MultiplierPlan(100, 5)
-        sel = ext.select_additive(est.Sample(y, x, x), ASPEC, None, plan, grid=ad.default_grid(2, 12))
+        sel = _select(est.Sample(y, x, x), ext.additive_model(ASPEC, None), plan, ad.default_grid(2, 12))
         g1 = np.linspace(0, 1, 40)
         band = ucb.band_deriv(ext.component_view(sel, 0, g1), plan=plan, alpha=0.05, a=0)
         centered_truth = np.sin(3 * g1) - (1 - np.cos(3.0)) / 3.0
@@ -144,7 +150,7 @@ class TestPartiallyLinear:
         spec = ext.PartiallyLinearSpec(CUBIC, linear_cols=())
         fit = ext.fit_partially_linear(s, spec, None, 7)
         plain = est.fit(s, CUBIC, None, 7)
-        np.testing.assert_allclose(fit.coef, plain.c_hat, atol=1e-10)
+        np.testing.assert_allclose(fit.coef, plain.coef, atol=1e-10)
 
     def test_two_block_oracle(self):
         rng = np.random.default_rng(7)
@@ -161,21 +167,9 @@ class TestPartiallyLinear:
         np.testing.assert_allclose(fit.coef, coef, atol=1e-9)
         np.testing.assert_allclose(fit.beta, coef[fit.n_nonpar:], atol=1e-9)
 
-    def test_no_nonparametric_block_is_linear_iv(self):
-        rng = np.random.default_rng(8)
-        n = 400
-        w = rng.random(n)
-        x2 = np.clip(w + 0.2 * rng.standard_normal(n), 0, 1)
-        y = 0.5 + 2.0 * x2 + 0.3 * rng.standard_normal(n)
-        s = est.Sample(y, x2, w)
-        spec = ext.PartiallyLinearSpec(None, linear_cols=(0,))
-        fit = ext.fit_partially_linear(s, spec, bs.InstrumentSpec(CUBIC, q=2), 4)
-        # standard two-stage least squares with an intercept
-        design = np.column_stack([np.ones(n), x2 - x2.mean()])
-        inst = np.column_stack([np.ones(n), w])
-        proj = inst @ np.linalg.pinv(inst.T @ inst) @ inst.T
-        beta = np.linalg.solve(design.T @ proj @ design, design.T @ proj @ y)
-        assert fit.beta[0] == pytest.approx(beta[1], abs=1e-10)
+    def test_spec_needs_nonparametric_block(self):
+        with pytest.raises(ConfigurationError):
+            ext.PartiallyLinearSpec(None, linear_cols=(0,))
 
     def test_selection_runs(self):
         rng = np.random.default_rng(9)
@@ -185,7 +179,7 @@ class TestPartiallyLinear:
         y = np.sin(4 * x1) + 1.2 * x2 + 0.4 * rng.standard_normal(n)
         s = est.Sample(y, np.column_stack([x1, x2]), np.column_stack([x1, x2]))
         spec = ext.PartiallyLinearSpec(CUBIC, linear_cols=(1,))
-        sel = ext.select_partially_linear(s, spec, None, MultiplierPlan(80, 1))
+        sel = _select(s, ext.partially_linear_model(spec, None), MultiplierPlan(80, 1))
         assert sel.j_tilde in sel.index_set
         assert sel.grid.shape[1] == 1
 

@@ -9,7 +9,7 @@ from npivband import basis as bs
 from npivband import estimator as est
 from npivband import ucb
 from npivband.bootstrap import MultiplierPlan
-from npivband.errors import InvalidSmoothnessError
+from npivband.errors import InvalidDimensionError, InvalidSmoothnessError
 
 CUBIC = bs.BasisSpec(4, 0)
 ISPEC = bs.InstrumentSpec(CUBIC, q=2)
@@ -130,22 +130,25 @@ class TestUndersmoothed:
     def test_single_point_grid_normal_quantile(self):
         # one grid point: z* converges to the pointwise two-sided critical value
         sample = _sample(n=100, seed=3)
-        fit = est.fit(sample, CUBIC, ISPEC, 4)
+        field = est.build_field(est.SieveBackend(sample, est.npiv_model(CUBIC, ISPEC)), [0.5], 0, (4,))
         plan = MultiplierPlan(n_draws=100_000, base_seed=5)
-        band = ucb.band_undersmoothed(fit, plan=plan, alpha=0.05, grid=np.array([0.5]))
+        band = ucb.band_undersmoothed(field, 4, plan=plan, alpha=0.05)
         assert band.z_star == pytest.approx(1.96, abs=0.02)
 
     def test_contains_center_and_no_inflation(self, selection):
-        fit = selection.fits[selection.j_tilde]
-        band = ucb.band_undersmoothed(fit, plan=PLAN, alpha=0.05, grid=GRID)
+        j = selection.j_tilde
+        field = est.build_field(selection.backend, GRID, 0, (j,))
+        band = ucb.band_undersmoothed(field, j, plan=PLAN, alpha=0.05)
         assert band.kind == "undersmoothed"
         assert band.theta_star is None and band.a_hat is None
-        np.testing.assert_array_equal(band.center, est.evaluate(fit, GRID))
+        np.testing.assert_array_equal(band.center, est.evaluate(selection.backend.fit(j), GRID))
 
     def test_fixed_j_supplied_by_user(self, selection):
-        fit7 = selection.fits.get(7) or selection.backend.fit(7)
-        band = ucb.band_undersmoothed(fit7, plan=PLAN, alpha=0.05, grid=GRID)
+        field = est.build_field(selection.backend, GRID, 0, (7,))
+        band = ucb.band_undersmoothed(field, 7, plan=PLAN, alpha=0.05)
         assert band.j_used == 7
+        with pytest.raises(InvalidDimensionError):
+            ucb.band_undersmoothed(field, 11, plan=PLAN, alpha=0.05)
 
 
 class TestExcludesConstant:
