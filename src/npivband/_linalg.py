@@ -1,9 +1,10 @@
 """Generalized inverses of Gram matrices with a fixed relative cutoff.
 
-All pseudo-inverses in the package use the same rule: eigenvalues (or
-singular values) at or below ``sigma_max * n_ambient * eps`` are treated as
-zero, where ``n_ambient`` is the largest dimension involved in forming the
-matrix (typically ``max(n, K)``).
+All pseudo-inverses in the package use the same rule: eigenvalues at or below
+``sigma_max * n_ambient * eps`` are treated as zero, where ``n_ambient`` is
+the largest dimension involved in forming the matrix (typically
+``max(n, K)``). A Gram is eigendecomposed once by ``psd_eigen``; its
+pseudo-inverse and inverse square root are both formed from those eigenpairs.
 """
 
 from __future__ import annotations
@@ -18,31 +19,21 @@ def spectral_cutoff(values: np.ndarray, n_ambient: int) -> float:
     return vmax * n_ambient * _EPS
 
 
-def pinv_psd(a: np.ndarray, n_ambient: int) -> tuple[np.ndarray, int]:
-    """Pseudo-inverse of a symmetric PSD matrix.
+def psd_eigen(a: np.ndarray, n_ambient: int) -> tuple[np.ndarray, np.ndarray]:
+    """The eigenvalues above the cutoff of a symmetric PSD matrix and their eigenvectors.
 
-    Returns the inverse restricted to the numerically nonzero eigenspace and
-    the retained rank.
+    The number of values returned is the retained rank.
     """
-    a = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(a)
-    tol = spectral_cutoff(np.maximum(w, 0.0), n_ambient)
-    keep = w > tol
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros_like(a), 0
-    vk = v[:, keep]
-    return (vk / w[keep]) @ vk.T, rank
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
+    keep = w > spectral_cutoff(np.maximum(w, 0.0), n_ambient)
+    return w[keep], v[:, keep]
 
 
-def inv_sqrt_psd(a: np.ndarray, n_ambient: int) -> tuple[np.ndarray, int]:
-    """Pseudo inverse square root ``A^{-1/2}`` of a symmetric PSD matrix."""
-    a = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(a)
-    tol = spectral_cutoff(np.maximum(w, 0.0), n_ambient)
-    keep = w > tol
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros_like(a), 0
-    vk = v[:, keep]
-    return (vk / np.sqrt(w[keep])) @ vk.T, rank
+def pinv_psd(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pseudo-inverse from the retained eigenpairs ``psd_eigen`` returns (zero at rank 0)."""
+    return (v / w) @ v.T
+
+
+def inv_sqrt_psd(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Pseudo inverse square root ``A^{-1/2}`` from the retained eigenpairs (zero at rank 0)."""
+    return (v / np.sqrt(w)) @ v.T

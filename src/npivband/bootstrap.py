@@ -8,11 +8,16 @@ size, kept read-only on the plan for the plan's lifetime (B * n * 8 bytes),
 and shared by theta*, every band's z* and every alpha level.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
-only through the p x B projections W_J Omega', computed once per (field,
-plan) and memoized on the field. A sup-t statistic multiplies small row
-blocks by them with a running per-draw maximum, in fixed 64-draw slices,
-which keeps results bit-identical for any number of worker threads.
-``sup_t_single`` results are memoized on the field as well.
+only through the p x B projections W_J Omega', one product per J, computed
+once per (field, plan) and memoized on the field. The draws of J at the grid
+are D*_J = rows_J W_J Omega'. A contrast draw is the difference
+D*_J - D*_J2 of per-J draws, each taken once per chunk of grid rows however
+many pairs share it, and scaled by the pair's sd; no contrast rows are
+formed, and fits that alias each other give exactly zero because their
+per-pair Grams make the sd exactly zero. Every sup-t statistic keeps a
+running per-draw maximum over fixed 64-draw slices, which keeps results
+bit-identical for any number of worker threads. ``sup_t_single`` results
+are memoized on the field as well.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from .errors import ConfigurationError, InvalidDimensionError
 from .estimator import VarianceField
 
 _BLOCK = 64
+#: Grid rows per chunk of the contrast sweep, which holds one rows x 64 array of draws per J.
+_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -82,23 +89,28 @@ def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.
 
 
 def _sup_over_draws(blocks, n_draws: int, n_workers: int = 1) -> np.ndarray:
-    """Per-draw max of |rows @ projection| over the blocks, in fixed 64-draw slices (so for any n_workers)."""
+    """Per-draw max over the blocks, in fixed 64-draw slices (so for any n_workers).
+
+    A block maps a slice ``(start, stop)`` of the draws to its per-draw sup;
+    blocks run one after another, the slices of a block in parallel.
+    """
     sups = np.zeros(n_draws)
     slices = [(s, min(s + _BLOCK, n_draws)) for s in range(0, n_draws, _BLOCK)]
     with ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext() as pool:
         mapper = map if pool is None else pool.map
-        for rows, proj in blocks:
-            if rows.shape[0] == 0:
-                continue
-
-            def one(bounds: tuple[int, int], rows=rows, proj=proj) -> np.ndarray:
-                start, stop = bounds
-                vals = rows @ proj[:, start:stop]
-                return np.abs(vals, out=vals).max(axis=0)
-
-            for (start, stop), vals in zip(slices, mapper(one, slices)):
+        for block in blocks:
+            for (start, stop), vals in zip(slices, mapper(block, slices)):
                 np.maximum(sups[start:stop], vals, out=sups[start:stop])
     return sups
+
+
+def _single_block(rows: np.ndarray, proj: np.ndarray):
+    """Per-draw sup of |rows @ proj| over the rows."""
+    def block(bounds: tuple[int, int]) -> np.ndarray:
+        vals = rows @ proj[:, slice(*bounds)]
+        return np.abs(vals, out=vals).max(axis=0)
+
+    return block
 
 
 def sup_t_single(
@@ -122,7 +134,7 @@ def sup_t_single(
     sups = varfield.sup_t_memo.get(key)
     if sups is None:
         proj = _projections(varfield, plan)
-        blocks = ((varfield.rows[j] / varfield.sigma[j][:, None], proj[j]) for j in key[2])
+        blocks = (_single_block(varfield.rows[j] / varfield.sigma[j][:, None], proj[j]) for j in key[2])
         sups = _sup_over_draws(blocks, plan.n_draws, n_workers)
         varfield.sup_t_memo[key] = sups
     return sups.copy()
@@ -138,7 +150,9 @@ def sup_t_contrast(
 
     The multipliers are held fixed across the whole supremum within one draw.
     Grid points where the contrast sd is degenerate (which certifies a
-    degenerate numerator) are excluded.
+    degenerate numerator) are excluded. The draws D*_J of each J in the pairs
+    are computed once per slice and chunk of grid rows, and each pair's draws
+    are their difference.
     """
     if pairs is None:
         js = varfield.j_values
@@ -149,8 +163,25 @@ def sup_t_contrast(
     for j, j2 in pairs:
         if j2 <= j:
             raise InvalidDimensionError(f"contrast pairs require J2 > J, got ({j}, {j2})")
+    scales = varfield.contrast_scales(pairs)
     proj = _projections(varfield, plan)
-    blocks = ((varfield.contrast_rows(j, j2), np.vstack([proj[j], proj[j2]])) for j, j2 in pairs)
+    js = sorted({j for pair in pairs for j in pair})
+    g = varfield.grid.shape[0]
+
+    def chunk(lo: int, hi: int):
+        def block(bounds: tuple[int, int]) -> np.ndarray:
+            start, stop = bounds
+            draws = {j: varfield.rows[j][lo:hi] @ proj[j][:, start:stop] for j in js}
+            sup, diff = np.zeros(stop - start), np.empty((hi - lo, stop - start))
+            for (j, j2), scale in zip(pairs, scales):
+                np.subtract(draws[j], draws[j2], out=diff)
+                diff /= scale[lo:hi, None]
+                np.maximum(sup, np.abs(diff, out=diff).max(axis=0), out=sup)
+            return sup
+
+        return block
+
+    blocks = (chunk(lo, min(lo + _ROWS, g)) for lo in range(0, g, _ROWS))
     return _sup_over_draws(blocks, plan.n_draws, n_workers)
 
 

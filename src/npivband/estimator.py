@@ -20,14 +20,14 @@ from __future__ import annotations
 import copy
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
-from itertools import takewhile
+from itertools import groupby, takewhile
 from typing import Callable
 
 import numpy as np
 
 from . import basis as bs
-from ._linalg import inv_sqrt_psd, pinv_psd
-from .errors import DegenerateVarianceError, InsufficientSampleError
+from ._linalg import inv_sqrt_psd, pinv_psd, psd_eigen
+from .errors import DegenerateVarianceError, InsufficientSampleError, InvalidDimensionError
 
 #: sigma(x) below this fraction of the field's largest sigma is degenerate.
 VARIANCE_FLOOR = 1e-12
@@ -102,63 +102,49 @@ class NpivFit:
 
 
 def tsls_influence(psi: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The J x n matrix M = (Psi' P_K Psi)^- Psi' P_K, never forming P_K."""
-    n, j = psi.shape
-    k = bmat.shape[1]
-    gram_b = bmat.T @ bmat
-    cross = bmat.T @ psi
-    gb_inv, rank_b = pinv_psd(gram_b, max(n, k))
-    proj = gb_inv @ cross
-    a = cross.T @ proj
-    a_inv, rank_a = pinv_psd(a, max(n, j))
-    m = (a_inv @ proj.T) @ bmat.T
-    flags = []
-    if rank_b < k:
-        flags.append("instrument_gram_rank_deficient")
-    if rank_a < j:
-        flags.append("design_rank_deficient")
-    return m, tuple(flags)
-
-
-def singular_value_min(psi: np.ndarray, bmat: np.ndarray) -> tuple[float, tuple[str, ...]]:
-    """Smallest singular value of (B'B)^{-1/2} (B'Psi) (Psi'Psi)^{-1/2}.
-
-    With rank-deficient Grams the value is computed on the reduced rank space
-    and flagged.
-    """
-    n, j = psi.shape
-    k = bmat.shape[1]
-    rb, rank_b = inv_sqrt_psd(bmat.T @ bmat, max(n, k))
-    rp, rank_p = inv_sqrt_psd(psi.T @ psi, max(n, j))
-    c = rb @ (bmat.T @ psi) @ rp
-    sv = np.linalg.svd(c, compute_uv=False)
-    rank = min(rank_b, rank_p, sv.size)
-    flags: tuple[str, ...] = ()
-    if rank_b < k or rank_p < j:
-        flags = ("shat_reduced_rank",)
-    if rank == 0:
-        return 0.0, flags
-    return float(min(sv[rank - 1], 1.0)), flags
+    """The J x n matrix M = (Psi' P_K Psi)^- Psi' P_K, never forming P_K, and the fit flags of ``tsls``."""
+    m, _, _, _, flags = tsls(psi, bmat, np.zeros(psi.shape[0]))
+    return m, flags
 
 
 def tsls(design: np.ndarray, bmat: np.ndarray | None, y: np.ndarray):
     """Sieve TSLS of y on ``design`` with instruments ``bmat``; series least squares when None.
 
     Returns ``(m, coef, u_hat, s_hat, flags)``: the influence matrix M with
-    coef = M y, the residuals, the singular-value proxy s_hat (computed with
-    the design as its own instrument when ``bmat`` is None) and the fit flags.
+    coef = M y, the residuals, the singular-value proxy s_hat and the fit
+    flags. s_hat is the smallest singular value of
+    (B'B)^{-1/2} (B'Psi) (Psi'Psi)^{-1/2}, with the design as its own
+    instrument when ``bmat`` is None; with rank-deficient Grams it is taken
+    on the reduced rank space and flagged. Each Gram is formed and
+    eigendecomposed once.
     """
-    n, width = design.shape
+    n, j = design.shape
+    gram_p = design.T @ design
+    eig_p = psd_eigen(gram_p, max(n, j))
     if bmat is None:
-        g_inv, rank = pinv_psd(design.T @ design, max(n, width))
-        m = g_inv @ design.T
-        flags: tuple[str, ...] = ("design_rank_deficient",) if rank < width else ()
+        k, eig_b, cross = j, eig_p, gram_p
+        m = pinv_psd(*eig_p) @ design.T
+        flags = []
+        rank = eig_p[0].size
     else:
-        m, flags = tsls_influence(design, bmat)
+        k = bmat.shape[1]
+        cross = bmat.T @ design
+        eig_b = psd_eigen(bmat.T @ bmat, max(n, k))
+        proj = pinv_psd(*eig_b) @ cross
+        eig_a = psd_eigen(cross.T @ proj, max(n, j))
+        m = (pinv_psd(*eig_a) @ proj.T) @ bmat.T
+        flags = ["instrument_gram_rank_deficient"] if eig_b[0].size < k else []
+        rank = eig_a[0].size
+    if rank < j:
+        flags.append("design_rank_deficient")
     coef = m @ y
     u_hat = y - design @ coef
-    s_hat, s_flags = singular_value_min(design, design if bmat is None else bmat)
-    return m, coef, u_hat, s_hat, flags + s_flags
+    sv = np.linalg.svd(inv_sqrt_psd(*eig_b) @ cross @ inv_sqrt_psd(*eig_p), compute_uv=False)
+    if eig_b[0].size < k or eig_p[0].size < j:
+        flags.append("shat_reduced_rank")
+    rank_s = min(eig_b[0].size, eig_p[0].size, sv.size)
+    s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
+    return m, coef, u_hat, s_hat, tuple(flags)
 
 
 def fit(sample: Sample, x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None, j: int) -> NpivFit:
@@ -213,10 +199,15 @@ class VarianceField:
 
     Per J: the G x p selector rows d^a psi^J(x)', the rows M_J[slice] of the
     fit's influence matrix, its residuals and coef[slice]. The scores are
-    S_J = rows_J W_J with p x n weights W_J = M_J[slice] diag(u_J): sigma_J^2
-    and sigma~_{J,J2} are row-wise quadratic forms in W_J W_J2', and the
-    bootstrap needs only W_J Omega' (memoized in ``projections``; its draws in
-    ``sup_t_memo``). ``influence`` and ``scores`` compute G x n rows on read.
+    S_J = rows_J W_J with p x n weights W_J = M_J[slice] diag(u_J).
+    sigma_J^2 and sigma~_{J,J2} are row-wise quadratic forms in the Grams
+    W_J W_J2', each its own general product on one operand layout, so fits
+    that alias each other contrast to exactly zero. The bootstrap needs only
+    the per-J projections W_J Omega' (memoized in ``projections``; single-J
+    draws in ``sup_t_memo``), each its own product, so the draws of J do not
+    depend on which other J the field holds. Contrast draws are differences
+    of per-J draws, so no contrast rows exist. ``influence`` and ``scores``
+    compute G x n rows on read.
     """
 
     grid: np.ndarray
@@ -247,13 +238,20 @@ class VarianceField:
                     f"sigma_J collapses on the grid for J={j}; variance is degenerate"
                 )
 
-    def _quadratic(self, j: int, j2: int) -> np.ndarray:
-        """rows_J(x) W_J W_J2' rows_J2(x)' at every grid point x."""
-        # One general product for every pair: w @ w.T would take the symmetric BLAS
-        # routine, which rounds differently, and aliased fits must contrast to exactly zero.
-        gram = self.weights[j] @ np.ascontiguousarray(self.weights[j2].T)
-        out = np.einsum("gp,gp->g", self.rows[j] @ gram, self.rows[j2])
-        return np.maximum(out, 0.0) if j == j2 else out
+    def _fill_cross(self, pairs) -> None:
+        """Compute the cross terms of ``pairs`` not yet held, transposing each W_J2 once per call."""
+        todo = sorted({(min(p), max(p)) for p in pairs} - self._cross.keys(), key=lambda k: (k[1], k[0]))
+        missing = sorted({j for key in todo for j in key} - set(self.j_values))
+        if missing:
+            raise InvalidDimensionError(f"J values {missing} are not in the variance field")
+        for j2, group in groupby(todo, key=lambda k: k[1]):
+            # One general product per pair on a contiguous copy of W_J2': w @ w.T would take
+            # the symmetric BLAS routine, which rounds differently, and aliased fits must
+            # contrast to exactly zero. The copy lives for this call only.
+            w2_t = np.ascontiguousarray(self.weights[j2].T)
+            for j, _ in group:
+                out = np.einsum("gp,gp->g", self.rows[j] @ (self.weights[j] @ w2_t), self.rows[j2])
+                self._cross[(j, j2)] = np.maximum(out, 0.0) if j == j2 else out
 
     @property
     def n(self) -> int:
@@ -275,9 +273,8 @@ class VarianceField:
 
     def cross(self, j: int, j2: int) -> np.ndarray:
         """sigma~_{J,J2}(x) = psi' M_J diag(u_J u_J2) M_J2' psi; sigma_J^2(x) when J2 = J."""
-        key = (j, j2) if j <= j2 else (j2, j)
-        if key not in self._cross:
-            self._cross[key] = self._quadratic(*key)
+        key = (min(j, j2), max(j, j2))
+        self._fill_cross([key])
         return self._cross[key]
 
     def contrast_sd(self, j: int, j2: int) -> np.ndarray:
@@ -285,22 +282,20 @@ class VarianceField:
         var = self.cross(j, j) + self.cross(j2, j2) - 2.0 * self.cross(j, j2)
         return np.sqrt(np.maximum(var, 0.0))
 
-    def contrast_rows(self, j: int, j2: int) -> np.ndarray:
-        """Contrast rows [rows_J, -rows_J2] / sigma_{J,J2} at the grid points above the floor."""
-        # A point with a sub-floor sd is dropped: the sd is the l2 norm of the
-        # score-difference row, so it certifies a degenerate numerator.
-        sd = self.contrast_sd(j, j2)
-        valid = sd > VARIANCE_FLOOR * max(float(self.sigma[j].max()), float(self.sigma[j2].max()))
-        rows, rows2 = self.rows[j], self.rows[j2]
-        if not valid.all():
-            rows, rows2, sd = rows[valid], rows2[valid], sd[valid]
-        # Filled and scaled in place, so a pair holds one G x (p + p2) array at a time.
-        p = rows.shape[1]
-        out = np.empty((sd.size, p + rows2.shape[1]))
-        out[:, :p] = rows
-        np.negative(rows2, out=out[:, p:])
-        out /= sd[:, None]
-        return out
+    def contrast_scales(self, pairs) -> list[np.ndarray]:
+        """Per pair (J, J2), sigma_{J,J2}(x) at the grid points above the floor and inf elsewhere.
+
+        A sub-floor sd is the l2 norm of a degenerate score-difference row, so
+        a contrast divided by these scales is zero there and drops out of
+        every sup.
+        """
+        self._fill_cross(pairs)
+        scales = []
+        for j, j2 in pairs:
+            sd = self.contrast_sd(j, j2)
+            floor = VARIANCE_FLOOR * max(float(self.sigma[j].max()), float(self.sigma[j2].max()))
+            scales.append(np.where(sd > floor, sd, np.inf))
+        return scales
 
     def contrast_stat(self, j: int, j2: int) -> float:
         """sup over valid x of |h_J(x) - h_J2(x)| / sigma_{J,J2}(x).
@@ -309,8 +304,8 @@ class VarianceField:
         bootstrap contrast process calibrates (the residual projection
         psi' M_J u_hat is identically zero by the TSLS normal equations).
         """
-        t = self.contrast_rows(j, j2) @ np.concatenate([self.coef[j], self.coef[j2]])
-        return float(np.abs(t).max(initial=0.0))
+        (scale,) = self.contrast_scales([(j, j2)])
+        return float(np.abs((self.fitted(j) - self.fitted(j2)) / scale).max(initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)

@@ -423,10 +423,10 @@ def run_mc(
                         diag_z.append(b95.z_star)
                         diag_theta.append(selection.theta_star)
                         diag_ahat.append(selection.a_hat)
+                    det_field = est.build_field(selection.backend, grid, (a,), det_js) if det_js else None
                     for j_det in det_js:
-                        field_j = est.build_field(selection.backend, grid, (a,), (j_det,))
-                        u95 = ucb.band_undersmoothed(field_j, j_det, rep_plan, alpha=0.05, n_workers=n_workers)
-                        u90 = ucb.band_undersmoothed(field_j, j_det, rep_plan, alpha=0.10, n_workers=n_workers)
+                        u95 = ucb.band_undersmoothed(det_field, j_det, rep_plan, alpha=0.05, n_workers=n_workers)
+                        u90 = ucb.band_undersmoothed(det_field, j_det, rep_plan, alpha=0.10, n_workers=n_workers)
                         record((a, f"J={j_det}"), u95, u90, truth_vals)
             except Exception as exc:
                 raise RuntimeError(f"replication {rep} failed for n={n}: {exc}") from exc

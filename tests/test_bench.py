@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark harness: one traced round of each workload.
+
+The harness patches and reads library names (``adaptive.select``,
+``VarianceField.influence`` and ``.scores``, the traced functions), so a
+library change that breaks it shows here rather than in a benchmark run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize("workload", ["mc_trade", "mc_reg_wiggly", "cli_fit"])
+def test_one_traced_round_is_correct(workload):
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True, proc.stderr
+    assert result["failed"] == 0, proc.stderr

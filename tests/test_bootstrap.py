@@ -101,6 +101,30 @@ class TestFactoredScores:
         assert peak < g * n * 8 / 10
 
 
+    def test_contrast_sweep_bounded(self):
+        # J=67 against J=131 on 20,000 grid points at n=2000: the per-J draws are
+        # taken in bounded chunks of grid rows, never as one G x (p + p2) array of
+        # contrast rows (20,000 * 198 * 8 bytes).
+        rng = np.random.default_rng(3)
+        n = 2000
+        x = rng.random(n)
+        backend = est.SieveBackend(est.Sample(np.sin(3 * x) + 0.5 * rng.standard_normal(n), x, x),
+                                   est.npiv_model(CUBIC, None))
+        field = est.build_field(backend, np.linspace(0, 1, 20_000), 0, (67, 131))
+        plan = bt.MultiplierPlan(n_draws=150, base_seed=23)
+        first = bt.sup_t_contrast(field, plan)
+        tracemalloc.start()
+        try:
+            again = bt.sup_t_contrast(field, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000 * 198 * 8 / 2
+        np.testing.assert_array_equal(again, first)
+        for workers in (3, 4):
+            np.testing.assert_array_equal(bt.sup_t_contrast(field, plan, n_workers=workers), first)
+
+
 class TestDrawMultipliers:
     def test_deterministic_per_stream(self):
         plan = bt.MultiplierPlan(n_draws=10, base_seed=99)
@@ -224,19 +248,31 @@ class TestSupTContrast:
             bt.sup_t_contrast(field, bt.MultiplierPlan(10, 0), [])
 
     def test_aliased_fits_degenerate_sd_handled(self):
-        # J2 aliasing J: identical influence rows and residuals contrast to zero
+        # J2 aliasing J: identical influence rows and residuals contrast to exactly
+        # zero, also with 19- and 67-column blocks, where BLAS tiles do not line up
+        cases = [(_field(js=(4, 7)), 4, 5), (_field(n=2000, js=(19, 67)), 19, 35),
+                 (_field(n=2000, js=(19, 67)), 67, 131)]
+        for field, j, j2 in cases:
+            alias = est.VarianceField(
+                grid=field.grid,
+                deriv=(0,),
+                j_values=(j, j2),
+                rows={j: field.rows[j], j2: field.rows[j].copy()},
+                m={j: field.m[j], j2: field.m[j].copy()},
+                u_hat={j: field.u_hat[j], j2: field.u_hat[j].copy()},
+                coef={j: field.coef[j], j2: field.coef[j].copy()},
+            )
+            sups = bt.sup_t_contrast(alias, bt.MultiplierPlan(50, 1), [(j, j2)])
+            np.testing.assert_array_equal(sups, np.zeros(50))
+            np.testing.assert_array_equal(alias.contrast_sd(j, j2), np.zeros(field.grid.shape[0]))
+            assert alias.contrast_stat(j, j2) == 0.0
+
+    def test_unknown_j_rejected(self):
         field = _field(js=(4, 7))
-        alias = est.VarianceField(
-            grid=field.grid,
-            deriv=(0,),
-            j_values=(4, 5),
-            rows={4: field.rows[4], 5: field.rows[4].copy()},
-            m={4: field.m[4], 5: field.m[4].copy()},
-            u_hat={4: field.u_hat[4], 5: field.u_hat[4].copy()},
-            coef={4: field.coef[4], 5: field.coef[4].copy()},
-        )
-        sups = bt.sup_t_contrast(alias, bt.MultiplierPlan(50, 1), [(4, 5)])
-        np.testing.assert_array_equal(sups, np.zeros(50))
+        with pytest.raises(InvalidDimensionError):
+            bt.sup_t_contrast(field, bt.MultiplierPlan(10, 0), [(4, 11)])
+        with pytest.raises(InvalidDimensionError):
+            field.contrast_stat(4, 11)
 
     def test_quantile_monotone_across_levels(self):
         field = _field(js=(4, 7))

@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +5,8 @@ import pytest
 
 from npivband import basis as bs
 from npivband import estimator as est
+from npivband import simgen as sg
+from npivband._linalg import spectral_cutoff
 from npivband.errors import DegenerateVarianceError, InsufficientSampleError
 
 CUBIC = bs.BasisSpec(4, 0)
@@ -99,6 +100,87 @@ class TestFit:
         x = rng.random(100)
         f = est.fit(est.Sample(np.full(100, 2.5), x, x), CUBIC, ISPEC, 4)
         assert np.abs(est.evaluate(f, np.linspace(0, 1, 11)) - 2.5).max() < 1e-10
+
+
+def _parent_pinv_psd(a, n_ambient):
+    a = 0.5 * (a + a.T)
+    w, v = np.linalg.eigh(a)
+    keep = w > spectral_cutoff(np.maximum(w, 0.0), n_ambient)
+    rank = int(np.count_nonzero(keep))
+    if rank == 0:
+        return np.zeros_like(a), 0
+    vk = v[:, keep]
+    return (vk / w[keep]) @ vk.T, rank
+
+
+def _parent_inv_sqrt_psd(a, n_ambient):
+    a = 0.5 * (a + a.T)
+    w, v = np.linalg.eigh(a)
+    keep = w > spectral_cutoff(np.maximum(w, 0.0), n_ambient)
+    rank = int(np.count_nonzero(keep))
+    if rank == 0:
+        return np.zeros_like(a), 0
+    vk = v[:, keep]
+    return (vk / np.sqrt(w[keep])) @ vk.T, rank
+
+
+def _reference_tsls(psi, bmat, y):
+    """The TSLS formulas with each Gram formed and eigendecomposed where it is used."""
+    n, j = psi.shape
+    flags = []
+    if bmat is None:
+        g_inv, rank = _parent_pinv_psd(psi.T @ psi, max(n, j))
+        m = g_inv @ psi.T
+        bmat = psi
+    else:
+        k = bmat.shape[1]
+        gb_inv, rank_b = _parent_pinv_psd(bmat.T @ bmat, max(n, k))
+        proj = gb_inv @ (bmat.T @ psi)
+        a_inv, rank = _parent_pinv_psd((bmat.T @ psi).T @ proj, max(n, j))
+        m = (a_inv @ proj.T) @ bmat.T
+        if rank_b < k:
+            flags.append("instrument_gram_rank_deficient")
+    if rank < j:
+        flags.append("design_rank_deficient")
+    coef = m @ y
+    k = bmat.shape[1]
+    rb, rank_b = _parent_inv_sqrt_psd(bmat.T @ bmat, max(n, k))
+    rp, rank_p = _parent_inv_sqrt_psd(psi.T @ psi, max(n, j))
+    sv = np.linalg.svd(rb @ (bmat.T @ psi) @ rp, compute_uv=False)
+    rank_s = min(rank_b, rank_p, sv.size)
+    if rank_b < k or rank_p < j:
+        flags.append("shat_reduced_rank")
+    s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
+    return m, coef, y - psi @ coef, s_hat, tuple(flags)
+
+
+class TestTslsGrams:
+    @pytest.mark.parametrize("design", ["trade_lognormal", "reg_wiggly", "npiv_sine_log", "rank_deficient"])
+    def test_one_eigendecomposition_per_gram(self, design, monkeypatch):
+        # Regression eigendecomposes Psi'Psi only; NPIV adds B'B and Psi'P_K Psi.
+        # The fit equals the formulas with every Gram formed where it is used.
+        if design == "rank_deficient":
+            x = np.repeat([0.1, 0.4, 0.8], 100)
+            sample, x_spec, ispec = est.Sample(np.sin(3 * x), x, x), CUBIC, ISPEC
+        else:
+            d = sg.get_design(design)
+            sample, _ = sg.generate(d, 2500, 0)
+            x_spec, ispec = d.x_spec, d.ispec
+        eigh = np.linalg.eigh
+        calls = []
+        for spec in {None, ispec}:
+            for j in (4, 7, 19, 35):
+                calls.clear()
+                monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+                f = est.fit(sample, x_spec, spec, j)
+                monkeypatch.setattr(np.linalg, "eigh", eigh)
+                assert len(calls) == (1 if spec is None else 3)
+                want = _reference_tsls(f.psi, None if spec is None else f.bmat, sample.y)
+                for got, ref in zip((f.m, f.coef, f.u_hat, f.s_hat), want):
+                    np.testing.assert_array_equal(got, ref)
+                assert f.flags == want[4]
+        if design == "rank_deficient":
+            assert "design_rank_deficient" in f.flags and "shat_reduced_rank" in f.flags
 
 
 class TestShat:
@@ -215,20 +297,3 @@ class TestVarianceField:
         vf = _field(_noisy_sample(), np.linspace(0, 1, 25), 1)
         assert vf.deriv == (1,)
         assert (vf.sigma[4] > 0).all()
-
-    def test_contrast_rows_built_in_place(self):
-        # One G x (p + p2) array at the peak, no stacked, negated or masked copies beside it.
-        rng = np.random.default_rng(3)
-        x = rng.random(2000)
-        sample = est.Sample(np.sin(3 * x) + 0.5 * rng.standard_normal(2000), x, x)
-        vf = _field(sample, np.linspace(0, 1, 20_000), js=(67, 131), model=est.npiv_model(CUBIC, None))
-        tracemalloc.start()
-        try:
-            out = vf.contrast_rows(67, 131)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.75 * out.nbytes
-        r1, r2, sd = vf.rows[67], vf.rows[131], vf.contrast_sd(67, 131)
-        v = sd > est.VARIANCE_FLOOR * max(vf.sigma[67].max(), vf.sigma[131].max())
-        np.testing.assert_array_equal(out, np.hstack([r1[v], -r2[v]]) / sd[v, None])
