@@ -100,7 +100,6 @@ class TestFactoredScores:
             tracemalloc.stop()
         assert peak < g * n * 8 / 10
 
-
     def test_contrast_sweep_bounded(self):
         # J=67 against J=131 on 20,000 grid points at n=2000: the per-J draws are
         # taken in bounded chunks of grid rows, never as one G x (p + p2) array of
@@ -250,9 +249,8 @@ class TestSupTContrast:
     def test_aliased_fits_degenerate_sd_handled(self):
         # J2 aliasing J: identical influence rows and residuals contrast to exactly
         # zero, also with 19- and 67-column blocks, where BLAS tiles do not line up
-        cases = [(_field(js=(4, 7)), 4, 5), (_field(n=2000, js=(19, 67)), 19, 35),
-                 (_field(n=2000, js=(19, 67)), 67, 131)]
-        for field, j, j2 in cases:
+        wide = _field(n=2000, js=(19, 67))
+        for field, j, j2 in ((_field(js=(4, 7)), 4, 5), (wide, 19, 35), (wide, 67, 131)):
             alias = est.VarianceField(
                 grid=field.grid,
                 deriv=(0,),

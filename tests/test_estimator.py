@@ -102,26 +102,12 @@ class TestFit:
         assert np.abs(est.evaluate(f, np.linspace(0, 1, 11)) - 2.5).max() < 1e-10
 
 
-def _parent_pinv_psd(a, n_ambient):
-    a = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(a)
+def _ref_psd_inverse(a, n_ambient, sqrt=False):
+    """Pseudo-inverse (or inverse square root) of a PSD matrix from its own eigendecomposition, and its rank."""
+    w, v = np.linalg.eigh(0.5 * (a + a.T))
     keep = w > spectral_cutoff(np.maximum(w, 0.0), n_ambient)
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros_like(a), 0
     vk = v[:, keep]
-    return (vk / w[keep]) @ vk.T, rank
-
-
-def _parent_inv_sqrt_psd(a, n_ambient):
-    a = 0.5 * (a + a.T)
-    w, v = np.linalg.eigh(a)
-    keep = w > spectral_cutoff(np.maximum(w, 0.0), n_ambient)
-    rank = int(np.count_nonzero(keep))
-    if rank == 0:
-        return np.zeros_like(a), 0
-    vk = v[:, keep]
-    return (vk / np.sqrt(w[keep])) @ vk.T, rank
+    return (vk / (np.sqrt(w[keep]) if sqrt else w[keep])) @ vk.T, int(keep.sum())
 
 
 def _reference_tsls(psi, bmat, y):
@@ -129,14 +115,14 @@ def _reference_tsls(psi, bmat, y):
     n, j = psi.shape
     flags = []
     if bmat is None:
-        g_inv, rank = _parent_pinv_psd(psi.T @ psi, max(n, j))
+        g_inv, rank = _ref_psd_inverse(psi.T @ psi, max(n, j))
         m = g_inv @ psi.T
         bmat = psi
     else:
         k = bmat.shape[1]
-        gb_inv, rank_b = _parent_pinv_psd(bmat.T @ bmat, max(n, k))
+        gb_inv, rank_b = _ref_psd_inverse(bmat.T @ bmat, max(n, k))
         proj = gb_inv @ (bmat.T @ psi)
-        a_inv, rank = _parent_pinv_psd((bmat.T @ psi).T @ proj, max(n, j))
+        a_inv, rank = _ref_psd_inverse((bmat.T @ psi).T @ proj, max(n, j))
         m = (a_inv @ proj.T) @ bmat.T
         if rank_b < k:
             flags.append("instrument_gram_rank_deficient")
@@ -144,8 +130,8 @@ def _reference_tsls(psi, bmat, y):
         flags.append("design_rank_deficient")
     coef = m @ y
     k = bmat.shape[1]
-    rb, rank_b = _parent_inv_sqrt_psd(bmat.T @ bmat, max(n, k))
-    rp, rank_p = _parent_inv_sqrt_psd(psi.T @ psi, max(n, j))
+    rb, rank_b = _ref_psd_inverse(bmat.T @ bmat, max(n, k), sqrt=True)
+    rp, rank_p = _ref_psd_inverse(psi.T @ psi, max(n, j), sqrt=True)
     sv = np.linalg.svd(rb @ (bmat.T @ psi) @ rp, compute_uv=False)
     rank_s = min(rank_b, rank_p, sv.size)
     if rank_b < k or rank_p < j:
@@ -168,7 +154,7 @@ class TestTslsGrams:
             x_spec, ispec = d.x_spec, d.ispec
         eigh = np.linalg.eigh
         calls = []
-        for spec in {None, ispec}:
+        for spec in (None,) if ispec is None else (None, ispec):
             for j in (4, 7, 19, 35):
                 calls.clear()
                 monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
