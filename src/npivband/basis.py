@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from itertools import takewhile
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import (
     ConfigurationError,
@@ -394,4 +393,20 @@ def apply_transform(transform: SupportTransform, column) -> np.ndarray:
     # empirical_cdf: rank / n with midranks for ties
     if col.max() == col.min():
         raise DegenerateColumnError("empirical CDF of a constant column is degenerate")
-    return rankdata(col, method="average") / col.size
+    return _midranks(col) / col.size
+
+
+def _midranks(col: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``col``, each tie group sharing the mean of its ranks.
+
+    A tie group occupies sorted positions start..end-1, so its ranks are
+    start+1..end and their mean is (start + 1 + end) / 2, a half-integer
+    that float64 holds exactly.
+    """
+    order = np.argsort(col, kind="stable")
+    ordered = col[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], col.size)
+    ranks = np.empty(col.size)
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
+    return ranks

@@ -9,9 +9,9 @@ block set per reported function (h, h1, or each additive component).
 All randomness flows from a single seed (flag ``--seed``, falling back to the
 ``NPIVBAND_SEED`` environment variable, then 0). Output files are written
 with 17 significant digits so identical configurations reproduce identical
-bytes; ``run_meta.json`` additionally records wall time and is therefore the
-one file excluded from the bit-for-bit contract. Its ``config`` echoes the
-subcommand's options.
+bytes; ``run_meta.json`` additionally records wall time (in total and per
+stage: read, select, bands, write) and is therefore the one file excluded
+from the bit-for-bit contract. Its ``config`` echoes the subcommand's options.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 degeneracy or an infeasible sample size.
@@ -25,6 +25,8 @@ import json
 import os
 import sys
 import time
+from collections import Counter
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -304,25 +306,39 @@ def _model(config: argparse.Namespace, sample: est.Sample):
     return model, "npiv" if ispec is not None else "regression", grid
 
 
+@contextmanager
+def _stage(stages: dict[str, float], name: str):
+    """Record the wall seconds of the enclosed block as ``stages[name]``."""
+    tick = time.perf_counter()
+    yield
+    stages[name] = time.perf_counter() - tick
+
+
 def _run_fit(config: argparse.Namespace, estimates_only: bool = False) -> None:
-    t0 = time.time()
-    sample = _build_sample(config)
+    t0 = time.perf_counter()
+    stages: dict[str, float] = {}
+    with _stage(stages, "read"):
+        sample = _build_sample(config)
     model, mode, grid = _model(config, sample)
     backend = est.SieveBackend(sample, model)
     plan = MultiplierPlan(n_draws=config.draws, base_seed=config.seed)
-    if config.from_selection:
-        selection = _load_selection(config.from_selection, backend, grid)
-    else:
-        selection = ad.run_selection(backend, plan, mode, grid)
-    header, table, meta = _estimates_table(selection, plan, config)
-    os.makedirs(config.outdir, exist_ok=True)
-    _write_csv(os.path.join(config.outdir, "estimates.csv"), header, table)
+    with _stage(stages, "select"):
+        if config.from_selection:
+            selection = _load_selection(config.from_selection, backend, grid)
+        else:
+            selection = ad.run_selection(backend, plan, mode, grid)
+    with _stage(stages, "bands"):
+        header, table, meta = _estimates_table(selection, plan, config)
+    with _stage(stages, "write"):
+        os.makedirs(config.outdir, exist_ok=True)
+        _write_csv(os.path.join(config.outdir, "estimates.csv"), header, table)
+        if not estimates_only:
+            payload = _selection_payload(selection)
+            if config.mode == "partially_linear":
+                payload["beta"] = backend.fit(selection.j_tilde).beta.tolist()
+            _write_json(os.path.join(config.outdir, "selection.json"), payload)
     if not estimates_only:
-        payload = _selection_payload(selection)
-        if config.mode == "partially_linear":
-            payload["beta"] = backend.fit(selection.j_tilde).beta.tolist()
-        _write_json(os.path.join(config.outdir, "selection.json"), payload)
-        _write_meta(config, t0, extra=meta)
+        _write_meta(config, t0, extra={**meta, "stages": stages})
 
 
 def _write_meta(config: argparse.Namespace, t0: float, extra: dict | None = None) -> None:
@@ -330,7 +346,7 @@ def _write_meta(config: argparse.Namespace, t0: float, extra: dict | None = None
         "config": vars(config),
         "seed": config.seed,
         "version": __version__,
-        "wall_time_seconds": time.time() - t0,
+        "wall_time_seconds": time.perf_counter() - t0,
     }
     if extra:
         payload["outputs"] = extra
@@ -338,7 +354,7 @@ def _write_meta(config: argparse.Namespace, t0: float, extra: dict | None = None
 
 
 def _run_simulate(config: argparse.Namespace) -> None:
-    t0 = time.time()
+    t0 = time.perf_counter()
     plan = MultiplierPlan(n_draws=config.draws, base_seed=config.seed)
     report = sg.run_mc(
         config.design, config.n or [1250], config.reps, plan=plan,
@@ -362,6 +378,11 @@ def _run_simulate(config: argparse.Namespace) -> None:
             "j_tilde_histogram": {
                 str(n): {str(j): int(c) for j, c in zip(*np.unique(vals, return_counts=True))}
                 for n, vals in report.j_tilde.items()
+            },
+            # Per n, how many replications raised each selection flag.
+            "selection_flags": {
+                str(n): dict(sorted(Counter(f for flags in rep_flags for f in set(flags)).items()))
+                for n, rep_flags in report.flags.items()
             },
         },
     )

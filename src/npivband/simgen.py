@@ -306,6 +306,7 @@ class McRow:
 class McReport:
     rows: list[McRow]
     j_tilde: dict[int, np.ndarray]
+    flags: dict[int, list[tuple[str, ...]]]  # per n, each replication's selection flags
     diagnostics: dict[int, dict[str, np.ndarray]]
     design: str
     reps: int
@@ -383,6 +384,7 @@ def run_mc(
     truth_by_target = {a: (design.truth.h if a == 0 else design.truth.dh)(grid[:, 0]) for a in design.targets}
     rows: list[McRow] = []
     j_tilde_all: dict[int, np.ndarray] = {}
+    flags_all: dict[int, list[tuple[str, ...]]] = {}
     diagnostics: dict[int, dict[str, np.ndarray]] = {}
 
     for n in n_list:
@@ -392,6 +394,7 @@ def run_mc(
         widths = {k: [] for k in losses}
         rejects = {k: [] for k in losses}
         j_selected: list[int] = []
+        rep_flags: list[tuple[str, ...]] = []
         diag_m, diag_z, diag_theta, diag_ahat = [], [], [], []
 
         def record(key, b95: ucb.BandResult, b90: ucb.BandResult, truth_vals: np.ndarray) -> None:
@@ -411,6 +414,7 @@ def run_mc(
                     mode=design.mode, grid=grid, n_workers=n_workers,
                 )
                 j_selected.append(selection.j_tilde)
+                rep_flags.append(selection.flags)
                 for a in design.targets:
                     truth_vals = truth_by_target[a]
                     b95, b90 = _band_pair(selection, rep_plan, a, n_workers)
@@ -433,6 +437,7 @@ def run_mc(
 
         j_arr = np.asarray(j_selected)
         j_tilde_all[n] = j_arr
+        flags_all[n] = rep_flags
         diagnostics[n] = {
             "sup_dev": np.asarray(diag_m),
             "z_star": np.asarray(diag_z),
@@ -472,7 +477,7 @@ def run_mc(
                 )
 
     return McReport(
-        rows=rows, j_tilde=j_tilde_all, diagnostics=diagnostics,
+        rows=rows, j_tilde=j_tilde_all, flags=flags_all, diagnostics=diagnostics,
         design=design.name, reps=reps, base_seed=base_seed,
     )
 

@@ -1,6 +1,9 @@
 """The public surface: every exported name resolves, and modules use only each other's public names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import npivband
@@ -42,3 +45,16 @@ def test_no_private_cross_module_access():
     modules = {p.stem for p in PACKAGE.glob("*.py")}
     found = [use for path in sorted(PACKAGE.glob("*.py")) for use in _private_cross_module_uses(path, modules)]
     assert not found, found
+
+
+def test_imports_only_scipy_special():
+    """A process that imports the package and its CLI loads no scipy subpackage but special."""
+    probe = (
+        "import sys, npivband, npivband.cli; "
+        "print(' '.join(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))"
+    )
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
+    loaded = {name for name in out.stdout.split() if not name.startswith("_") and name != "version"}
+    assert loaded == {"special"}

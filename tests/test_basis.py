@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import comb
+from scipy.stats import rankdata
 
 from npivband import basis as bs
 from npivband.errors import (
@@ -191,15 +192,23 @@ class TestTransforms:
             bs.apply_transform(bs.SupportTransform("empirical_cdf"), [2.0, 2.0, 2.0])
 
     @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40))
+    @given(
+        st.one_of(
+            st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=40),
+            st.lists(st.integers(0, 3), min_size=2, max_size=200),
+            st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=2, max_size=40),
+        )
+    )
+    @example([0.0, -0.0, 1.0, -0.0, 0.0])
     def test_ecdf_preserves_order(self, values):
-        col = np.asarray(values)
+        col = np.asarray(values, dtype=np.float64)
         if col.max() == col.min():
             return
         out = bs.apply_transform(bs.SupportTransform("empirical_cdf"), col)
         assert out.min() > 0.0 and out.max() <= 1.0
         order = np.argsort(col, kind="stable")
         assert (np.diff(out[order]) >= -1e-15).all()
+        assert np.array_equal(out, rankdata(col, method="average") / col.size)
 
 
 class TestQuantileKnots:

@@ -278,6 +278,17 @@ class TestBandsPlotdata:
         header = next(csv.reader(open(out / "estimates.csv")))
         assert "lo95_robust" in header and "hi95_robust" in header
 
+    def test_stage_wall_times_in_metadata(self, npiv_csv, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["fit", "--input", npiv_csv, "--seed", "3", "--draws", "60",
+                   "--grid-size", "25", "--outdir", str(out)])
+        assert rc == EXIT_OK
+        meta = json.load(open(out / "run_meta.json"))
+        stages = meta["outputs"]["stages"]
+        assert set(stages) == {"read", "select", "bands", "write"}
+        assert all(seconds >= 0.0 for seconds in stages.values())
+        assert sum(stages.values()) <= meta["wall_time_seconds"]
+
 
 class TestStructuredModes:
     @pytest.fixture()
@@ -427,9 +438,11 @@ class TestCmdSimulate:
         assert os.path.exists(tmp_path / "mc_report.csv")
 
     def test_histogram_emitted(self, tmp_path):
-        rc = main(["simulate", "--design", "trade_pareto", "--n", "200", "--reps", "2",
-                   "--draws", "40", "--seed", "2", "--outdir", str(tmp_path)])
+        with pytest.warns(RuntimeWarning, match="capping J_hat_max"):
+            rc = main(["simulate", "--design", "trade_pareto", "--n", "200", "--reps", "2",
+                       "--draws", "40", "--seed", "2", "--outdir", str(tmp_path)])
         assert rc == EXIT_OK
         report = json.load(open(tmp_path / "mc_report.json"))
         hist = report["j_tilde_histogram"]["200"]
         assert sum(hist.values()) == 2
+        assert report["selection_flags"]["200"]["jmax_capped_by_sample"] >= 1
