@@ -14,14 +14,17 @@ from npivband import (
     MultiplierPlan,
     PartiallyLinearSpec,
     Sample,
+    additive_model,
     band_deriv,
-    fit_partially_linear,
+    evaluate,
+    fit,
     partial_out_fixed_effects,
+    partially_linear_model,
     select,
 )
 from npivband.adaptive import default_grid, run_selection
 from npivband.estimator import SieveBackend
-from npivband.extensions import additive_model, component_view, evaluate_component
+from npivband.extensions import component_model, component_view
 
 rng = np.random.default_rng(5)
 cubic = BasisSpec(4, 0)
@@ -38,13 +41,13 @@ sample = Sample(y, x, x)
 aspec = AdditiveSpec((cubic, cubic))
 plan = MultiplierPlan(n_draws=300, base_seed=2)
 # The selection contrasts the full additive estimate on 25 x 25 grid points.
-backend = SieveBackend(sample, additive_model(aspec, None))
-selection = run_selection(backend, plan, "regression", default_grid(2, 25))
+model = additive_model(aspec, None)
+selection = run_selection(SieveBackend(sample, model), plan, "regression", default_grid(2, 25))
 print("additive component dimension J~:", selection.j_tilde)
 
+# A component is the additive model read through that component's selector.
 g1 = np.linspace(0, 1, 50)
-fit = selection.backend.fit(selection.j_tilde)
-comp0 = evaluate_component(fit, 0, g1)
+comp0 = evaluate(component_model(model, 0), selection.backend.fit(selection.j_tilde), g1)
 centered_truth = np.sin(3 * g1) - (1 - np.cos(3.0)) / 3.0
 print("component 1 max error vs centered truth:",
       round(float(np.abs(comp0 - centered_truth).max()), 3))
@@ -64,8 +67,9 @@ xp = np.column_stack([x[:, 0], x2])
 yp = np.sin(4 * x[:, 0]) + 1.5 * x2 + 0.4 * rng.standard_normal(n)
 pl_sample = Sample(yp, xp, xp)
 plspec = PartiallyLinearSpec(cubic, linear_cols=(1,))
-pl_fit = fit_partially_linear(pl_sample, plspec, None, 7)
-print("\npartially linear slope estimate:", round(float(pl_fit.beta[0]), 3), "(truth 1.5)")
+pl_fit = fit(pl_sample, partially_linear_model(plspec, None), 7)
+# The design stacks the J nonparametric columns before the linear block.
+print("\npartially linear slope estimate:", round(float(pl_fit.coef[pl_fit.j]), 3), "(truth 1.5)")
 
 # ---------------------------------------------------------------------------
 # Fixed-effect stripping (the first stage of the trade pipeline)

@@ -14,7 +14,7 @@ from .basis import (
     instrument_dim,
     make_spec,
 )
-from .estimator import NpivFit, Sample, VarianceField, build_field, evaluate, fit
+from .estimator import Sample, SieveFit, VarianceField, build_field, evaluate, fit, npiv_model
 from .bootstrap import (
     MultiplierPlan,
     draw_multipliers,
@@ -36,8 +36,8 @@ from .extensions import (
     AdditiveSpec,
     FixedEffectsPlan,
     PartiallyLinearSpec,
-    fit_additive,
-    fit_partially_linear,
+    additive_model,
+    partially_linear_model,
     partial_out_fixed_effects,
 )
 from .simgen import Design, McReport, TradeCalibration, a_sweep, generate, get_design, run_mc
@@ -52,14 +52,15 @@ __all__ = [
     "InstrumentSpec",
     "McReport",
     "MultiplierPlan",
-    "NpivFit",
     "PartiallyLinearSpec",
     "Sample",
+    "SieveFit",
     "SupportTransform",
     "TRADE_CLAMP",
     "TradeCalibration",
     "VarianceField",
     "a_sweep",
+    "additive_model",
     "apply_transform",
     "band_deriv",
     "band_h",
@@ -72,14 +73,14 @@ __all__ = [
     "evaluate",
     "excludes_constant",
     "fit",
-    "fit_additive",
-    "fit_partially_linear",
     "generate",
     "get_design",
     "instrument_dim",
     "make_spec",
     "multiplier_matrix",
+    "npiv_model",
     "partial_out_fixed_effects",
+    "partially_linear_model",
     "quantile",
     "run_mc",
     "select",

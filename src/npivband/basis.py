@@ -216,10 +216,12 @@ def instrument_dim(ispec: InstrumentSpec, j: int) -> int:
     return k
 
 
-def instrument_spec_for(ispec: InstrumentSpec, j: int, w_data: np.ndarray | None = None) -> BasisSpec:
-    """Concrete instrument basis at sieve dimension ``j``."""
-    level_w = ispec.resolution_for(j)
-    return make_spec(ispec.order, level_w, ispec.dim_w, ispec.knot_rule, data=w_data)
+def instrument_matrix(ispec: InstrumentSpec | None, j: int, w: np.ndarray) -> np.ndarray | None:
+    """The instruments b^{K(J)}(w) at sieve dimension ``j``; None (series regression) when ispec is None."""
+    if ispec is None:
+        return None
+    w_basis = make_spec(ispec.order, ispec.resolution_for(j), ispec.dim_w, ispec.knot_rule, data=w)
+    return design_matrix(w_basis, w)
 
 
 # ---------------------------------------------------------------------------

@@ -276,14 +276,14 @@ def _model(config: argparse.Namespace, sample: est.Sample):
     instrumented = config.mode == "npiv" or (
         config.mode != "regression" and not np.array_equal(sample.w, sample.x)
     )
+    # The rule run_mc applies to its report interval.
+    if not 0.0 <= config.grid_lo < config.grid_hi <= 1.0:
+        raise ConfigurationError("--grid-lo and --grid-hi need 0 <= lo < hi <= 1")
     linear = tuple(config.linear_cols) if config.mode == "partially_linear" else ()
-    if config.mode == "partially_linear" and not (
-        0 < len(set(linear)) == len(linear) < sample.dim and all(0 <= c < sample.dim for c in linear)
-    ):
-        raise ConfigurationError(
-            f"partially_linear mode needs --linear-cols: distinct x-column indices in "
-            f"0..{sample.dim - 1} that leave at least one column nonparametric"
-        )
+    if config.mode == "partially_linear":
+        if not linear:
+            raise ConfigurationError("partially_linear mode needs --linear-cols (the linear block's x columns)")
+        ext.nonparametric_cols(linear, sample.dim)
     if config.mode == "additive" and sample.dim < 2:
         raise ConfigurationError("additive mode needs at least two x columns")
     spec = _template_spec(config, 1 if config.mode == "additive" else sample.dim - len(linear))
@@ -335,7 +335,8 @@ def _run_fit(config: argparse.Namespace, estimates_only: bool = False) -> None:
         if not estimates_only:
             payload = _selection_payload(selection)
             if config.mode == "partially_linear":
-                payload["beta"] = backend.fit(selection.j_tilde).beta.tolist()
+                fit = backend.fit(selection.j_tilde)
+                payload["beta"] = fit.coef[fit.j:].tolist()
             _write_json(os.path.join(config.outdir, "selection.json"), payload)
     if not estimates_only:
         _write_meta(config, t0, extra={**meta, "stages": stages})

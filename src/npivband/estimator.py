@@ -6,20 +6,21 @@ this gives coefficients coef = M_J Y, residuals u_hat, and the reduced-rank
 singular value s_hat of the orthogonalized cross matrix, which proxies the
 inverse measure of ill-posedness. When no instrument spec is given the fit is
 plain series least squares (M_J = (Psi'Psi)^- Psi'), the exogenous special
-case. Every model's fit goes through the one TSLS core ``tsls``.
+case.
 
-A ``SieveModel`` describes a model to the shared ``SieveBackend``: its fit at
-J, its design and instrument widths at J, and the selector rows of the
-function it reports. The backend caches fits per J; every reported function,
-its influence rows and its ``VarianceField`` (built in ``build_field``) come
-from those selector rows.
+A ``SieveModel`` describes a model: its design and instruments at J, their
+widths at J, and the selector rows of the function it reports. One ``fit``
+serves every model: it checks the widths, builds the design and runs the one
+TSLS core ``tsls`` into a ``SieveFit``. The shared ``SieveBackend`` caches
+fits per J; ``evaluate``, and the influence rows and ``VarianceField`` built
+in ``build_field``, read every reported function through its selector rows.
 """
 
 from __future__ import annotations
 
 import copy
 from collections.abc import Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import groupby, takewhile
 from typing import Callable
 
@@ -82,29 +83,24 @@ def _as_matrix(a) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class NpivFit:
-    """One TSLS sieve fit at dimension J."""
+class SieveFit:
+    """One sieve TSLS fit at dimension J, for any model.
+
+    ``basis`` is the state the model's selector reads (a ``BasisSpec``, or
+    the additive model's per-axis ``(basis, integrals)`` pairs). ``design``
+    is the n x p design and ``bmat`` the n x K instruments, the design itself
+    for series regression. The rest is the output of ``tsls``.
+    """
 
     j: int
-    k: int
-    x_basis: bs.BasisSpec
-    psi: np.ndarray
+    basis: object
+    design: np.ndarray
     bmat: np.ndarray
     m: np.ndarray
     coef: np.ndarray
     u_hat: np.ndarray
     s_hat: float
     flags: tuple[str, ...] = ()
-
-    @property
-    def n(self) -> int:
-        return self.u_hat.size
-
-
-def tsls_influence(psi: np.ndarray, bmat: np.ndarray) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The J x n matrix M = (Psi' P_K Psi)^- Psi' P_K, never forming P_K, and the fit flags of ``tsls``."""
-    m, _, _, _, flags = tsls(psi, bmat, np.zeros(psi.shape[0]))
-    return m, flags
 
 
 def tsls(design: np.ndarray, bmat: np.ndarray | None, y: np.ndarray):
@@ -147,34 +143,36 @@ def tsls(design: np.ndarray, bmat: np.ndarray | None, y: np.ndarray):
     return m, coef, u_hat, s_hat, tuple(flags)
 
 
-def fit(sample: Sample, x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None, j: int) -> NpivFit:
-    """TSLS sieve fit at dimension ``j``; series regression when ispec is None."""
-    if j > sample.n:
-        raise InsufficientSampleError(f"J={j} exceeds the sample size n={sample.n}")
-    x_basis = bs.spec_for_dimension(x_spec, j, data=sample.x)
-    psi = bs.design_matrix(x_basis, sample.x)
-    k, bmat = j, None
-    if ispec is not None:
-        k = bs.instrument_dim(ispec, j)
-        if k > sample.n:
-            raise InsufficientSampleError(f"K(J)={k} exceeds the sample size n={sample.n}")
-        w_basis = bs.instrument_spec_for(ispec, j, w_data=sample.w)
-        bmat = bs.design_matrix(w_basis, sample.w)
-    m, coef, u_hat, s_hat, flags = tsls(psi, bmat, sample.y)
-    return NpivFit(
-        j=j, k=k, x_basis=x_basis, psi=psi, bmat=psi if bmat is None else bmat, m=m,
-        coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags,
+def fit(sample: Sample, model: SieveModel, j: int) -> SieveFit:
+    """The model's sieve TSLS fit at dimension ``j``; series regression when it has no instruments.
+
+    The widths are checked before any basis is built: instruments narrower
+    than the design cannot identify it, and neither width may exceed n.
+    """
+    width, k = model.widths(j)
+    if k < width:
+        raise InvalidDimensionError(f"K(J)={k} is below the design width {width} at J={j}; increase q")
+    if max(width, k) > sample.n:
+        raise InsufficientSampleError(f"K(J)={k} or width {width} at J={j} exceeds the sample size n={sample.n}")
+    basis, design, bmat = model.design(sample, j)
+    m, coef, u_hat, s_hat, flags = tsls(design, bmat, sample.y)
+    return SieveFit(
+        j=j, basis=basis, design=design, bmat=design if bmat is None else bmat,
+        m=m, coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags,
     )
 
 
-def _h_rows(fit_: NpivFit, pts, deriv):
-    return bs.design_matrix(fit_.x_basis, pts, deriv), slice(None)
-
-
-def evaluate(fit_: NpivFit, x_grid, deriv=0) -> np.ndarray:
-    """Point or derivative estimates (d^a h_J)(x) on a grid."""
-    rows, sl = _h_rows(fit_, x_grid, deriv)
+def evaluate(model: SieveModel, fit_: SieveFit, pts, deriv=0) -> np.ndarray:
+    """The model's reported function (or its derivative ``deriv``) of the fit at points ``pts``."""
+    rows, sl = model.selector(
+        fit_.basis, bs.as_points(pts, model.grid_dim), bs.multi_index(deriv, model.grid_dim)
+    )
     return rows @ fit_.coef[sl]
+
+
+def sieve_rows(basis: bs.BasisSpec, pts, deriv):
+    """Selector of a function that is the leading block psi^J(x)' coef[:J] of the coefficients."""
+    return bs.design_matrix(basis, pts, deriv), slice(0, basis.n_funcs)
 
 
 class _OnRead(Mapping):
@@ -312,15 +310,17 @@ class VarianceField:
 class SieveModel:
     """The per-model description the shared backend works from.
 
-    ``fit(sample, j)`` fits the model at sieve dimension J. ``template`` is
-    the basis whose dimension grid enumerates J, and ``widths(j)`` gives the
-    design and instrument widths at J, both of which must stay <= n.
-    ``selector(fit, pts, a)`` gives the rows and coefficient slice of the
-    reported function, so its a-th derivative at ``pts`` is rows @ coef[slice];
-    ``grid_dim`` is the dimension of that function's argument.
+    ``design(sample, j)`` gives the basis state the selector reads, the n x p
+    design and the n x K instruments (None for series regression) at sieve
+    dimension J. ``template`` is the basis whose dimension grid enumerates J,
+    and ``widths(j)`` gives the design and instrument widths at J, both of
+    which must stay <= n. ``selector(basis, pts, a)`` gives the rows and
+    coefficient slice of the reported function, so its a-th derivative at
+    ``pts`` is rows @ coef[slice]; ``grid_dim`` is the dimension of that
+    function's argument.
     """
 
-    fit: Callable
+    design: Callable
     template: bs.BasisSpec
     widths: Callable[[int], tuple[int, int]]
     selector: Callable
@@ -329,11 +329,16 @@ class SieveModel:
 
 def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveModel:
     """The standard model Y = h(X) + u; series regression when ispec is None."""
+
+    def design(sample: Sample, j: int):
+        basis = bs.spec_for_dimension(x_spec, j, data=sample.x)
+        return basis, bs.design_matrix(basis, sample.x), bs.instrument_matrix(ispec, j, sample.w)
+
     return SieveModel(
-        fit=lambda sample, j: fit(sample, x_spec, ispec, j),
+        design=design,
         template=x_spec,
         widths=lambda j: (j, j if ispec is None else bs.instrument_dim(ispec, j)),
-        selector=_h_rows,
+        selector=sieve_rows,
         grid_dim=x_spec.dim,
     )
 
@@ -341,7 +346,7 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
 class SieveBackend:
     """Fit cache for one sieve model on one sample, and its reported function.
 
-    Each J is fitted once through ``model.fit``; ``build_field`` combines the
+    Each J is fitted once through ``fit``; ``build_field`` combines the
     model's selector rows with those fits.
     """
 
@@ -370,16 +375,16 @@ class SieveBackend:
 
     def fit(self, j: int):
         if j not in self._fits:
-            self._fits[j] = self.model.fit(self.sample, j)
+            self._fits[j] = fit(self.sample, self.model, j)
         return self._fits[j]
 
     def shat(self, j: int) -> float:
         return self.fit(j).s_hat
 
-    def view(self, selector: Callable, grid_dim: int) -> SieveBackend:
-        """A backend sharing these fits that reports another linear functional."""
+    def view(self, model: SieveModel) -> SieveBackend:
+        """A backend sharing these fits whose ``model`` reports another linear functional of them."""
         other = copy.copy(self)
-        other.model = replace(self.model, selector=selector, grid_dim=grid_dim)
+        other.model = model
         return other
 
 
@@ -393,6 +398,6 @@ def build_field(backend: SieveBackend, pts, deriv, js) -> VarianceField:
     rows, m, u_hat, coef = {}, {}, {}, {}
     for j in js:
         fit_ = backend.fit(j)
-        rows[j], sl = backend.model.selector(fit_, pts, deriv)
+        rows[j], sl = backend.model.selector(fit_.basis, pts, deriv)
         m[j], u_hat[j], coef[j] = fit_.m[sl], fit_.u_hat, fit_.coef[sl]
     return VarianceField(grid=pts, deriv=deriv, j_values=tuple(js), rows=rows, m=m, u_hat=u_hat, coef=coef)

@@ -1,20 +1,20 @@
 """Additive and partially linear models, and fixed-effect stripping.
 
-Both models are sieve TSLS fits of a stacked design, run through the shared
-TSLS core (``estimator.tsls``) and the shared fit-cache backend
-(``estimator.SieveBackend``). Each supplies the backend a model description:
-its fit at J, the design and instrument widths at J, and the selector rows of
-the function it reports. Selection and bands then work as for the standard
-model.
+Both models are sieve TSLS fits of a stacked design, run through the one
+``estimator.fit`` and the shared fit-cache backend (``estimator.SieveBackend``).
+Each is only a model description: its design and instruments at J, their
+widths at J, and the selector rows of the function it reports. Selection,
+evaluation and bands then work as for the standard model.
 
 The additive model stacks an intercept with centered per-coordinate bases
 (each basis function minus its exact integral over [0, 1]); the centered
 columns of one coordinate sum to zero pointwise, so the stacked design is
 rank deficient by construction and all fits go through the generalized
-inverse. Selection contrasts the full additive estimate; ``component_view``
-reports one centered component on a 1-d grid, so ``ucb.band_deriv`` gives
-its band. The partially linear model stacks a univariate (or d1-variate)
-basis with demeaned linear regressors and reports the nonparametric block h1.
+inverse. Selection contrasts the full additive estimate; ``component_model``
+reports one centered component on [0, 1], and ``component_view`` puts a
+selection behind it, so ``ucb.band_deriv`` gives the component's band. The
+partially linear model stacks a univariate (or d1-variate) basis with
+demeaned linear regressors and reports the nonparametric block h1.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 from . import adaptive as ad
 from . import basis as bs
 from . import estimator as est
-from .errors import ConfigurationError, InvalidDimensionError
+from .errors import ConfigurationError
 
 
 # ---------------------------------------------------------------------------
@@ -49,34 +49,6 @@ class AdditiveSpec:
                 raise ConfigurationError("additive components must be univariate bases")
 
 
-@dataclass(eq=False)
-class AdditiveFit:
-    """TSLS fit of the stacked centered additive design at component dimension J."""
-
-    j: int
-    spec: AdditiveSpec
-    bases: tuple[bs.BasisSpec, ...]
-    integrals: tuple[np.ndarray, ...]
-    coef: np.ndarray
-    m: np.ndarray
-    u_hat: np.ndarray
-    s_hat: float
-    design: np.ndarray
-    bmat: np.ndarray
-    flags: tuple[str, ...] = ()
-
-    @property
-    def n(self) -> int:
-        return self.u_hat.size
-
-    def component_slice(self, comp: int) -> slice:
-        return slice(1 + comp * self.j, 1 + (comp + 1) * self.j)
-
-    @property
-    def intercept_hat(self) -> float:
-        return float(self.coef[0])
-
-
 def _centered_block(basis: bs.BasisSpec, integrals: np.ndarray, col: np.ndarray, deriv: int) -> np.ndarray:
     block = bs.design_matrix(basis, col, deriv)
     if deriv == 0:
@@ -84,17 +56,20 @@ def _centered_block(basis: bs.BasisSpec, integrals: np.ndarray, col: np.ndarray,
     return block
 
 
-def _additive_design(bases, integrals, x: np.ndarray, deriv: tuple[int, ...] | None = None) -> np.ndarray:
+def _additive_design(axes, x: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
     n = x.shape[0]
-    deriv = deriv or (0,) * len(bases)
     cols = [np.ones((n, 1)) if all(a == 0 for a in deriv) else np.zeros((n, 1))]
-    for i, basis in enumerate(bases):
-        block = _centered_block(basis, integrals[i], x[:, i], deriv[i])
+    for i, (basis, integrals) in enumerate(axes):
+        block = _centered_block(basis, integrals, x[:, i], deriv[i])
         zero_others = [a for k, a in enumerate(deriv) if k != i]
         if any(a > 0 for a in zero_others):
             block = np.zeros_like(block)  # mixed partials of an additive function vanish
         cols.append(block)
     return np.hstack(cols)
+
+
+def _additive_rows(axes, pts: np.ndarray, deriv):
+    return _additive_design(axes, pts, deriv), slice(None)
 
 
 def _instrument_level(aspec: AdditiveSpec, ispec: bs.InstrumentSpec, j: int) -> int:
@@ -103,65 +78,25 @@ def _instrument_level(aspec: AdditiveSpec, ispec: bs.InstrumentSpec, j: int) -> 
     return -(-(level + ispec.q) * len(aspec.components) // ispec.dim_w)
 
 
-def fit_additive(sample: est.Sample, aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None, j: int) -> AdditiveFit:
-    """Fit the additive model with the same component dimension J per coordinate."""
-    d = len(aspec.components)
-    if sample.dim != d:
-        raise ConfigurationError(f"sample has {sample.dim} coordinates, spec has {d}")
-    bases = tuple(
-        bs.spec_for_dimension(aspec.components[i], j, data=sample.x[:, i]) for i in range(d)
-    )
-    integrals = tuple(bs.basis_integrals(b) for b in bases)
-    design = _additive_design(bases, integrals, sample.x)
-    bmat = None
-    if ispec is not None:
-        level_w = _instrument_level(aspec, ispec, j)
-        w_basis = bs.make_spec(ispec.order, level_w, ispec.dim_w, ispec.knot_rule, data=sample.w)
-        bmat = bs.design_matrix(w_basis, sample.w)
-        if bmat.shape[1] < design.shape[1]:
-            raise InvalidDimensionError(
-                f"instrument dimension {bmat.shape[1]} is below the stacked design "
-                f"dimension {design.shape[1]}; increase q"
-            )
-        if bmat.shape[1] > sample.n:
-            raise est.InsufficientSampleError(
-                f"K={bmat.shape[1]} exceeds the sample size n={sample.n}"
-            )
-    m, coef, u_hat, s_hat, flags = est.tsls(design, bmat, sample.y)
-    return AdditiveFit(
-        j=j, spec=aspec, bases=bases, integrals=integrals, coef=coef, m=m,
-        u_hat=u_hat, s_hat=s_hat, design=design, bmat=design if bmat is None else bmat, flags=flags,
-    )
-
-
-def evaluate_additive(fit: AdditiveFit, x, deriv=None) -> np.ndarray:
-    """The full additive estimate (or its derivative) at d-dimensional points."""
-    rows, sl = _additive_rows(fit, bs.as_points(x, len(fit.bases)), deriv)
-    return rows @ fit.coef[sl]
-
-
-def evaluate_component(fit: AdditiveFit, comp: int, x1, deriv: int = 0) -> np.ndarray:
-    """One additive component (centered so that it integrates to zero)."""
-    rows, sl = _component_rows(comp)(fit, bs.as_points(x1, 1), (deriv,))
-    return rows @ fit.coef[sl]
-
-
-def _additive_rows(fit: AdditiveFit, pts: np.ndarray, deriv):
-    multi = bs.multi_index(deriv, len(fit.bases))
-    return _additive_design(fit.bases, fit.integrals, pts, multi), slice(None)
-
-
-def _component_rows(comp: int):
-    def rows(fit: AdditiveFit, pts: np.ndarray, deriv):
-        block = _centered_block(fit.bases[comp], fit.integrals[comp], pts[:, 0], deriv[0])
-        return block, fit.component_slice(comp)
-
-    return rows
-
-
 def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.SieveModel:
-    """The additive model; it reports the full additive estimate on [0, 1]^d."""
+    """The additive model, the same component dimension J per coordinate.
+
+    Its basis state is the per-axis ``(basis, integrals)`` pairs; it reports
+    the full additive estimate on [0, 1]^d.
+    """
     d = len(aspec.components)
+
+    def design(sample: est.Sample, j: int):
+        if sample.dim != d:
+            raise ConfigurationError(f"sample has {sample.dim} coordinates, spec has {d}")
+        bases = [bs.spec_for_dimension(aspec.components[i], j, data=sample.x[:, i]) for i in range(d)]
+        axes = tuple((basis, bs.basis_integrals(basis)) for basis in bases)
+        bmat = None
+        if ispec is not None:
+            level_w = _instrument_level(aspec, ispec, j)
+            w_basis = bs.make_spec(ispec.order, level_w, ispec.dim_w, ispec.knot_rule, data=sample.w)
+            bmat = bs.design_matrix(w_basis, sample.w)
+        return axes, _additive_design(axes, sample.x, (0,) * d), bmat
 
     def widths(j: int) -> tuple[int, int]:
         width = 1 + d * j
@@ -170,12 +105,23 @@ def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.
         return width, (2 ** _instrument_level(aspec, ispec, j) + ispec.order - 1) ** ispec.dim_w
 
     return est.SieveModel(
-        fit=lambda sample, j: fit_additive(sample, aspec, ispec, j),
+        design=design,
         template=aspec.components[0],
         widths=widths,
         selector=_additive_rows,
         grid_dim=d,
     )
+
+
+def component_model(model: est.SieveModel, comp: int) -> est.SieveModel:
+    """The additive ``model`` reporting its centered component ``comp`` on [0, 1]."""
+
+    def rows(axes, pts: np.ndarray, deriv):
+        basis, integrals = axes[comp]
+        j = basis.n_funcs
+        return _centered_block(basis, integrals, pts[:, 0], deriv[0]), slice(1 + comp * j, 1 + (comp + 1) * j)
+
+    return replace(model, selector=rows, grid_dim=1)
 
 
 def component_view(selection: ad.AdaptiveSelection, comp: int, grid) -> ad.AdaptiveSelection:
@@ -184,9 +130,10 @@ def component_view(selection: ad.AdaptiveSelection, comp: int, grid) -> ad.Adapt
     The view shares the selection's fits, dimensions and bootstrap threshold;
     ``ucb.band_deriv`` on it gives the component's uniform band.
     """
+    backend = selection.backend
     return replace(
         selection,
-        backend=selection.backend.view(_component_rows(comp), grid_dim=1),
+        backend=backend.view(component_model(backend.model, comp)),
         grid=bs.as_points(grid, 1),
         varfield=None,
     )
@@ -209,91 +156,47 @@ class PartiallyLinearSpec:
             raise ConfigurationError("partially linear model needs a nonparametric block basis")
 
 
-@dataclass(eq=False)
-class PartiallyLinearFit:
-    j: int
-    x1_basis: bs.BasisSpec
-    coef: np.ndarray
-    beta: np.ndarray
-    x2_mean: np.ndarray
-    m: np.ndarray
-    u_hat: np.ndarray
-    s_hat: float
-    design: np.ndarray
-    bmat: np.ndarray
-    n_nonpar: int
-    flags: tuple[str, ...] = ()
+def nonparametric_cols(linear_cols, dim: int) -> list[int]:
+    """The columns of a ``dim``-column X outside the linear block ``linear_cols``.
 
-    @property
-    def n(self) -> int:
-        return self.u_hat.size
-
-
-def _pl_blocks(sample: est.Sample, plspec: PartiallyLinearSpec):
-    linear = tuple(plspec.linear_cols)
-    nonpar = tuple(i for i in range(sample.dim) if i not in linear)
-    x1 = sample.x[:, nonpar] if nonpar else None
-    x2 = sample.x[:, linear] if linear else np.empty((sample.n, 0))
-    return x1, x2
-
-
-def fit_partially_linear(
-    sample: est.Sample,
-    plspec: PartiallyLinearSpec,
-    ispec: bs.InstrumentSpec | None,
-    j: int,
-) -> PartiallyLinearFit:
-    """TSLS fit of (psi^J(x1)', x2')' using b^{K(J)}(w) as instruments.
-
-    The linear block x2 enters demeaned. With ``ispec=None`` the regressors
-    instrument themselves (the exogenous case).
+    Raises ConfigurationError naming the linear columns that repeat or lie
+    outside 0..dim-1, or when no column is left nonparametric.
     """
-    x1, x2 = _pl_blocks(sample, plspec)
-    if plspec.x1_spec.dim != (sample.dim - len(plspec.linear_cols)):
-        raise ConfigurationError("x1_spec dimension does not match the nonparametric block")
-    x2_mean = x2.mean(axis=0)
-    x1_basis = bs.spec_for_dimension(plspec.x1_spec, j, data=x1)
-    psi1 = bs.design_matrix(x1_basis, x1)
-    n_nonpar = psi1.shape[1]
-    design = np.hstack([psi1, x2 - x2_mean[None, :]])
-    bmat = None
-    if ispec is not None:
-        k = bs.instrument_dim(ispec, j)
-        if k < design.shape[1]:
-            raise InvalidDimensionError(
-                f"K(J)={k} is below the stacked design dimension {design.shape[1]}; "
-                "increase q"
-            )
-        if k > sample.n:
-            raise est.InsufficientSampleError(f"K(J)={k} exceeds n={sample.n}")
-        w_basis = bs.instrument_spec_for(ispec, j, w_data=sample.w)
-        bmat = bs.design_matrix(w_basis, sample.w)
-    m, coef, u_hat, s_hat, flags = est.tsls(design, bmat, sample.y)
-    return PartiallyLinearFit(
-        j=j, x1_basis=x1_basis, coef=coef, beta=coef[n_nonpar:], x2_mean=x2_mean,
-        m=m, u_hat=u_hat, s_hat=s_hat, design=design, bmat=design if bmat is None else bmat,
-        n_nonpar=n_nonpar, flags=flags,
-    )
-
-
-def evaluate_h1(fit: PartiallyLinearFit, x1, deriv=0) -> np.ndarray:
-    """The nonparametric block estimate h1 (or its derivative)."""
-    rows, sl = _h1_rows(fit, x1, deriv)
-    return rows @ fit.coef[sl]
-
-
-def _h1_rows(fit: PartiallyLinearFit, pts: np.ndarray, deriv):
-    return bs.design_matrix(fit.x1_basis, pts, deriv), slice(0, fit.n_nonpar)
+    linear = list(linear_cols)
+    bad = sorted({c for c in linear if not 0 <= c < dim or linear.count(c) > 1})
+    if bad:
+        raise ConfigurationError(
+            f"linear columns {bad} are not distinct x-column indices in 0..{dim - 1}"
+        )
+    nonpar = [i for i in range(dim) if i not in linear]
+    if not nonpar:
+        raise ConfigurationError(f"linear columns {linear} leave no x column nonparametric")
+    return nonpar
 
 
 def partially_linear_model(plspec: PartiallyLinearSpec, ispec: bs.InstrumentSpec | None) -> est.SieveModel:
-    """The partially linear model; it reports the nonparametric block h1."""
-    d2 = len(plspec.linear_cols)
+    """The partially linear model Y = h1(X1) + X2' beta + u; it reports the nonparametric block h1.
+
+    The design is (psi^J(x1)', x2' - mean(x2)')', so beta is coef[J:]. With
+    ``ispec=None`` the regressors instrument themselves (the exogenous case).
+    """
+    linear = list(plspec.linear_cols)
+    d2 = len(linear)
+
+    def design(sample: est.Sample, j: int):
+        nonpar = nonparametric_cols(linear, sample.dim)
+        if plspec.x1_spec.dim != len(nonpar):
+            raise ConfigurationError("x1_spec dimension does not match the nonparametric block")
+        x1, x2 = sample.x[:, nonpar], sample.x[:, linear]
+        basis = bs.spec_for_dimension(plspec.x1_spec, j, data=x1)
+        psi1 = bs.design_matrix(basis, x1)
+        return basis, np.hstack([psi1, x2 - x2.mean(axis=0)]), bs.instrument_matrix(ispec, j, sample.w)
+
     return est.SieveModel(
-        fit=lambda sample, j: fit_partially_linear(sample, plspec, ispec, j),
+        design=design,
         template=plspec.x1_spec,
         widths=lambda j: (j + d2, j + d2 if ispec is None else bs.instrument_dim(ispec, j)),
-        selector=_h1_rows,
+        selector=est.sieve_rows,
         grid_dim=plspec.x1_spec.dim,
     )
 
@@ -355,8 +258,7 @@ def partial_out_fixed_effects(
         block[np.nonzero(mask)[0], codes[mask] - 1] = 1.0
         dummy_blocks.append(block)
         level_maps.append((levels, codes))
-    w_basis = bs.instrument_spec_for(ispec, plan.j_max, w_data=sample.w)
-    bmat = bs.design_matrix(w_basis, sample.w)
+    bmat = bs.instrument_matrix(ispec, plan.j_max, sample.w)
     design = np.hstack([*dummy_blocks, bmat]) if dummy_blocks else bmat
     coef, *_ = np.linalg.lstsq(design, sample.y, rcond=max(design.shape) * np.finfo(float).eps)
     fe_total = np.zeros(n)

@@ -52,8 +52,8 @@ def _model_fields():
     backends = {
         "npiv": est.SieveBackend(est.Sample(y, x[:, 0], w[:, 0]), est.npiv_model(CUBIC, ISPEC)),
         "additive_component": est.SieveBackend(
-            sample, ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)
-        ).view(ext._component_rows(1), grid_dim=1),
+            sample, ext.component_model(ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None), 1)
+        ),
         "partially_linear": est.SieveBackend(
             sample, ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1,)), None)
         ),
@@ -184,11 +184,11 @@ class TestSupTSingle:
         rng = np.random.default_rng(5)
         x = rng.random(100)
         sample = est.Sample(2 + 3 * x, x, x)
-        f = est.fit(sample, CUBIC, None, 4)
-        f_zero = replace(f, u_hat=np.zeros(f.n), s_hat=1.0)
-        model = replace(est.npiv_model(CUBIC, None), fit=lambda s, j: f_zero)
+        backend = est.SieveBackend(sample, est.npiv_model(CUBIC, None))
+        # Seed the backend's fit cache with a fit whose residuals are all zero.
+        backend._fits[4] = replace(backend.fit(4), u_hat=np.zeros(sample.n), s_hat=1.0)
         with pytest.raises(DegenerateVarianceError):
-            est.build_field(est.SieveBackend(sample, model), np.linspace(0, 1, 10), 0, (4,))
+            est.build_field(backend, np.linspace(0, 1, 10), 0, (4,))
 
     def test_sup_monotone_in_index_set(self):
         field = _field(js=(4, 7))

@@ -133,9 +133,14 @@ class TestCmdFit:
             ([], "abc"),
             (["--alpha"], None),
             (["--alpha", "--p-lower", "2.5"], None),
+            (["--mode", "partially_linear", "--linear-cols", "1", "1"], None),
+            (["--grid-hi", "1.5"], None),
+            (["--grid-lo", "0.8", "--grid-hi", "0.2"], None),
+            (["--grid-lo", "0.5", "--grid-hi", "0.5"], None),
         ],
         ids=["grid-size-0", "negative-deriv", "linear-col-out-of-range", "negative-linear-col",
-             "no-nonparametric-col", "non-integer-seed-env", "empty-alpha", "empty-alpha-p-lower"],
+             "no-nonparametric-col", "non-integer-seed-env", "empty-alpha", "empty-alpha-p-lower",
+             "repeated-linear-col", "grid-hi-above-1", "grid-descending", "grid-empty"],
     )
     def test_bad_fit_option_usage_error(self, option, env, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(6)
@@ -202,6 +207,13 @@ _BAD_FIT_OPTIONS = st.one_of(
     ),
     st.tuples(
         st.sampled_from(["npiv", "plm"]),
+        st.tuples(st.floats(-2, 3) | st.just(float("nan")), st.floats(-2, 3) | st.just(float("nan")))
+        .filter(lambda b: not 0.0 <= b[0] < b[1] <= 1.0)
+        .map(lambda b: [f"--grid-lo={b[0]!r}", f"--grid-hi={b[1]!r}"]),
+        st.none(),
+    ),
+    st.tuples(
+        st.sampled_from(["npiv", "plm"]),
         st.just([]),
         st.one_of(
             st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), min_size=1)
@@ -215,7 +227,7 @@ _BAD_FIT_OPTIONS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(case=_BAD_FIT_OPTIONS)
 def test_bad_fit_options_exit_2_before_any_fit(case, tmp_path_factory):
-    """Exit-code map: a bad --grid-size, --deriv, --linear-cols or NPIVBAND_SEED exits 2 before any fit."""
+    """Exit-code map: a bad --grid-size, --deriv, --linear-cols, grid bound or NPIVBAND_SEED exits 2 before any fit."""
     from unittest import mock
 
     from npivband import adaptive as ad
@@ -324,16 +336,18 @@ class TestStructuredModes:
         data = np.loadtxt(additive_csv, delimiter=",", skiprows=1)
         x = data[:, 1:]
         cubic = bs.BasisSpec(4, 0)
-        fit = ext.fit_additive(est.Sample(data[:, 0], x, x), ext.AdditiveSpec((cubic, cubic)), None, j)
+        model = ext.additive_model(ext.AdditiveSpec((cubic, cubic)), None)
+        fit = est.fit(est.Sample(data[:, 0], x, x), model, j)
         rows = list(csv.reader(open(out / "estimates.csv")))
         header = rows[0]
         grid = np.array([float(r[header.index("x")]) for r in rows[1:]])
         for comp in (0, 1):
-            block = ext._centered_block(fit.bases[comp], fit.integrals[comp], grid, 0)
+            basis, integrals = fit.basis[comp]
+            block = ext._centered_block(basis, integrals, grid, 0)
+            sl = slice(1 + comp * j, 1 + (comp + 1) * j)
             field = est.VarianceField(
                 grid=grid.reshape(-1, 1), deriv=(0,), j_values=(j,),
-                rows={j: block}, m={j: fit.m[fit.component_slice(comp)]}, u_hat={j: fit.u_hat},
-                coef={j: fit.coef[fit.component_slice(comp)]},
+                rows={j: block}, m={j: fit.m[sl]}, u_hat={j: fit.u_hat}, coef={j: fit.coef[sl]},
             )
             written = [float(r[header.index(f"sigma_c{comp + 1}")]) for r in rows[1:]]
             assert written == field.sigma[j].tolist()

@@ -11,6 +11,8 @@ from npivband.errors import DegenerateVarianceError, InsufficientSampleError
 
 CUBIC = bs.BasisSpec(4, 0)
 ISPEC = bs.InstrumentSpec(CUBIC, q=2)
+REG = est.npiv_model(CUBIC, None)
+NPIV = est.npiv_model(CUBIC, ISPEC)
 
 
 def _linear_sample(n=200, seed=0, noise=0.0):
@@ -44,22 +46,22 @@ class TestSampleValidation:
 
 class TestFit:
     def test_exact_linear_recovery(self):
-        f = est.fit(_linear_sample(), CUBIC, None, 4)
+        f = est.fit(_linear_sample(), REG, 4)
         grid = np.linspace(0, 1, 101)
-        assert np.abs(est.evaluate(f, grid) - (2 + 3 * grid)).max() < 1e-10
+        assert np.abs(est.evaluate(REG, f, grid) - (2 + 3 * grid)).max() < 1e-10
 
     def test_evaluate_point_and_derivative(self):
-        f = est.fit(_linear_sample(), CUBIC, None, 4)
-        assert est.evaluate(f, [0.25])[0] == pytest.approx(2.75, abs=1e-10)
+        f = est.fit(_linear_sample(), REG, 4)
+        assert est.evaluate(REG, f, [0.25])[0] == pytest.approx(2.75, abs=1e-10)
         grid = np.linspace(0, 1, 23)
-        assert np.abs(est.evaluate(f, grid, 1) - 3.0).max() < 1e-9
+        assert np.abs(est.evaluate(REG, f, grid, 1) - 3.0).max() < 1e-9
 
     def test_derivative_finite_difference_ratio(self):
-        f = est.fit(_noisy_sample(), CUBIC, ISPEC, 7)
+        f = est.fit(_noisy_sample(), NPIV, 7)
         x0, errs = 0.37, []
         for h in (1e-3, 5e-4):
-            fd = (est.evaluate(f, [x0 + h]) - est.evaluate(f, [x0 - h])) / (2 * h)
-            errs.append(abs(fd[0] - est.evaluate(f, [x0], 1)[0]))
+            fd = (est.evaluate(NPIV, f, [x0 + h]) - est.evaluate(NPIV, f, [x0 - h])) / (2 * h)
+            errs.append(abs(fd[0] - est.evaluate(NPIV, f, [x0], 1)[0]))
         assert 3.5 < errs[0] / errs[1] < 4.5
 
     def test_polynomial_reproduction_tsls(self):
@@ -68,16 +70,16 @@ class TestFit:
         rng = np.random.default_rng(2)
         x = rng.random(300)
         y = 1 - 2 * x + 0.5 * x**2 + x**3
-        f = est.fit(est.Sample(y, x, x), CUBIC, ISPEC, 7)
+        f = est.fit(est.Sample(y, x, x), NPIV, 7)
         grid = np.linspace(0, 1, 200)
         truth = 1 - 2 * grid + 0.5 * grid**2 + grid**3
-        assert np.abs(est.evaluate(f, grid) - truth).max() < 1e-9
+        assert np.abs(est.evaluate(NPIV, f, grid) - truth).max() < 1e-9
 
     def test_normal_equations(self):
-        f = est.fit(_noisy_sample(), CUBIC, ISPEC, 7)
+        f = est.fit(_noisy_sample(), NPIV, 7)
         proj = f.bmat @ (np.linalg.pinv(f.bmat.T @ f.bmat) @ (f.bmat.T @ f.u_hat))
-        y_norm = np.linalg.norm(f.u_hat + f.psi @ f.coef)
-        assert np.abs(f.psi.T @ proj).max() < 1e-8 * y_norm
+        y_norm = np.linalg.norm(f.u_hat + f.design @ f.coef)
+        assert np.abs(f.design.T @ proj).max() < 1e-8 * y_norm
 
     def test_dense_oracle_small_sample(self):
         # n=6 oracle: explicitly formed projection and full-rank dense solve
@@ -85,21 +87,21 @@ class TestFit:
         w6 = np.array([0.1, 0.25, 0.4, 0.6, 0.75, 0.9])
         y6 = np.array([0.3, -0.2, 0.5, 1.0, 0.1, -0.4])
         spec = bs.BasisSpec(2, 0)
-        f = est.fit(est.Sample(y6, x6, w6), spec, bs.InstrumentSpec(spec, q=0), 2)
+        f = est.fit(est.Sample(y6, x6, w6), est.npiv_model(spec, bs.InstrumentSpec(spec, q=0)), 2)
         p = f.bmat @ np.linalg.pinv(f.bmat.T @ f.bmat) @ f.bmat.T
-        c_oracle = np.linalg.solve(f.psi.T @ p @ f.psi, f.psi.T @ p @ y6)
+        c_oracle = np.linalg.solve(f.design.T @ p @ f.design, f.design.T @ p @ y6)
         np.testing.assert_allclose(f.coef, c_oracle, atol=1e-10)
 
     def test_insufficient_sample(self):
         s = _noisy_sample(n=15)
         with pytest.raises(InsufficientSampleError):
-            est.fit(s, CUBIC, ISPEC, 7)  # K(7)=20 > 15
+            est.fit(s, NPIV, 7)  # K(7)=20 > 15
 
     def test_zero_variance_outcome_allowed(self):
         rng = np.random.default_rng(3)
         x = rng.random(100)
-        f = est.fit(est.Sample(np.full(100, 2.5), x, x), CUBIC, ISPEC, 4)
-        assert np.abs(est.evaluate(f, np.linspace(0, 1, 11)) - 2.5).max() < 1e-10
+        f = est.fit(est.Sample(np.full(100, 2.5), x, x), NPIV, 4)
+        assert np.abs(est.evaluate(NPIV, f, np.linspace(0, 1, 11)) - 2.5).max() < 1e-10
 
 
 def _ref_psd_inverse(a, n_ambient, sqrt=False):
@@ -158,10 +160,10 @@ class TestTslsGrams:
             for j in (4, 7, 19, 35):
                 calls.clear()
                 monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-                f = est.fit(sample, x_spec, spec, j)
+                f = est.fit(sample, est.npiv_model(x_spec, spec), j)
                 monkeypatch.setattr(np.linalg, "eigh", eigh)
                 assert len(calls) == (1 if spec is None else 3)
-                want = _reference_tsls(f.psi, None if spec is None else f.bmat, sample.y)
+                want = _reference_tsls(f.design, None if spec is None else f.bmat, sample.y)
                 for got, ref in zip((f.m, f.coef, f.u_hat, f.s_hat), want):
                     np.testing.assert_array_equal(got, ref)
                 assert f.flags == want[4]
@@ -171,13 +173,13 @@ class TestTslsGrams:
 
 class TestShat:
     def test_self_instrumented_is_one(self):
-        f = est.fit(_noisy_sample(), CUBIC, None, 7)
+        f = est.fit(_noisy_sample(), REG, 7)
         assert f.s_hat == pytest.approx(1.0, abs=1e-10)
 
     def test_ols_equivalence(self):
         # with b = psi the TSLS influence matrix equals series least squares
-        f = est.fit(_noisy_sample(), CUBIC, None, 7)
-        m_tsls, _ = est.tsls_influence(f.psi, f.psi)
+        f = est.fit(_noisy_sample(), REG, 7)
+        m_tsls = est.tsls(f.design, f.design, np.zeros(f.design.shape[0]))[0]
         assert np.abs(m_tsls - f.m).max() < 1e-10
 
     def test_independent_instruments_near_zero(self):
@@ -189,7 +191,7 @@ class TestShat:
         w = rng.random(n)  # independent of x
         y = np.sin(3 * x) + 0.3 * rng.standard_normal(n)
         s = est.Sample(y, x, w)
-        shats = [est.fit(s, CUBIC, ISPEC, j).s_hat for j in (4, 7, 11)]
+        shats = [est.fit(s, NPIV, j).s_hat for j in (4, 7, 11)]
         assert max(shats) < 0.15
 
     def test_smoothing_design_decreasing_in_j(self):
@@ -201,26 +203,25 @@ class TestShat:
         x = np.clip(w + 0.1 * rng.standard_normal(n), 0, 1)
         y = np.sin(3 * x) + 0.3 * rng.standard_normal(n)
         s = est.Sample(y, x, w)
-        shats = [est.fit(s, CUBIC, ISPEC, j).s_hat for j in (4, 7, 11)]
+        shats = [est.fit(s, NPIV, j).s_hat for j in (4, 7, 11)]
         assert shats[0] > shats[1] > shats[2]
 
     def test_matches_dense_svd_oracle(self):
         import scipy.linalg as sla
 
-        f = est.fit(_noisy_sample(n=80), CUBIC, ISPEC, 4)
+        f = est.fit(_noisy_sample(n=80), NPIV, 4)
         rb = sla.fractional_matrix_power(f.bmat.T @ f.bmat, -0.5)
-        rp = sla.fractional_matrix_power(f.psi.T @ f.psi, -0.5)
-        sv = np.linalg.svd(rb @ (f.bmat.T @ f.psi) @ rp, compute_uv=False)
+        rp = sla.fractional_matrix_power(f.design.T @ f.design, -0.5)
+        sv = np.linalg.svd(rb @ (f.bmat.T @ f.design) @ rp, compute_uv=False)
         assert f.s_hat == pytest.approx(sv.min(), abs=1e-10)
 
     def test_bounds(self):
-        f = est.fit(_noisy_sample(), CUBIC, ISPEC, 7)
+        f = est.fit(_noisy_sample(), NPIV, 7)
         assert 0.0 <= f.s_hat <= 1.0
 
 
-def _field(sample, grid, deriv=0, js=(4, 7), model=None):
-    backend = est.SieveBackend(sample, model or est.npiv_model(CUBIC, ISPEC))
-    return est.build_field(backend, grid, deriv, js)
+def _field(sample, grid, deriv=0, js=(4, 7)):
+    return est.build_field(est.SieveBackend(sample, NPIV), grid, deriv, js)
 
 
 class TestVarianceField:
@@ -245,17 +246,17 @@ class TestVarianceField:
 
     def test_homoskedastic_oracle(self):
         # inject u == c: sigma^2(x) must equal c^2 sum_i (psi(x)' M)_i^2
-        f = est.fit(_noisy_sample(), CUBIC, ISPEC, 4)
+        f = est.fit(_noisy_sample(), NPIV, 4)
         grid = np.linspace(0, 1, 30)
-        rows = bs.design_matrix(f.x_basis, grid) @ f.m
+        rows = bs.design_matrix(f.basis, grid) @ f.m
         c = 0.7
         vf = est.VarianceField(
             grid=grid.reshape(-1, 1),
             deriv=(0,),
             j_values=(4,),
-            rows={4: bs.design_matrix(f.x_basis, grid)},
+            rows={4: bs.design_matrix(f.basis, grid)},
             m={4: f.m},
-            u_hat={4: np.full(f.n, c)},
+            u_hat={4: np.full(f.u_hat.size, c)},
             coef={4: f.coef},
         )
         oracle = c**2 * np.einsum("gi,gi->g", rows, rows)
@@ -263,21 +264,21 @@ class TestVarianceField:
 
     def test_zero_residuals_degenerate(self):
         sample = _linear_sample()
-        f = est.fit(sample, CUBIC, None, 4)
-        f_zero = replace(f, u_hat=np.zeros(f.n))
-        model = replace(est.npiv_model(CUBIC, None), fit=lambda s, j: f_zero)
+        backend = est.SieveBackend(sample, REG)
+        # Seed the backend's fit cache with a fit whose residuals are all zero.
+        backend._fits[4] = replace(backend.fit(4), u_hat=np.zeros(sample.n))
         with pytest.raises(DegenerateVarianceError):
-            _field(sample, np.linspace(0, 1, 20), js=(4,), model=model)
+            est.build_field(backend, np.linspace(0, 1, 20), 0, (4,))
 
     def test_shift_invariance(self):
         s = _noisy_sample()
         s_shift = est.Sample(s.y + 5.0, s.x, s.w)
-        f = est.fit(s, CUBIC, ISPEC, 7)
-        f2 = est.fit(s_shift, CUBIC, ISPEC, 7)
+        f = est.fit(s, NPIV, 7)
+        f2 = est.fit(s_shift, NPIV, 7)
         scale = np.abs(s.y).max()
         assert np.abs(f.u_hat - f2.u_hat).max() < 1e-10 * scale
         grid = np.linspace(0, 1, 31)
-        assert np.abs(est.evaluate(f2, grid) - est.evaluate(f, grid) - 5.0).max() < 1e-9
+        assert np.abs(est.evaluate(NPIV, f2, grid) - est.evaluate(NPIV, f, grid) - 5.0).max() < 1e-9
 
     def test_derivative_field(self):
         vf = _field(_noisy_sample(), np.linspace(0, 1, 25), 1)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -7,10 +9,11 @@ from npivband import estimator as est
 from npivband import extensions as ext
 from npivband import ucb
 from npivband.bootstrap import MultiplierPlan
-from npivband.errors import ConfigurationError
+from npivband.errors import ConfigurationError, InsufficientSampleError, InvalidDimensionError
 
 CUBIC = bs.BasisSpec(4, 0)
 ASPEC = ext.AdditiveSpec((CUBIC, CUBIC))
+ADDITIVE = ext.additive_model(ASPEC, None)
 
 
 def _select(sample, model, plan, grid=None):
@@ -26,25 +29,25 @@ def _additive_sample(n=400, seed=0, noise=0.0):
 
 class TestAdditiveFit:
     def test_exact_recovery_up_to_centering(self):
-        fit = ext.fit_additive(_additive_sample(), ASPEC, None, 4)
+        fit = est.fit(_additive_sample(), ADDITIVE, 4)
         grid = np.linspace(0, 1, 201)
         # components are centered: h1 = x - 1/2, h2 = x^2 - 1/3
-        err1 = np.abs(ext.evaluate_component(fit, 0, grid) - (grid - 0.5)).max()
-        err2 = np.abs(ext.evaluate_component(fit, 1, grid) - (grid**2 - 1 / 3)).max()
+        err1 = np.abs(est.evaluate(ext.component_model(ADDITIVE, 0), fit, grid) - (grid - 0.5)).max()
+        err2 = np.abs(est.evaluate(ext.component_model(ADDITIVE, 1), fit, grid) - (grid**2 - 1 / 3)).max()
         assert err1 < 1e-8 and err2 < 1e-8
-        assert fit.intercept_hat == pytest.approx(1 + 0.5 + 1 / 3, abs=1e-8)
+        assert fit.coef[0] == pytest.approx(1 + 0.5 + 1 / 3, abs=1e-8)
 
     def test_rank_deficient_design_flagged(self):
-        fit = ext.fit_additive(_additive_sample(), ASPEC, None, 4)
+        fit = est.fit(_additive_sample(), ADDITIVE, 4)
         assert "design_rank_deficient" in fit.flags
 
     def test_centered_columns_integrate_to_zero(self):
         # analytic integral of each raw column equals the subtracted constant,
         # so the centered integral vanishes identically; verify the analytic
         # integrals against high-resolution quadrature
-        fit = ext.fit_additive(_additive_sample(), ASPEC, None, 7)
+        fit = est.fit(_additive_sample(), ADDITIVE, 7)
         grid = np.linspace(0, 1, 20001)
-        for basis, integrals in zip(fit.bases, fit.integrals):
+        for basis, integrals in fit.basis:
             raw = bs.design_matrix(basis, grid)
             quad = np.trapezoid(raw, grid, axis=0)
             np.testing.assert_allclose(quad, integrals, atol=1e-8)
@@ -59,22 +62,23 @@ class TestAdditiveFit:
         x = rng.random((n, 2))
         y = np.sin(2 * x[:, 0]) + x[:, 1] + 0.3 * rng.standard_normal(n)
         s = est.Sample(y, x, x)
-        afit = ext.fit_additive(s, ASPEC, None, 5)
-        tfit = est.fit(s, bs.BasisSpec(4, 0, dim=2), None, 25)
+        afit = est.fit(s, ADDITIVE, 5)
+        tensor = est.npiv_model(bs.BasisSpec(4, 0, dim=2), None)
+        tfit = est.fit(s, tensor, 25)
         axis = np.linspace(0.1, 0.9, 12)
         mesh = np.meshgrid(axis, axis, indexing="ij")
         grid = np.stack([m.ravel() for m in mesh], axis=1)
-        add_pred = ext.evaluate_additive(afit, grid)
-        tensor_pred = est.evaluate(tfit, grid)
+        add_pred = est.evaluate(ADDITIVE, afit, grid)
+        tensor_pred = est.evaluate(tensor, tfit, grid)
         assert np.abs(add_pred - tensor_pred).max() < 0.25
         assert np.abs(add_pred - tensor_pred).mean() < 0.08
 
     def test_full_derivative(self):
-        fit = ext.fit_additive(_additive_sample(), ASPEC, None, 4)
+        fit = est.fit(_additive_sample(), ADDITIVE, 4)
         grid = ad.default_grid(2, 9)
-        d1 = ext.evaluate_additive(fit, grid, (1, 0))
+        d1 = est.evaluate(ADDITIVE, fit, grid, (1, 0))
         np.testing.assert_allclose(d1, np.ones(grid.shape[0]), atol=1e-8)
-        d2 = ext.evaluate_additive(fit, grid, (0, 1))
+        d2 = est.evaluate(ADDITIVE, fit, grid, (0, 1))
         np.testing.assert_allclose(d2, 2 * grid[:, 1], atol=1e-8)
 
     def test_instrumented_additive(self):
@@ -85,9 +89,10 @@ class TestAdditiveFit:
         y = 1 + x[:, 0] + x[:, 1] ** 2 + 0.2 * rng.standard_normal(n)
         s = est.Sample(y, x, w)
         ispec = bs.InstrumentSpec(CUBIC, q=1, dim_w=2)
-        fit = ext.fit_additive(s, ASPEC, ispec, 4)
+        model = ext.additive_model(ASPEC, ispec)
+        fit = est.fit(s, model, 4)
         grid = np.linspace(0, 1, 50)
-        assert np.abs(ext.evaluate_component(fit, 0, grid) - (grid - 0.5)).max() < 0.2
+        assert np.abs(est.evaluate(ext.component_model(model, 0), fit, grid) - (grid - 0.5)).max() < 0.2
 
     def test_selection_swap_invariance(self):
         rng = np.random.default_rng(3)
@@ -96,10 +101,9 @@ class TestAdditiveFit:
         y = 1 + np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
         plan = MultiplierPlan(80, 3)
         grid = ad.default_grid(2, 12)
-        model = ext.additive_model(ASPEC, None)
-        sel_a = _select(est.Sample(y, x, x), model, plan, grid)
+        sel_a = _select(est.Sample(y, x, x), ADDITIVE, plan, grid)
         x_sw = x[:, ::-1].copy()
-        sel_b = _select(est.Sample(y, x_sw, x_sw), model, plan, grid)
+        sel_b = _select(est.Sample(y, x_sw, x_sw), ADDITIVE, plan, grid)
         assert sel_a.j_tilde == sel_b.j_tilde
         # column reordering perturbs BLAS summation order at the last few bits
         assert sel_a.theta_star == pytest.approx(sel_b.theta_star, rel=1e-6)
@@ -108,7 +112,9 @@ class TestAdditiveFit:
         fb = sel_b.backend.fit(sel_b.j_tilde)
         g1 = np.linspace(0, 1, 30)
         np.testing.assert_allclose(
-            ext.evaluate_component(fa, 0, g1), ext.evaluate_component(fb, 1, g1), atol=1e-9
+            est.evaluate(ext.component_model(ADDITIVE, 0), fa, g1),
+            est.evaluate(ext.component_model(ADDITIVE, 1), fb, g1),
+            atol=1e-9,
         )
 
     def test_component_band(self):
@@ -118,7 +124,7 @@ class TestAdditiveFit:
         truth1 = np.sin(3 * x[:, 0])
         y = 1 + truth1 + x[:, 1] + 0.4 * rng.standard_normal(n)
         plan = MultiplierPlan(100, 5)
-        sel = _select(est.Sample(y, x, x), ext.additive_model(ASPEC, None), plan, ad.default_grid(2, 12))
+        sel = _select(est.Sample(y, x, x), ADDITIVE, plan, ad.default_grid(2, 12))
         g1 = np.linspace(0, 1, 40)
         band = ucb.band_deriv(ext.component_view(sel, 0, g1), plan=plan, alpha=0.05, a=0)
         centered_truth = np.sin(3 * g1) - (1 - np.cos(3.0)) / 3.0
@@ -134,11 +140,13 @@ class TestPartiallyLinear:
         x2 = np.clip(0.5 + 0.2 * rng.standard_normal(n), 0, 1)
         y = (2 * x1 - 1) + 2.0 * x2
         s = est.Sample(y, np.column_stack([x1, x2]), np.column_stack([x1, x2]))
-        spec = ext.PartiallyLinearSpec(CUBIC, linear_cols=(1,))
-        fit = ext.fit_partially_linear(s, spec, None, 4)
-        assert fit.beta[0] == pytest.approx(2.0, abs=1e-9)
+        model = ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, linear_cols=(1,)), None)
+        fit = est.fit(s, model, 4)
+        beta = fit.coef[fit.j:]
+        assert beta[0] == pytest.approx(2.0, abs=1e-9)
         g = np.linspace(0, 1, 33)
-        recovered = ext.evaluate_h1(fit, g) - fit.beta[0] * fit.x2_mean[0]
+        # The linear block enters demeaned, so h1 absorbs beta times the mean of x2.
+        recovered = est.evaluate(model, fit, g) - beta[0] * x2.mean()
         np.testing.assert_allclose(recovered, 2 * g - 1, atol=1e-9)
 
     def test_empty_linear_block_reduces_to_plain_fit(self):
@@ -148,8 +156,8 @@ class TestPartiallyLinear:
         y = np.sin(3 * x) + 0.2 * rng.standard_normal(n)
         s = est.Sample(y, x, x)
         spec = ext.PartiallyLinearSpec(CUBIC, linear_cols=())
-        fit = ext.fit_partially_linear(s, spec, None, 7)
-        plain = est.fit(s, CUBIC, None, 7)
+        fit = est.fit(s, ext.partially_linear_model(spec, None), 7)
+        plain = est.fit(s, est.npiv_model(CUBIC, None), 7)
         np.testing.assert_allclose(fit.coef, plain.coef, atol=1e-10)
 
     def test_two_block_oracle(self):
@@ -161,11 +169,20 @@ class TestPartiallyLinear:
         y = np.sin(3 * x1) + 1.5 * x2 + 0.1 * rng.standard_normal(n)
         s = est.Sample(y, np.column_stack([x1, x2]), w)
         spec = ext.PartiallyLinearSpec(CUBIC, linear_cols=(1,))
-        fit = ext.fit_partially_linear(s, spec, bs.InstrumentSpec(CUBIC, q=2), 4)
+        fit = est.fit(s, ext.partially_linear_model(spec, bs.InstrumentSpec(CUBIC, q=2)), 4)
         proj = fit.bmat @ np.linalg.pinv(fit.bmat.T @ fit.bmat) @ fit.bmat.T
         coef = np.linalg.solve(fit.design.T @ proj @ fit.design, fit.design.T @ proj @ s.y)
         np.testing.assert_allclose(fit.coef, coef, atol=1e-9)
-        np.testing.assert_allclose(fit.beta, coef[fit.n_nonpar:], atol=1e-9)
+
+    @pytest.mark.parametrize(
+        "linear, bad", [((1, 1), "[1]"), ((5,), "[5]"), ((-1,), "[-1]"), ((0, 1), "leave no")]
+    )
+    def test_bad_linear_cols_named(self, linear, bad):
+        rng = np.random.default_rng(8)
+        x = rng.random((40, 2))
+        model = ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, linear_cols=linear), None)
+        with pytest.raises(ConfigurationError, match=re.escape(bad)):
+            est.fit(est.Sample(x.sum(axis=1), x, x), model, 4)
 
     def test_spec_needs_nonparametric_block(self):
         with pytest.raises(ConfigurationError):
@@ -182,6 +199,108 @@ class TestPartiallyLinear:
         sel = _select(s, ext.partially_linear_model(spec, None), MultiplierPlan(80, 1))
         assert sel.j_tilde in sel.index_set
         assert sel.grid.shape[1] == 1
+
+
+def _level(j):
+    """Resolution l of the cubic dimension J = 2^l + 3."""
+    return {4: 0, 7: 2, 11: 3}[j]
+
+
+def _additive_reference(sample, d, ispec, j):
+    """Design [1, centered per-axis bases] and instruments b^{K(J)}(w) of the additive model."""
+    blocks = [np.ones((sample.n, 1))]
+    for i in range(d):
+        basis = bs.BasisSpec(4, _level(j))
+        blocks.append(bs.design_matrix(basis, sample.x[:, i]) - bs.basis_integrals(basis)[None, :])
+    if ispec is None:
+        return np.hstack(blocks), None
+    level_w = -(-(_level(j) + ispec.q) * d // ispec.dim_w)
+    return np.hstack(blocks), bs.design_matrix(bs.BasisSpec(5, level_w, dim=ispec.dim_w), sample.w)
+
+
+def _partially_linear_reference(sample, ispec, j):
+    """Design (psi^J(x1), x2 - mean x2) and instruments b^{K(J)}(w) of the partially linear model."""
+    x2 = sample.x[:, 1:]
+    design = np.hstack([bs.design_matrix(bs.BasisSpec(4, _level(j)), sample.x[:, 0]), x2 - x2.mean(axis=0)])
+    if ispec is None:
+        return design, None
+    level_w = -(-(_level(j) + ispec.q) // ispec.dim_w)
+    return design, bs.design_matrix(bs.BasisSpec(5, level_w, dim=ispec.dim_w), sample.w)
+
+
+def _one_fit_case(name):
+    rng = np.random.default_rng(12)
+    n = 600
+    d = 3 if name.startswith("additive3") else 2
+    x = rng.random((n, d))
+    dim_w = 1 if name == "additive3_iv" else 2
+    w = np.clip(x[:, :dim_w] + 0.1 * rng.standard_normal((n, dim_w)), 0, 1)
+    y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
+    sample = est.Sample(y, x, x if name.endswith("exog") else w)
+    ispec = {
+        "additive2_exog": None,
+        "additive2_iv": bs.InstrumentSpec(CUBIC, q=1, dim_w=2),
+        "additive3_exog": None,
+        "additive3_iv": bs.InstrumentSpec(CUBIC, q=0, dim_w=1),
+        "plm_exog": None,
+        "plm_iv": bs.InstrumentSpec(CUBIC, q=2, dim_w=2),
+    }[name]
+    if name.startswith("plm"):
+        model = ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, linear_cols=(1,)), ispec)
+        return sample, model, lambda j: _partially_linear_reference(sample, ispec, j)
+    model = ext.additive_model(ext.AdditiveSpec((CUBIC,) * d), ispec)
+    return sample, model, lambda j: _additive_reference(sample, d, ispec, j)
+
+
+# At J=4 the instrumented three-column model has K = 5 instruments for 13 columns:
+# test_instruments_below_the_stacked_width covers that case.
+_ONE_FIT_CASES = [
+    (name, j)
+    for name in ("additive2_exog", "additive2_iv", "additive3_exog", "additive3_iv", "plm_exog", "plm_iv")
+    for j in (4, 7, 11)
+    if (name, j) != ("additive3_iv", 4)
+]
+
+
+class TestOneFit:
+    """``estimator.fit`` on the structured models equals ``tsls`` on their designs built here."""
+
+    @pytest.mark.parametrize("name, j", _ONE_FIT_CASES)
+    def test_fit_is_tsls_of_the_design(self, name, j):
+        sample, model, reference = _one_fit_case(name)
+        design, bmat = reference(j)
+        fit = est.fit(sample, model, j)
+        np.testing.assert_array_equal(fit.design, design)
+        np.testing.assert_array_equal(fit.bmat, design if bmat is None else bmat)
+        m, coef, u_hat, s_hat, flags = est.tsls(design, bmat, sample.y)
+        for got, want in ((fit.m, m), (fit.coef, coef), (fit.u_hat, u_hat), (fit.s_hat, s_hat)):
+            np.testing.assert_array_equal(got, want)
+        assert fit.flags == flags and fit.j == j
+
+    @pytest.mark.parametrize("name", ["additive", "plm"])
+    def test_instruments_below_the_stacked_width(self, name):
+        rng = np.random.default_rng(13)
+        x = rng.random((200, 3))
+        ispec = bs.InstrumentSpec(CUBIC, q=0, dim_w=1)
+        if name == "additive":
+            model = ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC, CUBIC)), ispec)  # K(4) = 5 < 13
+        else:
+            model = ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1, 2)), ispec)  # K(4) = 5 < 6
+        with pytest.raises(InvalidDimensionError, match="below the design width"):
+            est.fit(est.Sample(x.sum(axis=1), x, x[:, 0]), model, 4)
+
+    @pytest.mark.parametrize("name", ["additive", "plm"])
+    def test_instruments_above_the_sample_size(self, name):
+        rng = np.random.default_rng(14)
+        x = rng.random((100, 2))
+        if name == "additive":
+            model = ext.additive_model(ASPEC, bs.InstrumentSpec(CUBIC, q=1, dim_w=2))  # K(7) = 144
+        else:
+            model = ext.partially_linear_model(
+                ext.PartiallyLinearSpec(CUBIC, (1,)), bs.InstrumentSpec(CUBIC, q=2, dim_w=2)
+            )  # K(11) = 12^2
+        with pytest.raises(InsufficientSampleError):
+            est.fit(est.Sample(x.sum(axis=1), x, x), model, 7 if name == "additive" else 11)
 
 
 class TestFixedEffects:
