@@ -8,16 +8,18 @@ size, kept read-only on the plan for the plan's lifetime (B * n * 8 bytes),
 and shared by theta*, every band's z* and every alpha level.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
-only through the p x B projections W_J Omega', one product per J, computed
-once per (field, plan) and memoized on the field. The draws of J at the grid
-are D*_J = rows_J W_J Omega'. A contrast draw is the difference
-D*_J - D*_J2 of per-J draws, each taken once per chunk of grid rows however
-many pairs share it, and scaled by the pair's sd; no contrast rows are
-formed, and fits that alias each other give exactly zero because their
-per-pair Grams make the sd exactly zero. Every sup-t statistic keeps a
-running per-draw maximum over fixed 64-draw slices, which keeps results
-bit-identical for any number of worker threads. ``sup_t_single`` results
-are memoized on the field as well.
+only through the p x B projections W_J Omega', one product per J. Each W_J
+and each projection is formed once per fit, coefficient slice and plan, kept
+read-only with the fit, and shared by every field of the backend: the
+selection field, the h and derivative band fields and the fixed-J fields.
+The draws of J at the grid are D*_J = rows_J W_J Omega'. A contrast draw
+is the difference D*_J - D*_J2 of per-J draws, each taken once per chunk of
+grid rows however many pairs share it, and scaled by the pair's sd; no
+contrast rows are formed, and fits that alias each other give exactly zero
+because their per-pair Grams make the sd exactly zero. Every sup-t statistic
+keeps a running per-draw maximum over fixed 64-draw slices, which keeps
+results bit-identical for any number of worker threads. ``sup_t_single``
+results are memoized on the field.
 """
 
 from __future__ import annotations
@@ -80,12 +82,21 @@ def multiplier_matrix(plan: MultiplierPlan, n: int) -> np.ndarray:
 
 
 def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.ndarray]:
-    """The p x B projections {J: W_J Omega'} of the field's weights; memoized on the field per plan."""
+    """The read-only p x B projections {J: W_J Omega'} of the field's weights.
+
+    Each is formed once per fit, coefficient slice and plan in the field's
+    ``stores``, which ``build_field`` shares among every field of a backend;
+    Omega is built only when some J of the field lacks its projection.
+    """
     key = (plan.n_draws, plan.base_seed)
-    if key not in varfield.projections:
+    stores = {j: varfield.stores[j] for j in varfield.j_values}
+    missing = [j for j, store in stores.items() if key not in store]
+    if missing:
         omega_t = multiplier_matrix(plan, varfield.n).T
-        varfield.projections[key] = {j: w @ omega_t for j, w in varfield.weights.items()}
-    return varfield.projections[key]
+        for j in missing:
+            stores[j][key] = varfield.weights[j] @ omega_t
+            stores[j][key].flags.writeable = False
+    return {j: store[key] for j, store in stores.items()}
 
 
 def _sup_over_draws(blocks, n_draws: int, n_workers: int = 1) -> np.ndarray:

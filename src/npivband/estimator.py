@@ -89,7 +89,11 @@ class SieveFit:
     ``basis`` is the state the model's selector reads (a ``BasisSpec``, or
     the additive model's per-axis ``(basis, integrals)`` pairs). ``design``
     is the n x p design and ``bmat`` the n x K instruments, the design itself
-    for series regression. The rest is the output of ``tsls``.
+    for series regression. The rest is the output of ``tsls``. ``stores``
+    holds, per coefficient slice, the bootstrap weights and projections that
+    every variance field built on this fit shares (see ``build_field``); it
+    lives as long as the fit, and a copy made with ``dataclasses.replace``
+    starts empty.
     """
 
     j: int
@@ -101,6 +105,7 @@ class SieveFit:
     u_hat: np.ndarray
     s_hat: float
     flags: tuple[str, ...] = ()
+    stores: dict[tuple, dict] = field(init=False, default_factory=dict, compare=False, repr=False)
 
 
 def tsls(design: np.ndarray, bmat: np.ndarray | None, y: np.ndarray):
@@ -201,11 +206,17 @@ class VarianceField:
     sigma_J^2 and sigma~_{J,J2} are row-wise quadratic forms in the Grams
     W_J W_J2', each its own general product on one operand layout, so fits
     that alias each other contrast to exactly zero. The bootstrap needs only
-    the per-J projections W_J Omega' (memoized in ``projections``; single-J
-    draws in ``sup_t_memo``), each its own product, so the draws of J do not
-    depend on which other J the field holds. Contrast draws are differences
-    of per-J draws, so no contrast rows exist. ``influence`` and ``scores``
-    compute G x n rows on read.
+    the per-J projections W_J Omega', each its own product, so the draws of
+    J do not depend on which other J the field holds. Contrast draws are
+    differences of per-J draws, so no contrast rows exist. ``influence`` and
+    ``scores`` compute G x n rows on read.
+
+    W_J and its projections (keyed by ``(n_draws, base_seed)``) live
+    read-only in ``stores[J]``. ``build_field`` hands in the fit's store for
+    the field's coefficient slice, so they are formed once per fit, slice
+    and plan and shared by every field of the backend; a field constructed
+    without ``stores`` keeps private ones. The rows, sigma, cross terms and
+    single-J draws (``sup_t_memo``) stay with the field.
     """
 
     grid: np.ndarray
@@ -215,15 +226,20 @@ class VarianceField:
     m: dict[int, np.ndarray]
     u_hat: dict[int, np.ndarray]
     coef: dict[int, np.ndarray]
+    stores: dict[int, dict] = field(default_factory=dict, repr=False)
     weights: dict[int, np.ndarray] = field(init=False)
     sigma: dict[int, np.ndarray] = field(init=False)
     _cross: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
-    projections: dict[tuple, np.ndarray] = field(init=False, default_factory=dict, repr=False)
     sup_t_memo: dict[tuple, np.ndarray] = field(init=False, default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.j_values = tuple(sorted(self.j_values))
-        self.weights = {j: self.m[j] * self.u_hat[j][None, :] for j in self.j_values}
+        for j in self.j_values:
+            store = self.stores.setdefault(j, {})
+            if "weights" not in store:
+                store["weights"] = self.m[j] * self.u_hat[j][None, :]
+                store["weights"].flags.writeable = False
+        self.weights = {j: self.stores[j]["weights"] for j in self.j_values}
         self.sigma = {j: np.sqrt(self.cross(j, j)) for j in self.j_values}
         max_sigma = max((float(s.max()) for s in self.sigma.values()), default=0.0)
         if max_sigma == 0.0:
@@ -392,12 +408,17 @@ def build_field(backend: SieveBackend, pts, deriv, js) -> VarianceField:
     """Variance field of the backend's reported function at derivative ``deriv`` over J in ``js``.
 
     ``pts`` is any grid ``basis.as_points`` accepts and ``deriv`` any order ``basis.multi_index`` accepts.
+    Each J's weights and bootstrap projections live in the fit's store for the selector's
+    coefficient slice, so every field of the backend on that fit and slice shares them.
     """
     pts = bs.as_points(pts, backend.grid_dim)
     deriv = bs.multi_index(deriv, backend.grid_dim)
-    rows, m, u_hat, coef = {}, {}, {}, {}
+    rows, m, u_hat, coef, stores = {}, {}, {}, {}, {}
     for j in js:
         fit_ = backend.fit(j)
         rows[j], sl = backend.model.selector(fit_.basis, pts, deriv)
         m[j], u_hat[j], coef[j] = fit_.m[sl], fit_.u_hat, fit_.coef[sl]
-    return VarianceField(grid=pts, deriv=deriv, j_values=tuple(js), rows=rows, m=m, u_hat=u_hat, coef=coef)
+        stores[j] = fit_.stores.setdefault((sl.start, sl.stop, sl.step), {})
+    return VarianceField(
+        grid=pts, deriv=deriv, j_values=tuple(js), rows=rows, m=m, u_hat=u_hat, coef=coef, stores=stores
+    )

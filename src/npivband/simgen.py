@@ -71,9 +71,6 @@ class TradeCalibration:
     noise_cov: tuple[tuple[float, float], tuple[float, float]] = ((0.04, 0.0), (0.0, 0.25))
     z_values: tuple[float, ...] = field(default_factory=_default_z_values)
     pareto_slope: float = -0.23
-    n_exporters: int = 40
-    n_importers: int = 39
-    fe_scale: float = 0.0
 
 
 def lognormal_log_eps(pi, mu: float, sigma: float):
@@ -206,12 +203,7 @@ def _trade_sampler(calib: TradeCalibration, log_rho_fn) -> Callable[[int, np.ran
         log_eps = calib.z_coef * z + calib.z_intercept + noise[:, 0]
         pi = pi_from_log_eps(log_eps, calib.mu, calib.sigma)
         log_pi = np.log(pi)
-        exporters = rng.integers(0, calib.n_exporters, n)
-        importers = rng.integers(0, calib.n_importers, n)
-        delta = calib.fe_scale * rng.standard_normal(calib.n_exporters)
-        zeta = calib.fe_scale * rng.standard_normal(calib.n_importers)
-        fe = delta[exporters] + zeta[importers]
-        xbar = log_rho_fn(pi) - calib.sigma_tilde * calib.kappa_tau * z + fe + noise[:, 1]
+        xbar = log_rho_fn(pi) - calib.sigma_tilde * calib.kappa_tau * z + noise[:, 1]
         y = xbar + calib.sigma_tilde * calib.kappa_tau * z
         x = _x_from_log_pi(log_pi)
         w = bs.apply_transform(bs.SupportTransform("empirical_cdf"), z)

@@ -15,12 +15,16 @@ CUBIC = bs.BasisSpec(4, 0)
 ISPEC = bs.InstrumentSpec(CUBIC, q=2)
 
 
-def _field(n=120, seed=0, js=(4, 7), grid=None, deriv=0):
+def _npiv_backend(n=120, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     w = np.clip(x + 0.15 * rng.standard_normal(n), 0, 1)
     y = np.sin(3 * x) + 0.5 * rng.standard_normal(n)
-    backend = est.SieveBackend(est.Sample(y, x, w), est.npiv_model(CUBIC, ISPEC))
+    return est.SieveBackend(est.Sample(y, x, w), est.npiv_model(CUBIC, ISPEC))
+
+
+def _field(n=120, seed=0, js=(4, 7), grid=None, deriv=0):
+    backend = _npiv_backend(n, seed)
     return est.build_field(backend, grid if grid is not None else np.linspace(0, 1, 30), deriv, js)
 
 
@@ -41,25 +45,31 @@ def _dense_sup_t(field, plan, js=None, pairs=None):
     return np.abs(np.vstack(rows) @ omega).max(axis=0)
 
 
-def _model_fields():
-    """Fields of the npiv, additive component-view and partially linear selectors."""
+def _model_backends():
+    """Backends of the npiv, additive, additive component-view and partially linear models."""
     rng = np.random.default_rng(21)
     n = 300
     x = rng.random((n, 2))
     w = np.clip(x + 0.1 * rng.standard_normal((n, 2)), 0, 1)
     y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.4 * rng.standard_normal(n)
     sample = est.Sample(y, x, w)
-    backends = {
+    additive = est.SieveBackend(sample, ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None))
+    return {
         "npiv": est.SieveBackend(est.Sample(y, x[:, 0], w[:, 0]), est.npiv_model(CUBIC, ISPEC)),
-        "additive_component": est.SieveBackend(
-            sample, ext.component_model(ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None), 1)
-        ),
+        "additive": additive,
+        "additive_component": additive.view(ext.component_model(additive.model, 1)),
         "partially_linear": est.SieveBackend(
             sample, ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1,)), None)
         ),
     }
+
+
+def _model_fields():
+    """Fields of the npiv, additive component-view and partially linear selectors."""
+    backends = _model_backends()
     grid = np.linspace(0, 1, 40).reshape(-1, 1)
-    return {name: est.build_field(b, grid, (0,), (4, 5, 7)) for name, b in backends.items()}
+    return {name: est.build_field(backends[name], grid, (0,), (4, 5, 7))
+            for name in ("npiv", "additive_component", "partially_linear")}
 
 
 class TestFactoredScores:
@@ -332,6 +342,85 @@ class TestMultiplierReuse:
         first.z_draws[:] = 0.0
         again = ucb.band_h(selection, plan=plan, alpha=0.05)
         assert again.z_star == first.z_star > 0.0
+
+
+class TestSharedProjections:
+    """Every field of a backend shares each fit's weights W_J and projections W_J Omega'."""
+
+    GRID = np.linspace(0, 1, 25)
+    #: (derivative order, J set) of the selection-like a=0 field, the a=1 field and a fixed-J field.
+    FIELDS = ((0, (4, 5, 7)), (1, (5, 7)), (0, (7, 11)))
+
+    def _fields(self, backend):
+        return [est.build_field(backend, self.GRID, a, js) for a, js in self.FIELDS]
+
+    def test_fields_of_one_backend_share_one_array_per_plan(self):
+        fields = self._fields(_npiv_backend(n=300))
+        plan, other = bt.MultiplierPlan(80, 30), bt.MultiplierPlan(80, 31)
+        projs = [bt._projections(f, plan)[7] for f in fields]
+        assert all(p is projs[0] for p in projs)
+        assert all(f.weights[7] is fields[0].weights[7] for f in fields)
+        assert fields[0].weights[7] is not fields[0].weights[5]
+        again = bt._projections(fields[2], other)[7]
+        assert again is not projs[0]
+        assert not np.array_equal(again, projs[0])
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_shared_draws_equal_unshared(self, workers):
+        plan = bt.MultiplierPlan(150, 32)
+        for shared, (a, js) in zip(self._fields(_npiv_backend(n=300)), self.FIELDS):
+            alone = est.build_field(_npiv_backend(n=300), self.GRID, a, js)
+            pairs = list(zip(js, js[1:]))
+            np.testing.assert_array_equal(
+                bt.sup_t_single(shared, plan, n_workers=workers), bt.sup_t_single(alone, plan)
+            )
+            np.testing.assert_array_equal(
+                bt.sup_t_contrast(shared, plan, pairs, n_workers=workers), bt.sup_t_contrast(alone, plan, pairs)
+            )
+
+    def test_component_and_partially_linear_slices_get_their_own_projections(self):
+        backends = _model_backends()
+        plan = bt.MultiplierPlan(60, 33)
+        omega_t = bt.multiplier_matrix(plan, backends["additive"].n).T
+        # The full additive field fills the fits' full-slice stores first.
+        full = bt._projections(est.build_field(backends["additive"], np.column_stack([self.GRID] * 2), 0,
+                                               (4, 5, 7)), plan)
+        for name, sl_of in (("additive_component", lambda j: slice(1 + j, 1 + 2 * j)),
+                            ("partially_linear", lambda j: slice(0, j))):
+            backend = backends[name]
+            proj = bt._projections(est.build_field(backend, self.GRID, 0, (4, 5, 7)), plan)
+            for j in (4, 5, 7):
+                fit = backend.fit(j)
+                assert proj[j].shape == (j, plan.n_draws)
+                np.testing.assert_array_equal(proj[j], (fit.m[sl_of(j)] * fit.u_hat) @ omega_t)
+        for j in (4, 5, 7):
+            assert full[j].shape == (1 + 2 * j, plan.n_draws)
+            fit = backends["additive"].fit(j)
+            np.testing.assert_array_equal(full[j], (fit.m * fit.u_hat) @ omega_t)
+
+    def test_replaced_fit_gets_fresh_weights(self):
+        backend = _npiv_backend(n=200)
+        first = est.build_field(backend, self.GRID, 0, (4,))
+        fit = backend.fit(4)
+        backend._fits[4] = replace(fit, u_hat=2.0 * fit.u_hat)
+        assert backend._fits[4].stores == {}
+        second = est.build_field(backend, self.GRID, 0, (4,))
+        assert second.weights[4] is not first.weights[4]
+        np.testing.assert_array_equal(second.weights[4], fit.m * (2.0 * fit.u_hat))
+        np.testing.assert_array_equal(second.sigma[4], 2.0 * first.sigma[4])
+
+    def test_shared_arrays_are_read_only(self):
+        built = _field(js=(4, 7))
+        # A field constructed directly keeps private weights and projections.
+        direct = est.VarianceField(grid=built.grid, deriv=(0,), j_values=(4,), rows=built.rows,
+                                   m=built.m, u_hat=built.u_hat, coef=built.coef)
+        assert direct.weights[4] is not built.weights[4]
+        for field in (built, direct):
+            plan = bt.MultiplierPlan(20, 34)
+            for arr in (field.weights[4], bt._projections(field, plan)[4]):
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
 
 
 class TestQuantile:
