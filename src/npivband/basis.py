@@ -321,7 +321,7 @@ def normalize_deriv(spec: BasisSpec, deriv) -> tuple[int, ...]:
     for a_i in multi:
         if a_i < 0:
             raise UnsupportedDerivativeError("derivative orders must be nonnegative")
-        if a_i > spec.order - 2:
+        if a_i > max(spec.order - 2, 0):
             raise UnsupportedDerivativeError(
                 f"derivative order {a_i} exceeds the C^{spec.order - 2} smoothness of an "
                 f"order-{spec.order} spline"

@@ -3,16 +3,16 @@
 Every bootstrap statistic is a linear map of one B x n matrix Omega of i.i.d.
 standard normal multipliers. Row b of Omega is drawn from an independent
 substream keyed by (base_seed, b), so each draw is identical regardless of
-execution order or worker count. Omega is generated once per plan and sample
-size, kept read-only on the plan for the plan's lifetime (B * n * 8 bytes),
-and shared by theta*, every band's z* and every alpha level.
+execution order or worker count, and theta*, every band's z* and every alpha
+level see the same draws.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
-only through the p x B projections W_J Omega', one product per J. Each W_J
-and each projection is formed once per fit, coefficient slice and plan, kept
-read-only with the fit, and shared by every field of the backend: the
-selection field, the h and derivative band fields and the fixed-J fields.
-The draws of J at the grid are D*_J = rows_J W_J Omega'. A contrast draw
+only through the projections W Omega' of each fit's whole-coefficient weights
+W = M diag(u_hat). Each is formed once per fit and plan and kept read-only in
+the fit's ``projections``; a field reads the rows of its coefficient slice.
+Omega is drawn only when a field holds a fit without that plan's projection,
+and lives only while the missing projections are formed. The draws of J at
+the grid are D*_J = rows_J W_J Omega'. A contrast draw
 is the difference D*_J - D*_J2 of per-J draws, each taken once per chunk of
 grid rows however many pairs share it, and scaled by the pair's sd; no
 contrast rows are formed, and fits that alias each other give exactly zero
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +44,6 @@ class MultiplierPlan:
 
     n_draws: int = 1000
     base_seed: int = 0
-    # (n, Omega) for the most recent sample size; see multiplier_matrix.
-    _omega: tuple[int, np.ndarray] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n_draws < 1:
@@ -63,40 +61,28 @@ def draw_multipliers(plan: MultiplierPlan, b: int, n: int) -> np.ndarray:
 
 
 def multiplier_matrix(plan: MultiplierPlan, n: int) -> np.ndarray:
-    """The read-only B x n matrix Omega whose row b is ``draw_multipliers(plan, b, n)``.
-
-    It is generated on first use and cached on the plan, which holds one
-    sample size at a time: asking for another n replaces it.
-    """
-    n = int(n)
-    cached = plan._omega
-    if cached is None or cached[0] != n:
-        object.__setattr__(plan, "_omega", None)
-        omega = np.empty((plan.n_draws, n))
-        for b in range(plan.n_draws):
-            omega[b] = draw_multipliers(plan, b, n)
-        omega.flags.writeable = False
-        cached = (n, omega)
-        object.__setattr__(plan, "_omega", cached)
-    return cached[1]
+    """The B x n matrix Omega whose row b is ``draw_multipliers(plan, b, n)``."""
+    omega = np.empty((plan.n_draws, int(n)))
+    for b in range(plan.n_draws):
+        omega[b] = draw_multipliers(plan, b, n)
+    return omega
 
 
 def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.ndarray]:
     """The read-only p x B projections {J: W_J Omega'} of the field's weights.
 
-    Each is formed once per fit, coefficient slice and plan in the field's
-    ``stores``, which ``build_field`` shares among every field of a backend;
-    Omega is built only when some J of the field lacks its projection.
+    Each fit of the field that lacks the plan's projection gets the product
+    of its whole weights and Omega, drawn once for all of them; J reads the
+    rows of its coefficient slice, a view of the fit's projection.
     """
-    key = (plan.n_draws, plan.base_seed)
-    stores = {j: varfield.stores[j] for j in varfield.j_values}
-    missing = [j for j, store in stores.items() if key not in store]
+    missing = [fit for fit in varfield.fits.values() if plan not in fit.projections]
     if missing:
         omega_t = multiplier_matrix(plan, varfield.n).T
-        for j in missing:
-            stores[j][key] = varfield.weights[j] @ omega_t
-            stores[j][key].flags.writeable = False
-    return {j: store[key] for j, store in stores.items()}
+        for fit in missing:
+            proj = fit.weights @ omega_t
+            proj.flags.writeable = False
+            fit.projections[plan] = proj
+    return {j: varfield.fits[j].projections[plan][varfield.slices[j]] for j in varfield.j_values}
 
 
 def _sup_over_draws(blocks, n_draws: int, n_workers: int = 1) -> np.ndarray:

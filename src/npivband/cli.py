@@ -236,8 +236,10 @@ def _selection_payload(selection) -> dict:
 def _load_selection(path: str, backend: est.SieveBackend, grid) -> ad.AdaptiveSelection:
     """Rebuild an AdaptiveSelection from selection.json plus fresh fits.
 
-    The bands build their variance fields over the J values they use.
+    Every stored J must be a dimension the backend can fit, which is checked
+    before any fit. The bands build their variance fields over the J values they use.
     """
+    dims = set(backend.candidate_dims())
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -248,8 +250,14 @@ def _load_selection(path: str, backend: est.SieveBackend, grid) -> ad.AdaptiveSe
             s_hat_by_j={int(j): v for j, v in stored["s_hat_by_j"].items()},
             flags=(*stored["flags"], "selection_overridden"),
         )
+        bad = sorted({*stored["index_set"], *stored["j_minus_set"], stored["j_tilde"]} - dims)
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         raise DataError(f"cannot read selection file {path}: {type(exc).__name__}: {exc}") from None
+    if bad:
+        raise DataError(
+            f"selection file {path} holds J values {bad} that this model cannot fit; "
+            f"its dimensions on this sample are {sorted(dims)}"
+        )
     return ad.AdaptiveSelection(
         **stored, grid=bs.as_points(grid, backend.grid_dim), varfield=None, backend=backend
     )

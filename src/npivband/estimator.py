@@ -21,6 +21,7 @@ from __future__ import annotations
 import copy
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import groupby, takewhile
 from typing import Callable
 
@@ -89,11 +90,12 @@ class SieveFit:
     ``basis`` is the state the model's selector reads (a ``BasisSpec``, or
     the additive model's per-axis ``(basis, integrals)`` pairs). ``design``
     is the n x p design and ``bmat`` the n x K instruments, the design itself
-    for series regression. The rest is the output of ``tsls``. ``stores``
-    holds, per coefficient slice, the bootstrap weights and projections that
-    every variance field built on this fit shares (see ``build_field``); it
-    lives as long as the fit, and a copy made with ``dataclasses.replace``
-    starts empty.
+    for series regression. The rest is the output of ``tsls``. The fit owns
+    its bootstrap arrays: ``weights`` M diag(u_hat) of the whole coefficient
+    vector and, per ``MultiplierPlan``, its projection ``weights @ Omega'``
+    in ``projections``. Every variance field on the fit reads its rows block
+    of both, so they live as long as the fit, and a copy made with
+    ``dataclasses.replace`` starts without them.
     """
 
     j: int
@@ -105,7 +107,14 @@ class SieveFit:
     u_hat: np.ndarray
     s_hat: float
     flags: tuple[str, ...] = ()
-    stores: dict[tuple, dict] = field(init=False, default_factory=dict, compare=False, repr=False)
+    projections: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The read-only p x n bootstrap weights M diag(u_hat), formed on first read."""
+        weights = self.m * self.u_hat[None, :]
+        weights.flags.writeable = False
+        return weights
 
 
 def tsls(design: np.ndarray, bmat: np.ndarray | None, y: np.ndarray):
@@ -200,33 +209,26 @@ class _OnRead(Mapping):
 class VarianceField:
     """Sieve variance machinery for several fits on one grid, factored through the sieve.
 
-    Per J: the G x p selector rows d^a psi^J(x)', the rows M_J[slice] of the
-    fit's influence matrix, its residuals and coef[slice]. The scores are
-    S_J = rows_J W_J with p x n weights W_J = M_J[slice] diag(u_J).
-    sigma_J^2 and sigma~_{J,J2} are row-wise quadratic forms in the Grams
-    W_J W_J2', each its own general product on one operand layout, so fits
-    that alias each other contrast to exactly zero. The bootstrap needs only
-    the per-J projections W_J Omega', each its own product, so the draws of
-    J do not depend on which other J the field holds. Contrast draws are
-    differences of per-J draws, so no contrast rows exist. ``influence`` and
-    ``scores`` compute G x n rows on read.
-
-    W_J and its projections (keyed by ``(n_draws, base_seed)``) live
-    read-only in ``stores[J]``. ``build_field`` hands in the fit's store for
-    the field's coefficient slice, so they are formed once per fit, slice
-    and plan and shared by every field of the backend; a field constructed
-    without ``stores`` keeps private ones. The rows, sigma, cross terms and
-    single-J draws (``sup_t_memo``) stay with the field.
+    Per J: the G x p selector rows d^a psi^J(x)', the fit and the slice of
+    its coefficients that the rows select. The scores are S_J = rows_J W_J
+    with p x n weights W_J = M_J[slice] diag(u_J), the slice's rows of the
+    fit's ``weights``. sigma_J^2 and sigma~_{J,J2} are row-wise quadratic
+    forms in the Grams W_J W_J2', each its own general product on one
+    operand layout, so fits that alias each other contrast to exactly zero.
+    The bootstrap needs only the projections W_J Omega', the slice's rows of
+    the fit's projection, so the draws of J do not depend on which other J
+    the field holds. Contrast draws are differences of per-J draws, so no
+    contrast rows exist. ``influence`` and ``scores`` compute G x n rows on
+    read. The rows, sigma, cross terms and single-J draws (``sup_t_memo``)
+    stay with the field.
     """
 
     grid: np.ndarray
     deriv: tuple[int, ...]
     j_values: tuple[int, ...]
     rows: dict[int, np.ndarray]
-    m: dict[int, np.ndarray]
-    u_hat: dict[int, np.ndarray]
-    coef: dict[int, np.ndarray]
-    stores: dict[int, dict] = field(default_factory=dict, repr=False)
+    fits: dict[int, SieveFit]
+    slices: dict[int, slice]
     weights: dict[int, np.ndarray] = field(init=False)
     sigma: dict[int, np.ndarray] = field(init=False)
     _cross: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
@@ -234,12 +236,7 @@ class VarianceField:
 
     def __post_init__(self) -> None:
         self.j_values = tuple(sorted(self.j_values))
-        for j in self.j_values:
-            store = self.stores.setdefault(j, {})
-            if "weights" not in store:
-                store["weights"] = self.m[j] * self.u_hat[j][None, :]
-                store["weights"].flags.writeable = False
-        self.weights = {j: self.stores[j]["weights"] for j in self.j_values}
+        self.weights = {j: self.fits[j].weights[self.slices[j]] for j in self.j_values}
         self.sigma = {j: np.sqrt(self.cross(j, j)) for j in self.j_values}
         max_sigma = max((float(s.max()) for s in self.sigma.values()), default=0.0)
         if max_sigma == 0.0:
@@ -269,12 +266,12 @@ class VarianceField:
 
     @property
     def n(self) -> int:
-        return next(iter(self.u_hat.values())).size
+        return next(iter(self.fits.values())).u_hat.size
 
     @property
     def influence(self) -> Mapping[int, np.ndarray]:
         """The G x n influence rows rows_J M_J[slice] per J, computed on each read."""
-        return _OnRead(self.j_values, lambda j: self.rows[j] @ self.m[j])
+        return _OnRead(self.j_values, lambda j: self.rows[j] @ self.fits[j].m[self.slices[j]])
 
     @property
     def scores(self) -> Mapping[int, np.ndarray]:
@@ -283,7 +280,7 @@ class VarianceField:
 
     def fitted(self, j: int) -> np.ndarray:
         """The estimate (d^a h_J)(x) = rows_J(x) coef[slice] on the grid."""
-        return self.rows[j] @ self.coef[j]
+        return self.rows[j] @ self.fits[j].coef[self.slices[j]]
 
     def cross(self, j: int, j2: int) -> np.ndarray:
         """sigma~_{J,J2}(x) = psi' M_J diag(u_J u_J2) M_J2' psi; sigma_J^2(x) when J2 = J."""
@@ -408,17 +405,13 @@ def build_field(backend: SieveBackend, pts, deriv, js) -> VarianceField:
     """Variance field of the backend's reported function at derivative ``deriv`` over J in ``js``.
 
     ``pts`` is any grid ``basis.as_points`` accepts and ``deriv`` any order ``basis.multi_index`` accepts.
-    Each J's weights and bootstrap projections live in the fit's store for the selector's
-    coefficient slice, so every field of the backend on that fit and slice shares them.
+    The field reads the backend's fits through the selector's rows and coefficient slices, so every
+    field of the backend shares each fit's bootstrap weights and projections.
     """
     pts = bs.as_points(pts, backend.grid_dim)
     deriv = bs.multi_index(deriv, backend.grid_dim)
-    rows, m, u_hat, coef, stores = {}, {}, {}, {}, {}
+    rows, fits, slices = {}, {}, {}
     for j in js:
-        fit_ = backend.fit(j)
-        rows[j], sl = backend.model.selector(fit_.basis, pts, deriv)
-        m[j], u_hat[j], coef[j] = fit_.m[sl], fit_.u_hat, fit_.coef[sl]
-        stores[j] = fit_.stores.setdefault((sl.start, sl.stop, sl.step), {})
-    return VarianceField(
-        grid=pts, deriv=deriv, j_values=tuple(js), rows=rows, m=m, u_hat=u_hat, coef=coef, stores=stores
-    )
+        fits[j] = backend.fit(j)
+        rows[j], slices[j] = backend.model.selector(fits[j].basis, pts, deriv)
+    return VarianceField(grid=pts, deriv=deriv, j_values=tuple(js), rows=rows, fits=fits, slices=slices)

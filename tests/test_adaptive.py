@@ -190,6 +190,16 @@ class TestSelect:
         c = ad.select(sample, CUBIC, ISPEC, plan=plan, grid=grid, n_workers=4)
         assert c.theta_star == a.theta_star
 
+    def test_order_one_selection_runs(self):
+        # Piecewise-constant (order-1) splines on dyadic cells, step-function instruments one order up.
+        haar = bs.BasisSpec(1, 0)
+        sel = ad.select(_npiv_sample(n=500, seed=8), haar, bs.InstrumentSpec(haar, q=2),
+                        plan=MultiplierPlan(100, 0), grid=np.linspace(0.01, 0.99, 40))
+        dyadic = {2**level for level in range(12)}
+        assert set(sel.index_set) <= set(bs.dimension_grid(haar, sel.j_hat_max)) <= dyadic
+        assert sel.j_tilde in sel.index_set
+        assert np.all(np.isfinite(sel.varfield.fitted(sel.j_tilde)))
+
     def test_regression_mode_sets_j_tilde_to_j_hat(self):
         rng = np.random.default_rng(7)
         n = 700

@@ -116,6 +116,15 @@ class TestDerivatives:
         sums = bs.design_matrix(bs.BasisSpec(4, 3), x, 1).sum(axis=1)
         assert np.abs(sums).max() < 1e-12
 
+    def test_order_one_is_the_dyadic_cell_indicator(self):
+        spec = bs.BasisSpec(1, 2)
+        x = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.74, 0.75, 0.99, 1.0])
+        cells = [0, 0, 1, 1, 2, 2, 3, 3, 3]
+        np.testing.assert_array_equal(bs.design_matrix(spec, x), np.eye(4)[cells])
+        np.testing.assert_array_equal(bs.design_matrix(spec, x, 0), bs.design_matrix(spec, x))
+        with pytest.raises(UnsupportedDerivativeError):
+            bs.design_matrix(spec, 0.5, 1)
+
     def test_order_too_large(self):
         with pytest.raises(UnsupportedDerivativeError):
             bs.design_matrix(CUBIC, 0.5, 3)

@@ -30,7 +30,7 @@ def _field(n=120, seed=0, js=(4, 7), grid=None, deriv=0):
 
 def _dense_sup_t(field, plan, js=None, pairs=None):
     """Oracle: per-draw sup of the dense score rows S_J = influence * u times Omega."""
-    scores = {j: field.influence[j] * field.u_hat[j][None, :] for j in field.j_values}
+    scores = {j: field.influence[j] * field.fits[j].u_hat[None, :] for j in field.j_values}
     sigma = {j: np.sqrt((s**2).sum(axis=1)) for j, s in scores.items()}
     if pairs is None:
         rows = [scores[j] / sigma[j][:, None] for j in js]
@@ -99,7 +99,6 @@ class TestFactoredScores:
         for j in js:
             backend.fit(j)
         plan = bt.MultiplierPlan(n_draws=50, base_seed=18)
-        bt.multiplier_matrix(plan, n)
         tracemalloc.start()
         try:
             field = est.build_field(backend, np.linspace(0, 1, g).reshape(-1, 1), (0,), js)
@@ -182,12 +181,7 @@ class TestSupTSingle:
         field = _field(n=60, js=(4,), grid=np.array([0.4]))
         plan = bt.MultiplierPlan(n_draws=100_000, base_seed=4)
         row = field.scores[4][0] / field.sigma[4][0]
-        n = field.n
-        t_vals = np.empty(plan.n_draws)
-        block = 1000
-        for start in range(0, plan.n_draws, block):
-            w = bt.multiplier_matrix(plan, n)[start : start + block].T
-            t_vals[start : start + w.shape[1]] = row @ w
+        t_vals = bt.multiplier_matrix(plan, field.n) @ row
         assert kstest(t_vals, "norm").statistic < 0.01
 
     def test_zero_residuals_error_propagates(self):
@@ -261,14 +255,14 @@ class TestSupTContrast:
         # zero, also with 19- and 67-column blocks, where BLAS tiles do not line up
         wide = _field(n=2000, js=(19, 67))
         for field, j, j2 in ((_field(js=(4, 7)), 4, 5), (wide, 19, 35), (wide, 67, 131)):
+            fit = field.fits[j]
             alias = est.VarianceField(
                 grid=field.grid,
                 deriv=(0,),
                 j_values=(j, j2),
                 rows={j: field.rows[j], j2: field.rows[j].copy()},
-                m={j: field.m[j], j2: field.m[j].copy()},
-                u_hat={j: field.u_hat[j], j2: field.u_hat[j].copy()},
-                coef={j: field.coef[j], j2: field.coef[j].copy()},
+                fits={j: fit, j2: replace(fit, m=fit.m.copy(), u_hat=fit.u_hat.copy())},
+                slices={j: field.slices[j], j2: field.slices[j]},
             )
             sups = bt.sup_t_contrast(alias, bt.MultiplierPlan(50, 1), [(j, j2)])
             np.testing.assert_array_equal(sups, np.zeros(50))
@@ -301,6 +295,18 @@ class TestMultiplierReuse:
             sg.run_mc("trade_pareto", [300], 1, plan=plan, det_js=(5, 7), n_workers=workers)
             assert sorted(calls) == list(range(plan.n_draws))
 
+    @pytest.mark.parametrize("kind", ["fit_npiv", "fit_reg2d", "fit_additive", "fit_plm", "rebands"])
+    def test_one_cli_run_draws_each_multiplier_once(self, kind, monkeypatch, tmp_path):
+        from test_golden import _argv
+
+        from npivband.cli import EXIT_OK, main
+
+        calls = []
+        original = bt.draw_multipliers
+        monkeypatch.setattr(bt, "draw_multipliers", lambda plan, b, n: calls.append(b) or original(plan, b, n))
+        assert main(_argv(kind, str(tmp_path))) == EXIT_OK
+        assert sorted(calls) == list(range(99))
+
     def test_streamed_contrast_matches_stacked_reference(self):
         # A 100-point grid and n=1000, as in the Monte Carlo designs. The
         # factored statistic sums in another order than the stacked dense
@@ -322,10 +328,6 @@ class TestMultiplierReuse:
         assert omega.shape == (20, 30)
         assert (repr(plan), hash(plan)) == before
         assert plan == twin and hash(plan) == hash(twin)
-        assert bt.multiplier_matrix(plan, 30) is omega
-        assert not omega.flags.writeable
-        with pytest.raises(ValueError):
-            omega[0, 0] = 1.0
         np.testing.assert_array_equal(omega[3], bt.draw_multipliers(plan, 3, 30))
 
     def test_mutating_band_draws_leaves_later_bands_alone(self):
@@ -345,7 +347,7 @@ class TestMultiplierReuse:
 
 
 class TestSharedProjections:
-    """Every field of a backend shares each fit's weights W_J and projections W_J Omega'."""
+    """Every field of a backend reads each fit's weights W and projections W Omega' through its slice."""
 
     GRID = np.linspace(0, 1, 25)
     #: (derivative order, J set) of the selection-like a=0 field, the a=1 field and a fixed-J field.
@@ -358,11 +360,11 @@ class TestSharedProjections:
         fields = self._fields(_npiv_backend(n=300))
         plan, other = bt.MultiplierPlan(80, 30), bt.MultiplierPlan(80, 31)
         projs = [bt._projections(f, plan)[7] for f in fields]
-        assert all(p is projs[0] for p in projs)
-        assert all(f.weights[7] is fields[0].weights[7] for f in fields)
-        assert fields[0].weights[7] is not fields[0].weights[5]
+        assert all(np.shares_memory(p, projs[0]) for p in projs)
+        assert all(np.shares_memory(f.weights[7], fields[0].weights[7]) for f in fields)
+        assert not np.shares_memory(fields[0].weights[7], fields[0].weights[5])
         again = bt._projections(fields[2], other)[7]
-        assert again is not projs[0]
+        assert not np.shares_memory(again, projs[0])
         assert not np.array_equal(again, projs[0])
 
     @pytest.mark.parametrize("workers", [1, 4])
@@ -379,10 +381,10 @@ class TestSharedProjections:
             )
 
     def test_component_and_partially_linear_slices_get_their_own_projections(self):
+        # A slice's projection is its block of rows of the whole fit's projection.
         backends = _model_backends()
         plan = bt.MultiplierPlan(60, 33)
         omega_t = bt.multiplier_matrix(plan, backends["additive"].n).T
-        # The full additive field fills the fits' full-slice stores first.
         full = bt._projections(est.build_field(backends["additive"], np.column_stack([self.GRID] * 2), 0,
                                                (4, 5, 7)), plan)
         for name, sl_of in (("additive_component", lambda j: slice(1 + j, 1 + 2 * j)),
@@ -392,10 +394,12 @@ class TestSharedProjections:
             for j in (4, 5, 7):
                 fit = backend.fit(j)
                 assert proj[j].shape == (j, plan.n_draws)
-                np.testing.assert_array_equal(proj[j], (fit.m[sl_of(j)] * fit.u_hat) @ omega_t)
+                assert np.shares_memory(proj[j], fit.projections[plan])
+                np.testing.assert_array_equal(proj[j], ((fit.m * fit.u_hat) @ omega_t)[sl_of(j)])
         for j in (4, 5, 7):
             assert full[j].shape == (1 + 2 * j, plan.n_draws)
             fit = backends["additive"].fit(j)
+            assert np.shares_memory(full[j], fit.projections[plan])
             np.testing.assert_array_equal(full[j], (fit.m * fit.u_hat) @ omega_t)
 
     def test_replaced_fit_gets_fresh_weights(self):
@@ -403,7 +407,7 @@ class TestSharedProjections:
         first = est.build_field(backend, self.GRID, 0, (4,))
         fit = backend.fit(4)
         backend._fits[4] = replace(fit, u_hat=2.0 * fit.u_hat)
-        assert backend._fits[4].stores == {}
+        assert backend._fits[4].projections == {} and "weights" not in vars(backend._fits[4])
         second = est.build_field(backend, self.GRID, 0, (4,))
         assert second.weights[4] is not first.weights[4]
         np.testing.assert_array_equal(second.weights[4], fit.m * (2.0 * fit.u_hat))
@@ -411,10 +415,10 @@ class TestSharedProjections:
 
     def test_shared_arrays_are_read_only(self):
         built = _field(js=(4, 7))
-        # A field constructed directly keeps private weights and projections.
+        # A field constructed directly reads the same fits' weights and projections.
         direct = est.VarianceField(grid=built.grid, deriv=(0,), j_values=(4,), rows=built.rows,
-                                   m=built.m, u_hat=built.u_hat, coef=built.coef)
-        assert direct.weights[4] is not built.weights[4]
+                                   fits=built.fits, slices=built.slices)
+        assert np.shares_memory(direct.weights[4], built.weights[4])
         for field in (built, direct):
             plan = bt.MultiplierPlan(20, 34)
             for arr in (field.weights[4], bt._projections(field, plan)[4]):

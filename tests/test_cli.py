@@ -262,6 +262,16 @@ class TestBandsPlotdata:
         assert rc == EXIT_DATA
         assert "data error" in capsys.readouterr().err
 
+    def test_selection_of_another_model_data_error(self, tmp_path, capsys):
+        # The 2-D regression's J values (16, 25, 49) are not on the univariate cubic grid.
+        rc = main(["bands-plotdata", "--input", os.path.join(GOLDEN, "npiv.csv"), "--seed", "7", "--draws", "20",
+                   "--from-selection", os.path.join(GOLDEN, "fit_reg2d", "selection.json"),
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "[16, 25, 49]" in err
+        assert not (tmp_path / "o").exists()
+
     def test_schema(self, npiv_csv, tmp_path):
         out = tmp_path / "o"
         rc = main(["bands-plotdata", "--input", npiv_csv, "--seed", "3", "--draws", "60",
@@ -347,7 +357,7 @@ class TestStructuredModes:
             sl = slice(1 + comp * j, 1 + (comp + 1) * j)
             field = est.VarianceField(
                 grid=grid.reshape(-1, 1), deriv=(0,), j_values=(j,),
-                rows={j: block}, m={j: fit.m[sl]}, u_hat={j: fit.u_hat}, coef={j: fit.coef[sl]},
+                rows={j: block}, fits={j: fit}, slices={j: sl},
             )
             written = [float(r[header.index(f"sigma_c{comp + 1}")]) for r in rows[1:]]
             assert written == field.sigma[j].tolist()

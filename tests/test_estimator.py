@@ -255,9 +255,8 @@ class TestVarianceField:
             deriv=(0,),
             j_values=(4,),
             rows={4: bs.design_matrix(f.basis, grid)},
-            m={4: f.m},
-            u_hat={4: np.full(f.u_hat.size, c)},
-            coef={4: f.coef},
+            fits={4: replace(f, u_hat=np.full(f.u_hat.size, c))},
+            slices={4: slice(0, 4)},
         )
         oracle = c**2 * np.einsum("gi,gi->g", rows, rows)
         np.testing.assert_allclose(vf.cross(4, 4), oracle, rtol=1e-12)
