@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtri
@@ -70,11 +70,28 @@ class AdaptiveSelection:
     theta_draws: np.ndarray | None = None
     lepski_factor: float = LEPSKI_FACTOR
     flags: tuple[str, ...] = ()
+    band_fields: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     @property
     def fits(self) -> dict:
         """The fits of the index set, {J: fit}, from the backend's cache."""
         return {j: self.backend.fit(j) for j in self.index_set}
+
+    def band_field(self, a=0) -> VarianceField:
+        """The variance field at derivative order ``a`` over J_minus and J_tilde on ``grid``.
+
+        It is built once per order and kept in ``band_fields``; at order 0 it
+        is ``varfield`` when that covers those J values. A copy made with
+        ``dataclasses.replace`` starts without fields.
+        """
+        multi = bs.multi_index(a, self.backend.grid_dim)
+        if multi not in self.band_fields:
+            js = tuple(sorted({*self.j_minus_set, self.j_tilde}))
+            own = self.varfield
+            if own is None or own.deriv != multi or not set(js) <= set(own.j_values):
+                own = est.build_field(self.backend, self.grid, multi, js)
+            self.band_fields[multi] = own
+        return self.band_fields[multi]
 
 
 def _bracket_min(cands, lhs_fn, target, beyond_fn, next_dim_fn, flags) -> int:

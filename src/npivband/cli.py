@@ -51,6 +51,14 @@ EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# The first match names the exit code of an error; the package's other errors exit 2.
+_EXIT_CODES = (
+    (ConfigurationError, "configuration error", EXIT_CONFIG),
+    (DataError, "data error", EXIT_DATA),
+    ((DegenerateVarianceError, InsufficientSampleError), "numerical degeneracy", EXIT_NUMERIC),
+    (NpivError, "error", EXIT_CONFIG),
+)
+
 _TRANSFORMS = ("none", "ecdf", "affine", "trade_clamp")
 
 
@@ -169,8 +177,13 @@ def _build_sample(config: argparse.Namespace) -> est.Sample:
         raise DataError(str(exc)) from exc
 
 
+def _level_label(level: float) -> int:
+    """The percent in the estimates.csv column names of a band at ``level``."""
+    return round(100 * level)
+
+
 def _band_columns(band: ucb.BandResult, suffix: str) -> dict[str, np.ndarray]:
-    pct = round(100 * band.level)
+    pct = _level_label(band.level)
     return {
         f"lo{pct}{suffix}": band.lower,
         f"hi{pct}{suffix}": band.upper,
@@ -178,18 +191,13 @@ def _band_columns(band: ucb.BandResult, suffix: str) -> dict[str, np.ndarray]:
 
 
 def _band_block(columns: dict, kinds: list, selection, plan, config: argparse.Namespace, a: int, suffix: str):
-    """Center, band and sigma columns of the selection's reported function at derivative a.
-
-    Returns the variance field, which every alpha level shares.
-    """
-    field = ucb.selection_field(selection, bs.multi_index(a, selection.backend.grid_dim))
+    """Center, band and sigma columns of the selection's reported function at derivative a."""
     for alpha in config.alphas:
-        band = ucb.band_deriv(selection, varfield=field, plan=plan, alpha=alpha, a=a)
+        band = ucb.band_deriv(selection, plan=plan, alpha=alpha, a=a)
         columns.setdefault(f"center{suffix}", band.center)
         columns.update(_band_columns(band, suffix))
         kinds.append(band.kind)
-    columns[f"sigma{suffix}"] = field.sigma[selection.j_tilde]
-    return field
+    columns[f"sigma{suffix}"] = selection.band_field(a).sigma[selection.j_tilde]
 
 
 def _estimates_table(selection, plan, config: argparse.Namespace) -> tuple[list[str], list[list[float]], dict]:
@@ -204,15 +212,12 @@ def _estimates_table(selection, plan, config: argparse.Namespace) -> tuple[list[
         views = [(selection, "")]
     columns: dict[str, np.ndarray] = {"x": views[0][0].grid[:, 0]}
     for view, suffix in views:
-        field = _band_block(columns, meta["kinds"], view, plan, config, 0, suffix)
+        _band_block(columns, meta["kinds"], view, plan, config, 0, suffix)
         if config.deriv > 0:
-            field = _band_block(columns, meta["kinds"], view, plan, config, config.deriv,
-                                f"{suffix}_d{config.deriv}")
+            _band_block(columns, meta["kinds"], view, plan, config, config.deriv, f"{suffix}_d{config.deriv}")
         if config.p_lower is not None:
-            band = ucb.band_robustness(
-                view, varfield=field, plan=plan, alpha=min(config.alphas),
-                a=config.deriv, p_lower=config.p_lower,
-            )
+            band = ucb.band_robustness(view, plan=plan, alpha=min(config.alphas), a=config.deriv,
+                                       p_lower=config.p_lower)
             columns.update(_band_columns(band, f"_robust{suffix}"))
             meta["kinds"].append(band.kind)
             meta["p_lower"] = config.p_lower
@@ -277,10 +282,15 @@ def _model(config: argparse.Namespace, sample: est.Sample):
     """
     if not config.alphas or not all(0.0 < alpha < 1.0 for alpha in config.alphas):
         raise ConfigurationError("--alpha needs one or more levels in (0, 1)")
+    labels = [_level_label(1.0 - alpha) for alpha in config.alphas]
+    if len(set(labels)) < len(labels):
+        raise ConfigurationError(f"--alpha levels {config.alphas} share band column labels {labels}")
     if config.grid_size < 1:
         raise ConfigurationError("--grid-size must be at least 1")
     if config.deriv < 0:
         raise ConfigurationError("--deriv must be nonnegative")
+    if config.p_lower is not None and not config.p_lower > config.deriv:
+        raise ConfigurationError(f"--p-lower must exceed --deriv (got {config.p_lower} and {config.deriv})")
     instrumented = config.mode == "npiv" or (
         config.mode != "regression" and not np.array_equal(sample.w, sample.x)
     )
@@ -465,18 +475,14 @@ def main(argv=None) -> int:
         else:
             _run_simulate(config)
         return EXIT_OK
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except (DegenerateVarianceError, InsufficientSampleError) as exc:
-        print(f"numerical degeneracy: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except NpivError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    except (NpivError, RuntimeError) as exc:
+        # run_mc reports a failed replication as a RuntimeError that names it and chains its cause.
+        cause = exc if isinstance(exc, NpivError) else exc.__cause__
+        for kinds, label, code in _EXIT_CODES:
+            if isinstance(cause, kinds):
+                print(f"{label}: {exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

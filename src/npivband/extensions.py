@@ -127,8 +127,9 @@ def component_model(model: est.SieveModel, comp: int) -> est.SieveModel:
 def component_view(selection: ad.AdaptiveSelection, comp: int, grid) -> ad.AdaptiveSelection:
     """The additive selection reporting centered component ``comp`` on a 1-d grid.
 
-    The view shares the selection's fits, dimensions and bootstrap threshold;
-    ``ucb.band_deriv`` on it gives the component's uniform band.
+    The view shares the selection's fits, dimensions and bootstrap threshold
+    but builds its own band fields; ``ucb.band_deriv`` on it gives the
+    component's uniform band.
     """
     backend = selection.backend
     return replace(
@@ -264,12 +265,10 @@ def partial_out_fixed_effects(
     fe_total = np.zeros(n)
     offset = 0
     effects: list[dict] = []
-    block_iter = iter(dummy_blocks)
     for levels, codes in level_maps:
         if levels.size < 2:
             effects.append({"levels": levels, "effects": np.zeros(levels.size)})
             continue
-        block = next(block_iter)
         gamma = coef[offset : offset + levels.size - 1]
         offset += levels.size - 1
         per_level = np.concatenate([[0.0], gamma])

@@ -325,13 +325,6 @@ def _covered(band: ucb.BandResult, truth_vals: np.ndarray) -> bool:
     return bool(np.all(np.abs(band.center - truth_vals) <= band.halfwidth + slack))
 
 
-def _band_pair(selection, plan, deriv, n_workers):
-    field = ucb.selection_field(selection, (deriv,))
-    b95 = ucb.band_deriv(selection, varfield=field, plan=plan, alpha=0.05, a=deriv, n_workers=n_workers)
-    b90 = ucb.band_deriv(selection, varfield=field, plan=plan, alpha=0.10, a=deriv, n_workers=n_workers)
-    return b95, b90
-
-
 def run_mc(
     design: Design | str,
     n_list,
@@ -409,7 +402,8 @@ def run_mc(
                 rep_flags.append(selection.flags)
                 for a in design.targets:
                     truth_vals = truth_by_target[a]
-                    b95, b90 = _band_pair(selection, rep_plan, a, n_workers)
+                    b95 = ucb.band_deriv(selection, rep_plan, alpha=0.05, a=a, n_workers=n_workers)
+                    b90 = ucb.band_deriv(selection, rep_plan, alpha=0.10, a=a, n_workers=n_workers)
                     record((a, "data_driven"), b95, b90, truth_vals)
                     if a == 0:
                         dev = np.abs(b95.center - truth_vals) / b95.halfwidth * (

@@ -1,24 +1,26 @@
 """Uniform confidence bands for the structural function and its derivatives.
 
-Data-driven bands center at the adaptively selected fit and use the halfwidth
-(z* + A_hat theta*) sigma_tilde(x), where z* is the bootstrap quantile of the
-sup-t process over the grid and the conservative index set. ``band_deriv``
-builds them for whatever function the selection's backend reports: h, the h1
-block of a partially linear model, or an additive component through
-``extensions.component_view``. The robustness variant widens the inflation
-term to max{theta*, J^{(|a|-p)/d} / sigma(x)} to allow for bias-dominating
-regimes. Undersmoothed bands use a deterministic J
-and the plain quantile z*_{1-alpha,J} with no inflation term.
+Every band has one form, built by ``_band``: the fit at one J plus or minus
+(z* + excess) sigma_J(x), where z* is the bootstrap quantile of the sup-t
+process over the grid and a set of J values. The data-driven band
+(``band_deriv``; ``band_h`` at a = 0) centers at the selected J_tilde, takes z*
+over the conservative index set J_minus and has excess A_hat theta*. It serves
+whatever function the selection's backend reports: h, the h1 block of a
+partially linear model, or an additive component through
+``extensions.component_view``. The robustness band widens theta* pointwise to
+max{theta*, J^{(|a|-p)/d} / sigma(x)} to allow for bias-dominating regimes.
+The undersmoothed band uses a deterministic J, z*_{1-alpha,J} over that J
+alone and no excess. The data-driven and robustness bands read their variance
+field from ``AdaptiveSelection.band_field``, built once per derivative order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import basis as bs
-from . import estimator as est
 from .adaptive import AdaptiveSelection
 from .bootstrap import MultiplierPlan, quantile, sup_t_single
 from .errors import ConfigurationError, InvalidSmoothnessError
@@ -72,24 +74,32 @@ def excludes_constant(band: BandResult) -> bool:
     return bool(np.max(band.lower) > np.min(band.upper))
 
 
-def selection_field(
-    selection: AdaptiveSelection, multi: tuple[int, ...], varfield: VarianceField | None = None
-) -> VarianceField:
-    """Variance field at derivative order ``multi`` over J_minus and J_tilde.
+def _band(
+    field: VarianceField, j: int, z_js, plan, alpha: float, excess, n_workers: int, **labels
+) -> BandResult:
+    """The band fit_J(x) +/- (z* + excess) sigma_J(x) on the field's grid.
 
-    ``varfield``, then the selection's own field, is reused when it has that
-    order and covers those J values; otherwise a new field is built.
+    z* is the 1 - alpha quantile of the bootstrap sup-t statistic over ``z_js``.
     """
-    needed = tuple(sorted(set(selection.j_minus_set) | {selection.j_tilde}))
-    for candidate in (varfield, selection.varfield):
-        if candidate is not None and candidate.deriv == multi and set(needed) <= set(candidate.j_values):
-            return candidate
-    return est.build_field(selection.backend, selection.grid, multi, needed)
+    if not 0.0 < alpha < 1.0:
+        raise ConfigurationError("alpha must lie in (0, 1)")
+    z_draws = sup_t_single(field, plan or MultiplierPlan(), z_js, n_workers=n_workers)
+    z_star = quantile(z_draws, 1.0 - alpha)
+    return BandResult(
+        grid=field.grid,
+        center=field.fitted(j),
+        halfwidth=(z_star + excess) * field.sigma[j],
+        level=1.0 - alpha,
+        deriv=field.deriv,
+        j_used=j,
+        z_star=z_star,
+        z_draws=z_draws,
+        **labels,
+    )
 
 
 def band_deriv(
     selection: AdaptiveSelection,
-    varfield: VarianceField | None = None,
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
     a=1,
@@ -97,39 +107,23 @@ def band_deriv(
     n_workers: int = 1,
 ) -> BandResult:
     """Data-driven uniform confidence band for d^a of the reported function (a = 0: the h band)."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1)")
-    plan = plan or MultiplierPlan()
-    multi = bs.multi_index(a, selection.backend.grid_dim)
-    field = selection_field(selection, multi, varfield)
-    z_draws = sup_t_single(field, plan, selection.j_minus_set, n_workers=n_workers)
-    z_star = quantile(z_draws, 1.0 - alpha)
+    field = selection.band_field(a)
     a_hat = selection.a_hat if a_fixed is None else float(a_fixed)
-    return BandResult(
-        grid=field.grid,
-        center=field.fitted(selection.j_tilde),
-        halfwidth=(z_star + a_hat * selection.theta_star) * field.sigma[selection.j_tilde],
-        kind="h_band" if all(v == 0 for v in multi) else "deriv_band",
-        level=1.0 - alpha,
-        deriv=multi,
-        j_used=selection.j_tilde,
-        z_star=z_star,
-        theta_star=selection.theta_star,
-        a_hat=a_hat,
-        z_draws=z_draws,
+    return _band(
+        field, selection.j_tilde, selection.j_minus_set, plan, alpha, a_hat * selection.theta_star, n_workers,
+        kind="deriv_band" if any(field.deriv) else "h_band", theta_star=selection.theta_star, a_hat=a_hat,
     )
 
 
 def band_h(
     selection: AdaptiveSelection,
-    varfield: VarianceField | None = None,
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
     a_fixed: float | None = None,
     n_workers: int = 1,
 ) -> BandResult:
     """Data-driven uniform confidence band for the structural function."""
-    return band_deriv(selection, varfield, plan, alpha, a=0, a_fixed=a_fixed, n_workers=n_workers)
+    return band_deriv(selection, plan, alpha, a=0, a_fixed=a_fixed, n_workers=n_workers)
 
 
 def default_p_lower(dim: int, deriv_order: int) -> float:
@@ -139,7 +133,6 @@ def default_p_lower(dim: int, deriv_order: int) -> float:
 
 def band_robustness(
     selection: AdaptiveSelection,
-    varfield: VarianceField | None = None,
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
     a=0,
@@ -151,22 +144,22 @@ def band_robustness(
     It is the data-driven band of ``band_deriv`` with the inflation theta*
     widened pointwise to max{theta*, J^{(|a|-p)/d} / sigma(x)}.
     """
-    multi = bs.multi_index(a, selection.backend.grid_dim)
-    order = sum(multi)
     dim = selection.backend.grid_dim
+    order = sum(bs.multi_index(a, dim))
     if p_lower is None:
         p_lower = default_p_lower(dim, order)
-    if p_lower <= order:
+    if not p_lower > order:
         raise InvalidSmoothnessError(
             f"robustness band needs p_lower > |a| (got p_lower={p_lower}, |a|={order})"
         )
-    field = selection_field(selection, multi, varfield)
-    band = band_deriv(selection, field, plan, alpha, multi, n_workers=n_workers)
-    sigma = field.sigma[selection.j_tilde]
-    bias_term = selection.j_tilde ** ((order - p_lower) / dim) / sigma
-    inflation = np.maximum(selection.theta_star, bias_term)
-    halfwidth = (band.z_star + selection.a_hat * inflation) * sigma
-    return replace(band, halfwidth=halfwidth, kind="robustness", p_lower=float(p_lower))
+    field = selection.band_field(a)
+    j = selection.j_tilde
+    bias_term = j ** ((order - p_lower) / dim) / field.sigma[j]
+    excess = selection.a_hat * np.maximum(selection.theta_star, bias_term)
+    return _band(
+        field, j, selection.j_minus_set, plan, alpha, excess, n_workers,
+        kind="robustness", theta_star=selection.theta_star, a_hat=selection.a_hat, p_lower=float(p_lower),
+    )
 
 
 def band_undersmoothed(
@@ -177,18 +170,4 @@ def band_undersmoothed(
     n_workers: int = 1,
 ) -> BandResult:
     """Deterministic-J band of the field's function: fit at J +/- z*_{1-alpha,J} sigma_J(x)."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigurationError("alpha must lie in (0, 1)")
-    z_draws = sup_t_single(varfield, plan or MultiplierPlan(), (j,), n_workers=n_workers)
-    z_star = quantile(z_draws, 1.0 - alpha)
-    return BandResult(
-        grid=varfield.grid,
-        center=varfield.fitted(j),
-        halfwidth=z_star * varfield.sigma[j],
-        kind="undersmoothed",
-        level=1.0 - alpha,
-        deriv=varfield.deriv,
-        j_used=j,
-        z_star=z_star,
-        z_draws=z_draws,
-    )
+    return _band(varfield, j, (j,), plan, alpha, 0.0, n_workers, kind="undersmoothed")

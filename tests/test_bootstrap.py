@@ -207,13 +207,16 @@ class TestSupTSingle:
             bt.sup_t_single(field, bt.MultiplierPlan(10, 0), ())
 
     def test_thread_count_invariance(self):
+        # A fresh field per worker count: one field would return the draws memoized by the first call.
         field = _field(js=(4, 7), n=150)
         plan = bt.MultiplierPlan(n_draws=300, base_seed=7)
         base = bt.sup_t_single(field, plan, (4, 7), n_workers=1)
         for workers in (4, 8):
+            fresh = _field(js=(4, 7), n=150)
             np.testing.assert_array_equal(
-                bt.sup_t_single(field, plan, (4, 7), n_workers=workers), base
+                bt.sup_t_single(fresh, plan, (4, 7), n_workers=workers), base
             )
+            assert len(fresh.sup_t_memo) == 1
         contrast = bt.sup_t_contrast(field, plan, [(4, 7)], n_workers=1)
         np.testing.assert_array_equal(
             bt.sup_t_contrast(field, plan, [(4, 7)], n_workers=8), contrast

@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from npivband.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
@@ -137,10 +137,13 @@ class TestCmdFit:
             (["--grid-hi", "1.5"], None),
             (["--grid-lo", "0.8", "--grid-hi", "0.2"], None),
             (["--grid-lo", "0.5", "--grid-hi", "0.5"], None),
+            (["--alpha", "0.05", "0.054"], None),
+            (["--alpha", "0.1", "0.1"], None),
         ],
         ids=["grid-size-0", "negative-deriv", "linear-col-out-of-range", "negative-linear-col",
              "no-nonparametric-col", "non-integer-seed-env", "empty-alpha", "empty-alpha-p-lower",
-             "repeated-linear-col", "grid-hi-above-1", "grid-descending", "grid-empty"],
+             "repeated-linear-col", "grid-hi-above-1", "grid-descending", "grid-empty",
+             "alpha-columns-collide", "alpha-repeated"],
     )
     def test_bad_fit_option_usage_error(self, option, env, tmp_path, monkeypatch, capsys):
         rng = np.random.default_rng(6)
@@ -214,6 +217,13 @@ _BAD_FIT_OPTIONS = st.one_of(
     ),
     st.tuples(
         st.sampled_from(["npiv", "plm"]),
+        st.tuples(st.integers(0, 2), st.floats(-2, 2.5) | st.just(float("nan")))
+        .filter(lambda c: not c[1] > c[0])
+        .map(lambda c: ["--deriv", str(c[0]), f"--p-lower={c[1]!r}"]),
+        st.none(),
+    ),
+    st.tuples(
+        st.sampled_from(["npiv", "plm"]),
         st.just([]),
         st.one_of(
             st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), min_size=1)
@@ -226,8 +236,11 @@ _BAD_FIT_OPTIONS = st.one_of(
 
 @settings(max_examples=60, deadline=None)
 @given(case=_BAD_FIT_OPTIONS)
+@example(case=("npiv", ["--deriv", "1", "--p-lower", "0.5"], None))
+@example(case=("npiv", ["--p-lower", "nan"], None))
 def test_bad_fit_options_exit_2_before_any_fit(case, tmp_path_factory):
-    """Exit-code map: a bad --grid-size, --deriv, --linear-cols, grid bound or NPIVBAND_SEED exits 2 before any fit."""
+    """Exit-code map: a bad --grid-size, --deriv, --linear-cols, grid bound, --p-lower or NPIVBAND_SEED
+    exits 2 before any fit."""
     from unittest import mock
 
     from npivband import adaptive as ad
@@ -448,6 +461,15 @@ class TestCmdSimulate:
                    "--outdir", str(tmp_path)])
         assert rc == EXIT_CONFIG
         assert "configuration error" in capsys.readouterr().err
+
+    def test_failed_replication_exits_with_its_cause(self, tmp_path, capsys):
+        # At n=70 the regression fit's sigma_J collapses, a numerical degeneracy.
+        rc = main(["simulate", "--design", "reg_wiggly", "--n", "70", "--reps", "1", "--draws", "30",
+                   "--outdir", str(tmp_path)])
+        assert rc == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical degeneracy: replication 0 failed for n=70: ")
+        assert err.count("\n") == 1
 
     def test_smoke_run_under_30s(self, tmp_path):
         start = time.time()

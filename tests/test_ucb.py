@@ -178,3 +178,54 @@ class TestFixedABands:
             selection.theta_star * b_zero.halfwidth / b_zero.z_star,
             rtol=1e-10,
         )
+
+
+class TestBandFields:
+    def test_built_once_per_order(self, selection):
+        field = selection.band_field(1)
+        assert selection.band_field(1) is field
+        assert selection.band_field((1,)) is field
+        assert field.deriv == (1,)
+        assert set(field.j_values) == {*selection.j_minus_set, selection.j_tilde}
+
+    def test_order_zero_is_the_selection_field(self, selection):
+        assert selection.band_field(0) is selection.varfield
+
+    def test_component_view_builds_its_own_fields(self):
+        from npivband import extensions as ext
+
+        rng = np.random.default_rng(4)
+        x = rng.random((300, 2))
+        y = 1 + np.sin(3 * x[:, 0]) + x[:, 1] + 0.4 * rng.standard_normal(300)
+        model = ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)
+        sel = ad.run_selection(est.SieveBackend(est.Sample(y, x, x), model), PLAN, "regression",
+                               ad.default_grid(2, 8))
+        parent = sel.band_field(0)
+        view = ext.component_view(sel, 0, np.linspace(0, 1, 20))
+        assert view.band_fields == {}
+        assert view.band_field(0) is not parent
+        assert view.band_field(0).grid.shape == (20, 1)
+        assert sel.band_fields == {(0, 0): parent}
+
+    @pytest.mark.parametrize("kind, builds", [("fit_npiv", 2), ("fit_reg2d", 1), ("fit_additive", 3),
+                                              ("fit_plm", 1), ("rebands", 2)])
+    def test_cli_run_builds_each_field_once(self, kind, builds, monkeypatch, tmp_path):
+        from test_golden import _argv
+
+        from npivband.cli import EXIT_OK, main
+
+        calls = []
+        original = est.build_field
+        monkeypatch.setattr(est, "build_field", lambda *args: calls.append(args[2]) or original(*args))
+        assert main(_argv(kind, str(tmp_path))) == EXIT_OK
+        assert len(calls) == builds
+
+    @pytest.mark.parametrize("design, builds", [("trade_lognormal", 4), ("reg_wiggly", 2)])
+    def test_replication_builds_each_field_once(self, design, builds, monkeypatch):
+        from npivband import simgen as sg
+
+        calls = []
+        original = est.build_field
+        monkeypatch.setattr(est, "build_field", lambda *args: calls.append(args[2]) or original(*args))
+        sg.run_mc(design, [1000], 2, plan=MultiplierPlan(60, 0), base_seed=11)
+        assert len(calls) == 2 * builds
