@@ -15,6 +15,14 @@ Four designs ship with the package:
 The trade designs resample the cost shifter from a stored value list.  The
 shipped default is a synthetic uniform quantile grid (the original
 cost-shifter data is not distributable); pass ``z_values`` to use real data.
+
+``run_mc`` runs each replication as one function, ``_replication``. Its data
+and bootstrap streams come from ``_rep_seeds(base_seed, n, rep)`` alone, so a
+replication does not depend on the others. It returns a record: J~, the
+selection flags, the a=0 diagnostics ``(sup_dev, z*, theta*, A_hat)`` and one
+outcome ``(loss, covered95, covered90, mean width, excludes constant)`` per
+(target, method). ``run_mc`` collects the records in replication order and
+transposes them into the report's per-n arrays and rows.
 """
 
 from __future__ import annotations
@@ -325,6 +333,40 @@ def _covered(band: ucb.BandResult, truth_vals: np.ndarray) -> bool:
     return bool(np.all(np.abs(band.center - truth_vals) <= band.halfwidth + slack))
 
 
+def _outcome(truth_vals: np.ndarray, b95: ucb.BandResult, b90: ucb.BandResult) -> tuple:
+    """(loss, covered95, covered90, mean width, excludes constant) of one method."""
+    return (
+        float(np.abs(b95.center - truth_vals).max()), _covered(b95, truth_vals),
+        _covered(b90, truth_vals), float(b95.width.mean()), ucb.excludes_constant(b95),
+    )
+
+
+def _replication(design: Design, n: int, rep: int, plan: MultiplierPlan, grid: np.ndarray,
+                 det_js: tuple[int, ...], truth: dict[int, np.ndarray], base_seed: int,
+                 n_workers: int) -> tuple:
+    """One replication: (J~, flags, a=0 diagnostics or None, {(target, method): outcome})."""
+    data_seed, boot_seed = _rep_seeds(base_seed, n, rep)
+    rep_plan = MultiplierPlan(n_draws=plan.n_draws, base_seed=boot_seed)
+    sample, _ = generate(design, n, data_seed)
+    selection = ad.select(
+        sample, design.x_spec, design.ispec, plan=rep_plan,
+        mode=design.mode, grid=grid, n_workers=n_workers,
+    )
+    diag, outcomes = None, {}
+    for a, truth_vals in truth.items():
+        b95, b90 = (ucb.band_deriv(selection, rep_plan, alpha=al, a=a, n_workers=n_workers) for al in (0.05, 0.10))
+        outcomes[a, "data_driven"] = _outcome(truth_vals, b95, b90)
+        if a == 0:
+            dev = np.abs(b95.center - truth_vals) / b95.halfwidth * (b95.z_star + b95.a_hat * b95.theta_star)
+            diag = (float(dev.max()), b95.z_star, selection.theta_star, selection.a_hat)
+        det_field = est.build_field(selection.backend, grid, (a,), det_js) if det_js else None
+        for j in det_js:
+            outcomes[a, f"J={j}"] = _outcome(truth_vals, *(
+                ucb.band_undersmoothed(det_field, j, rep_plan, alpha=al, n_workers=n_workers) for al in (0.05, 0.10)
+            ))
+    return selection.j_tilde, selection.flags, diag, outcomes
+
+
 def run_mc(
     design: Design | str,
     n_list,
@@ -341,6 +383,8 @@ def run_mc(
         design = get_design(design)
     if reps < 1:
         raise ConfigurationError("need at least one replication")
+    if base_seed < 0:
+        raise ConfigurationError("base_seed must be a nonnegative integer")
     plan = plan or MultiplierPlan(n_draws=500, base_seed=0)
     interval = report_interval or design.report_interval
     if not (0.0 <= interval[0] < interval[1] <= 1.0):
@@ -366,106 +410,50 @@ def run_mc(
                 f"fixed dimension J={j} needs J and K(J) <= n (smallest n={min(n_list)})"
             )
 
-    truth_by_target = {a: (design.truth.h if a == 0 else design.truth.dh)(grid[:, 0]) for a in design.targets}
-    rows: list[McRow] = []
-    j_tilde_all: dict[int, np.ndarray] = {}
-    flags_all: dict[int, list[tuple[str, ...]]] = {}
-    diagnostics: dict[int, dict[str, np.ndarray]] = {}
-
+    truth = {a: (design.truth.h if a == 0 else design.truth.dh)(grid[:, 0]) for a in design.targets}
+    methods = ["data_driven", *[f"J={j}" for j in det_js]]
+    report = McReport(rows=[], j_tilde={}, flags={}, diagnostics={}, design=design.name, reps=reps,
+                      base_seed=base_seed)
     for n in n_list:
-        losses = {(a, m): [] for a in design.targets for m in ["data_driven", *[f"J={j}" for j in det_js]]}
-        cov95 = {k: [] for k in losses}
-        cov90 = {k: [] for k in losses}
-        widths = {k: [] for k in losses}
-        rejects = {k: [] for k in losses}
-        j_selected: list[int] = []
-        rep_flags: list[tuple[str, ...]] = []
-        diag_m, diag_z, diag_theta, diag_ahat = [], [], [], []
-
-        def record(key, b95: ucb.BandResult, b90: ucb.BandResult, truth_vals: np.ndarray) -> None:
-            losses[key].append(float(np.abs(b95.center - truth_vals).max()))
-            cov95[key].append(_covered(b95, truth_vals))
-            cov90[key].append(_covered(b90, truth_vals))
-            widths[key].append(float(b95.width.mean()))
-            rejects[key].append(ucb.excludes_constant(b95))
-
+        records = []
         for rep in range(reps):
             try:
-                data_seed, boot_seed = _rep_seeds(base_seed, n, rep)
-                rep_plan = MultiplierPlan(n_draws=plan.n_draws, base_seed=boot_seed)
-                sample, _ = generate(design, n, data_seed)
-                selection = ad.select(
-                    sample, design.x_spec, design.ispec, plan=rep_plan,
-                    mode=design.mode, grid=grid, n_workers=n_workers,
-                )
-                j_selected.append(selection.j_tilde)
-                rep_flags.append(selection.flags)
-                for a in design.targets:
-                    truth_vals = truth_by_target[a]
-                    b95 = ucb.band_deriv(selection, rep_plan, alpha=0.05, a=a, n_workers=n_workers)
-                    b90 = ucb.band_deriv(selection, rep_plan, alpha=0.10, a=a, n_workers=n_workers)
-                    record((a, "data_driven"), b95, b90, truth_vals)
-                    if a == 0:
-                        dev = np.abs(b95.center - truth_vals) / b95.halfwidth * (
-                            b95.z_star + b95.a_hat * b95.theta_star
-                        )
-                        diag_m.append(float(dev.max()))
-                        diag_z.append(b95.z_star)
-                        diag_theta.append(selection.theta_star)
-                        diag_ahat.append(selection.a_hat)
-                    det_field = est.build_field(selection.backend, grid, (a,), det_js) if det_js else None
-                    for j_det in det_js:
-                        u95 = ucb.band_undersmoothed(det_field, j_det, rep_plan, alpha=0.05, n_workers=n_workers)
-                        u90 = ucb.band_undersmoothed(det_field, j_det, rep_plan, alpha=0.10, n_workers=n_workers)
-                        record((a, f"J={j_det}"), u95, u90, truth_vals)
+                records.append(_replication(design, n, rep, plan, grid, det_js, truth, base_seed, n_workers))
             except Exception as exc:
                 raise RuntimeError(f"replication {rep} failed for n={n}: {exc}") from exc
 
-        j_arr = np.asarray(j_selected)
-        j_tilde_all[n] = j_arr
-        flags_all[n] = rep_flags
-        diagnostics[n] = {
-            "sup_dev": np.asarray(diag_m),
-            "z_star": np.asarray(diag_z),
-            "theta_star": np.asarray(diag_theta),
-            "a_hat": np.asarray(diag_ahat),
-        }
+        # Transpose the records, in replication order, into the report's per-n arrays and rows.
+        js, flags, diags, outcomes = zip(*records)
+        report.j_tilde[n], report.flags[n] = np.asarray(js), list(flags)
+        diag = np.asarray([d for d in diags if d is not None], dtype=np.float64).reshape(-1, 4)
+        report.diagnostics[n] = dict(zip(("sup_dev", "z_star", "theta_star", "a_hat"), diag.T))
         for a in design.targets:
-            dd_widths = np.asarray(widths[(a, "data_driven")])
-            for method in ["data_driven", *[f"J={j}" for j in det_js]]:
-                key = (a, method)
-                loss = np.asarray(losses[key])
-                c95 = float(np.mean(cov95[key]))
-                if method == "data_driven":
-                    ratio_mean = ratio_med = None
-                else:
-                    ratios = np.asarray(widths[key]) / dd_widths
-                    ratio_mean, ratio_med = float(ratios.mean()), float(np.median(ratios))
-                rows.append(
+            columns = {m: [np.asarray(c) for c in zip(*(o[a, m] for o in outcomes))] for m in methods}
+            dd_width = columns["data_driven"][3]
+            for method, (loss, cov95, cov90, width, reject) in columns.items():
+                c95 = float(cov95.mean())
+                ratios = None if method == "data_driven" else width / dd_width
+                report.rows.append(
                     McRow(
                         design=design.name,
                         n=n,
                         target=a,
                         method=method,
-                        reps=len(loss),
+                        reps=reps,
                         base_seed=base_seed,
                         mean_loss=float(loss.mean()),
                         median_loss=float(np.median(loss)),
-                        coverage90=float(np.mean(cov90[key])),
+                        coverage90=float(cov90.mean()),
                         coverage95=c95,
-                        se_coverage95=float(math.sqrt(max(c95 * (1 - c95), 0.0) / len(loss))),
-                        mean_width_ratio=ratio_mean,
-                        median_width_ratio=ratio_med,
-                        reject_rate=float(np.mean(rejects[key])) if max(design.targets) > 0 and a == max(design.targets) else None,
-                        mean_j=float(j_arr.mean()),
-                        se_loss=float(loss.std(ddof=1) / math.sqrt(len(loss))) if len(loss) > 1 else 0.0,
+                        se_coverage95=float(math.sqrt(max(c95 * (1 - c95), 0.0) / reps)),
+                        mean_width_ratio=None if ratios is None else float(ratios.mean()),
+                        median_width_ratio=None if ratios is None else float(np.median(ratios)),
+                        reject_rate=float(reject.mean()) if a == max(design.targets) > 0 else None,
+                        mean_j=float(report.j_tilde[n].mean()),
+                        se_loss=float(loss.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0,
                     )
                 )
-
-    return McReport(
-        rows=rows, j_tilde=j_tilde_all, flags=flags_all, diagnostics=diagnostics,
-        design=design.name, reps=reps, base_seed=base_seed,
-    )
+    return report
 
 
 def coverage_for_a(report: McReport, n: int, a_value: float) -> float:
@@ -491,6 +479,8 @@ def a_sweep(
     """
     if isinstance(design, str):
         design = get_design(design)
+    if 0 not in design.targets:
+        raise ConfigurationError(f"a_sweep needs target 0 among the design's targets {design.targets}")
     report = run_mc(
         design, [n], reps, plan=plan, det_js=(), base_seed=base_seed,
         grid_points=grid_points, n_workers=n_workers,

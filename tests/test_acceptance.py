@@ -220,10 +220,13 @@ def test_criterion_6_property_suite():
     )
     checks.append(("scale/shift invariance of J~ and t-statistics", bool(inv_ok)))
 
-    # thread-count bit-invariance of bootstrap quantiles
-    sups1 = bt.sup_t_single(vf, MultiplierPlan(256, 9), (4, 7), n_workers=1)
-    sups4 = bt.sup_t_single(vf, MultiplierPlan(256, 9), (4, 7), n_workers=4)
-    sups8 = bt.sup_t_single(vf, MultiplierPlan(256, 9), (4, 7), n_workers=8)
+    # thread-count bit-invariance of bootstrap quantiles; a fresh field per worker count,
+    # since one field would return the draws memoized by its first call
+    sups1, sups4, sups8 = (
+        bt.sup_t_single(est.build_field(backend, np.linspace(0, 1, 50), 0, (4, 7)),
+                        MultiplierPlan(256, 9), (4, 7), n_workers=w)
+        for w in (1, 4, 8)
+    )
     thread_ok = bool(np.array_equal(sups1, sups4) and np.array_equal(sups1, sups8))
     checks.append(("thread-count bit-invariance of quantiles", thread_ok))
 

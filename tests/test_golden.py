@@ -3,8 +3,8 @@
 The inputs and expected outputs live in ``tests/data/golden``. Floats are
 compared to a relative tolerance of 1e-10 (of each column's largest
 magnitude), so the files survive BLAS rounding differences between hosts;
-headers, dimensions, index sets and flags must match exactly. Regenerate the
-expected files only for an intended change of output:
+headers, dimensions, index sets, methods, histograms and flags must match
+exactly. Regenerate the expected files only for an intended change of output:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -56,21 +56,35 @@ def _argv(kind: str, outdir: str) -> list[str]:
                     "--grid-size", "30"],
         "rebands": ["bands-plotdata", *npiv, "--from-selection",
                     os.path.join(GOLDEN, "fit_npiv", "selection.json")],
+        # Two targets, four fixed J values and the reject rate in under a second.
+        "simulate": ["simulate", "--design", "trade_lognormal", "--n", "600", "--reps", "2",
+                     "--draws", "60", "--seed", "7", "--grid-size", "30"],
     }[kind]
-    return [*argv, *COMMON, "--outdir", outdir]
+    return [*argv, *([] if kind == "simulate" else COMMON), "--outdir", outdir]
 
 
-KINDS = ("fit_npiv", "fit_reg2d", "fit_additive", "fit_plm", "rebands")
+KINDS = ("fit_npiv", "fit_reg2d", "fit_additive", "fit_plm", "rebands", "simulate")
 
 
 def _files(kind: str) -> tuple[str, ...]:
-    return ("estimates.csv",) if kind == "rebands" else ("estimates.csv", "selection.json")
+    return {
+        "rebands": ("estimates.csv",),
+        "simulate": ("mc_report.csv", "mc_report.json"),
+    }.get(kind, ("estimates.csv", "selection.json"))
 
 
-def _read_csv(path: str) -> tuple[list[str], np.ndarray]:
+def _read_csv(path: str) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
-    return rows[0], np.array(rows[1:], dtype=np.float64)
+    return rows[0], rows[1:]
+
+
+def _is_float(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
 
 def _assert_close(actual, expected, what: str) -> None:
@@ -80,36 +94,51 @@ def _assert_close(actual, expected, what: str) -> None:
     np.testing.assert_allclose(actual, expected, rtol=RTOL, atol=RTOL * scale, err_msg=what)
 
 
-def _compare_selection(actual: dict, expected: dict) -> None:
-    assert sorted(actual) == sorted(expected)
-    for key, want in expected.items():
-        got = actual[key]
-        if key == "s_hat_by_j":
-            assert sorted(got) == sorted(want)
-            for j in want:
-                _assert_close(got[j], want[j], f"s_hat_by_j[{j}]")
-        elif isinstance(want, float) or key == "beta":
-            _assert_close(got, want, key)
+def _compare_csv(actual_path: str, expected_path: str, what: str) -> None:
+    # Empty cells and text cells match exactly; numeric cells to RTOL of their column.
+    header, rows = _read_csv(actual_path)
+    want_header, want_rows = _read_csv(expected_path)
+    assert header == want_header, what
+    assert len(rows) == len(want_rows) and all(len(r) == len(header) for r in rows), what
+    for i, name in enumerate(header):
+        got, want = [r[i] for r in rows], [r[i] for r in want_rows]
+        assert [c == "" for c in got] == [c == "" for c in want], f"{what} column {name}"
+        got, want = [c for c in got if c], [c for c in want if c]
+        if all(_is_float(c) for c in want):
+            _assert_close([float(c) for c in got], [float(c) for c in want], f"{what} column {name}")
         else:
-            assert got == want, key
+            assert got == want, f"{what} column {name}"
+
+
+def _compare_json(got, want, what: str) -> None:
+    # Floats (and lists of floats) to RTOL; keys, strings, integers and nulls exactly.
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and sorted(got) == sorted(want), what
+        for key in want:
+            _compare_json(got[key], want[key], f"{what}[{key}]")
+    elif isinstance(want, list) and want and all(isinstance(v, float) for v in want):
+        _assert_close(got, want, what)
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), what
+        for i, (g, w) in enumerate(zip(got, want)):
+            _compare_json(g, w, f"{what}[{i}]")
+    elif isinstance(want, float):
+        _assert_close(got, want, what)
+    else:
+        assert got == want, what
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_golden_output(kind, tmp_path):
     out = str(tmp_path / kind)
     assert main(_argv(kind, out)) == EXIT_OK
-    header, table = _read_csv(os.path.join(out, "estimates.csv"))
-    want_header, want_table = _read_csv(os.path.join(GOLDEN, kind, "estimates.csv"))
-    assert header == want_header
-    assert table.shape == want_table.shape
-    for i, name in enumerate(header):
-        _assert_close(table[:, i], want_table[:, i], f"{kind} estimates column {name}")
-    if "selection.json" in _files(kind):
-        with open(os.path.join(out, "selection.json"), encoding="utf-8") as fh:
-            actual = json.load(fh)
-        with open(os.path.join(GOLDEN, kind, "selection.json"), encoding="utf-8") as fh:
-            expected = json.load(fh)
-        _compare_selection(actual, expected)
+    for name in _files(kind):
+        actual, expected = os.path.join(out, name), os.path.join(GOLDEN, kind, name)
+        if name.endswith(".csv"):
+            _compare_csv(actual, expected, f"{kind} {name}")
+        else:
+            with open(actual, encoding="utf-8") as fh, open(expected, encoding="utf-8") as fw:
+                _compare_json(json.load(fh), json.load(fw), f"{kind} {name}")
 
 
 def _regenerate() -> None:

@@ -148,6 +148,32 @@ class TestRunMc:
         with pytest.raises(ConfigurationError):
             sg.run_mc("reg_wiggly", [100], 1, report_interval=(0.9, 0.1))
 
+    def test_negative_base_seed_rejected_before_any_replication(self):
+        with pytest.raises(ConfigurationError, match="base_seed"):
+            sg.run_mc("trade_pareto", [300], 1, plan=MultiplierPlan(20, 0), base_seed=-1)
+
+    def test_replications_do_not_depend_on_the_replication_count(self):
+        # Replication r draws its streams from (base_seed, n, r) alone, so a
+        # shorter study is a prefix of a longer one.
+        plan = MultiplierPlan(60, 0)
+        short = sg.run_mc("trade_pareto", [300], 2, plan=plan, det_js=(5,), base_seed=13)
+        long = sg.run_mc("trade_pareto", [300], 3, plan=plan, det_js=(5,), base_seed=13)
+        np.testing.assert_array_equal(short.j_tilde[300], long.j_tilde[300][:2])
+        assert short.flags[300] == long.flags[300][:2]
+        assert sorted(short.diagnostics[300]) == sorted(long.diagnostics[300])
+        for key, values in short.diagnostics[300].items():
+            np.testing.assert_array_equal(values, long.diagnostics[300][key][:2])
+
+    def test_design_without_target_zero_has_rows_and_empty_diagnostics(self):
+        design = sg.get_design("trade_pareto", targets=(1,))
+        report = sg.run_mc(design, [300], 2, plan=MultiplierPlan(60, 0), det_js=(5,), base_seed=3)
+        assert [(r.target, r.method) for r in report.rows] == [(1, "data_driven"), (1, "J=5")]
+        assert all(r.reps == 2 and r.reject_rate is not None for r in report.rows)
+        assert report.j_tilde[300].shape == (2,) and len(report.flags[300]) == 2
+        assert sorted(report.diagnostics[300]) == ["a_hat", "sup_dev", "theta_star", "z_star"]
+        for values in report.diagnostics[300].values():
+            assert values.shape == (0,) and values.dtype == np.float64
+
 
 class TestASweep:
     def test_huge_a_gives_full_coverage_and_monotone(self):
@@ -158,3 +184,8 @@ class TestASweep:
         assert values[50.0] == 1.0
         ordered = [values[a] for a in (0.0, 0.5, 50.0)]
         assert all(a <= b for a, b in zip(ordered, ordered[1:]))
+
+    def test_design_without_target_zero_rejected(self):
+        design = sg.get_design("trade_pareto", targets=(1,))
+        with pytest.raises(ConfigurationError, match="target 0"):
+            sg.a_sweep(design, 300, 1, a_values=(0.0,), plan=MultiplierPlan(20, 0))
