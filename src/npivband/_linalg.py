@@ -1,17 +1,27 @@
-"""Generalized inverses of Gram matrices with a fixed relative cutoff.
+"""Factored Gram matrices: a Cholesky factor where it is sound, eigenpairs with a fixed cutoff otherwise.
 
-All pseudo-inverses in the package use the same rule: eigenvalues at or below
+``factor_gram`` factors a symmetric PSD Gram G once. When
+``np.linalg.cholesky`` succeeds and no squared pivot is at or below
+``PIVOT_FLOOR`` times the largest, G is full rank and well conditioned: G^-
+is its inverse, solves are LU solves against G, and its square root is the
+Cholesky factor L (G = L L'), so R^{-1} b = L' G^{-1} b. Otherwise G has a
+near-null direction and takes the eigen route: eigenvalues at or below
 ``sigma_max * n_ambient * eps`` are treated as zero, where ``n_ambient`` is
 the largest dimension involved in forming the matrix (typically
-``max(n, K)``). A Gram is eigendecomposed once by ``psd_eigen``; its
-pseudo-inverse and inverse square root are both formed from those eigenpairs.
+``max(n, K)``), and the pseudo-inverse and the symmetric inverse square root
+are both formed from the retained eigenpairs.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 _EPS = float(np.finfo(np.float64).eps)
+
+#: A squared Cholesky pivot at or below this fraction of the largest marks a near-null direction.
+PIVOT_FLOOR = 1e-8
 
 
 def spectral_cutoff(values: np.ndarray, n_ambient: int) -> float:
@@ -37,3 +47,55 @@ def pinv_psd(w: np.ndarray, v: np.ndarray) -> np.ndarray:
 def inv_sqrt_psd(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Pseudo inverse square root ``A^{-1/2}`` from the retained eigenpairs (zero at rank 0)."""
     return (v / np.sqrt(w)) @ v.T
+
+
+def _cholesky(a: np.ndarray) -> np.ndarray | None:
+    """The lower Cholesky factor of ``a``, or None when it fails or shows a near-null direction."""
+    try:
+        chol = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return None
+    pivots = np.diagonal(chol) ** 2
+    return None if pivots.min() <= PIVOT_FLOOR * pivots.max() else chol
+
+
+@dataclass(frozen=True, eq=False)
+class Gram:
+    """A symmetric PSD Gram ``a`` with its Cholesky factor ``chol``, or else its retained eigenpairs ``eig``.
+
+    R below is the Gram's square root: L on the Cholesky route, the symmetric
+    root on the eigen route. Any root gives the same singular values of a
+    whitened matrix.
+    """
+
+    a: np.ndarray
+    chol: np.ndarray | None
+    eig: tuple[np.ndarray, np.ndarray] | None
+
+    @property
+    def rank(self) -> int:
+        return self.a.shape[0] if self.eig is None else self.eig[0].size
+
+    def inverse(self) -> np.ndarray:
+        """G^-: the inverse, or the pseudo-inverse on the eigen route."""
+        return np.linalg.inv(self.a) if self.eig is None else pinv_psd(*self.eig)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """G^- b."""
+        return np.linalg.solve(self.a, b) if self.eig is None else self.inverse() @ b
+
+    def whiten(self, b: np.ndarray, solved: np.ndarray | None = None) -> np.ndarray:
+        """R^{-1} b; ``solved`` may pass G^- b when the caller holds it."""
+        if self.eig is not None:
+            return inv_sqrt_psd(*self.eig) @ b
+        return self.chol.T @ (self.solve(b) if solved is None else solved)
+
+    def whiten_right(self, b: np.ndarray) -> np.ndarray:
+        """b R^{-T}."""
+        return b @ inv_sqrt_psd(*self.eig) if self.eig is not None else self.whiten(b.T).T
+
+
+def factor_gram(a: np.ndarray, n_ambient: int) -> Gram:
+    """``a`` factored by Cholesky, or by ``psd_eigen`` when the Cholesky fails or shows a near-null direction."""
+    chol = _cholesky(a)
+    return Gram(a, chol, psd_eigen(a, n_ambient) if chol is None else None)

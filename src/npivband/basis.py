@@ -260,23 +260,24 @@ def _basis_1d(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
     n_pts = x.size
     n_funcs = knots.size - order
     spans = _spans(knots, order, x)
-    vals = np.zeros((n_pts, order))
-    vals[:, 0] = 1.0
-    left = np.zeros((n_pts, order))
-    right = np.zeros((n_pts, order))
+    # One contiguous row per order; row 0 of left and right is never read.
+    vals = np.zeros((order, n_pts))
+    vals[0] = 1.0
+    left = np.empty((order, n_pts))
+    right = np.empty((order, n_pts))
     for j in range(1, order):
-        left[:, j] = x - knots[spans + 1 - j]
-        right[:, j] = knots[spans + j] - x
+        left[j] = x - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - x
         saved = np.zeros(n_pts)
         for k in range(j):
-            denom = right[:, k + 1] + left[:, j - k]
-            temp = np.where(denom != 0.0, vals[:, k] / np.where(denom == 0.0, 1.0, denom), 0.0)
-            vals[:, k] = saved + right[:, k + 1] * temp
-            saved = left[:, j - k] * temp
-        vals[:, j] = saved
+            denom = right[k + 1] + left[j - k]
+            temp = np.divide(vals[k], denom, out=np.zeros(n_pts), where=denom != 0.0)
+            vals[k] = saved + right[k + 1] * temp
+            saved = left[j - k] * temp
+        vals[j] = saved
     out = np.zeros((n_pts, n_funcs))
-    cols = spans[:, None] - (order - 1) + np.arange(order)[None, :]
-    out[np.arange(n_pts)[:, None], cols] = vals
+    first = np.arange(n_pts) * n_funcs + spans - (order - 1)
+    out.ravel()[first[:, None] + np.arange(order)] = vals.T
     return out
 
 

@@ -6,14 +6,18 @@ this gives coefficients coef = M_J Y, residuals u_hat, and the reduced-rank
 singular value s_hat of the orthogonalized cross matrix, which proxies the
 inverse measure of ill-posedness. When no instrument spec is given the fit is
 plain series least squares (M_J = (Psi'Psi)^- Psi'), the exogenous special
-case.
+case. ``TslsGrams`` factors each Gram once, by Cholesky or, when it has a
+near-null direction, by its eigenpairs (see ``_linalg``); it gives s_hat
+from the factors alone and M_J only when asked.
 
 A ``SieveModel`` describes a model: its design and instruments at J, their
 widths at J, and the selector rows of the function it reports. One ``fit``
 serves every model: it checks the widths, builds the design and runs the one
-TSLS core ``tsls`` into a ``SieveFit``. The shared ``SieveBackend`` caches
-fits per J; ``evaluate``, and the influence rows and ``VarianceField`` built
-in ``build_field``, read every reported function through its selector rows.
+TSLS core (``fit_grams``, then ``TslsGrams.solve``) into a ``SieveFit``. The
+shared ``SieveBackend`` caches fits per J, and the Grams of a J asked only
+for its s_hat; ``evaluate``, and the influence rows and ``VarianceField``
+built in ``build_field``, read every reported function through its selector
+rows.
 """
 
 from __future__ import annotations
@@ -28,11 +32,17 @@ from typing import Callable
 import numpy as np
 
 from . import basis as bs
-from ._linalg import inv_sqrt_psd, pinv_psd, psd_eigen
+from ._linalg import factor_gram
 from .errors import DegenerateVarianceError, InsufficientSampleError, InvalidDimensionError
 
 #: sigma(x) below this fraction of the field's largest sigma is degenerate.
 VARIANCE_FLOOR = 1e-12
+
+#: A contrast variance at most this fraction of sigma_J^2 + sigma_J2^2 is recomputed from score differences.
+CONTRAST_CANCELLATION = 0.1
+
+#: Grid rows per block of score-difference rows.
+_ROWS = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,48 +127,72 @@ class SieveFit:
         return weights
 
 
+class TslsGrams:
+    """The factored Grams of one sieve TSLS problem: s_hat on construction, the fit on ``solve``.
+
+    Psi'Psi and, with instruments, B'B are formed and factored once by
+    ``factor_gram``; series regression is its own instrument. s_hat is the
+    smallest singular value of R_B^{-1} (B'Psi) R_Psi^{-T} for the Grams'
+    square roots R, since any roots give the same singular values. With a
+    rank-deficient Gram it is taken on the reduced rank space and flagged.
+    Series regression on a full-rank Gram has s_hat = 1 exactly. ``solve``
+    forms the normal matrix Psi'P_K Psi from the same Grams, so a J asked
+    only for its s_hat never forms M.
+    """
+
+    def __init__(self, design: np.ndarray, bmat: np.ndarray | None):
+        n, j = design.shape
+        self.design, self.bmat = design, bmat
+        self.gram_p = factor_gram(design.T @ design, max(n, j))
+        self.flags = []
+        if bmat is None:
+            k, gram_b, self.cross, self.proj = j, self.gram_p, self.gram_p.a, None
+        else:
+            k = bmat.shape[1]
+            gram_b = factor_gram(bmat.T @ bmat, max(n, k))
+            self.cross = bmat.T @ design
+            self.proj = gram_b.solve(self.cross)
+            if gram_b.rank < k:
+                self.flags.append("instrument_gram_rank_deficient")
+        self.reduced = gram_b.rank < k or self.gram_p.rank < j
+        if bmat is None and self.gram_p.eig is None:
+            self.s_hat = 1.0
+            return
+        sv = np.linalg.svd(self.gram_p.whiten_right(gram_b.whiten(self.cross, self.proj)), compute_uv=False)
+        rank_s = min(gram_b.rank, self.gram_p.rank, sv.size)
+        self.s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
+
+    def solve(self, y: np.ndarray):
+        """``(m, coef, u_hat, s_hat, flags)`` of the fit of ``y``, as ``tsls`` returns them."""
+        design, bmat = self.design, self.bmat
+        n, j = design.shape
+        if bmat is None:
+            m, rank = self.gram_p.inverse() @ design.T, self.gram_p.rank
+        else:
+            gram_a = factor_gram(self.cross.T @ self.proj, max(n, j))
+            m, rank = gram_a.solve(self.proj.T) @ bmat.T, gram_a.rank
+        flags = list(self.flags)
+        if rank < j:
+            flags.append("design_rank_deficient")
+        if self.reduced:
+            flags.append("shat_reduced_rank")
+        coef = m @ y
+        return m, coef, y - design @ coef, self.s_hat, tuple(flags)
+
+
 def tsls(design: np.ndarray, bmat: np.ndarray | None, y: np.ndarray):
     """Sieve TSLS of y on ``design`` with instruments ``bmat``; series least squares when None.
 
     Returns ``(m, coef, u_hat, s_hat, flags)``: the influence matrix M with
     coef = M y, the residuals, the singular-value proxy s_hat and the fit
-    flags. s_hat is the smallest singular value of
-    (B'B)^{-1/2} (B'Psi) (Psi'Psi)^{-1/2}, with the design as its own
-    instrument when ``bmat`` is None; with rank-deficient Grams it is taken
-    on the reduced rank space and flagged. Each Gram is formed and
-    eigendecomposed once.
+    flags (see ``TslsGrams``). Each Gram is formed and factored once: by
+    Cholesky, or by its eigenpairs when it has a near-null direction.
     """
-    n, j = design.shape
-    gram_p = design.T @ design
-    eig_p = psd_eigen(gram_p, max(n, j))
-    if bmat is None:
-        k, eig_b, cross = j, eig_p, gram_p
-        m = pinv_psd(*eig_p) @ design.T
-        flags = []
-        rank = eig_p[0].size
-    else:
-        k = bmat.shape[1]
-        cross = bmat.T @ design
-        eig_b = psd_eigen(bmat.T @ bmat, max(n, k))
-        proj = pinv_psd(*eig_b) @ cross
-        eig_a = psd_eigen(cross.T @ proj, max(n, j))
-        m = (pinv_psd(*eig_a) @ proj.T) @ bmat.T
-        flags = ["instrument_gram_rank_deficient"] if eig_b[0].size < k else []
-        rank = eig_a[0].size
-    if rank < j:
-        flags.append("design_rank_deficient")
-    coef = m @ y
-    u_hat = y - design @ coef
-    sv = np.linalg.svd(inv_sqrt_psd(*eig_b) @ cross @ inv_sqrt_psd(*eig_p), compute_uv=False)
-    if eig_b[0].size < k or eig_p[0].size < j:
-        flags.append("shat_reduced_rank")
-    rank_s = min(eig_b[0].size, eig_p[0].size, sv.size)
-    s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
-    return m, coef, u_hat, s_hat, tuple(flags)
+    return TslsGrams(design, bmat).solve(y)
 
 
-def fit(sample: Sample, model: SieveModel, j: int) -> SieveFit:
-    """The model's sieve TSLS fit at dimension ``j``; series regression when it has no instruments.
+def fit_grams(sample: Sample, model: SieveModel, j: int) -> tuple[object, TslsGrams]:
+    """The model's basis state at dimension ``j`` and its factored TSLS Grams.
 
     The widths are checked before any basis is built: instruments narrower
     than the design cannot identify it, and neither width may exceed n.
@@ -169,9 +203,19 @@ def fit(sample: Sample, model: SieveModel, j: int) -> SieveFit:
     if max(width, k) > sample.n:
         raise InsufficientSampleError(f"K(J)={k} or width {width} at J={j} exceeds the sample size n={sample.n}")
     basis, design, bmat = model.design(sample, j)
-    m, coef, u_hat, s_hat, flags = tsls(design, bmat, sample.y)
+    return basis, TslsGrams(design, bmat)
+
+
+def fit(sample: Sample, model: SieveModel, j: int, grams: tuple[object, TslsGrams] | None = None) -> SieveFit:
+    """The model's sieve TSLS fit at dimension ``j``; series regression when it has no instruments.
+
+    ``grams`` passes ``fit_grams(sample, model, j)`` when they were already
+    formed for s_hat alone.
+    """
+    basis, grams = grams or fit_grams(sample, model, j)
+    m, coef, u_hat, s_hat, flags = grams.solve(sample.y)
     return SieveFit(
-        j=j, basis=basis, design=design, bmat=design if bmat is None else bmat,
+        j=j, basis=basis, design=grams.design, bmat=grams.design if grams.bmat is None else grams.bmat,
         m=m, coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags,
     )
 
@@ -289,8 +333,22 @@ class VarianceField:
         return self._cross[key]
 
     def contrast_sd(self, j: int, j2: int) -> np.ndarray:
-        """sigma_{J,J2}(x) = sqrt(sigma_J^2 + sigma_J2^2 - 2 sigma~_{J,J2})."""
-        var = self.cross(j, j) + self.cross(j2, j2) - 2.0 * self.cross(j, j2)
+        """sigma_{J,J2}(x) = sqrt(sigma_J^2 + sigma_J2^2 - 2 sigma~_{J,J2}).
+
+        The difference of quadratic forms cancels where the contrast is small
+        next to both sigmas, so at grid points whose variance is at most
+        ``CONTRAST_CANCELLATION`` of sigma_J^2 + sigma_J2^2 it is recomputed
+        as the squared norm of the score-difference row rows_J W_J - rows_J2 W_J2,
+        a chunk of grid rows at a time.
+        """
+        total = self.cross(j, j) + self.cross(j2, j2)
+        var = total - 2.0 * self.cross(j, j2)
+        near = np.flatnonzero(var <= CONTRAST_CANCELLATION * total)
+        for lo in range(0, near.size, _ROWS):
+            idx = near[lo:lo + _ROWS]
+            diff = self.rows[j][idx] @ self.weights[j]
+            diff -= self.rows[j2][idx] @ self.weights[j2]
+            var[idx] = np.einsum("gn,gn->g", diff, diff)
         return np.sqrt(np.maximum(var, 0.0))
 
     def contrast_scales(self, pairs) -> list[np.ndarray]:
@@ -359,14 +417,16 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
 class SieveBackend:
     """Fit cache for one sieve model on one sample, and its reported function.
 
-    Each J is fitted once through ``fit``; ``build_field`` combines the
-    model's selector rows with those fits.
+    Each J is fitted once through ``fit``; a J asked only for its ``shat``
+    forms only its Grams, which a later ``fit`` completes. ``build_field``
+    combines the model's selector rows with the fits.
     """
 
     def __init__(self, sample: Sample, model: SieveModel):
         self.sample = sample
         self.model = model
         self._fits: dict = {}
+        self._grams: dict = {}
         self.n = sample.n
 
     @property
@@ -388,11 +448,16 @@ class SieveBackend:
 
     def fit(self, j: int):
         if j not in self._fits:
-            self._fits[j] = fit(self.sample, self.model, j)
+            self._fits[j] = fit(self.sample, self.model, j, self._grams.pop(j, None))
         return self._fits[j]
 
     def shat(self, j: int) -> float:
-        return self.fit(j).s_hat
+        """s_hat at J; a J not yet fitted forms only its Grams, which ``fit`` completes."""
+        if j in self._fits:
+            return self._fits[j].s_hat
+        if j not in self._grams:
+            self._grams[j] = fit_grams(self.sample, self.model, j)
+        return self._grams[j][1].s_hat
 
     def view(self, model: SieveModel) -> SieveBackend:
         """A backend sharing these fits whose ``model`` reports another linear functional of them."""

@@ -88,6 +88,52 @@ class TestEvalBasis:
             assert np.abs(left - at).max() < 1e-10
 
 
+def _loop_basis_1d(knots, order, x):
+    """The column-wise Cox-de Boor loop that ``basis._basis_1d`` replaced, kept as its reference."""
+    n_pts = x.size
+    spans = bs._spans(knots, order, x)
+    vals = np.zeros((n_pts, order))
+    vals[:, 0] = 1.0
+    left = np.zeros((n_pts, order))
+    right = np.zeros((n_pts, order))
+    for j in range(1, order):
+        left[:, j] = x - knots[spans + 1 - j]
+        right[:, j] = knots[spans + j] - x
+        saved = np.zeros(n_pts)
+        for k in range(j):
+            denom = right[:, k + 1] + left[:, j - k]
+            temp = np.where(denom != 0.0, vals[:, k] / np.where(denom == 0.0, 1.0, denom), 0.0)
+            vals[:, k] = saved + right[:, k + 1] * temp
+            saved = left[:, j - k] * temp
+        vals[:, j] = saved
+    out = np.zeros((n_pts, knots.size - order))
+    cols = spans[:, None] - (order - 1) + np.arange(order)[None, :]
+    out[np.arange(n_pts)[:, None], cols] = vals
+    return out
+
+
+def test_basis_1d_equals_the_loop_bit_for_bit():
+    # Orders 1-5, levels 0-6, n 1-400, dyadic and quantile knots; half the
+    # samples are rounded to 1/64, so points fall on dyadic knots, repeat,
+    # and quantile knots sit on data points.
+    rng = np.random.default_rng(11)
+    checked = 0
+    for _ in range(400):
+        order, level, n = int(rng.integers(1, 6)), int(rng.integers(0, 7)), int(rng.integers(1, 401))
+        x = rng.random(n)
+        if rng.random() < 0.5:
+            x = np.round(x * 64) / 64
+        rule = "empirical_quantile" if rng.random() < 0.5 else "uniform_dyadic"
+        try:
+            spec = bs.make_spec(order, level, knot_rule=rule, data=x)
+        except DegenerateColumnError:
+            continue
+        knots = spec.knots(0)
+        np.testing.assert_array_equal(bs._basis_1d(knots, order, x), _loop_basis_1d(knots, order, x))
+        checked += 1
+    assert checked > 300
+
+
 class TestNestedness:
     def test_dyadic_refinement(self):
         grid = np.linspace(0, 1, 2000)

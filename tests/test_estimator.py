@@ -3,9 +3,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from npivband import adaptive as ad
 from npivband import basis as bs
 from npivband import estimator as est
+from npivband import extensions as ext
 from npivband import simgen as sg
+from npivband.bootstrap import MultiplierPlan
 from npivband._linalg import spectral_cutoff
 from npivband.errors import DegenerateVarianceError, InsufficientSampleError
 
@@ -142,33 +145,90 @@ def _reference_tsls(psi, bmat, y):
     return m, coef, y - psi @ coef, s_hat, tuple(flags)
 
 
+#: Cholesky-route fits match the eigen-route formulas to this fraction of each array's largest entry.
+CHOLESKY_RTOL = 1e-9
+
+
+def _count_eigh(monkeypatch) -> list:
+    calls, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    return calls
+
+
+def _fallback_case(name):
+    """A sample whose Grams are all singular, its models, and the J values to fit."""
+    if name == "rank_deficient":
+        x = np.repeat([0.1, 0.4, 0.8], 100)
+        return est.Sample(np.sin(3 * x), x, x), (REG, NPIV), (4, 7, 19, 35)
+    rng = np.random.default_rng(5)
+    if name == "additive":
+        # Centred additive blocks sum to zero, so the design is singular by construction.
+        x = rng.random((400, 2))
+        model = ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)
+        return est.Sample(1.0 + x[:, 0] + x[:, 1] ** 2, x, x), (model,), (4, 7)
+    # Nine distinct x values, quantile knots on x and dyadic instruments: J=11 and K(11) exceed the rank.
+    x = rng.integers(1, 10, 300) / 10
+    spec = bs.BasisSpec(4, 0, knot_rule="empirical_quantile")
+    models = (est.npiv_model(spec, None), est.npiv_model(spec, bs.InstrumentSpec(spec, q=1)))
+    return est.Sample(np.sin(3 * x) + 0.1 * rng.standard_normal(300), x, x), models, (11,)
+
+
 class TestTslsGrams:
-    @pytest.mark.parametrize("design", ["trade_lognormal", "reg_wiggly", "npiv_sine_log", "rank_deficient"])
-    def test_one_eigendecomposition_per_gram(self, design, monkeypatch):
-        # Regression eigendecomposes Psi'Psi only; NPIV adds B'B and Psi'P_K Psi.
-        # The fit equals the formulas with every Gram formed where it is used.
-        if design == "rank_deficient":
-            x = np.repeat([0.1, 0.4, 0.8], 100)
-            sample, x_spec, ispec = est.Sample(np.sin(3 * x), x, x), CUBIC, ISPEC
-        else:
-            d = sg.get_design(design)
-            sample, _ = sg.generate(d, 2500, 0)
-            x_spec, ispec = d.x_spec, d.ispec
-        eigh = np.linalg.eigh
-        calls = []
-        for spec in (None,) if ispec is None else (None, ispec):
+    @pytest.mark.parametrize("design", ["trade_lognormal", "reg_wiggly", "npiv_sine_log"])
+    def test_full_rank_grams_take_cholesky(self, design, monkeypatch):
+        # No Gram is eigendecomposed, there are no flags, and the fit matches
+        # the eigen-route formulas to CHOLESKY_RTOL.
+        d = sg.get_design(design)
+        sample, _ = sg.generate(d, 2500, 0)
+        calls = _count_eigh(monkeypatch)
+        for spec in (None,) if d.ispec is None else (None, d.ispec):
             for j in (4, 7, 19, 35):
                 calls.clear()
-                monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
-                f = est.fit(sample, est.npiv_model(x_spec, spec), j)
-                monkeypatch.setattr(np.linalg, "eigh", eigh)
-                assert len(calls) == (1 if spec is None else 3)
+                f = est.fit(sample, est.npiv_model(d.x_spec, spec), j)
+                assert calls == [] and f.flags == ()
                 want = _reference_tsls(f.design, None if spec is None else f.bmat, sample.y)
+                for got, ref in zip((f.m, f.coef, f.u_hat, f.s_hat), want):
+                    scale = float(np.abs(ref).max())
+                    np.testing.assert_allclose(got, ref, rtol=CHOLESKY_RTOL, atol=CHOLESKY_RTOL * scale)
+
+    @pytest.mark.parametrize("case", ["rank_deficient", "additive", "tied_quantile_knots"])
+    def test_fallback_equals_reference(self, case, monkeypatch):
+        # Regression eigendecomposes Psi'Psi only; NPIV adds B'B and Psi'P_K Psi.
+        # The fit equals the formulas with every Gram formed where it is used.
+        sample, models, js = _fallback_case(case)
+        calls = _count_eigh(monkeypatch)
+        for model in models:
+            for j in js:
+                calls.clear()
+                f = est.fit(sample, model, j)
+                regression = f.bmat is f.design
+                assert len(calls) == (1 if regression else 3)
+                want = _reference_tsls(f.design, None if regression else f.bmat, sample.y)
                 for got, ref in zip((f.m, f.coef, f.u_hat, f.s_hat), want):
                     np.testing.assert_array_equal(got, ref)
                 assert f.flags == want[4]
-        if design == "rank_deficient":
-            assert "design_rank_deficient" in f.flags and "shat_reduced_rank" in f.flags
+                assert "design_rank_deficient" in f.flags and "shat_reduced_rank" in f.flags
+
+    def test_regression_shat_is_exactly_one(self):
+        for j in (4, 7, 11):
+            assert est.fit(_noisy_sample(), REG, j).s_hat == 1.0
+
+    def test_look_ahead_forms_no_m(self, monkeypatch):
+        # The J past J_hat_max is factored for its s_hat only; every J's Grams
+        # are formed once, and M is formed for the index set alone.
+        d = sg.get_design("trade_lognormal")
+        sample, _ = sg.generate(d, 1522, 0)
+        factored, solved = [], []
+        init, solve = est.TslsGrams.__init__, est.TslsGrams.solve
+        monkeypatch.setattr(est.TslsGrams, "__init__",
+                            lambda self, design, bmat: factored.append(design.shape[1]) or init(self, design, bmat))
+        monkeypatch.setattr(est.TslsGrams, "solve", lambda self, y: solved.append(self.design.shape[1]) or solve(self, y))
+        sel = ad.select(sample, d.x_spec, d.ispec, plan=MultiplierPlan(n_draws=99), grid=np.linspace(0, 1, 20))
+        look_ahead = sel.backend.next_dim(sel.j_hat_max)
+        assert look_ahead in sel.backend._grams and look_ahead not in sel.backend._fits
+        assert sorted(factored) == [*sel.index_set, look_ahead]
+        assert sorted(solved) == list(sel.index_set)
+        assert sel.backend.shat(look_ahead) == sel.backend._grams[look_ahead][1].s_hat
 
 
 class TestShat:

@@ -4,15 +4,24 @@ The inputs and expected outputs live in ``tests/data/golden``. Floats are
 compared to a relative tolerance of 1e-10 (of each column's largest
 magnitude), so the files survive BLAS rounding differences between hosts;
 headers, dimensions, index sets, methods, histograms and flags must match
-exactly. Regenerate the expected files only for an intended change of output:
+exactly. Regenerate the expected files only for an intended change of output,
+and list the files whose bytes a regeneration would change:
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py          # rewrite tests/data/golden
+    PYTHONPATH=src python tests/test_golden.py --cmp    # list differing files, exit 1 if any
+
+Both generate in a subprocess with BLAS pinned to one thread; ``--cmp``
+generates into a temporary directory and compares bytes.
 """
 
+import argparse
 import csv
+import filecmp
 import json
 import os
+import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
@@ -44,8 +53,8 @@ def _inputs() -> dict[str, dict[str, np.ndarray]]:
     return {"npiv": npiv, "reg2d": reg2d, "additive": additive, "plm": plm}
 
 
-def _argv(kind: str, outdir: str) -> list[str]:
-    data = lambda name: os.path.join(GOLDEN, f"{name}.csv")  # noqa: E731
+def _argv(kind: str, outdir: str, root: str = GOLDEN) -> list[str]:
+    data = lambda name: os.path.join(root, f"{name}.csv")  # noqa: E731
     npiv = ["--input", data("npiv"), "--mode", "npiv", "--deriv", "1", "--p-lower", "2.5",
             "--grid-size", "30"]
     argv = {
@@ -55,7 +64,7 @@ def _argv(kind: str, outdir: str) -> list[str]:
         "fit_plm": ["fit", "--input", data("plm"), "--mode", "partially_linear", "--linear-cols", "1",
                     "--grid-size", "30"],
         "rebands": ["bands-plotdata", *npiv, "--from-selection",
-                    os.path.join(GOLDEN, "fit_npiv", "selection.json")],
+                    os.path.join(root, "fit_npiv", "selection.json")],
         # Two targets, four fixed J values and the reject rate in under a second.
         "simulate": ["simulate", "--design", "trade_lognormal", "--n", "600", "--reps", "2",
                      "--draws", "60", "--seed", "7", "--grid-size", "30"],
@@ -141,22 +150,64 @@ def test_golden_output(kind, tmp_path):
                 _compare_json(json.load(fh), json.load(fw), f"{kind} {name}")
 
 
-def _regenerate() -> None:
+def _golden_files() -> list[str]:
+    """Every checked-in file, as a path relative to the golden directory."""
+    return [f"{name}.csv" for name in _inputs()] + [
+        os.path.join(kind, name) for kind in KINDS for name in _files(kind)
+    ]
+
+
+def _generate(root: str) -> None:
+    """Write the input CSVs and every kind's expected files under ``root``."""
     import shutil
 
     for name, columns in _inputs().items():
         data = np.column_stack(list(columns.values()))
-        np.savetxt(os.path.join(GOLDEN, f"{name}.csv"), data, fmt="%.17g", delimiter=",",
+        np.savetxt(os.path.join(root, f"{name}.csv"), data, fmt="%.17g", delimiter=",",
                    header=",".join(columns), comments="")
     for kind in KINDS:
-        tmp = os.path.join(GOLDEN, f".{kind}.tmp")
-        if main(_argv(kind, tmp)) != EXIT_OK:
+        tmp = os.path.join(root, f".{kind}.tmp")
+        if main(_argv(kind, tmp, root)) != EXIT_OK:
             raise SystemExit(f"{kind} failed")
-        os.makedirs(os.path.join(GOLDEN, kind), exist_ok=True)
+        os.makedirs(os.path.join(root, kind), exist_ok=True)
         for name in _files(kind):
-            shutil.copyfile(os.path.join(tmp, name), os.path.join(GOLDEN, kind, name))
+            shutil.copyfile(os.path.join(tmp, name), os.path.join(root, kind, name))
         shutil.rmtree(tmp)
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+
+def _generate_pinned(root: str) -> None:
+    """``_generate(root)`` in a fresh interpreter with one BLAS thread, so its bytes do not depend on the host's core count."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, os.path.abspath(__file__), "--into", root], env=env, check=True)
+
+
+def _main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Regenerate the golden files, or list those that would change.")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--cmp", action="store_true", help="list the files whose bytes differ; exit 1 if any")
+    group.add_argument("--into", metavar="DIR", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.into:
+        _generate(args.into)
+    elif not args.cmp:
+        _generate_pinned(GOLDEN)
+    else:
+        with tempfile.TemporaryDirectory() as tmp:
+            _generate_pinned(tmp)
+            differ = [name for name in _golden_files()
+                      if not filecmp.cmp(os.path.join(tmp, name), os.path.join(GOLDEN, name), shallow=False)]
+        for name in differ:
+            print(name)
+        print(f"{len(differ)} of {len(_golden_files())} golden files differ", file=sys.stderr)
+        return 1 if differ else 0
+    return 0
+
+
 if __name__ == "__main__":
-    sys.exit(_regenerate())
+    sys.exit(_main())

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import erf, erfinv
 
+from npivband import adaptive as ad
 from npivband import basis as bs
 from npivband import estimator as est
 from npivband import simgen as sg
@@ -110,7 +111,34 @@ class TestGenerate:
         assert sample.x.max() < 1.0
 
 
+_SMALL_SET = (4, 5, 7, 11, 19)
+
+#: Each replication's (J~, index set, flags) of run_mc(design, [600], 2, B=99, base_seed=11).
+PINNED_SELECTIONS = {
+    "trade_lognormal": [(4, _SMALL_SET, ()), (4, _SMALL_SET, ())],
+    "trade_pareto": [(4, _SMALL_SET, ()), (4, _SMALL_SET, ())],
+    "npiv_sine_log": [(4, _SMALL_SET, ()), (4, (*_SMALL_SET, 35), ())],
+    "reg_wiggly": [(35, (*_SMALL_SET, 35, 67), ()), (35, (*_SMALL_SET, 35, 67), ())],
+}
+
+
 class TestRunMc:
+    @pytest.mark.parametrize("name", sorted(PINNED_SELECTIONS))
+    def test_selections_are_pinned(self, name, monkeypatch):
+        # A rounding change that flips a J_hat_max bracket or a Lepski decision fails here.
+        seen, select = [], ad.select
+
+        def capture(*args, **kwargs):
+            sel = select(*args, **kwargs)
+            seen.append((sel.j_tilde, sel.index_set, sel.flags))
+            return sel
+
+        monkeypatch.setattr(ad, "select", capture)
+        report = sg.run_mc(name, [600], 2, plan=MultiplierPlan(n_draws=99), base_seed=11)
+        assert seen == PINNED_SELECTIONS[name]
+        assert report.j_tilde[600].tolist() == [j for j, _, _ in seen]
+        assert report.flags[600] == [flags for _, _, flags in seen]
+
     def test_noiseless_spanned_truth(self):
         # linear truth inside the cubic span with no noise: loss ~ 0 and the
         # truth is covered in the single replication
