@@ -5,10 +5,12 @@ is the smallest grid dimension where J sqrt(log J) / s_hat_J crosses
 10 sqrt(n) (with 1 / s_hat_J replaced by upsilon_n = max{1, (0.1 log n)^4}
 for regression). Second, the threshold theta* is the (1 - alpha_hat) quantile
 of the bootstrap sup-t contrast statistic over the index set, with
-alpha_hat = min{0.5, sqrt(log J_hat_max / J_hat_max)}. Third, J_hat is the
-smallest dimension whose contrasts against all larger dimensions stay below
-1.1 theta*, and the selected dimension is J_tilde = min(J_hat, J_hat_n) for
-NPIV or J_tilde = J_hat for regression.
+alpha_hat = min{0.5, sqrt(log J_hat_max / J_hat_max)}; ``sup_t_contrast``
+returns these draws together with each pair's contrast statistic. Third,
+``lepski``, a pure function of those statistics and theta*, takes J_hat as
+the smallest dimension whose contrasts against all larger dimensions stay
+within 1.1 theta*, and the selected dimension is J_tilde = min(J_hat, J_hat_n)
+for NPIV or J_tilde = J_hat for regression.
 """
 
 from __future__ import annotations
@@ -51,7 +53,11 @@ def default_grid(dim: int, points_per_axis: int = 100) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class AdaptiveSelection:
-    """Everything the dimension-selection rule produces, plus fit byproducts."""
+    """Everything the dimension-selection rule produces, plus fit byproducts.
+
+    ``contrast_stats`` is the rule's input, {(J, J2): statistic} over the
+    pairs of the index set; a selection rebuilt from ``selection.json`` has none.
+    """
 
     j_hat_max: int
     index_set: tuple[int, ...]
@@ -68,14 +74,10 @@ class AdaptiveSelection:
     s_hat_by_j: dict
     backend: est.SieveBackend
     theta_draws: np.ndarray | None = None
+    contrast_stats: dict = field(default_factory=dict, repr=False)
     lepski_factor: float = LEPSKI_FACTOR
     flags: tuple[str, ...] = ()
     band_fields: dict = field(init=False, default_factory=dict, compare=False, repr=False)
-
-    @property
-    def fits(self) -> dict:
-        """The fits of the index set, {J: fit}, from the backend's cache."""
-        return {j: self.backend.fit(j) for j in self.index_set}
 
     def band_field(self, a=0) -> VarianceField:
         """The variance field at derivative order ``a`` over J_minus and J_tilde on ``grid``.
@@ -153,6 +155,37 @@ def _j_hat_max_regression(n: int, spec: bs.BasisSpec, flags) -> int:
     return _bracket_min(cands, lhs, target, lhs, lambda j: bs.next_dimension(spec, j), flags)
 
 
+def lepski(index_set, j_hat_max: int, stats, theta_star: float, mode: str) -> dict:
+    """The Lepski rule on the contrast statistics of an ascending index set.
+
+    ``stats[(J, J2)]`` is sup_x |h_J(x) - h_J2(x)| / sigma_{J,J2}(x) for each
+    pair J < J2 of ``index_set``. J_hat is the smallest J whose statistics
+    against every larger J are at most 1.1 theta* (a NaN statistic fails).
+    J_hat_n is the largest J below J_hat_max, J_tilde = min(J_hat, J_hat_n) for
+    npiv and J_hat for regression, and A_hat = max{0, log log J_tilde}. Returns
+    the ``AdaptiveSelection`` fields ``j_hat``, ``j_hat_n``, ``j_tilde``,
+    ``j_minus_set``, ``a_hat`` and ``flags``, the rule's own flags.
+    """
+    flags = []
+    threshold = LEPSKI_FACTOR * theta_star
+    j_hat = next(j for j in index_set if all(stats[(j, j2)] <= threshold for j2 in index_set if j2 > j))
+    below = [j for j in index_set if j < j_hat_max]
+    j_hat_n = max(below, default=j_hat_max)
+    if not below:
+        flags.append("j_hat_n_degenerate")
+    j_tilde = j_hat if mode == "regression" else min(j_hat, j_hat_n)
+    j_minus = tuple(j for j in index_set if j < j_hat_n) if j_tilde == j_hat else index_set
+    if not j_minus:
+        j_minus = index_set
+        flags.append("j_minus_fallback_full_set")
+    a_hat = math.log(math.log(j_tilde)) if j_tilde > 1 else 0.0
+    if not a_hat > 0.0:
+        a_hat = 0.0
+        flags.append("a_hat_clamped_at_zero")
+    return dict(j_hat=j_hat, j_hat_n=j_hat_n, j_tilde=j_tilde, j_minus_set=j_minus, a_hat=a_hat,
+                flags=tuple(flags))
+
+
 def run_selection(
     backend: est.SieveBackend,
     plan: MultiplierPlan,
@@ -160,7 +193,11 @@ def run_selection(
     grid,
     n_workers: int = 1,
 ) -> AdaptiveSelection:
-    """Generic Lepski selection over a fit backend; used by all model variants."""
+    """Generic Lepski selection over a fit backend; used by all model variants.
+
+    The J_hat_max bracket, the index set and alpha_hat, the field over the
+    index set, its contrast statistics and draws, theta*, then ``lepski``.
+    """
     if mode not in ("npiv", "regression"):
         raise ConfigurationError(f"unknown selection mode {mode!r}")
     flags: list[str] = []
@@ -173,10 +210,9 @@ def run_selection(
     if j_hat_max > cands[-1]:
         j_hat_max = cands[-1]
         flags.append("jmax_capped_by_backend")
-    lower = _INDEX_SET_LOWER * math.log(j_hat_max) ** 2 if j_hat_max > 1 else 0.0
+    # J_hat_max is a candidate and 0.1 log^2 J <= J, so the index set ends at J_hat_max.
+    lower = _INDEX_SET_LOWER * math.log(j_hat_max) ** 2
     index_set = tuple(j for j in cands if lower <= j <= j_hat_max)
-    if not index_set:
-        index_set = (cands[-1],)
     if j_hat_max >= 2:
         alpha_hat = min(0.5, math.sqrt(math.log(j_hat_max) / j_hat_max))
     else:
@@ -185,68 +221,23 @@ def run_selection(
 
     pts = bs.as_points(grid if grid is not None else default_grid(backend.grid_dim), backend.grid_dim)
     varfield = est.build_field(backend, pts, (0,) * backend.grid_dim, index_set)
-
-    pairs = [(a, b) for i, a in enumerate(index_set) for b in index_set[i + 1 :]]
-    theta_draws = None
-    if pairs:
-        theta_draws = sup_t_contrast(varfield, plan, pairs, n_workers=n_workers)
+    backend.drop_grams()
+    if len(index_set) > 1:
+        stats, theta_draws = sup_t_contrast(varfield, plan, n_workers=n_workers)
         theta_star = quantile(theta_draws, 1.0 - alpha_hat)
     else:
         # Singleton index set: the contrast sup is vacuous; keep the UCB
         # inflation defined via the standard normal quantile.
+        stats, theta_draws = {}, None
         theta_star = float(ndtri(1.0 - alpha_hat))
         flags.append("singleton_index_set")
 
-    j_hat = index_set[-1]
-    for j in index_set:
-        larger = [j2 for j2 in index_set if j2 > j]
-        if not larger:
-            j_hat = j
-            break
-        stat = max(varfield.contrast_stat(j, j2) for j2 in larger)
-        if stat <= LEPSKI_FACTOR * theta_star:
-            j_hat = j
-            break
-
-    below = [j for j in index_set if j < j_hat_max]
-    if below:
-        j_hat_n = max(below)
-    else:
-        j_hat_n = j_hat_max
-        flags.append("j_hat_n_degenerate")
-
-    j_tilde = j_hat if mode == "regression" else min(j_hat, j_hat_n)
-
-    if j_tilde == j_hat:
-        j_minus = tuple(j for j in index_set if j < j_hat_n)
-        if not j_minus:
-            j_minus = index_set
-            flags.append("j_minus_fallback_full_set")
-    else:
-        j_minus = index_set
-
-    a_hat = math.log(math.log(j_tilde)) if j_tilde > 1 else float("-inf")
-    if not a_hat > 0.0:
-        a_hat = 0.0
-        flags.append("a_hat_clamped_at_zero")
-
+    rule = lepski(index_set, j_hat_max, stats, theta_star, mode)
+    rule["flags"] = (*flags, *rule["flags"])
     return AdaptiveSelection(
-        j_hat_max=j_hat_max,
-        index_set=index_set,
-        alpha_hat=alpha_hat,
-        theta_star=theta_star,
-        j_hat=j_hat,
-        j_hat_n=j_hat_n,
-        j_tilde=j_tilde,
-        j_minus_set=j_minus,
-        a_hat=a_hat,
-        mode=mode,
-        grid=pts,
-        varfield=varfield,
-        s_hat_by_j={j: backend.shat(j) for j in index_set},
-        backend=backend,
-        theta_draws=theta_draws,
-        flags=tuple(flags),
+        j_hat_max=j_hat_max, index_set=index_set, alpha_hat=alpha_hat, theta_star=theta_star, mode=mode,
+        grid=pts, varfield=varfield, s_hat_by_j={j: backend.shat(j) for j in index_set}, backend=backend,
+        theta_draws=theta_draws, contrast_stats=stats, **rule,
     )
 
 

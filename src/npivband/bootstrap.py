@@ -12,14 +12,15 @@ W = M diag(u_hat). Each is formed once per fit and plan and kept read-only in
 the fit's ``projections``; a field reads the rows of its coefficient slice.
 Omega is drawn only when a field holds a fit without that plan's projection,
 and lives only while the missing projections are formed. The draws of J at
-the grid are D*_J = rows_J W_J Omega'. A contrast draw
-is the difference D*_J - D*_J2 of per-J draws, each taken once per chunk of
-grid rows however many pairs share it, and scaled by the pair's sd; no
-contrast rows are formed, and fits that alias each other give exactly zero
-because their per-pair Grams make the sd exactly zero. Every sup-t statistic
-keeps a running per-draw maximum over fixed 64-draw slices, which keeps
-results bit-identical for any number of worker threads. ``sup_t_single``
-results are memoized on the field.
+the grid are D*_J = rows_J W_J Omega'. A contrast draw is the difference
+D*_J - D*_J2 of per-J draws, each taken once per chunk of grid rows however
+many pairs share it, and scaled by the pair's sd, which also scales the
+pair's statistic |h_J - h_J2| that ``sup_t_contrast`` returns beside the
+draws. No contrast rows are formed, and fits that alias each other give
+exactly zero because their per-pair Grams make the sd exactly zero. Every
+sup-t statistic keeps a running per-draw maximum over fixed 64-draw slices,
+which keeps results bit-identical for any number of worker threads.
+``sup_t_single`` results are memoized on the field.
 """
 
 from __future__ import annotations
@@ -142,14 +143,17 @@ def sup_t_contrast(
     plan: MultiplierPlan,
     pairs=None,
     n_workers: int = 1,
-) -> np.ndarray:
-    """Per-draw sup over (x, J, J2), J2 > J, of |(D*_J - D*_J2)(x) / sigma_{J,J2}(x)|.
+) -> tuple[dict[tuple[int, int], float], np.ndarray]:
+    """The contrast statistics and per-draw sups over the pairs (J, J2), J2 > J.
 
-    The multipliers are held fixed across the whole supremum within one draw.
-    Grid points where the contrast sd is degenerate (which certifies a
-    degenerate numerator) are excluded. The draws D*_J of each J in the pairs
-    are computed once per slice and chunk of grid rows, and each pair's draws
-    are their difference.
+    Returns ``(stats, draws)``: ``stats[(J, J2)]`` is the statistic
+    sup_x |h_J(x) - h_J2(x)| / sigma_{J,J2}(x) and ``draws`` the per-draw sup
+    over (x, J, J2) of |(D*_J - D*_J2)(x) / sigma_{J,J2}(x)|; both divide by
+    the same scales. The multipliers are held fixed across the whole supremum
+    within one draw. Grid points where the contrast sd is degenerate (which
+    certifies a degenerate numerator) are excluded. The draws D*_J of each J
+    in the pairs are computed once per slice and chunk of grid rows, and each
+    pair's draws are their difference.
     """
     if pairs is None:
         js = varfield.j_values
@@ -161,8 +165,11 @@ def sup_t_contrast(
         if j2 <= j:
             raise InvalidDimensionError(f"contrast pairs require J2 > J, got ({j}, {j2})")
     scales = varfield.contrast_scales(pairs)
-    proj = _projections(varfield, plan)
     js = sorted({j for pair in pairs for j in pair})
+    fitted = {j: varfield.fitted(j) for j in js}
+    stats = {(j, j2): float(np.abs((fitted[j] - fitted[j2]) / scale).max(initial=0.0))
+             for (j, j2), scale in zip(pairs, scales)}
+    proj = _projections(varfield, plan)
     g = varfield.grid.shape[0]
 
     def chunk(lo: int, hi: int):
@@ -179,7 +186,7 @@ def sup_t_contrast(
         return block
 
     blocks = (chunk(lo, min(lo + _ROWS, g)) for lo in range(0, g, _ROWS))
-    return _sup_over_draws(blocks, plan.n_draws, n_workers)
+    return stats, _sup_over_draws(blocks, plan.n_draws, n_workers)
 
 
 def quantile(draw_sups, level: float) -> float:

@@ -15,7 +15,7 @@ widths at J, and the selector rows of the function it reports. One ``fit``
 serves every model: it checks the widths, builds the design and runs the one
 TSLS core (``fit_grams``, then ``TslsGrams.solve``) into a ``SieveFit``. The
 shared ``SieveBackend`` caches fits per J, and the Grams of a J asked only
-for its s_hat; ``evaluate``, and the influence rows and ``VarianceField``
+for its s_hat until ``drop_grams``; ``evaluate``, and the influence rows and ``VarianceField``
 built in ``build_field``, read every reported function through its selector
 rows.
 """
@@ -366,16 +366,6 @@ class VarianceField:
             scales.append(np.where(sd > floor, sd, np.inf))
         return scales
 
-    def contrast_stat(self, j: int, j2: int) -> float:
-        """sup over valid x of |h_J(x) - h_J2(x)| / sigma_{J,J2}(x).
-
-        The fit difference is the estimator contrast whose sampling noise the
-        bootstrap contrast process calibrates (the residual projection
-        psi' M_J u_hat is identically zero by the TSLS normal equations).
-        """
-        (scale,) = self.contrast_scales([(j, j2)])
-        return float(np.abs((self.fitted(j) - self.fitted(j2)) / scale).max(initial=0.0))
-
 
 @dataclass(frozen=True, eq=False)
 class SieveModel:
@@ -458,6 +448,10 @@ class SieveBackend:
         if j not in self._grams:
             self._grams[j] = fit_grams(self.sample, self.model, j)
         return self._grams[j][1].s_hat
+
+    def drop_grams(self) -> None:
+        """Forget the Grams of every J that was asked only for its s_hat."""
+        self._grams.clear()
 
     def view(self, model: SieveModel) -> SieveBackend:
         """A backend sharing these fits whose ``model`` reports another linear functional of them."""

@@ -211,8 +211,8 @@ def test_criterion_6_property_suite():
         est.Sample(base_sample.y + 3.0, base_sample.x, base_sample.w), cubic, ispec,
         plan=plan, grid=sel_grid,
     )
-    tstat = sel.varfield.contrast_stat(*sel.index_set[:2])
-    tstat_scaled = sel_scaled.varfield.contrast_stat(*sel_scaled.index_set[:2])
+    tstat = sel.contrast_stats[sel.index_set[:2]]
+    tstat_scaled = sel_scaled.contrast_stats[sel_scaled.index_set[:2]]
     inv_ok = (
         sel.j_tilde == sel_scaled.j_tilde == sel_shifted.j_tilde
         and tstat_scaled == pytest.approx(tstat, rel=1e-12)

@@ -111,6 +111,7 @@ class TestSelect:
         jm = sel.j_hat_max
         lower = 0.1 * math.log(jm) ** 2
         assert sel.index_set == tuple(j for j in bs.dimension_grid(CUBIC, jm) if j >= lower)
+        assert sel.index_set[-1] == sel.j_hat_max
         assert sel.alpha_hat == pytest.approx(min(0.5, math.sqrt(math.log(jm) / jm)))
         assert sel.j_tilde in sel.index_set
         assert sel.j_tilde == min(sel.j_hat, sel.j_hat_n)
@@ -119,17 +120,17 @@ class TestSelect:
     def test_monotone_stopping(self):
         sample = _npiv_sample(n=600, seed=2)
         sel = ad.select(sample, CUBIC, ISPEC, plan=MultiplierPlan(100, 1), grid=np.linspace(0.01, 0.99, 60))
-        vf = sel.varfield
+        stats = sel.contrast_stats
         thresh = sel.lepski_factor * sel.theta_star
         # the selected j_hat passes its own test ...
         larger = [j for j in sel.index_set if j > sel.j_hat]
         if larger:
-            assert max(vf.contrast_stat(sel.j_hat, j2) for j2 in larger) <= thresh
+            assert max(stats[(sel.j_hat, j2)] for j2 in larger) <= thresh
         # ... and no smaller index passes
         for j in sel.index_set:
             if j >= sel.j_hat:
                 break
-            stat = max(vf.contrast_stat(j, j2) for j2 in sel.index_set if j2 > j)
+            stat = max(stats[(j, j2)] for j2 in sel.index_set if j2 > j)
             assert stat > thresh
 
     def test_j_minus_rule(self):
@@ -213,3 +214,86 @@ class TestSelect:
         sample = _npiv_sample(n=100)
         with pytest.raises(ConfigurationError):
             ad.select(sample, CUBIC, None, mode="npiv")
+
+    def test_contrast_sd_once_per_pair(self, monkeypatch):
+        # The statistics and the draws divide by the same scales, one sd per pair.
+        calls = []
+        contrast_sd = est.VarianceField.contrast_sd
+        monkeypatch.setattr(est.VarianceField, "contrast_sd",
+                            lambda self, j, j2: calls.append((j, j2)) or contrast_sd(self, j, j2))
+        sel = ad.select(_npiv_sample(n=600, seed=2), CUBIC, ISPEC, plan=MultiplierPlan(100, 1),
+                        grid=np.linspace(0.01, 0.99, 60))
+        pairs = [(j, j2) for i, j in enumerate(sel.index_set) for j2 in sel.index_set[i + 1:]]
+        assert len(pairs) > 1 and sorted(calls) == pairs
+        assert sorted(sel.contrast_stats) == pairs
+
+    def test_no_grams_outlive_the_selection(self):
+        # The bracket forms Grams for s_hat alone; none are kept once the index set is fitted.
+        sel = ad.select(_npiv_sample(n=600, seed=1), CUBIC, ISPEC, plan=MultiplierPlan(50, 0),
+                        grid=np.linspace(0.01, 0.99, 30))
+        assert not sel.backend._grams
+        assert sorted(sel.backend._fits) == list(sel.index_set)
+
+
+# Hand-made statistics over the index set (4, 5, 7, 11) with J_hat_max = 11 and theta* = 2,
+# so the threshold is 1.1 * 2: the pairs from J fail (3) when J is in ``failing`` and
+# pass otherwise (2.1, which only the factor 1.1 lets through).
+INDEX = (4, 5, 7, 11)
+
+
+def _stats(failing, index_set=INDEX):
+    return {(j, j2): 3.0 if j in failing else 2.1 for i, j in enumerate(index_set) for j2 in index_set[i + 1:]}
+
+
+class TestLepski:
+    def test_npiv_takes_j_hat_below_j_hat_n(self):
+        rule = ad.lepski(INDEX, 11, _stats({4}), 2.0, "npiv")
+        assert (rule["j_hat"], rule["j_hat_n"], rule["j_tilde"]) == (5, 7, 5)
+        assert rule["j_minus_set"] == (4, 5)
+        assert rule["a_hat"] == math.log(math.log(5)) and rule["flags"] == ()
+
+    def test_j_tilde_and_j_minus_by_mode(self):
+        stats = _stats({4, 5, 7})
+        npiv = ad.lepski(INDEX, 11, stats, 2.0, "npiv")
+        assert (npiv["j_hat"], npiv["j_hat_n"], npiv["j_tilde"]) == (11, 7, 7)
+        assert npiv["j_minus_set"] == INDEX
+        assert npiv["a_hat"] == math.log(math.log(7))
+        regression = ad.lepski(INDEX, 11, stats, 2.0, "regression")
+        assert (regression["j_hat"], regression["j_hat_n"], regression["j_tilde"]) == (11, 7, 11)
+        assert regression["j_minus_set"] == (4, 5)
+        assert regression["a_hat"] == math.log(math.log(11))
+
+    def test_tie_at_threshold_passes(self):
+        stats = _stats({4})
+        stats[(5, 7)] = stats[(5, 11)] = ad.LEPSKI_FACTOR * 2.0
+        assert ad.lepski(INDEX, 11, stats, 2.0, "npiv")["j_hat"] == 5
+        stats[(5, 11)] = np.nextafter(ad.LEPSKI_FACTOR * 2.0, np.inf)
+        assert ad.lepski(INDEX, 11, stats, 2.0, "npiv")["j_hat"] == 7
+
+    def test_nan_statistic_fails(self):
+        # A NaN fails wherever it stands among a J's pairs.
+        stats = _stats(set())
+        stats[(4, 11)] = math.nan
+        assert ad.lepski(INDEX, 11, stats, 2.0, "npiv")["j_hat"] == 5
+        stats[(4, 5)] = math.nan
+        assert ad.lepski(INDEX, 11, stats, 2.0, "npiv")["j_hat"] == 5
+
+    def test_last_j_passes_vacuously(self):
+        rule = ad.lepski(INDEX, 11, _stats({4, 5, 7}), 0.0, "regression")
+        assert rule["j_hat"] == 11
+
+    def test_singleton_flags_degenerate_j_hat_n_and_full_j_minus(self):
+        rule = ad.lepski((4,), 4, {}, 1.5, "npiv")
+        assert (rule["j_hat"], rule["j_hat_n"], rule["j_tilde"], rule["j_minus_set"]) == (4, 4, 4, (4,))
+        assert rule["flags"] == ("j_hat_n_degenerate", "j_minus_fallback_full_set")
+
+    def test_j_minus_fallback_alone(self):
+        rule = ad.lepski((4, 5), 5, _stats(set(), (4, 5)), 2.0, "npiv")
+        assert (rule["j_tilde"], rule["j_hat_n"], rule["j_minus_set"]) == (4, 4, (4, 5))
+        assert rule["flags"] == ("j_minus_fallback_full_set",)
+
+    @pytest.mark.parametrize("index_set", [(2, 3, 5), (1, 2)])
+    def test_a_hat_clamped_at_zero(self, index_set):
+        rule = ad.lepski(index_set, index_set[-1], _stats(set(), index_set), 2.0, "npiv")
+        assert rule["j_tilde"] == index_set[0] and rule["a_hat"] == 0.0
+        assert rule["flags"][-1] == "a_hat_clamped_at_zero"

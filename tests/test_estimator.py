@@ -8,7 +8,7 @@ from npivband import basis as bs
 from npivband import estimator as est
 from npivband import extensions as ext
 from npivband import simgen as sg
-from npivband.bootstrap import MultiplierPlan
+from npivband.bootstrap import MultiplierPlan, sup_t_contrast
 from npivband._linalg import spectral_cutoff
 from npivband.errors import DegenerateVarianceError, InsufficientSampleError
 
@@ -225,10 +225,12 @@ class TestTslsGrams:
         monkeypatch.setattr(est.TslsGrams, "solve", lambda self, y: solved.append(self.design.shape[1]) or solve(self, y))
         sel = ad.select(sample, d.x_spec, d.ispec, plan=MultiplierPlan(n_draws=99), grid=np.linspace(0, 1, 20))
         look_ahead = sel.backend.next_dim(sel.j_hat_max)
-        assert look_ahead in sel.backend._grams and look_ahead not in sel.backend._fits
+        assert not sel.backend._grams and look_ahead not in sel.backend._fits
         assert sorted(factored) == [*sel.index_set, look_ahead]
         assert sorted(solved) == list(sel.index_set)
+        # Asked again, the look-ahead's Grams are formed again and kept until it is fitted.
         assert sel.backend.shat(look_ahead) == sel.backend._grams[look_ahead][1].s_hat
+        assert factored[-1] == look_ahead and look_ahead not in sel.backend._fits
 
 
 class TestShat:
@@ -301,8 +303,9 @@ class TestVarianceField:
         vf2 = _field(s2, grid)
         np.testing.assert_array_equal(vf2.sigma[4], 2.0 * vf.sigma[4])
         # t-statistics of the fit difference are exactly invariant
-        stat = vf.contrast_stat(4, 7)
-        assert vf2.contrast_stat(4, 7) == pytest.approx(stat, rel=1e-12)
+        plan = MultiplierPlan(n_draws=20)
+        stat = sup_t_contrast(vf, plan, [(4, 7)])[0][(4, 7)]
+        assert sup_t_contrast(vf2, plan, [(4, 7)])[0][(4, 7)] == pytest.approx(stat, rel=1e-12)
 
     def test_homoskedastic_oracle(self):
         # inject u == c: sigma^2(x) must equal c^2 sum_i (psi(x)' M)_i^2

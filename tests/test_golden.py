@@ -11,7 +11,8 @@ and list the files whose bytes a regeneration would change:
     PYTHONPATH=src python tests/test_golden.py --cmp    # list differing files, exit 1 if any
 
 Both generate in a subprocess with BLAS pinned to one thread; ``--cmp``
-generates into a temporary directory and compares bytes.
+generates into a temporary directory, compares bytes and prints beside each
+differing file the largest relative move of its numbers.
 """
 
 import argparse
@@ -19,6 +20,7 @@ import csv
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -150,6 +152,16 @@ def test_golden_output(kind, tmp_path):
                 _compare_json(json.load(fh), json.load(fw), f"{kind} {name}")
 
 
+def test_largest_move_reads_numbers_only(tmp_path):
+    base, moved, retexted = (tmp_path / name for name in ("base.csv", "moved.csv", "retexted.csv"))
+    base.write_text("x,lo95,flag\n0.5,2.0,nan\n0,-4,inf\n")
+    moved.write_text("x,lo95,flag\n0.5,2.0000000002,nan\n0,-4,inf\n")
+    retexted.write_text("x,lo95,flag\n0.5,2.0,ok\n0,-4,inf\n")
+    assert _largest_move(str(base), str(base)) == "largest relative move 0"
+    assert _largest_move(str(moved), str(base)) == "largest relative move 1e-10"
+    assert _largest_move(str(retexted), str(base)) == "text differs"
+
+
 def _golden_files() -> list[str]:
     """Every checked-in file, as a path relative to the golden directory."""
     return [f"{name}.csv" for name in _inputs()] + [
@@ -187,6 +199,22 @@ def _generate_pinned(root: str) -> None:
     subprocess.run([sys.executable, os.path.abspath(__file__), "--into", root], env=env, check=True)
 
 
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf", re.IGNORECASE)
+
+
+def _largest_move(path: str, expected_path: str) -> str:
+    """The largest |a - b| / max(|a|, |b|) over the files' numbers, or why there is none."""
+    with open(path, encoding="utf-8") as fh, open(expected_path, encoding="utf-8") as fw:
+        texts = fh.read(), fw.read()
+    if _NUMBER.sub("#", texts[0]) != _NUMBER.sub("#", texts[1]):
+        return "text differs"
+    a, b = (np.array([float(tok) for tok in _NUMBER.findall(text)]) for text in texts)
+    same = (a == b) | (np.isnan(a) & np.isnan(b))
+    with np.errstate(invalid="ignore"):
+        moves = np.abs(a - b) / np.maximum(np.abs(a), np.abs(b))
+    return f"largest relative move {np.where(same, 0.0, moves).max(initial=0.0):.2g}"
+
+
 def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the golden files, or list those that would change.")
     group = parser.add_mutually_exclusive_group()
@@ -202,8 +230,8 @@ def _main(argv=None) -> int:
             _generate_pinned(tmp)
             differ = [name for name in _golden_files()
                       if not filecmp.cmp(os.path.join(tmp, name), os.path.join(GOLDEN, name), shallow=False)]
-        for name in differ:
-            print(name)
+            for name in differ:
+                print(f"{name}  ({_largest_move(os.path.join(tmp, name), os.path.join(GOLDEN, name))})")
         print(f"{len(differ)} of {len(_golden_files())} golden files differ", file=sys.stderr)
         return 1 if differ else 0
     return 0

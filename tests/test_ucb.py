@@ -43,7 +43,7 @@ class TestBandH:
 
     def test_center_is_selected_fit(self, selection):
         band = ucb.band_h(selection, plan=PLAN, alpha=0.05)
-        expected = est.evaluate(selection.backend.model, selection.fits[selection.j_tilde], selection.grid)
+        expected = est.evaluate(selection.backend.model, selection.backend.fit(selection.j_tilde), selection.grid)
         np.testing.assert_array_equal(band.center, expected)
 
     def test_width_ratio_constant_across_levels(self, selection):
@@ -82,12 +82,12 @@ class TestBandDeriv:
 
     def test_center_is_derivative_of_h_center(self, selection):
         bd = ucb.band_deriv(selection, plan=PLAN, alpha=0.05, a=1)
-        expected = est.evaluate(selection.backend.model, selection.fits[selection.j_tilde], selection.grid, 1)
+        expected = est.evaluate(selection.backend.model, selection.backend.fit(selection.j_tilde), selection.grid, 1)
         np.testing.assert_array_equal(bd.center, expected)
         assert bd.kind == "deriv_band"
 
     def test_derivative_matches_finite_difference_of_center(self, selection):
-        model, fit = selection.backend.model, selection.fits[selection.j_tilde]
+        model, fit = selection.backend.model, selection.backend.fit(selection.j_tilde)
         x0, h = 0.4, 1e-5
         fd = (est.evaluate(model, fit, [x0 + h])[0] - est.evaluate(model, fit, [x0 - h])[0]) / (2 * h)
         assert fd == pytest.approx(est.evaluate(model, fit, [x0], 1)[0], abs=1e-5)
