@@ -186,13 +186,7 @@ def lepski(index_set, j_hat_max: int, stats, theta_star: float, mode: str) -> di
                 flags=tuple(flags))
 
 
-def run_selection(
-    backend: est.SieveBackend,
-    plan: MultiplierPlan,
-    mode: str,
-    grid,
-    n_workers: int = 1,
-) -> AdaptiveSelection:
+def run_selection(backend: est.SieveBackend, plan: MultiplierPlan, mode: str, grid) -> AdaptiveSelection:
     """Generic Lepski selection over a fit backend; used by all model variants.
 
     The J_hat_max bracket, the index set and alpha_hat, the field over the
@@ -223,7 +217,7 @@ def run_selection(
     varfield = est.build_field(backend, pts, (0,) * backend.grid_dim, index_set)
     backend.drop_grams()
     if len(index_set) > 1:
-        stats, theta_draws = sup_t_contrast(varfield, plan, n_workers=n_workers)
+        stats, theta_draws = sup_t_contrast(varfield, plan)
         theta_star = quantile(theta_draws, 1.0 - alpha_hat)
     else:
         # Singleton index set: the contrast sup is vacuous; keep the UCB
@@ -248,10 +242,9 @@ def select(
     plan: MultiplierPlan | None = None,
     mode: str = "npiv",
     grid=None,
-    n_workers: int = 1,
 ) -> AdaptiveSelection:
     """Select the sieve dimension for the standard NPIV or regression model."""
     if mode == "npiv" and ispec is None:
         raise ConfigurationError("npiv mode needs an InstrumentSpec; use mode='regression' otherwise")
     backend = est.SieveBackend(sample, est.npiv_model(x_spec, ispec if mode == "npiv" else None))
-    return run_selection(backend, plan or MultiplierPlan(), mode, grid, n_workers)
+    return run_selection(backend, plan or MultiplierPlan(), mode, grid)

@@ -3,8 +3,8 @@
 Every bootstrap statistic is a linear map of one B x n matrix Omega of i.i.d.
 standard normal multipliers. Row b of Omega is drawn from an independent
 substream keyed by (base_seed, b), so each draw is identical regardless of
-execution order or worker count, and theta*, every band's z* and every alpha
-level see the same draws.
+execution order, and theta*, every band's z* and every alpha level see the
+same draws.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
 only through the projections W Omega' of each fit's whole-coefficient weights
@@ -18,15 +18,12 @@ many pairs share it, and scaled by the pair's sd, which also scales the
 pair's statistic |h_J - h_J2| that ``sup_t_contrast`` returns beside the
 draws. No contrast rows are formed, and fits that alias each other give
 exactly zero because their per-pair Grams make the sd exactly zero. Every
-sup-t statistic keeps a running per-draw maximum over fixed 64-draw slices,
-which keeps results bit-identical for any number of worker threads.
+sup-t statistic keeps a running per-draw maximum over fixed 64-draw slices.
 ``sup_t_single`` results are memoized on the field.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,37 +83,12 @@ def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.
     return {j: varfield.fits[j].projections[plan][varfield.slices[j]] for j in varfield.j_values}
 
 
-def _sup_over_draws(blocks, n_draws: int, n_workers: int = 1) -> np.ndarray:
-    """Per-draw max over the blocks, in fixed 64-draw slices (so for any n_workers).
-
-    A block maps a slice ``(start, stop)`` of the draws to its per-draw sup;
-    blocks run one after another, the slices of a block in parallel.
-    """
-    sups = np.zeros(n_draws)
-    slices = [(s, min(s + _BLOCK, n_draws)) for s in range(0, n_draws, _BLOCK)]
-    with ThreadPoolExecutor(max_workers=n_workers) if n_workers > 1 else nullcontext() as pool:
-        mapper = map if pool is None else pool.map
-        for block in blocks:
-            for (start, stop), vals in zip(slices, mapper(block, slices)):
-                np.maximum(sups[start:stop], vals, out=sups[start:stop])
-    return sups
+def _slices(n_draws: int) -> list[slice]:
+    """The fixed 64-draw slices of the draws, over which each running per-draw max is taken."""
+    return [slice(s, min(s + _BLOCK, n_draws)) for s in range(0, n_draws, _BLOCK)]
 
 
-def _single_block(rows: np.ndarray, proj: np.ndarray):
-    """Per-draw sup of |rows @ proj| over the rows."""
-    def block(bounds: tuple[int, int]) -> np.ndarray:
-        vals = rows @ proj[:, slice(*bounds)]
-        return np.abs(vals, out=vals).max(axis=0)
-
-    return block
-
-
-def sup_t_single(
-    varfield: VarianceField,
-    plan: MultiplierPlan,
-    j_set=None,
-    n_workers: int = 1,
-) -> np.ndarray:
+def sup_t_single(varfield: VarianceField, plan: MultiplierPlan, j_set=None) -> np.ndarray:
     """Per-draw sup over (x, J) of |D*_J(x) / sigma_J(x)|.
 
     Memoized on the field per (n_draws, base_seed, J set); each call returns
@@ -132,17 +104,18 @@ def sup_t_single(
     sups = varfield.sup_t_memo.get(key)
     if sups is None:
         proj = _projections(varfield, plan)
-        blocks = (_single_block(varfield.rows[j] / varfield.sigma[j][:, None], proj[j]) for j in key[2])
-        sups = _sup_over_draws(blocks, plan.n_draws, n_workers)
+        sups = np.zeros(plan.n_draws)
+        for j in key[2]:
+            rows = varfield.rows[j] / varfield.sigma[j][:, None]
+            for cols in _slices(plan.n_draws):
+                vals, sup = rows @ proj[j][:, cols], sups[cols]
+                np.maximum(sup, np.abs(vals, out=vals).max(axis=0), out=sup)
         varfield.sup_t_memo[key] = sups
     return sups.copy()
 
 
 def sup_t_contrast(
-    varfield: VarianceField,
-    plan: MultiplierPlan,
-    pairs=None,
-    n_workers: int = 1,
+    varfield: VarianceField, plan: MultiplierPlan, pairs=None
 ) -> tuple[dict[tuple[int, int], float], np.ndarray]:
     """The contrast statistics and per-draw sups over the pairs (J, J2), J2 > J.
 
@@ -171,22 +144,17 @@ def sup_t_contrast(
              for (j, j2), scale in zip(pairs, scales)}
     proj = _projections(varfield, plan)
     g = varfield.grid.shape[0]
-
-    def chunk(lo: int, hi: int):
-        def block(bounds: tuple[int, int]) -> np.ndarray:
-            start, stop = bounds
-            draws = {j: varfield.rows[j][lo:hi] @ proj[j][:, start:stop] for j in js}
-            sup, diff = np.zeros(stop - start), np.empty((hi - lo, stop - start))
+    sups = np.zeros(plan.n_draws)
+    for lo in range(0, g, _ROWS):
+        hi = min(lo + _ROWS, g)
+        for cols in _slices(plan.n_draws):
+            draws = {j: varfield.rows[j][lo:hi] @ proj[j][:, cols] for j in js}
+            sup, diff = sups[cols], np.empty((hi - lo, cols.stop - cols.start))
             for (j, j2), scale in zip(pairs, scales):
                 np.subtract(draws[j], draws[j2], out=diff)
                 diff /= scale[lo:hi, None]
                 np.maximum(sup, np.abs(diff, out=diff).max(axis=0), out=sup)
-            return sup
-
-        return block
-
-    blocks = (chunk(lo, min(lo + _ROWS, g)) for lo in range(0, g, _ROWS))
-    return stats, _sup_over_draws(blocks, plan.n_draws, n_workers)
+    return stats, sups
 
 
 def quantile(draw_sups, level: float) -> float:

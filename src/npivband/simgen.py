@@ -21,8 +21,9 @@ and bootstrap streams come from ``_rep_seeds(base_seed, n, rep)`` alone, so a
 replication does not depend on the others. It returns a record: J~, the
 selection flags, the a=0 diagnostics ``(sup_dev, z*, theta*, A_hat)`` and one
 outcome ``(loss, covered95, covered90, mean width, excludes constant)`` per
-(target, method). ``run_mc`` collects the records in replication order and
-transposes them into the report's per-n arrays and rows.
+(target, method). ``run_mc`` collects the records in replication order, from
+this process or a pool of forked ones, and transposes them into the report's
+per-n arrays and rows.
 """
 
 from __future__ import annotations
@@ -342,19 +343,15 @@ def _outcome(truth_vals: np.ndarray, b95: ucb.BandResult, b90: ucb.BandResult) -
 
 
 def _replication(design: Design, n: int, rep: int, plan: MultiplierPlan, grid: np.ndarray,
-                 det_js: tuple[int, ...], truth: dict[int, np.ndarray], base_seed: int,
-                 n_workers: int) -> tuple:
+                 det_js: tuple[int, ...], truth: dict[int, np.ndarray], base_seed: int) -> tuple:
     """One replication: (J~, flags, a=0 diagnostics or None, {(target, method): outcome})."""
     data_seed, boot_seed = _rep_seeds(base_seed, n, rep)
     rep_plan = MultiplierPlan(n_draws=plan.n_draws, base_seed=boot_seed)
     sample, _ = generate(design, n, data_seed)
-    selection = ad.select(
-        sample, design.x_spec, design.ispec, plan=rep_plan,
-        mode=design.mode, grid=grid, n_workers=n_workers,
-    )
+    selection = ad.select(sample, design.x_spec, design.ispec, plan=rep_plan, mode=design.mode, grid=grid)
     diag, outcomes = None, {}
     for a, truth_vals in truth.items():
-        b95, b90 = (ucb.band_deriv(selection, rep_plan, alpha=al, a=a, n_workers=n_workers) for al in (0.05, 0.10))
+        b95, b90 = (ucb.band_deriv(selection, rep_plan, alpha=al, a=a) for al in (0.05, 0.10))
         outcomes[a, "data_driven"] = _outcome(truth_vals, b95, b90)
         if a == 0:
             dev = np.abs(b95.center - truth_vals) / b95.halfwidth * (b95.z_star + b95.a_hat * b95.theta_star)
@@ -362,9 +359,51 @@ def _replication(design: Design, n: int, rep: int, plan: MultiplierPlan, grid: n
         det_field = est.build_field(selection.backend, grid, (a,), det_js) if det_js else None
         for j in det_js:
             outcomes[a, f"J={j}"] = _outcome(truth_vals, *(
-                ucb.band_undersmoothed(det_field, j, rep_plan, alpha=al, n_workers=n_workers) for al in (0.05, 0.10)
+                ucb.band_undersmoothed(det_field, j, rep_plan, alpha=al) for al in (0.05, 0.10)
             ))
     return selection.j_tilde, selection.flags, diag, outcomes
+
+
+#: The replication function of a forked pool worker, set by ``_adopt`` as the worker starts.
+_WORKER_JOB = None
+
+
+def _adopt(job) -> None:
+    global _WORKER_JOB
+    _WORKER_JOB = job
+
+
+def _call_job(task: tuple[int, int]) -> tuple:
+    return _WORKER_JOB(*task)
+
+
+def _run_replications(job, tasks: list[tuple[int, int]], n_workers: int) -> list[tuple]:
+    """The records ``job(n, rep)`` of the tasks (n, rep), in task order.
+
+    Above one worker the tasks run in ``n_workers`` forked processes, which
+    inherit ``job`` since a ``Design`` holds closures that do not pickle
+    (npivband starts no threads that a fork could catch holding a lock);
+    only tasks go out and only records come back.
+    """
+    if n_workers == 1:
+        return _in_order((job(*task) for task in tasks), tasks)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(min(n_workers, len(tasks)), multiprocessing.get_context("fork"),
+                             initializer=_adopt, initargs=(job,)) as pool:
+        return _in_order(pool.map(_call_job, tasks), tasks)
+
+
+def _in_order(results, tasks: list[tuple[int, int]]) -> list[tuple]:
+    """One record per task; a failure is raised as a RuntimeError that names the task and chains its cause."""
+    records = []
+    for n, rep in tasks:
+        try:
+            records.append(next(results))
+        except Exception as exc:
+            raise RuntimeError(f"replication {rep} failed for n={n}: {exc}") from exc
+    return records
 
 
 def run_mc(
@@ -378,11 +417,18 @@ def run_mc(
     grid_points: int = 100,
     n_workers: int = 1,
 ) -> McReport:
-    """Monte Carlo study of losses, coverage, widths, and selected dimensions."""
+    """Monte Carlo study of losses, coverage, widths, and selected dimensions.
+
+    The replications run in ``n_workers`` forked processes (1: in this one), and
+    the report is bit-identical for any count. Pinning BLAS to one thread
+    (``OMP_NUM_THREADS=1``) gives the best throughput.
+    """
     if isinstance(design, str):
         design = get_design(design)
     if reps < 1:
         raise ConfigurationError("need at least one replication")
+    if n_workers < 1:
+        raise ConfigurationError("need at least one worker")
     if base_seed < 0:
         raise ConfigurationError("base_seed must be a nonnegative integer")
     plan = plan or MultiplierPlan(n_draws=500, base_seed=0)
@@ -414,16 +460,13 @@ def run_mc(
     methods = ["data_driven", *[f"J={j}" for j in det_js]]
     report = McReport(rows=[], j_tilde={}, flags={}, diagnostics={}, design=design.name, reps=reps,
                       base_seed=base_seed)
-    for n in n_list:
-        records = []
-        for rep in range(reps):
-            try:
-                records.append(_replication(design, n, rep, plan, grid, det_js, truth, base_seed, n_workers))
-            except Exception as exc:
-                raise RuntimeError(f"replication {rep} failed for n={n}: {exc}") from exc
-
+    tasks = [(n, rep) for n in n_list for rep in range(reps)]
+    records = _run_replications(
+        lambda n, rep: _replication(design, n, rep, plan, grid, det_js, truth, base_seed), tasks, n_workers
+    )
+    for i, n in enumerate(n_list):
         # Transpose the records, in replication order, into the report's per-n arrays and rows.
-        js, flags, diags, outcomes = zip(*records)
+        js, flags, diags, outcomes = zip(*records[i * reps : (i + 1) * reps])
         report.j_tilde[n], report.flags[n] = np.asarray(js), list(flags)
         diag = np.asarray([d for d in diags if d is not None], dtype=np.float64).reshape(-1, 4)
         report.diagnostics[n] = dict(zip(("sup_dev", "z_star", "theta_star", "a_hat"), diag.T))
@@ -475,7 +518,8 @@ def a_sweep(
     """Coverage of the fixed-A 95% band across a grid of A values.
 
     Within one replication the band is nested in A, so the reported coverage
-    is nondecreasing by construction.
+    is nondecreasing by construction. ``n_workers`` is the number of forked
+    replication processes, as in ``run_mc``.
     """
     if isinstance(design, str):
         design = get_design(design)

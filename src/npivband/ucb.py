@@ -74,16 +74,14 @@ def excludes_constant(band: BandResult) -> bool:
     return bool(np.max(band.lower) > np.min(band.upper))
 
 
-def _band(
-    field: VarianceField, j: int, z_js, plan, alpha: float, excess, n_workers: int, **labels
-) -> BandResult:
+def _band(field: VarianceField, j: int, z_js, plan, alpha: float, excess, **labels) -> BandResult:
     """The band fit_J(x) +/- (z* + excess) sigma_J(x) on the field's grid.
 
     z* is the 1 - alpha quantile of the bootstrap sup-t statistic over ``z_js``.
     """
     if not 0.0 < alpha < 1.0:
         raise ConfigurationError("alpha must lie in (0, 1)")
-    z_draws = sup_t_single(field, plan or MultiplierPlan(), z_js, n_workers=n_workers)
+    z_draws = sup_t_single(field, plan or MultiplierPlan(), z_js)
     z_star = quantile(z_draws, 1.0 - alpha)
     return BandResult(
         grid=field.grid,
@@ -104,13 +102,12 @@ def band_deriv(
     alpha: float = 0.05,
     a=1,
     a_fixed: float | None = None,
-    n_workers: int = 1,
 ) -> BandResult:
     """Data-driven uniform confidence band for d^a of the reported function (a = 0: the h band)."""
     field = selection.band_field(a)
     a_hat = selection.a_hat if a_fixed is None else float(a_fixed)
     return _band(
-        field, selection.j_tilde, selection.j_minus_set, plan, alpha, a_hat * selection.theta_star, n_workers,
+        field, selection.j_tilde, selection.j_minus_set, plan, alpha, a_hat * selection.theta_star,
         kind="deriv_band" if any(field.deriv) else "h_band", theta_star=selection.theta_star, a_hat=a_hat,
     )
 
@@ -120,10 +117,9 @@ def band_h(
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
     a_fixed: float | None = None,
-    n_workers: int = 1,
 ) -> BandResult:
     """Data-driven uniform confidence band for the structural function."""
-    return band_deriv(selection, plan, alpha, a=0, a_fixed=a_fixed, n_workers=n_workers)
+    return band_deriv(selection, plan, alpha, a=0, a_fixed=a_fixed)
 
 
 def default_p_lower(dim: int, deriv_order: int) -> float:
@@ -137,7 +133,6 @@ def band_robustness(
     alpha: float = 0.05,
     a=0,
     p_lower: float | None = None,
-    n_workers: int = 1,
 ) -> BandResult:
     """Robustness-check band with a bias allowance of order J^{(|a|-p)/d}.
 
@@ -157,7 +152,7 @@ def band_robustness(
     bias_term = j ** ((order - p_lower) / dim) / field.sigma[j]
     excess = selection.a_hat * np.maximum(selection.theta_star, bias_term)
     return _band(
-        field, j, selection.j_minus_set, plan, alpha, excess, n_workers,
+        field, j, selection.j_minus_set, plan, alpha, excess,
         kind="robustness", theta_star=selection.theta_star, a_hat=selection.a_hat, p_lower=float(p_lower),
     )
 
@@ -167,7 +162,6 @@ def band_undersmoothed(
     j: int,
     plan: MultiplierPlan | None = None,
     alpha: float = 0.05,
-    n_workers: int = 1,
 ) -> BandResult:
     """Deterministic-J band of the field's function: fit at J +/- z*_{1-alpha,J} sigma_J(x)."""
-    return _band(varfield, j, (j,), plan, alpha, 0.0, n_workers, kind="undersmoothed")
+    return _band(varfield, j, (j,), plan, alpha, 0.0, kind="undersmoothed")

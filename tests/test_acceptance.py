@@ -1,9 +1,10 @@
 """Acceptance suite: six criteria at their pinned tolerances.
 
 Criteria 1-5 are desk-scale Monte Carlo studies (200 replications, 500
-bootstrap draws) of the shipped designs; criterion 6 is a fast deterministic
-property battery. Each criterion prints one PASS/FAIL line; run with
-``pytest -s tests/test_acceptance.py`` to see the lines as they complete.
+bootstrap draws) of the shipped designs, each run in two worker processes;
+criterion 6 is a fast deterministic property battery. Each criterion prints
+one PASS/FAIL line; run with ``pytest -s tests/test_acceptance.py`` to see
+the lines as they complete.
 """
 
 import math
@@ -23,6 +24,8 @@ from npivband.bootstrap import MultiplierPlan
 REPS = 200
 DRAWS = 500
 SEED = 20240811
+#: Forked replication processes of criteria 1-5; the reports are bit-identical for any count.
+WORKERS = 2
 
 
 def _report(criterion: str, ok: bool, detail: str) -> None:
@@ -33,7 +36,7 @@ def _report(criterion: str, ok: bool, detail: str) -> None:
 def npiv_run():
     return sg.run_mc(
         "npiv_sine_log", [1250], REPS, plan=MultiplierPlan(DRAWS, 0),
-        report_interval=(0.01, 0.99), det_js=(), base_seed=SEED,
+        report_interval=(0.01, 0.99), det_js=(), base_seed=SEED, n_workers=WORKERS,
     )
 
 
@@ -53,7 +56,7 @@ def test_criterion_1_npiv_loss_and_coverage(npiv_run):
 
 def test_criterion_2_regression_loss_modal_j():
     report = sg.run_mc(
-        "reg_wiggly", [2500], REPS, plan=MultiplierPlan(DRAWS, 0), det_js=(), base_seed=SEED,
+        "reg_wiggly", [2500], REPS, plan=MultiplierPlan(DRAWS, 0), det_js=(), base_seed=SEED, n_workers=WORKERS,
     )
     row = report.row(2500, "data_driven", 0)
     j_vals, counts = np.unique(report.j_tilde[2500], return_counts=True)
@@ -91,7 +94,7 @@ def test_criterion_3_a_sweep(npiv_run):
 def test_criterion_4_trade_lognormal():
     report = sg.run_mc(
         "trade_lognormal", [1522], REPS, plan=MultiplierPlan(DRAWS, 0),
-        det_js=(7,), base_seed=SEED,
+        det_js=(7,), base_seed=SEED, n_workers=WORKERS,
     )
     mean_j = float(report.j_tilde[1522].mean())
     dd = report.row(1522, "data_driven", 1)
@@ -118,6 +121,7 @@ def test_criterion_4_trade_lognormal():
 def test_criterion_5_trade_pareto():
     report = sg.run_mc(
         "trade_pareto", [1522], REPS, plan=MultiplierPlan(DRAWS, 0), det_js=(), base_seed=SEED,
+        n_workers=WORKERS,
     )
     share = float((report.j_tilde[1522] == 4).mean())
     ok = share >= 0.80
@@ -220,15 +224,18 @@ def test_criterion_6_property_suite():
     )
     checks.append(("scale/shift invariance of J~ and t-statistics", bool(inv_ok)))
 
-    # thread-count bit-invariance of bootstrap quantiles; a fresh field per worker count,
-    # since one field would return the draws memoized by its first call
-    sups1, sups4, sups8 = (
-        bt.sup_t_single(est.build_field(backend, np.linspace(0, 1, 50), 0, (4, 7)),
-                        MultiplierPlan(256, 9), (4, 7), n_workers=w)
-        for w in (1, 4, 8)
+    # worker-count bit-invariance of the Monte Carlo quantiles (z*, theta*), J~, flags and rows
+    serial, *pooled = (
+        sg.run_mc("trade_pareto", [300], 2, plan=MultiplierPlan(99, 9), det_js=(5,), base_seed=SEED, n_workers=w)
+        for w in (1, 2, 4)
     )
-    thread_ok = bool(np.array_equal(sups1, sups4) and np.array_equal(sups1, sups8))
-    checks.append(("thread-count bit-invariance of quantiles", thread_ok))
+    worker_ok = all(
+        np.array_equal(r.j_tilde[300], serial.j_tilde[300]) and r.flags == serial.flags
+        and all(np.array_equal(r.diagnostics[300][k], v) for k, v in serial.diagnostics[300].items())
+        and [vars(row) for row in r.rows] == [vars(row) for row in serial.rows]
+        for r in pooled
+    )
+    checks.append(("worker-count bit-invariance of quantiles", worker_ok))
 
     # derivative vs central finite difference: halving-step error ratio in [3.5, 4.5]
     spec = bs.BasisSpec(4, 2)

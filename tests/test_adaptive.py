@@ -188,8 +188,6 @@ class TestSelect:
         b = ad.select(sample, CUBIC, ISPEC, plan=plan, grid=grid)
         assert a.j_tilde == b.j_tilde
         assert a.theta_star == b.theta_star
-        c = ad.select(sample, CUBIC, ISPEC, plan=plan, grid=grid, n_workers=4)
-        assert c.theta_star == a.theta_star
 
     def test_order_one_selection_runs(self):
         # Piecewise-constant (order-1) splines on dyadic cells, step-function instruments one order up.

@@ -79,13 +79,10 @@ class TestFactoredScores:
         plan = bt.MultiplierPlan(n_draws=130, base_seed=17)
         pairs = [(4, 5), (4, 7), (5, 7)]
         single = bt.sup_t_single(field, plan, (4, 5, 7))
+        assert len(field.sup_t_memo) == 1
         _, contrast = bt.sup_t_contrast(field, plan, pairs)
         np.testing.assert_allclose(single, _dense_sup_t(field, plan, js=(4, 5, 7)), rtol=1e-12)
         np.testing.assert_allclose(contrast, _dense_sup_t(field, plan, pairs=pairs), rtol=1e-12)
-        for workers in (3, 4):
-            fresh = _model_fields()[model]
-            np.testing.assert_array_equal(bt.sup_t_single(fresh, plan, (4, 5, 7), n_workers=workers), single)
-            np.testing.assert_array_equal(bt.sup_t_contrast(fresh, plan, pairs, n_workers=workers)[1], contrast)
 
     def test_field_stores_no_grid_by_n_array(self):
         # 10,000 grid points at n=2000: one G x n array alone takes G * n * 8 bytes.
@@ -129,8 +126,6 @@ class TestFactoredScores:
             tracemalloc.stop()
         assert peak < 20_000 * 198 * 8 / 2
         np.testing.assert_array_equal(again, first)
-        for workers in (3, 4):
-            np.testing.assert_array_equal(bt.sup_t_contrast(field, plan, n_workers=workers)[1], first)
 
 
 class TestDrawMultipliers:
@@ -206,22 +201,6 @@ class TestSupTSingle:
         with pytest.raises(ConfigurationError):
             bt.sup_t_single(field, bt.MultiplierPlan(10, 0), ())
 
-    def test_thread_count_invariance(self):
-        # A fresh field per worker count: one field would return the draws memoized by the first call.
-        field = _field(js=(4, 7), n=150)
-        plan = bt.MultiplierPlan(n_draws=300, base_seed=7)
-        base = bt.sup_t_single(field, plan, (4, 7), n_workers=1)
-        for workers in (4, 8):
-            fresh = _field(js=(4, 7), n=150)
-            np.testing.assert_array_equal(
-                bt.sup_t_single(fresh, plan, (4, 7), n_workers=workers), base
-            )
-            assert len(fresh.sup_t_memo) == 1
-        _, contrast = bt.sup_t_contrast(field, plan, [(4, 7)], n_workers=1)
-        np.testing.assert_array_equal(
-            bt.sup_t_contrast(field, plan, [(4, 7)], n_workers=8)[1], contrast
-        )
-
     def test_scale_invariance_by_two(self):
         rng = np.random.default_rng(8)
         x = rng.random(150)
@@ -290,11 +269,9 @@ class TestMultiplierReuse:
         calls = []
         original = bt.draw_multipliers
         monkeypatch.setattr(bt, "draw_multipliers", lambda plan, b, n: calls.append(b) or original(plan, b, n))
-        for workers in (1, 4):
-            calls.clear()
-            plan = bt.MultiplierPlan(60, 0)
-            sg.run_mc("trade_pareto", [300], 1, plan=plan, det_js=(5, 7), n_workers=workers)
-            assert sorted(calls) == list(range(plan.n_draws))
+        plan = bt.MultiplierPlan(60, 0)
+        sg.run_mc("trade_pareto", [300], 1, plan=plan, det_js=(5, 7))
+        assert sorted(calls) == list(range(plan.n_draws))
 
     @pytest.mark.parametrize("kind", ["fit_npiv", "fit_reg2d", "fit_additive", "fit_plm", "rebands"])
     def test_one_cli_run_draws_each_multiplier_once(self, kind, monkeypatch, tmp_path):
@@ -311,15 +288,14 @@ class TestMultiplierReuse:
     def test_streamed_contrast_matches_stacked_reference(self):
         # A 100-point grid and n=1000, as in the Monte Carlo designs. The
         # factored statistic sums in another order than the stacked dense
-        # score rows, so the two agree to rounding; the factored one is
-        # bit-identical for any worker count.
+        # score rows, so the two agree to rounding; the factored one repeats
+        # bit for bit.
         field = _field(js=(4, 5, 7), n=1000, grid=np.linspace(0, 1, 100))
         plan = bt.MultiplierPlan(n_draws=150, base_seed=13)
         pairs = [(4, 5), (4, 7), (5, 7)]
         _, base = bt.sup_t_contrast(field, plan, pairs)
         np.testing.assert_allclose(base, _dense_sup_t(field, plan, pairs=pairs), rtol=1e-12)
-        for workers in (1, 3, 4):
-            np.testing.assert_array_equal(bt.sup_t_contrast(field, plan, pairs, n_workers=workers)[1], base)
+        np.testing.assert_array_equal(bt.sup_t_contrast(field, plan, pairs)[1], base)
 
     def test_cache_leaves_plan_identity_alone(self):
         plan = bt.MultiplierPlan(n_draws=20, base_seed=4)
@@ -368,17 +344,14 @@ class TestSharedProjections:
         assert not np.shares_memory(again, projs[0])
         assert not np.array_equal(again, projs[0])
 
-    @pytest.mark.parametrize("workers", [1, 4])
-    def test_shared_draws_equal_unshared(self, workers):
+    def test_shared_draws_equal_unshared(self):
         plan = bt.MultiplierPlan(150, 32)
         for shared, (a, js) in zip(self._fields(_npiv_backend(n=300)), self.FIELDS):
             alone = est.build_field(_npiv_backend(n=300), self.GRID, a, js)
             pairs = list(zip(js, js[1:]))
+            np.testing.assert_array_equal(bt.sup_t_single(shared, plan), bt.sup_t_single(alone, plan))
             np.testing.assert_array_equal(
-                bt.sup_t_single(shared, plan, n_workers=workers), bt.sup_t_single(alone, plan)
-            )
-            np.testing.assert_array_equal(
-                bt.sup_t_contrast(shared, plan, pairs, n_workers=workers)[1], bt.sup_t_contrast(alone, plan, pairs)[1]
+                bt.sup_t_contrast(shared, plan, pairs)[1], bt.sup_t_contrast(alone, plan, pairs)[1]
             )
 
     def test_component_and_partially_linear_slices_get_their_own_projections(self):

@@ -9,7 +9,7 @@ from npivband import basis as bs
 from npivband import estimator as est
 from npivband import simgen as sg
 from npivband.bootstrap import MultiplierPlan
-from npivband.errors import ConfigurationError
+from npivband.errors import ConfigurationError, DomainError
 
 
 class TestTruthFunctions:
@@ -161,10 +161,32 @@ class TestRunMc:
         fixed = r1.row(300, "J=5", 1)
         assert fixed.mean_width_ratio is not None
 
-    def test_replication_failure_is_identified(self):
+    def test_report_does_not_depend_on_n_workers(self):
+        # Two sample sizes, so the pool's tasks span both and come back in order.
+        plan = MultiplierPlan(60, 0)
+        serial, *pooled = (
+            sg.run_mc("trade_pareto", [300, 400], 2, plan=plan, det_js=(5,), base_seed=5, n_workers=w)
+            for w in (1, 2, 4)
+        )
+        for report in pooled:
+            assert [vars(r) for r in report.rows] == [vars(r) for r in serial.rows]
+            assert report.flags == serial.flags
+            for n in (300, 400):
+                np.testing.assert_array_equal(report.j_tilde[n], serial.j_tilde[n])
+                assert sorted(report.diagnostics[n]) == sorted(serial.diagnostics[n])
+                for key, values in serial.diagnostics[n].items():
+                    np.testing.assert_array_equal(report.diagnostics[n][key], values)
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    def test_replication_failure_is_identified(self, n_workers):
         design = sg.get_design("reg_wiggly", x_spec=bs.BasisSpec(4, 0, 2))  # broken on purpose
-        with pytest.raises(RuntimeError, match="replication 0"):
-            sg.run_mc(design, [60], 1, plan=MultiplierPlan(20, 0), det_js=())
+        with pytest.raises(RuntimeError, match="replication 0 failed for n=60") as info:
+            sg.run_mc(design, [60], 2, plan=MultiplierPlan(20, 0), det_js=(), n_workers=n_workers)
+        assert type(info.value.__cause__) is DomainError
+
+    def test_worker_count_below_one_rejected(self):
+        with pytest.raises(ConfigurationError, match="worker"):
+            sg.run_mc("trade_pareto", [300], 1, plan=MultiplierPlan(20, 0), n_workers=0)
 
     @pytest.mark.parametrize("j_det", [1000, 131])
     def test_infeasible_fixed_dimension_rejected(self, j_det):
