@@ -344,9 +344,15 @@ class TestSharedProjections:
         assert not np.shares_memory(again, projs[0])
         assert not np.array_equal(again, projs[0])
 
-    def test_shared_draws_equal_unshared(self):
+    @pytest.mark.parametrize("earlier_plans", [1, 4])
+    def test_shared_draws_equal_unshared(self, earlier_plans):
+        # The shared fits already hold projections of other plans; those must not leak into this one.
         plan = bt.MultiplierPlan(150, 32)
-        for shared, (a, js) in zip(self._fields(_npiv_backend(n=300)), self.FIELDS):
+        fields = self._fields(_npiv_backend(n=300))
+        for k in range(earlier_plans):
+            for field in fields:
+                bt.sup_t_single(field, bt.MultiplierPlan(40, 100 + k))
+        for shared, (a, js) in zip(fields, self.FIELDS):
             alone = est.build_field(_npiv_backend(n=300), self.GRID, a, js)
             pairs = list(zip(js, js[1:]))
             np.testing.assert_array_equal(bt.sup_t_single(shared, plan), bt.sup_t_single(alone, plan))
