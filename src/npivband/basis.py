@@ -58,7 +58,7 @@ class BasisSpec:
             raise ConfigurationError(f"unknown knot rule {self.knot_rule!r}")
         n_interior = 2**self.resolution - 1
         if self.interior_knots is None:
-            # Dyadic default; quantile knots must be supplied (see quantile_knots).
+            # Dyadic default; quantile knots must be supplied (see ColumnQuantiles).
             knots = tuple(i / 2**self.resolution for i in range(1, n_interior + 1))
             object.__setattr__(self, "interior_knots", tuple(knots for _ in range(self.dim)))
         else:
@@ -90,22 +90,60 @@ class BasisSpec:
         return np.concatenate([np.zeros(self.order), inner, np.ones(self.order)])
 
 
-def quantile_knots(column: np.ndarray, resolution: int) -> tuple[float, ...]:
-    """Interior knots at the empirical quantiles i/2^l, i = 1, ..., 2^l - 1."""
-    col = np.asarray(column, dtype=np.float64).ravel()
-    if col.size == 0:
-        raise ConfigurationError("cannot place quantile knots on an empty column")
-    n_interior = 2**resolution - 1
-    if n_interior == 0:
-        return ()
-    probs = np.arange(1, n_interior + 1) / 2**resolution
-    knots = np.quantile(col, probs)
-    if np.any(knots <= 0.0) or np.any(knots >= 1.0) or np.any(np.diff(knots) <= 0.0):
-        raise DegenerateColumnError(
-            "empirical quantile knots are not strictly increasing inside (0, 1); "
-            "the column is too discrete for this resolution"
-        )
-    return tuple(float(v) for v in knots)
+def _dyadic_quantiles(column: np.ndarray, level: int) -> np.ndarray:
+    """``np.quantile(column, [i / 2^level for i = 1, ..., 2^level - 1])``, bit for bit, from one sort.
+
+    NumPy's default (linear) method: with k + g = (n - 1) p, k an integer and
+    0 <= g < 1, the quantile at p lies between the order statistics a = s[k]
+    and b = s[k+1], formed as a + (b - a) g, or b - (b - a)(1 - g) when
+    g >= 0.5, as NumPy forms it. One sort serves every probability, while
+    np.quantile's partition slows sharply once the probabilities number about
+    n/2: at n = 1522 its 1023 of level 10 take 3 ms against 0.1 ms at level 4.
+    """
+    ordered = np.sort(column)
+    index = (ordered.size - 1) * (np.arange(1, 2**level) / 2**level)
+    lo = np.floor(index)
+    gamma = index - lo
+    a = ordered[lo.astype(np.intp)]
+    b = ordered[np.minimum(lo.astype(np.intp) + 1, ordered.size - 1)]
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
+class ColumnQuantiles:
+    """One data column's quantile knots at every resolution level.
+
+    The dyadic probabilities i/2^l of level l are every 2^(L-l)-th of those of
+    a finer level L, so the quantiles at the finest level the column admits
+    (2^L <= n: a basis needs at least 2^l functions per axis, and no more
+    than n can be fitted) serve every level up to L by slicing. They are
+    formed on the first request; a finer level replaces them.
+    """
+
+    def __init__(self, column: np.ndarray):
+        self.column = np.asarray(column, dtype=np.float64).ravel()
+        if self.column.size == 0:
+            raise ConfigurationError("cannot place quantile knots on an empty column")
+        self._finest: tuple[int, np.ndarray] | None = None
+
+    def knots(self, resolution: int) -> tuple[float, ...]:
+        """Interior knots at the empirical quantiles i/2^l, i = 1, ..., 2^l - 1."""
+        if resolution == 0:
+            return ()
+        if self._finest is None or self._finest[0] < resolution:
+            level = max(resolution, self.column.size.bit_length() - 1)
+            self._finest = (level, _dyadic_quantiles(self.column, level))
+        level, finest = self._finest
+        step = 2 ** (level - resolution)
+        knots = finest[step - 1 :: step]
+        if np.any(knots <= 0.0) or np.any(knots >= 1.0) or np.any(np.diff(knots) <= 0.0):
+            raise DegenerateColumnError(
+                "empirical quantile knots are not strictly increasing inside (0, 1); "
+                "the column is too discrete for this resolution"
+            )
+        return tuple(float(v) for v in knots)
 
 
 def make_spec(
@@ -113,15 +151,21 @@ def make_spec(
     resolution: int,
     dim: int = 1,
     knot_rule: str = "uniform_dyadic",
-    data: np.ndarray | None = None,
+    data=None,
 ) -> BasisSpec:
-    """Build a BasisSpec, computing quantile knots from ``data`` when needed."""
+    """Build a BasisSpec, computing quantile knots from ``data`` when needed.
+
+    ``data`` is an (n, dim) point array or one ``ColumnQuantiles`` per axis,
+    which keeps each column's quantiles for the next level.
+    """
     if knot_rule == "empirical_quantile":
         if data is None:
             raise ConfigurationError("empirical_quantile knots require data")
-        pts = as_points(data, dim)
-        axes = tuple(quantile_knots(pts[:, i], resolution) for i in range(dim))
-        return BasisSpec(order, resolution, dim, knot_rule, axes)
+        if not (isinstance(data, tuple) and all(isinstance(c, ColumnQuantiles) for c in data)):
+            data = tuple(ColumnQuantiles(col) for col in as_points(data, dim).T)
+        if len(data) != dim:
+            raise ConfigurationError(f"quantile knots need one column per axis, got {len(data)} for {dim}")
+        return BasisSpec(order, resolution, dim, knot_rule, tuple(c.knots(resolution) for c in data))
     return BasisSpec(order, resolution, dim, knot_rule)
 
 
@@ -166,7 +210,7 @@ def resolution_for_dimension(spec: BasisSpec, j: int) -> int:
     return pow2.bit_length() - 1
 
 
-def spec_for_dimension(spec: BasisSpec, j: int, data: np.ndarray | None = None) -> BasisSpec:
+def spec_for_dimension(spec: BasisSpec, j: int, data=None) -> BasisSpec:
     """Re-resolve a spec template at sieve dimension ``j``."""
     level = resolution_for_dimension(spec, j)
     return make_spec(spec.order, level, spec.dim, spec.knot_rule, data=data)
@@ -216,12 +260,16 @@ def instrument_dim(ispec: InstrumentSpec, j: int) -> int:
     return k
 
 
-def instrument_matrix(ispec: InstrumentSpec | None, j: int, w: np.ndarray) -> np.ndarray | None:
-    """The instruments b^{K(J)}(w) at sieve dimension ``j``; None (series regression) when ispec is None."""
+def instrument_matrix(ispec: InstrumentSpec | None, j: int, sample) -> np.ndarray | None:
+    """The instruments b^{K(J)}(w) of an ``estimator.Sample`` at sieve dimension ``j``.
+
+    None (series regression) when ispec is None. Quantile knots come from the sample's ``w_quantiles``.
+    """
     if ispec is None:
         return None
-    w_basis = make_spec(ispec.order, ispec.resolution_for(j), ispec.dim_w, ispec.knot_rule, data=w)
-    return design_matrix(w_basis, w)
+    level = ispec.resolution_for(j)
+    w_basis = make_spec(ispec.order, level, ispec.dim_w, ispec.knot_rule, data=sample.w_quantiles)
+    return design_matrix(w_basis, sample.w)
 
 
 # ---------------------------------------------------------------------------

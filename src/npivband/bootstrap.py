@@ -2,9 +2,13 @@
 
 Every bootstrap statistic is a linear map of one B x n matrix Omega of i.i.d.
 standard normal multipliers. Row b of Omega is drawn from an independent
-substream keyed by (base_seed, b), so each draw is identical regardless of
-execution order, and theta*, every band's z* and every alpha level see the
-same draws.
+substream keyed by (base_seed, b): the PCG64 generator that NumPy's
+``default_rng`` gives for ``SeedSequence((base_seed, b))``. So each draw is
+identical regardless of execution order, and theta*, every band's z* and
+every alpha level see the same draws. ``_seed_words`` runs NumPy's
+``SeedSequence`` hash for all B draw indices at once in uint32 arithmetic,
+and each row's generator is seeded from its words through NumPy's own PCG64
+seeding; this skips B Python-level hashes and moves no bit.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
 only through the projections W Omega' of each fit's whole-coefficient weights
@@ -24,6 +28,7 @@ sup-t statistic keeps a running per-draw maximum over fixed 64-draw slices.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,25 +49,109 @@ class MultiplierPlan:
     base_seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_draws < 1:
-            raise ConfigurationError("need at least one bootstrap draw")
+        for name in ("n_draws", "base_seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not 1 <= self.n_draws < 2**32:
+            raise ConfigurationError("the number of bootstrap draws must lie in [1, 2**32)")
         if self.base_seed < 0:
             raise ConfigurationError("base_seed must be a nonnegative integer")
+
+
+# The constants of NumPy's SeedSequence (numpy/random/bit_generator.pyx), pool size 4.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_XSHIFT = np.uint32(16)
+
+
+def _seed_words(base_seed: int, draws) -> np.ndarray:
+    """Row i is ``SeedSequence((base_seed, draws[i])).generate_state(4, np.uint64)``.
+
+    NumPy's SeedSequence algorithm on every draw index at once: the entropy
+    is base_seed's 32-bit words (least significant first; 0 is one word)
+    followed by the draw index, which ``MultiplierPlan`` keeps below 2**32.
+    The hash constants advance independently of the data, so they stay
+    Python ints while the pool words are uint32 arrays that wrap mod 2**32.
+    """
+    index = np.asarray(draws, dtype=np.uint32).ravel()
+    seed, entropy = int(base_seed), []
+    while True:
+        entropy.append(np.full(index.shape, seed & _MASK32, dtype=np.uint32))
+        seed >>= 32
+        if not seed:
+            break
+    entropy.append(index)
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * _MULT_A & _MASK32
+        value = value * np.uint32(const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+        return result ^ (result >> _XSHIFT)
+
+    zero = np.zeros_like(index)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const = _INIT_B
+    state = np.empty((index.size, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(const)
+        const = const * _MULT_B & _MASK32
+        value = value * np.uint32(const)
+        state[:, i] = value ^ (value >> _XSHIFT)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _StreamSeed(np.random.bit_generator.ISeedSequence):
+    """One substream's precomputed PCG64 seed words, standing in for its SeedSequence."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or dtype is not np.uint64:
+            raise ValueError("a substream seed holds only PCG64's four uint64 words")
+        return self.words
+
+
+def _generators(plan: MultiplierPlan, draws) -> Iterator[np.random.Generator]:
+    return (np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+            for words in _seed_words(plan.base_seed, draws))
 
 
 def draw_multipliers(plan: MultiplierPlan, b: int, n: int) -> np.ndarray:
     """The n-vector of N(0,1) multipliers for draw ``b``; deterministic."""
     if not 0 <= b < plan.n_draws:
         raise ConfigurationError(f"draw index {b} outside [0, {plan.n_draws})")
-    seq = np.random.SeedSequence(entropy=(int(plan.base_seed), int(b)))
-    return np.random.default_rng(seq).standard_normal(int(n))
+    (rng,) = _generators(plan, [b])
+    return rng.standard_normal(int(n))
 
 
 def multiplier_matrix(plan: MultiplierPlan, n: int) -> np.ndarray:
-    """The B x n matrix Omega whose row b is ``draw_multipliers(plan, b, n)``."""
+    """The B x n matrix Omega whose row b is ``draw_multipliers(plan, b, n)``.
+
+    All B substreams are seeded in one pass of ``_seed_words``, and each row
+    is drawn in place.
+    """
     omega = np.empty((plan.n_draws, int(n)))
-    for b in range(plan.n_draws):
-        omega[b] = draw_multipliers(plan, b, n)
+    for row, rng in zip(omega, _generators(plan, np.arange(plan.n_draws))):
+        rng.standard_normal(out=row)
     return omega
 
 

@@ -122,8 +122,25 @@ def _resolve_columns(header: list[str], config: argparse.Namespace) -> tuple[str
     return y_col, x_cols, w_cols
 
 
-def _parse_numeric(rows: list[list[str]], header: list[str], cols: list[str]) -> np.ndarray:
+def _columns(rows: list[list[str]], header: list[str]) -> list[tuple[str, ...]] | None:
+    """The table's cells column by column, or None when a row has the wrong number of fields."""
+    if any(len(row) != len(header) for row in rows):
+        return None
+    return list(zip(*rows))
+
+
+def _parse_numeric(rows: list[list[str]], header: list[str], cols: list[str], columns=None) -> np.ndarray:
+    """The n x len(cols) floats of ``cols``, converted a column at a time from ``_columns``.
+
+    Without ``columns``, or when a cell is not numeric, the rows are scanned
+    in order, so the error names the first bad row or cell.
+    """
     idx = [header.index(c) for c in cols]
+    if columns is not None:
+        try:
+            return np.column_stack([np.fromiter(map(float, columns[j]), float, len(rows)) for j in idx])
+        except ValueError:
+            pass
     out = np.empty((len(rows), len(cols)))
     for i, row in enumerate(rows):
         if len(row) != len(header):
@@ -163,10 +180,11 @@ def _seed_from_env(value: int | None) -> int:
 def _build_sample(config: argparse.Namespace) -> est.Sample:
     header, rows = _read_table(config.input)
     y_col, x_cols, w_cols = _resolve_columns(header, config)
-    y = _parse_numeric(rows, header, [y_col])[:, 0]
-    x = _apply_cli_transform(config.x_transform, _parse_numeric(rows, header, x_cols), config)
+    columns = _columns(rows, header)
+    y = _parse_numeric(rows, header, [y_col], columns)[:, 0]
+    x = _apply_cli_transform(config.x_transform, _parse_numeric(rows, header, x_cols, columns), config)
     if w_cols:
-        w = _apply_cli_transform(config.w_transform, _parse_numeric(rows, header, w_cols), config)
+        w = _apply_cli_transform(config.w_transform, _parse_numeric(rows, header, w_cols, columns), config)
     else:
         if config.mode == "npiv":
             raise ConfigurationError("npiv mode needs instrument columns (w1, ...)")

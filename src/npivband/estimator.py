@@ -75,6 +75,16 @@ class Sample:
     def n(self) -> int:
         return self.y.size
 
+    @cached_property
+    def x_quantiles(self) -> tuple[bs.ColumnQuantiles, ...]:
+        """One ``basis.ColumnQuantiles`` per column of x, which every J's quantile knots slice."""
+        return tuple(bs.ColumnQuantiles(col) for col in self.x.T)
+
+    @cached_property
+    def w_quantiles(self) -> tuple[bs.ColumnQuantiles, ...]:
+        """One ``basis.ColumnQuantiles`` per column of w, which every J's quantile knots slice."""
+        return tuple(bs.ColumnQuantiles(col) for col in self.w.T)
+
     @property
     def dim(self) -> int:
         return self.x.shape[1]
@@ -392,8 +402,9 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
     """The standard model Y = h(X) + u; series regression when ispec is None."""
 
     def design(sample: Sample, j: int):
-        basis = bs.spec_for_dimension(x_spec, j, data=sample.x)
-        return basis, bs.design_matrix(basis, sample.x), bs.instrument_matrix(ispec, j, sample.w)
+        basis = bs.spec_for_dimension(x_spec, j, data=sample.x_quantiles)
+        bmat = bs.instrument_matrix(ispec, j, sample)
+        return basis, bs.design_matrix(basis, sample.x), bmat
 
     return SieveModel(
         design=design,

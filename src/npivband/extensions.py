@@ -89,12 +89,13 @@ def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.
     def design(sample: est.Sample, j: int):
         if sample.dim != d:
             raise ConfigurationError(f"sample has {sample.dim} coordinates, spec has {d}")
-        bases = [bs.spec_for_dimension(aspec.components[i], j, data=sample.x[:, i]) for i in range(d)]
+        quantiles = sample.x_quantiles
+        bases = [bs.spec_for_dimension(aspec.components[i], j, data=quantiles[i : i + 1]) for i in range(d)]
         axes = tuple((basis, bs.basis_integrals(basis)) for basis in bases)
         bmat = None
         if ispec is not None:
             level_w = _instrument_level(aspec, ispec, j)
-            w_basis = bs.make_spec(ispec.order, level_w, ispec.dim_w, ispec.knot_rule, data=sample.w)
+            w_basis = bs.make_spec(ispec.order, level_w, ispec.dim_w, ispec.knot_rule, data=sample.w_quantiles)
             bmat = bs.design_matrix(w_basis, sample.w)
         return axes, _additive_design(axes, sample.x, (0,) * d), bmat
 
@@ -189,9 +190,10 @@ def partially_linear_model(plspec: PartiallyLinearSpec, ispec: bs.InstrumentSpec
         if plspec.x1_spec.dim != len(nonpar):
             raise ConfigurationError("x1_spec dimension does not match the nonparametric block")
         x1, x2 = sample.x[:, nonpar], sample.x[:, linear]
-        basis = bs.spec_for_dimension(plspec.x1_spec, j, data=x1)
+        basis = bs.spec_for_dimension(plspec.x1_spec, j, data=tuple(sample.x_quantiles[i] for i in nonpar))
         psi1 = bs.design_matrix(basis, x1)
-        return basis, np.hstack([psi1, x2 - x2.mean(axis=0)]), bs.instrument_matrix(ispec, j, sample.w)
+        bmat = bs.instrument_matrix(ispec, j, sample)
+        return basis, np.hstack([psi1, x2 - x2.mean(axis=0)]), bmat
 
     return est.SieveModel(
         design=design,
@@ -259,7 +261,7 @@ def partial_out_fixed_effects(
         block[np.nonzero(mask)[0], codes[mask] - 1] = 1.0
         dummy_blocks.append(block)
         level_maps.append((levels, codes))
-    bmat = bs.instrument_matrix(ispec, plan.j_max, sample.w)
+    bmat = bs.instrument_matrix(ispec, plan.j_max, sample)
     design = np.hstack([*dummy_blocks, bmat]) if dummy_blocks else bmat
     coef, *_ = np.linalg.lstsq(design, sample.y, rcond=max(design.shape) * np.finfo(float).eps)
     fe_total = np.zeros(n)

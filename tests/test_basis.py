@@ -6,6 +6,7 @@ from scipy.special import comb
 from scipy.stats import rankdata
 
 from npivband import basis as bs
+from npivband import estimator as est
 from npivband.errors import (
     ConfigurationError,
     DegenerateColumnError,
@@ -274,6 +275,48 @@ class TestQuantileKnots:
         np.testing.assert_allclose(
             spec.interior_knots[0], np.quantile(data, [0.25, 0.5, 0.75]), rtol=1e-12
         )
+
+    def test_slices_equal_np_quantile_per_level(self):
+        # n 1-3000, half the columns rounded to 1/64 so that they tie; every
+        # level up to one past the finest the column admits.
+        rng = np.random.default_rng(21)
+        for _ in range(200):
+            n = int(rng.integers(1, 3001))
+            col = rng.beta(2, 5, size=n)
+            if rng.random() < 0.5:
+                col = np.round(col * 64) / 64
+            quantiles = bs.ColumnQuantiles(col)
+            for level in range(1, n.bit_length() + 1):
+                probs = np.arange(1, 2**level) / 2**level
+                expected = np.quantile(col, probs)
+                np.testing.assert_array_equal(bs._dyadic_quantiles(col, level), expected)
+                strict = expected.min() > 0 and expected.max() < 1 and (np.diff(expected) > 0).all()
+                if strict:
+                    assert quantiles.knots(level) == tuple(expected)
+                else:
+                    with pytest.raises(DegenerateColumnError):
+                        quantiles.knots(level)
+
+    def test_one_sort_per_column_per_sample(self, monkeypatch):
+        calls = []
+        original = bs._dyadic_quantiles
+        monkeypatch.setattr(bs, "_dyadic_quantiles", lambda col, level: calls.append(level) or original(col, level))
+        rng = np.random.default_rng(8)
+        x, w = rng.random((400, 2)), rng.random((400, 1))
+        sample = est.Sample(np.zeros(400), x, w)
+        spec = bs.BasisSpec(3, 0, dim=2, knot_rule="empirical_quantile", interior_knots=((), ()))
+        ispec = bs.InstrumentSpec(spec, q=1, dim_w=1, knot_rule="empirical_quantile")
+        model = est.npiv_model(spec, ispec)
+        bases = [model.design(sample, j)[0] for j in (9, 16, 36)]
+        assert calls == [8, 8, 8]  # x1, x2 and w, each once at the finest level: 2^8 <= 400
+        bmat = bs.instrument_matrix(ispec, 36, sample)
+        assert len(calls) == 3
+        w_basis = bs.make_spec(ispec.order, ispec.resolution_for(36), 1, ispec.knot_rule, data=w)
+        np.testing.assert_array_equal(bmat, bs.design_matrix(w_basis, w))
+        for basis in bases:
+            for axis in range(2):
+                probs = np.arange(1, 2**basis.resolution) / 2**basis.resolution
+                assert basis.interior_knots[axis] == tuple(np.quantile(x[:, axis], probs))
 
     def test_too_discrete_column(self):
         with pytest.raises(DegenerateColumnError):

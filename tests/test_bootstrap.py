@@ -148,6 +148,22 @@ class TestDrawMultipliers:
         v = bt.draw_multipliers(plan, 1, 100_000)
         assert abs(np.corrcoef(u, v)[0, 1]) < 0.02
 
+    @pytest.mark.parametrize("base_seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
+    def test_seeding_matches_numpy_seed_sequence(self, base_seed):
+        # Base seeds of 1, 2, 3 and 4+ entropy words; the last puts the draw
+        # index past the pool, into SeedSequence's extra mixing loop.
+        for n_draws in (1, 257):
+            plan = bt.MultiplierPlan(n_draws, base_seed)
+            seqs = [np.random.SeedSequence((base_seed, b)) for b in range(n_draws)]
+            words = np.array([seq.generate_state(4, np.uint64) for seq in seqs])
+            np.testing.assert_array_equal(bt._seed_words(base_seed, np.arange(n_draws)), words)
+            np.testing.assert_array_equal(bt._seed_words(base_seed, [0]), words[:1])
+            for n in (0, 1, 50):
+                oracle = np.array([np.random.default_rng(seq).standard_normal(n) for seq in seqs])
+                np.testing.assert_array_equal(bt.multiplier_matrix(plan, n), oracle.reshape(n_draws, n))
+                np.testing.assert_array_equal(bt.draw_multipliers(plan, 0, n), oracle[0])
+                np.testing.assert_array_equal(bt.draw_multipliers(plan, n_draws - 1, n), oracle[-1])
+
     def test_draw_index_bounds(self):
         plan = bt.MultiplierPlan(n_draws=5, base_seed=0)
         with pytest.raises(ConfigurationError):
@@ -158,6 +174,14 @@ class TestDrawMultipliers:
             bt.MultiplierPlan(n_draws=0)
         with pytest.raises(ConfigurationError):
             bt.MultiplierPlan(base_seed=-1)
+        for bad in ({"n_draws": 10.0}, {"n_draws": True}, {"n_draws": "10"}, {"n_draws": 2**32},
+                    {"base_seed": 1.5}, {"base_seed": 1.0}, {"base_seed": False}, {"base_seed": np.float64(3)},
+                    {"base_seed": np.bool_(True)}, {"base_seed": None}):
+            with pytest.raises(ConfigurationError):
+                bt.MultiplierPlan(**bad)
+        plan = bt.MultiplierPlan(np.int64(2**32 - 1), np.uint64(2**64 - 1))
+        assert type(plan.n_draws) is int and type(plan.base_seed) is int
+        assert plan == bt.MultiplierPlan(2**32 - 1, 2**64 - 1)
 
 
 class TestSupTSingle:
@@ -262,16 +286,26 @@ class TestSupTContrast:
         assert bt.quantile(sups, 0.90) <= bt.quantile(sups, 0.95)
 
 
+def _count_seeded(monkeypatch) -> list[int]:
+    """The draw indices whose substreams are seeded from now on, one entry per seeding."""
+    seeded, original = [], bt._seed_words
+
+    def counted(base_seed, draws):
+        seeded.extend(int(b) for b in np.ravel(draws))
+        return original(base_seed, draws)
+
+    monkeypatch.setattr(bt, "_seed_words", counted)
+    return seeded
+
+
 class TestMultiplierReuse:
     def test_one_replication_draws_each_multiplier_once(self, monkeypatch):
         from npivband import simgen as sg
 
-        calls = []
-        original = bt.draw_multipliers
-        monkeypatch.setattr(bt, "draw_multipliers", lambda plan, b, n: calls.append(b) or original(plan, b, n))
+        seeded = _count_seeded(monkeypatch)
         plan = bt.MultiplierPlan(60, 0)
         sg.run_mc("trade_pareto", [300], 1, plan=plan, det_js=(5, 7))
-        assert sorted(calls) == list(range(plan.n_draws))
+        assert sorted(seeded) == list(range(plan.n_draws))
 
     @pytest.mark.parametrize("kind", ["fit_npiv", "fit_reg2d", "fit_additive", "fit_plm", "rebands"])
     def test_one_cli_run_draws_each_multiplier_once(self, kind, monkeypatch, tmp_path):
@@ -279,11 +313,9 @@ class TestMultiplierReuse:
 
         from npivband.cli import EXIT_OK, main
 
-        calls = []
-        original = bt.draw_multipliers
-        monkeypatch.setattr(bt, "draw_multipliers", lambda plan, b, n: calls.append(b) or original(plan, b, n))
+        seeded = _count_seeded(monkeypatch)
         assert main(_argv(kind, str(tmp_path))) == EXIT_OK
-        assert sorted(calls) == list(range(99))
+        assert sorted(seeded) == list(range(99))
 
     def test_streamed_contrast_matches_stacked_reference(self):
         # A 100-point grid and n=1000, as in the Monte Carlo designs. The

@@ -84,6 +84,28 @@ class TestCmdFit:
         assert rc == EXIT_DATA
         assert "row 17" in capsys.readouterr().err
 
+    def test_column_parse_equals_row_scan(self):
+        from npivband.cli import DataError, _columns, _parse_numeric
+
+        header = ["y", "x1", "w1"]
+        rows = [[format(v, ".17g") for v in np.random.default_rng(k).random(3)] for k in range(50)]
+        rows[3][1] = " 1e-3 "
+        columns = _columns(rows, header)
+        for cols in (["y"], ["x1", "w1"]):
+            fast = _parse_numeric(rows, header, cols, columns)
+            np.testing.assert_array_equal(fast, _parse_numeric(rows, header, cols))
+            assert fast.flags.c_contiguous
+        # Bad cells and rows are named as the row-major scan names them.
+        for row, cell in ((5, ["0.1", "oops", "0.2"]), (9, ["0.1", "0.2"])):
+            bad = [list(r) for r in rows]
+            bad[row] = cell
+            bad[20][2] = "late"
+            with pytest.raises(DataError) as scanned:
+                _parse_numeric(bad, header, ["x1", "w1"])
+            with pytest.raises(DataError) as converted:
+                _parse_numeric(bad, header, ["x1", "w1"], _columns(bad, header))
+            assert str(converted.value) == str(scanned.value) and f"row {row + 1}" in str(scanned.value)
+
     def test_missing_column_config_error(self, linear_csv, tmp_path):
         rc = main(_fit_args(linear_csv, tmp_path / "o", "--y-col", "nope"))
         assert rc == EXIT_CONFIG
