@@ -20,10 +20,14 @@ the grid are D*_J = rows_J W_J Omega'. A contrast draw is the difference
 D*_J - D*_J2 of per-J draws, each taken once per chunk of grid rows however
 many pairs share it, and scaled by the pair's sd, which also scales the
 pair's statistic |h_J - h_J2| that ``sup_t_contrast`` returns beside the
-draws. No contrast rows are formed, and fits that alias each other give
-exactly zero because their per-pair Grams make the sd exactly zero. Every
-sup-t statistic keeps a running per-draw maximum over fixed 64-draw slices.
-``sup_t_single`` results are memoized on the field.
+draws. No contrast rows are formed. Fits that alias each other give exactly
+zero: their contrast variance cancels, so ``contrast_sd`` recomputes it from
+score differences, which are exactly zero, and a zero sd drops the grid
+point from every sup. Every sup-t statistic keeps a running per-draw maximum
+over fixed 64-draw slices and the fixed chunks of grid rows of
+``estimator.grid_chunks``; ``sup_t_single`` scales each chunk of rows by its
+sigma rather than copying the whole G x p rows, and its results are
+memoized on the field.
 """
 
 from __future__ import annotations
@@ -34,11 +38,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InvalidDimensionError
-from .estimator import VarianceField
+from .estimator import VarianceField, grid_chunks
 
 _BLOCK = 64
-#: Grid rows per chunk of the contrast sweep, which holds one rows x 64 array of draws per J.
-_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -195,10 +197,11 @@ def sup_t_single(varfield: VarianceField, plan: MultiplierPlan, j_set=None) -> n
         proj = _projections(varfield, plan)
         sups = np.zeros(plan.n_draws)
         for j in key[2]:
-            rows = varfield.rows[j] / varfield.sigma[j][:, None]
-            for cols in _slices(plan.n_draws):
-                vals, sup = rows @ proj[j][:, cols], sups[cols]
-                np.maximum(sup, np.abs(vals, out=vals).max(axis=0), out=sup)
+            for chunk in grid_chunks(varfield.grid.shape[0]):
+                rows = varfield.rows[j][chunk] / varfield.sigma[j][chunk, None]
+                for cols in _slices(plan.n_draws):
+                    vals, sup = rows @ proj[j][:, cols], sups[cols]
+                    np.maximum(sup, np.abs(vals, out=vals).max(axis=0), out=sup)
         varfield.sup_t_memo[key] = sups
     return sups.copy()
 
@@ -232,16 +235,14 @@ def sup_t_contrast(
     stats = {(j, j2): float(np.abs((fitted[j] - fitted[j2]) / scale).max(initial=0.0))
              for (j, j2), scale in zip(pairs, scales)}
     proj = _projections(varfield, plan)
-    g = varfield.grid.shape[0]
     sups = np.zeros(plan.n_draws)
-    for lo in range(0, g, _ROWS):
-        hi = min(lo + _ROWS, g)
+    for chunk in grid_chunks(varfield.grid.shape[0]):
         for cols in _slices(plan.n_draws):
-            draws = {j: varfield.rows[j][lo:hi] @ proj[j][:, cols] for j in js}
-            sup, diff = sups[cols], np.empty((hi - lo, cols.stop - cols.start))
+            draws = {j: varfield.rows[j][chunk] @ proj[j][:, cols] for j in js}
+            sup, diff = sups[cols], np.empty((chunk.stop - chunk.start, cols.stop - cols.start))
             for (j, j2), scale in zip(pairs, scales):
                 np.subtract(draws[j], draws[j2], out=diff)
-                diff /= scale[lo:hi, None]
+                diff /= scale[chunk, None]
                 np.maximum(sup, np.abs(diff, out=diff).max(axis=0), out=sup)
     return stats, sups
 

@@ -10,8 +10,9 @@ All randomness flows from a single seed (flag ``--seed``, falling back to the
 ``NPIVBAND_SEED`` environment variable, then 0). Output files are written
 with 17 significant digits so identical configurations reproduce identical
 bytes; ``run_meta.json`` additionally records wall time (in total and per
-stage: read, select, bands, write) and is therefore the one file excluded
-from the bit-for-bit contract. Its ``config`` echoes the subcommand's options.
+stage: read, select, bands, write) and the peak RSS after each stage, and is
+therefore the one file excluded from the bit-for-bit contract. Its
+``config`` echoes the subcommand's options.
 
 Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
 degeneracy or an infeasible sample size.
@@ -23,6 +24,7 @@ import argparse
 import csv
 import json
 import os
+import resource
 import sys
 import time
 from collections import Counter
@@ -62,10 +64,6 @@ _EXIT_CODES = (
 _TRANSFORMS = ("none", "ecdf", "affine", "trade_clamp")
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
-
-
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
@@ -80,12 +78,20 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
+def _csv_cells(column) -> list[str]:
+    """A column's cells: floats at 17 significant digits, None empty, anything else as ``str``."""
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        return ["%.17g" % v for v in column.tolist()]
+    return ["" if v is None else "%.17g" % v if isinstance(v, (float, np.floating)) else str(v)
+            for v in column]
+
+
+def _write_csv(path: str, header: list[str], columns) -> None:
+    """Write the table given by its ``columns``, each formatted once, under ``header``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) if isinstance(v, (float, np.floating)) else v for v in row])
+        writer.writerows(zip(*map(_csv_cells, columns)))
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
@@ -218,8 +224,8 @@ def _band_block(columns: dict, kinds: list, selection, plan, config: argparse.Na
     columns[f"sigma{suffix}"] = selection.band_field(a).sigma[selection.j_tilde]
 
 
-def _estimates_table(selection, plan, config: argparse.Namespace) -> tuple[list[str], list[list[float]], dict]:
-    """One row per grid point; per reported function the a=0, --deriv and robustness columns."""
+def _estimates_table(selection, plan, config: argparse.Namespace) -> tuple[list[str], list[np.ndarray], dict]:
+    """The table's columns of one value per grid point; per reported function the a=0, --deriv and robustness columns."""
     meta: dict = {"kinds": []}
     if config.mode == "additive":
         line = np.linspace(config.grid_lo, config.grid_hi, config.grid_size)
@@ -239,8 +245,7 @@ def _estimates_table(selection, plan, config: argparse.Namespace) -> tuple[list[
             columns.update(_band_columns(band, f"_robust{suffix}"))
             meta["kinds"].append(band.kind)
             meta["p_lower"] = config.p_lower
-    header = list(columns)
-    return header, [[columns[name][i] for name in header] for i in range(columns["x"].size)], meta
+    return list(columns), list(columns.values()), meta
 
 
 # The AdaptiveSelection fields that selection.json stores and --from-selection reads.
@@ -343,31 +348,37 @@ def _model(config: argparse.Namespace, sample: est.Sample):
 
 
 @contextmanager
-def _stage(stages: dict[str, float], name: str):
-    """Record the wall seconds of the enclosed block as ``stages[name]``."""
+def _stage(stages: dict[str, float], peaks: dict[str, float], name: str):
+    """Record the enclosed block's wall seconds as ``stages[name]`` and the peak RSS after it as ``peaks[name]``.
+
+    The peak is the process's maximum resident set so far, in MB (``ru_maxrss``
+    is in KiB on Linux), so it never falls from one stage to the next.
+    """
     tick = time.perf_counter()
     yield
     stages[name] = time.perf_counter() - tick
+    peaks[name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
 def _run_fit(config: argparse.Namespace, estimates_only: bool = False) -> None:
     t0 = time.perf_counter()
     stages: dict[str, float] = {}
-    with _stage(stages, "read"):
+    peaks: dict[str, float] = {}
+    with _stage(stages, peaks, "read"):
         sample = _build_sample(config)
     model, mode, grid = _model(config, sample)
     backend = est.SieveBackend(sample, model)
     plan = MultiplierPlan(n_draws=config.draws, base_seed=config.seed)
-    with _stage(stages, "select"):
+    with _stage(stages, peaks, "select"):
         if config.from_selection:
             selection = _load_selection(config.from_selection, backend, grid)
         else:
             selection = ad.run_selection(backend, plan, mode, grid)
-    with _stage(stages, "bands"):
-        header, table, meta = _estimates_table(selection, plan, config)
-    with _stage(stages, "write"):
+    with _stage(stages, peaks, "bands"):
+        header, columns, meta = _estimates_table(selection, plan, config)
+    with _stage(stages, peaks, "write"):
         os.makedirs(config.outdir, exist_ok=True)
-        _write_csv(os.path.join(config.outdir, "estimates.csv"), header, table)
+        _write_csv(os.path.join(config.outdir, "estimates.csv"), header, columns)
         if not estimates_only:
             payload = _selection_payload(selection)
             if config.mode == "partially_linear":
@@ -375,7 +386,7 @@ def _run_fit(config: argparse.Namespace, estimates_only: bool = False) -> None:
                 payload["beta"] = fit.coef[fit.j:].tolist()
             _write_json(os.path.join(config.outdir, "selection.json"), payload)
     if not estimates_only:
-        _write_meta(config, t0, extra={**meta, "stages": stages})
+        _write_meta(config, t0, extra={**meta, "stages": stages, "stage_peak_rss_mb": peaks})
 
 
 def _write_meta(config: argparse.Namespace, t0: float, extra: dict | None = None) -> None:
@@ -400,11 +411,7 @@ def _run_simulate(config: argparse.Namespace) -> None:
     os.makedirs(config.outdir, exist_ok=True)
     records = report.to_records()
     header = list(records[0])
-    _write_csv(
-        os.path.join(config.outdir, "mc_report.csv"),
-        header,
-        [[("" if r[k] is None else r[k]) for k in header] for r in records],
-    )
+    _write_csv(os.path.join(config.outdir, "mc_report.csv"), header, [[r[k] for r in records] for k in header])
     _write_json(
         os.path.join(config.outdir, "mc_report.json"),
         {

@@ -26,7 +26,7 @@ import copy
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import groupby, takewhile
+from itertools import takewhile
 from typing import Callable
 
 import numpy as np
@@ -41,8 +41,16 @@ VARIANCE_FLOOR = 1e-12
 #: A contrast variance at most this fraction of sigma_J^2 + sigma_J2^2 is recomputed from score differences.
 CONTRAST_CANCELLATION = 0.1
 
-#: Grid rows per block of score-difference rows.
-_ROWS = 64
+#: Grid rows per chunk of every grid-wide product: the cross terms, the single sups and the contrast sweep.
+GRID_ROWS = 256
+
+#: Grid rows per block of n-wide score-difference rows.
+_DIFF_ROWS = 64
+
+
+def grid_chunks(g: int) -> list[slice]:
+    """The fixed chunks of ``GRID_ROWS`` rows of a G-point grid, over which every grid-wide product is taken."""
+    return [slice(lo, min(lo + GRID_ROWS, g)) for lo in range(0, g, GRID_ROWS)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,8 +275,11 @@ class VarianceField:
     its coefficients that the rows select. The scores are S_J = rows_J W_J
     with p x n weights W_J = M_J[slice] diag(u_J), the slice's rows of the
     fit's ``weights``. sigma_J^2 and sigma~_{J,J2} are row-wise quadratic
-    forms in the Grams W_J W_J2', each its own general product on one
-    operand layout, so fits that alias each other contrast to exactly zero.
+    forms in the Grams W_J W_J2', each a product of the stored weights alone
+    (the symmetric one when J2 = J), taken over fixed chunks of ``GRID_ROWS``
+    grid rows; so neither depends on which other J the field holds. Where a
+    contrast's variance cancels, ``contrast_sd`` recomputes it from score
+    differences, so fits that alias each other contrast to exactly zero.
     The bootstrap needs only the projections W_J Omega', the slice's rows of
     the fit's projection, so the draws of J do not depend on which other J
     the field holds. Contrast draws are differences of per-J draws, so no
@@ -304,19 +315,18 @@ class VarianceField:
                 )
 
     def _fill_cross(self, pairs) -> None:
-        """Compute the cross terms of ``pairs`` not yet held, transposing each W_J2 once per call."""
-        todo = sorted({(min(p), max(p)) for p in pairs} - self._cross.keys(), key=lambda k: (k[1], k[0]))
+        """Compute the cross terms of ``pairs`` not yet held, ``GRID_ROWS`` grid rows at a time."""
+        todo = sorted({(min(p), max(p)) for p in pairs} - self._cross.keys())
         missing = sorted({j for key in todo for j in key} - set(self.j_values))
         if missing:
             raise InvalidDimensionError(f"J values {missing} are not in the variance field")
-        for j2, group in groupby(todo, key=lambda k: k[1]):
-            # One general product per pair on a contiguous copy of W_J2': w @ w.T would take
-            # the symmetric BLAS routine, which rounds differently, and aliased fits must
-            # contrast to exactly zero. The copy lives for this call only.
-            w2_t = np.ascontiguousarray(self.weights[j2].T)
-            for j, _ in group:
-                out = np.einsum("gp,gp->g", self.rows[j] @ (self.weights[j] @ w2_t), self.rows[j2])
-                self._cross[(j, j2)] = np.maximum(out, 0.0) if j == j2 else out
+        g = self.grid.shape[0]
+        for j, j2 in todo:
+            gram = self.weights[j] @ self.weights[j2].T
+            rows, rows2, out = self.rows[j], self.rows[j2], np.empty(g)
+            for chunk in grid_chunks(g):
+                np.einsum("gp,gp->g", rows[chunk] @ gram, rows2[chunk], out=out[chunk])
+            self._cross[(j, j2)] = np.maximum(out, 0.0, out=out) if j == j2 else out
 
     @property
     def n(self) -> int:
@@ -354,8 +364,8 @@ class VarianceField:
         total = self.cross(j, j) + self.cross(j2, j2)
         var = total - 2.0 * self.cross(j, j2)
         near = np.flatnonzero(var <= CONTRAST_CANCELLATION * total)
-        for lo in range(0, near.size, _ROWS):
-            idx = near[lo:lo + _ROWS]
+        for lo in range(0, near.size, _DIFF_ROWS):
+            idx = near[lo:lo + _DIFF_ROWS]
             diff = self.rows[j][idx] @ self.weights[j]
             diff -= self.rows[j2][idx] @ self.weights[j2]
             var[idx] = np.einsum("gn,gn->g", diff, diff)

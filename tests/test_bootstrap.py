@@ -28,10 +28,15 @@ def _field(n=120, seed=0, js=(4, 7), grid=None, deriv=0):
     return est.build_field(backend, grid if grid is not None else np.linspace(0, 1, 30), deriv, js)
 
 
-def _dense_sup_t(field, plan, js=None, pairs=None):
-    """Oracle: per-draw sup of the dense score rows S_J = influence * u times Omega."""
+def _dense_scores(field):
+    """Oracle: the dense score rows S_J = influence * u and their row norms sigma_J, per J."""
     scores = {j: field.influence[j] * field.fits[j].u_hat[None, :] for j in field.j_values}
-    sigma = {j: np.sqrt((s**2).sum(axis=1)) for j, s in scores.items()}
+    return scores, {j: np.sqrt((s**2).sum(axis=1)) for j, s in scores.items()}
+
+
+def _dense_sup_t(field, plan, js=None, pairs=None):
+    """Oracle: per-draw sup of the dense score rows times Omega."""
+    scores, sigma = _dense_scores(field)
     if pairs is None:
         rows = [scores[j] / sigma[j][:, None] for j in js]
     else:
@@ -46,7 +51,7 @@ def _dense_sup_t(field, plan, js=None, pairs=None):
 
 
 def _model_backends():
-    """Backends of the npiv, additive, additive component-view and partially linear models."""
+    """Backends of the npiv, 2-D regression, additive, additive component-view and partially linear models."""
     rng = np.random.default_rng(21)
     n = 300
     x = rng.random((n, 2))
@@ -56,6 +61,7 @@ def _model_backends():
     additive = est.SieveBackend(sample, ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None))
     return {
         "npiv": est.SieveBackend(est.Sample(y, x[:, 0], w[:, 0]), est.npiv_model(CUBIC, ISPEC)),
+        "reg2d": est.SieveBackend(sample, est.npiv_model(bs.BasisSpec(4, 0, dim=2), None)),
         "additive": additive,
         "additive_component": additive.view(ext.component_model(additive.model, 1)),
         "partially_linear": est.SieveBackend(
@@ -64,25 +70,46 @@ def _model_backends():
     }
 
 
-def _model_fields():
-    """Fields of the npiv, additive component-view and partially linear selectors."""
-    backends = _model_backends()
-    grid = np.linspace(0, 1, 40).reshape(-1, 1)
-    return {name: est.build_field(backends[name], grid, (0,), (4, 5, 7))
-            for name in ("npiv", "additive_component", "partially_linear")}
+def _model_field(model):
+    """The field of one selector: on 40 points of a line, or for the 2-D models on a 20 x 20 grid."""
+    if model in ("reg2d", "additive"):
+        axis = np.linspace(0, 1, 20)
+        grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    else:
+        grid = np.linspace(0, 1, 40).reshape(-1, 1)
+    js = (16, 25, 49) if model == "reg2d" else (4, 5, 7)
+    return est.build_field(_model_backends()[model], grid, 0, js)
 
 
 class TestFactoredScores:
-    @pytest.mark.parametrize("model", ["npiv", "additive_component", "partially_linear"])
+    @pytest.mark.parametrize("model", ["npiv", "reg2d", "additive", "additive_component", "partially_linear"])
     def test_sup_t_matches_dense_oracle(self, model):
-        field = _model_fields()[model]
+        field = _model_field(model)
+        js = field.j_values
         plan = bt.MultiplierPlan(n_draws=130, base_seed=17)
-        pairs = [(4, 5), (4, 7), (5, 7)]
-        single = bt.sup_t_single(field, plan, (4, 5, 7))
+        pairs = [(j, j2) for i, j in enumerate(js) for j2 in js[i + 1:]]
+        single = bt.sup_t_single(field, plan, js)
         assert len(field.sup_t_memo) == 1
         _, contrast = bt.sup_t_contrast(field, plan, pairs)
-        np.testing.assert_allclose(single, _dense_sup_t(field, plan, js=(4, 5, 7)), rtol=1e-12)
+        _, sigma = _dense_scores(field)
+        for j in js:
+            np.testing.assert_allclose(field.sigma[j], sigma[j], rtol=1e-12)
+        np.testing.assert_allclose(single, _dense_sup_t(field, plan, js=js), rtol=1e-12)
         np.testing.assert_allclose(contrast, _dense_sup_t(field, plan, pairs=pairs), rtol=1e-12)
+
+    @pytest.mark.parametrize("model", ["npiv", "additive_component"])
+    @pytest.mark.parametrize("points", [30, 600])
+    def test_grid_quantities_do_not_depend_on_the_other_j(self, model, points):
+        # One backend's fields over (4, 5, 7) and (5, 7, 11) share the fits of 5 and 7;
+        # 600 points span several chunks of grid rows.
+        backend = _model_backends()[model]
+        grid = np.linspace(0, 1, points)
+        small, large = (est.build_field(backend, grid, 0, js) for js in ((4, 5, 7), (5, 7, 11)))
+        plan = bt.MultiplierPlan(n_draws=70, base_seed=19)
+        np.testing.assert_array_equal(small.sigma[5], large.sigma[5])
+        np.testing.assert_array_equal(small.cross(5, 7), large.cross(5, 7))
+        np.testing.assert_array_equal(small.contrast_sd(5, 7), large.contrast_sd(5, 7))
+        np.testing.assert_array_equal(bt.sup_t_single(small, plan, (5,)), bt.sup_t_single(large, plan, (5,)))
 
     def test_field_stores_no_grid_by_n_array(self):
         # 10,000 grid points at n=2000: one G x n array alone takes G * n * 8 bytes.
@@ -126,6 +153,28 @@ class TestFactoredScores:
             tracemalloc.stop()
         assert peak < 20_000 * 198 * 8 / 2
         np.testing.assert_array_equal(again, first)
+
+    def test_cross_terms_and_single_sups_bounded(self):
+        # J=67 and J=131 on 20,000 grid points at n=2000: the cross terms and the
+        # single sups work through chunks of grid rows, never through a whole-grid
+        # G x p product or a scaled copy of the G x p rows (20,000 * 131 * 8 bytes).
+        # The projections are formed first: the B x n multipliers they draw are no grid quantity.
+        rng = np.random.default_rng(4)
+        n, g = 2000, 20_000
+        x = rng.random(n)
+        backend = est.SieveBackend(est.Sample(np.sin(3 * x) + 0.5 * rng.standard_normal(n), x, x),
+                                   est.npiv_model(CUBIC, None))
+        field = est.build_field(backend, np.linspace(0, 1, g), 0, (67, 131))
+        plan = bt.MultiplierPlan(n_draws=150, base_seed=24)
+        bt._projections(field, plan)
+        tracemalloc.start()
+        try:
+            field.contrast_scales([(67, 131)])
+            bt.sup_t_single(field, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < g * 131 * 8 / 4
 
 
 class TestDrawMultipliers:

@@ -106,6 +106,25 @@ class TestCmdFit:
                 _parse_numeric(bad, header, ["x1", "w1"], _columns(bad, header))
             assert str(converted.value) == str(scanned.value) and f"row {row + 1}" in str(scanned.value)
 
+    def test_column_writer_equals_cell_formatting(self, tmp_path):
+        from npivband.cli import _write_csv as write_columns
+
+        floats = np.array([0.1, -0.0, 1e-300, 1e300, np.inf, -np.nan, 2.0 / 3.0, 5.0])
+        mixed = [np.float64(1.5), -0.0, 1e-300, 1e300, 7, "a,b", None, np.int64(3)]
+        header, columns = ["x", "mixed", "label"], [floats, mixed, [f"r{i}" for i in range(8)]]
+        write_columns(str(tmp_path / "columns.csv"), header, columns)
+        # The per-cell reference: floats (numpy's too) at 17 significant digits, None empty,
+        # anything else as csv.writer renders it.
+        with open(tmp_path / "cells.csv", "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow(["" if v is None else format(float(v), ".17g")
+                                 if isinstance(v, (float, np.floating)) else v for v in row])
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        assert b"\n-0,-0,r1\n1e-300,1e-300,r2\n" in (tmp_path / "columns.csv").read_bytes()
+        assert b'\nnan,"a,b",r5\n0.66666666666666663,,r6\n' in (tmp_path / "columns.csv").read_bytes()
+
     def test_missing_column_config_error(self, linear_csv, tmp_path):
         rc = main(_fit_args(linear_csv, tmp_path / "o", "--y-col", "nope"))
         assert rc == EXIT_CONFIG
@@ -345,6 +364,10 @@ class TestBandsPlotdata:
         assert set(stages) == {"read", "select", "bands", "write"}
         assert all(seconds >= 0.0 for seconds in stages.values())
         assert sum(stages.values()) <= meta["wall_time_seconds"]
+        peaks = meta["outputs"]["stage_peak_rss_mb"]
+        assert set(peaks) == set(stages)
+        ordered = [peaks[name] for name in ("read", "select", "bands", "write")]
+        assert ordered[0] > 0.0 and ordered == sorted(ordered)
 
 
 class TestStructuredModes:

@@ -12,7 +12,8 @@ and list the files whose bytes a regeneration would change:
 
 Both generate in a subprocess with BLAS pinned to one thread; ``--cmp``
 generates into a temporary directory, compares bytes and prints beside each
-differing file the largest relative move of its numbers.
+differing file the largest relative move of its numbers and, for a CSV file,
+the largest move over the largest value of its column.
 """
 
 import argparse
@@ -162,6 +163,18 @@ def test_largest_move_reads_numbers_only(tmp_path):
     assert _largest_move(str(retexted), str(base)) == "text differs"
 
 
+def test_largest_column_move_reads_moves_against_the_column(tmp_path):
+    base, moved, near_zero = (tmp_path / name for name in ("base.csv", "moved.csv", "near_zero.csv"))
+    base.write_text("x,lo95,flag\n0.5,2.0,nan\n0,-4,ok\n1,1e-20,inf\n")
+    moved.write_text("x,lo95,flag\n0.5,2.0000000002,nan\n0,-4,ok\n1,1e-20,inf\n")
+    near_zero.write_text("x,lo95,flag\n0.5,2.0,nan\n0,-4,ok\n1,3e-20,inf\n")
+    assert _largest_column_move(str(base), str(base)) == 0.0
+    assert _largest_column_move(str(moved), str(base)) == pytest.approx(2e-10 / 4, rel=1e-6)
+    # A per-value move of 2 reads as 2e-20 over a column whose largest value is 4.
+    assert _largest_move(str(near_zero), str(base)) == "largest relative move 0.67"
+    assert _largest_column_move(str(near_zero), str(base)) == pytest.approx(2e-20 / 4)
+
+
 def _golden_files() -> list[str]:
     """Every checked-in file, as a path relative to the golden directory."""
     return [f"{name}.csv" for name in _inputs()] + [
@@ -215,6 +228,30 @@ def _largest_move(path: str, expected_path: str) -> str:
     return f"largest relative move {np.where(same, 0.0, moves).max(initial=0.0):.2g}"
 
 
+def _largest_column_move(path: str, expected_path: str) -> float:
+    """The largest |a - b| over the largest finite |value| of its column, across two CSV files' numeric cells.
+
+    A value near zero in a column of large ones inflates ``_largest_move``'s
+    per-value figure; this one reads each move against its column's scale.
+    Text cells, and cells empty in either file, are skipped.
+    """
+    (header, rows), (_, want) = _read_csv(path), _read_csv(expected_path)
+    worst = 0.0
+    for i in range(len(header)):
+        cells = [(r[i], w[i]) for r, w in zip(rows, want) if r[i] and w[i]]
+        if not all(_is_float(a) and _is_float(b) for a, b in cells):
+            continue
+        a, b = np.array(cells, dtype=np.float64).reshape(-1, 2).T
+        same = (a == b) | (np.isnan(a) & np.isnan(b))
+        if same.all():
+            continue
+        values = np.abs(np.concatenate([a, b]))
+        scale = values[np.isfinite(values)].max(initial=0.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            worst = max(worst, float(np.abs(a - b)[~same].max() / scale))
+    return worst
+
+
 def _main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Regenerate the golden files, or list those that would change.")
     group = parser.add_mutually_exclusive_group()
@@ -231,7 +268,11 @@ def _main(argv=None) -> int:
             differ = [name for name in _golden_files()
                       if not filecmp.cmp(os.path.join(tmp, name), os.path.join(GOLDEN, name), shallow=False)]
             for name in differ:
-                print(f"{name}  ({_largest_move(os.path.join(tmp, name), os.path.join(GOLDEN, name))})")
+                got, want = os.path.join(tmp, name), os.path.join(GOLDEN, name)
+                move = _largest_move(got, want)
+                if name.endswith(".csv") and move != "text differs":
+                    move += f", {_largest_column_move(got, want):.2g} of its column's largest value"
+                print(f"{name}  ({move})")
         print(f"{len(differ)} of {len(_golden_files())} golden files differ", file=sys.stderr)
         return 1 if differ else 0
     return 0
