@@ -256,8 +256,10 @@ _STORED = (
 
 
 def _selection_payload(selection) -> dict:
+    """The ``_STORED`` fields, and ``fit_flags_by_j``: per J of the index set, its fit's flags (not read back)."""
     payload = {name: getattr(selection, name) for name in _STORED}
     payload["s_hat_by_j"] = {str(j): v for j, v in selection.s_hat_by_j.items()}
+    payload["fit_flags_by_j"] = {str(j): list(selection.backend.fit(j).flags) for j in selection.index_set}
     return payload
 
 

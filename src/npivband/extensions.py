@@ -7,10 +7,12 @@ widths at J, and the selector rows of the function it reports. Selection,
 evaluation and bands then work as for the standard model.
 
 The additive model stacks an intercept with centered per-coordinate bases
-(each basis function minus its exact integral over [0, 1]); the centered
-columns of one coordinate sum to zero pointwise, so the stacked design is
-rank deficient by construction and all fits go through the generalized
-inverse. Selection contrasts the full additive estimate; ``component_model``
+(each basis function minus its exact integral over [0, 1]). B-splines and
+their integrals sum to one, so the J centered columns of one coordinate sum
+to zero; each block keeps its first J - 1 columns, which span the same
+functions (Newey 1997's normalisation). The stacked design then has full
+rank 1 + d(J - 1) on generic data, and its fits take the Cholesky route.
+Selection contrasts the full additive estimate; ``component_model``
 reports one centered component on [0, 1], and ``component_view`` puts a
 selection behind it, so ``ucb.band_deriv`` gives the component's band. The
 partially linear model stacks a univariate (or d1-variate) basis with
@@ -50,10 +52,14 @@ class AdditiveSpec:
 
 
 def _centered_block(basis: bs.BasisSpec, integrals: np.ndarray, col: np.ndarray, deriv: int) -> np.ndarray:
-    block = bs.design_matrix(basis, col, deriv)
-    if deriv == 0:
-        block = block - integrals[None, :]
-    return block
+    """The first J - 1 centered columns b_k^(deriv)(col) - [deriv == 0] int b_k of one coordinate.
+
+    The dropped last column is minus the sum of these: the centered columns
+    sum to zero at deriv 0, and the derivatives of a partition of unity sum
+    to zero at deriv >= 1.
+    """
+    block = bs.design_matrix(basis, col, deriv)[:, :-1]
+    return block - integrals[None, :-1] if deriv == 0 else np.ascontiguousarray(block)
 
 
 def _additive_design(axes, x: np.ndarray, deriv: tuple[int, ...]) -> np.ndarray:
@@ -100,7 +106,7 @@ def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.
         return axes, _additive_design(axes, sample.x, (0,) * d), bmat
 
     def widths(j: int) -> tuple[int, int]:
-        width = 1 + d * j
+        width = 1 + d * (j - 1)
         if ispec is None:
             return width, width
         return width, (2 ** _instrument_level(aspec, ispec, j) + ispec.order - 1) ** ispec.dim_w
@@ -115,12 +121,16 @@ def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.
 
 
 def component_model(model: est.SieveModel, comp: int) -> est.SieveModel:
-    """The additive ``model`` reporting its centered component ``comp`` on [0, 1]."""
+    """The additive ``model`` reporting its centered component ``comp`` on [0, 1].
+
+    Each coordinate's block holds J - 1 columns, so the component reads the
+    coefficients 1 + comp (J - 1) : 1 + (comp + 1)(J - 1).
+    """
 
     def rows(axes, pts: np.ndarray, deriv):
         basis, integrals = axes[comp]
-        j = basis.n_funcs
-        return _centered_block(basis, integrals, pts[:, 0], deriv[0]), slice(1 + comp * j, 1 + (comp + 1) * j)
+        p = basis.n_funcs - 1
+        return _centered_block(basis, integrals, pts[:, 0], deriv[0]), slice(1 + comp * p, 1 + (comp + 1) * p)
 
     return replace(model, selector=rows, grid_dim=1)
 

@@ -368,9 +368,32 @@ def _replication(design: Design, n: int, rep: int, plan: MultiplierPlan, grid: n
 _WORKER_JOB = None
 
 
+def _openblas():
+    """numpy's bundled OpenBLAS (under ``numpy.libs`` on wheels) when it exports its thread setter, else None."""
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            return lib
+    return None
+
+
 def _adopt(job) -> None:
+    """Pool initializer: keep ``job`` for ``_call_job`` and run numpy's OpenBLAS on one thread.
+
+    A forked worker inherits the parent's BLAS threads, which would
+    oversubscribe the cores; the library has read its environment before
+    the fork, so only its setter can change that.
+    """
     global _WORKER_JOB
     _WORKER_JOB = job
+    lib = _openblas()
+    if lib is not None:
+        lib.scipy_openblas_set_num_threads64_(1)
 
 
 def _call_job(task: tuple[int, int]) -> tuple:
@@ -420,8 +443,9 @@ def run_mc(
     """Monte Carlo study of losses, coverage, widths, and selected dimensions.
 
     The replications run in ``n_workers`` forked processes (1: in this one), and
-    the report is bit-identical for any count. Pinning BLAS to one thread
-    (``OMP_NUM_THREADS=1``) gives the best throughput.
+    the report is bit-identical for any count. Each worker runs numpy's
+    bundled OpenBLAS on one thread; with one worker, pinning BLAS to one
+    thread (``OMP_NUM_THREADS=1``) is left to the caller.
     """
     if isinstance(design, str):
         design = get_design(design)

@@ -448,17 +448,19 @@ class TestSharedProjections:
         omega_t = bt.multiplier_matrix(plan, backends["additive"].n).T
         full = bt._projections(est.build_field(backends["additive"], np.column_stack([self.GRID] * 2), 0,
                                                (4, 5, 7)), plan)
-        for name, sl_of in (("additive_component", lambda j: slice(1 + j, 1 + 2 * j)),
+        # Each additive block keeps J - 1 columns, so component 1 reads 1 + (J - 1) : 1 + 2 (J - 1).
+        for name, sl_of in (("additive_component", lambda j: slice(j, 2 * j - 1)),
                             ("partially_linear", lambda j: slice(0, j))):
             backend = backends[name]
             proj = bt._projections(est.build_field(backend, self.GRID, 0, (4, 5, 7)), plan)
             for j in (4, 5, 7):
                 fit = backend.fit(j)
-                assert proj[j].shape == (j, plan.n_draws)
+                sl = sl_of(j)
+                assert proj[j].shape == (sl.stop - sl.start, plan.n_draws)
                 assert np.shares_memory(proj[j], fit.projections[plan])
-                np.testing.assert_array_equal(proj[j], ((fit.m * fit.u_hat) @ omega_t)[sl_of(j)])
+                np.testing.assert_array_equal(proj[j], ((fit.m * fit.u_hat) @ omega_t)[sl])
         for j in (4, 5, 7):
-            assert full[j].shape == (1 + 2 * j, plan.n_draws)
+            assert full[j].shape == (1 + 2 * (j - 1), plan.n_draws)
             fit = backends["additive"].fit(j)
             assert np.shares_memory(full[j], fit.projections[plan])
             np.testing.assert_array_equal(full[j], (fit.m * fit.u_hat) @ omega_t)

@@ -412,13 +412,33 @@ class TestStructuredModes:
         for comp in (0, 1):
             basis, integrals = fit.basis[comp]
             block = ext._centered_block(basis, integrals, grid, 0)
-            sl = slice(1 + comp * j, 1 + (comp + 1) * j)
+            sl = slice(1 + comp * (j - 1), 1 + (comp + 1) * (j - 1))
             field = est.VarianceField(
                 grid=grid.reshape(-1, 1), deriv=(0,), j_values=(j,),
                 rows={j: block}, fits={j: fit}, slices={j: sl},
             )
             written = [float(r[header.index(f"sigma_c{comp + 1}")]) for r in rows[1:]]
             assert written == field.sigma[j].tolist()
+
+    def test_fit_flags_by_j(self, additive_csv, tmp_path):
+        # Per J of the index set, the flags of its fit: none on generic additive data,
+        # the rank flags when x2 copies x1. The key is not read back, so a file without it loads.
+        data = np.loadtxt(additive_csv, delimiter=",", skiprows=1)
+        copied = tmp_path / "copied.csv"
+        _write_csv(copied, ["y", "x1", "x2"], [[format(v, ".17g") for v in (y, x, x)] for y, x, _ in data])
+        args = ["--mode", "additive", "--seed", "2", "--draws", "50", "--grid-size", "20"]
+        for name, path, want in (("generic", additive_csv, []),
+                                 ("copied", str(copied), ["design_rank_deficient", "shat_reduced_rank"])):
+            out = tmp_path / name
+            assert main(["fit", "--input", path, *args, "--outdir", str(out)]) == EXIT_OK
+            sel = json.load(open(out / "selection.json"))
+            assert sorted(map(int, sel["fit_flags_by_j"])) == sel["index_set"]
+            assert all(flags == want for flags in sel["fit_flags_by_j"].values())
+        del sel["fit_flags_by_j"]
+        json.dump(sel, open(out / "old.json", "w"))
+        assert main(["bands-plotdata", "--input", str(copied), *args, "--outdir", str(tmp_path / "b"),
+                     "--from-selection", str(out / "old.json")]) == EXIT_OK
+        assert filecmp.cmp(out / "estimates.csv", tmp_path / "b" / "estimates.csv", shallow=False)
 
     def test_additive_robust_columns_per_component(self, additive_csv, tmp_path):
         out = tmp_path / "o"

@@ -162,8 +162,8 @@ def _fallback_case(name):
         return est.Sample(np.sin(3 * x), x, x), (REG, NPIV), (4, 7, 19, 35)
     rng = np.random.default_rng(5)
     if name == "additive":
-        # Centred additive blocks sum to zero, so the design is singular by construction.
-        x = rng.random((400, 2))
+        # The second coordinate copies the first, so the two centred blocks repeat each other.
+        x = np.repeat(rng.random((400, 1)), 2, axis=1)
         model = ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)
         return est.Sample(1.0 + x[:, 0] + x[:, 1] ** 2, x, x), (model,), (4, 7)
     # Nine distinct x values, quantile knots on x and dyadic instruments: J=11 and K(11) exceed the rank.

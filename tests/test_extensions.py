@@ -37,9 +37,24 @@ class TestAdditiveFit:
         assert err1 < 1e-8 and err2 < 1e-8
         assert fit.coef[0] == pytest.approx(1 + 0.5 + 1 / 3, abs=1e-8)
 
-    def test_rank_deficient_design_flagged(self):
-        fit = est.fit(_additive_sample(), ADDITIVE, 4)
-        assert "design_rank_deficient" in fit.flags
+    @pytest.mark.parametrize("j", [4, 7, 11])
+    def test_generic_design_is_full_rank(self, j):
+        # One column dropped per centred block leaves 1 + d(J - 1) independent columns.
+        sample = _additive_sample()
+        grams = est.fit_grams(sample, ADDITIVE, j)
+        assert grams[1].design.shape[1] == 1 + 2 * (j - 1) and grams[1].gram_p.eig is None
+        fit = est.fit(sample, ADDITIVE, j, grams)
+        assert fit.flags == () and fit.s_hat == 1.0
+
+    def test_copied_coordinate_design_flagged(self):
+        # x2 copies x1, so the two centred blocks repeat each other: the eigen route.
+        s = _additive_sample()
+        x = np.column_stack([s.x[:, 0], s.x[:, 0]])
+        sample = est.Sample(s.y, x, x)
+        grams = est.fit_grams(sample, ADDITIVE, 4)
+        assert grams[1].gram_p.eig is not None
+        fit = est.fit(sample, ADDITIVE, 4, grams)
+        assert "design_rank_deficient" in fit.flags and "shat_reduced_rank" in fit.flags
 
     def test_centered_columns_integrate_to_zero(self):
         # analytic integral of each raw column equals the subtracted constant,
@@ -132,6 +147,31 @@ class TestAdditiveFit:
         assert np.abs(band.center - centered_truth).max() < 5 * band.halfwidth.max()
 
 
+class TestDroppedColumnSpan:
+    """Each centred block drops its last column, which the kept columns span, at every derivative order."""
+
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    @pytest.mark.parametrize("knot_rule", ["uniform_dyadic", "empirical_quantile"])
+    def test_dropped_column_is_minus_the_sum_of_the_kept(self, order, knot_rule):
+        rng = np.random.default_rng(order)
+        data = rng.beta(2, 5, (500, 1)) if knot_rule == "empirical_quantile" else None  # skewed knots
+        pts = np.concatenate([[0.0, 1.0], rng.random(300)])
+        for level in range(6):
+            basis = bs.make_spec(order, level, knot_rule=knot_rule, data=data)
+            integrals = bs.basis_integrals(basis)
+            centered = bs.design_matrix(basis, pts) - integrals[None, :]
+            kept = ext._centered_block(basis, integrals, pts, 0)
+            np.testing.assert_array_equal(kept, centered[:, :-1])
+            np.testing.assert_allclose(centered[:, -1], -kept.sum(axis=1), rtol=0, atol=1e-13)
+            for a in range(1, order - 1):
+                # The a-th derivatives grow as 2^(a * level), so the sum's rounding
+                # is bounded by 1e-13 of the block's largest magnitude.
+                block = bs.design_matrix(basis, pts, a)
+                np.testing.assert_array_equal(ext._centered_block(basis, integrals, pts, a), block[:, :-1])
+                scale = max(1.0, float(np.abs(block).max()))
+                np.testing.assert_allclose(block.sum(axis=1), 0.0, rtol=0, atol=1e-13 * scale)
+
+
 class TestPartiallyLinear:
     def test_exact_recovery(self):
         rng = np.random.default_rng(5)
@@ -207,11 +247,12 @@ def _level(j):
 
 
 def _additive_reference(sample, d, ispec, j):
-    """Design [1, centered per-axis bases] and instruments b^{K(J)}(w) of the additive model."""
+    """Design [1, centered per-axis bases but their last column] and instruments b^{K(J)}(w) of the additive model."""
     blocks = [np.ones((sample.n, 1))]
     for i in range(d):
         basis = bs.BasisSpec(4, _level(j))
-        blocks.append(bs.design_matrix(basis, sample.x[:, i]) - bs.basis_integrals(basis)[None, :])
+        centered = bs.design_matrix(basis, sample.x[:, i]) - bs.basis_integrals(basis)[None, :]
+        blocks.append(centered[:, :-1])
     if ispec is None:
         return np.hstack(blocks), None
     level_w = -(-(_level(j) + ispec.q) * d // ispec.dim_w)

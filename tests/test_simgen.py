@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -176,6 +180,26 @@ class TestRunMc:
                 assert sorted(report.diagnostics[n]) == sorted(serial.diagnostics[n])
                 for key, values in serial.diagnostics[n].items():
                     np.testing.assert_array_equal(report.diagnostics[n][key], values)
+
+    def test_pool_workers_run_blas_on_one_thread(self):
+        # A fresh interpreter with the BLAS thread variables unset, whose parent
+        # runs OpenBLAS on 2 threads: each forked worker must read 1.
+        lib = sg._openblas()
+        if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+            pytest.skip("numpy's bundled OpenBLAS with thread controls is not loaded")
+        script = textwrap.dedent("""
+            from npivband import simgen as sg
+            lib = sg._openblas()
+            lib.scipy_openblas_set_num_threads64_(2)
+            threads = lambda n, rep: lib.scipy_openblas_get_num_threads64_()
+            print(threads(0, 0), *sg._run_replications(threads, [(1, 0), (1, 1)], 2), threads(0, 0))
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        assert out.stdout.split() == ["2", "1", "1", "2"]
 
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_replication_failure_is_identified(self, n_workers):
