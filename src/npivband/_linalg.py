@@ -10,6 +10,9 @@ near-null direction and takes the eigen route: eigenvalues at or below
 the largest dimension involved in forming the matrix (typically
 ``max(n, K)``), and the pseudo-inverse and the symmetric inverse square root
 are both formed from the retained eigenpairs.
+
+``openblas`` reaches the thread setter and getter of numpy's bundled
+OpenBLAS, through which pool workers and the CLI run BLAS on one thread.
 """
 
 from __future__ import annotations
@@ -22,6 +25,26 @@ _EPS = float(np.finfo(np.float64).eps)
 
 #: A squared Cholesky pivot at or below this fraction of the largest marks a near-null direction.
 PIVOT_FLOOR = 1e-8
+
+
+def openblas():
+    """numpy's bundled OpenBLAS (under ``numpy.libs`` on wheels) when it exports its thread setter and getter.
+
+    None for any other BLAS build.
+    """
+    import ctypes
+    import glob
+    import os
+
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        lib = ctypes.CDLL(path)
+        setter, getter = (getattr(lib, f"scipy_openblas_{verb}_num_threads64_", None) for verb in ("set", "get"))
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return lib
+    return None
 
 
 def spectral_cutoff(values: np.ndarray, n_ambient: int) -> float:

@@ -80,20 +80,19 @@ class AdaptiveSelection:
     band_fields: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 
     def band_field(self, a=0) -> VarianceField:
-        """The variance field at derivative order ``a`` over J_minus and J_tilde on ``grid``.
+        """The variance field at derivative order ``a`` on ``grid``, covered to J_minus and J_tilde.
 
-        It is built once per order and kept in ``band_fields``; at order 0 it
-        is ``varfield`` when that covers those J values. A copy made with
-        ``dataclasses.replace`` starts without fields.
+        There is one field per order, kept in ``band_fields``; at order 0 it
+        is ``varfield`` when the selection has one. A caller that needs other
+        J values on the same grid grows this field by ``cover``. A copy made
+        with ``dataclasses.replace`` starts without fields.
         """
         multi = bs.multi_index(a, self.backend.grid_dim)
+        js = (*self.j_minus_set, self.j_tilde)
         if multi not in self.band_fields:
-            js = tuple(sorted({*self.j_minus_set, self.j_tilde}))
-            own = self.varfield
-            if own is None or own.deriv != multi or not set(js) <= set(own.j_values):
-                own = est.build_field(self.backend, self.grid, multi, js)
-            self.band_fields[multi] = own
-        return self.band_fields[multi]
+            own = self.varfield is not None and self.varfield.deriv == multi
+            self.band_fields[multi] = self.varfield if own else est.build_field(self.backend, self.grid, multi, js)
+        return self.band_fields[multi].cover(js)
 
 
 def _bracket_min(cands, lhs_fn, target, beyond_fn, next_dim_fn, flags) -> int:

@@ -304,7 +304,14 @@ def _spans(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
 
 
 def _basis_1d(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
-    """Cox-de Boor evaluation of all basis functions at 1-d points."""
+    """Cox-de Boor evaluation of all basis functions at 1-d points.
+
+    Degree j fills rows 0..j of the order x n table at once: with
+    temp_k = vals_k / (right_{k+1} + left_{j-k}) (0 where that sum is 0), the
+    new row k is left_{j-k+1} temp_{k-1} + right_{k+1} temp_k, the first term
+    0 at k = 0 and the second absent at k = j. These are the per-function
+    recursion's operations in its order, so the values are the same bits.
+    """
     n_pts = x.size
     n_funcs = knots.size - order
     spans = _spans(knots, order, x)
@@ -316,13 +323,11 @@ def _basis_1d(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
     for j in range(1, order):
         left[j] = x - knots[spans + 1 - j]
         right[j] = knots[spans + j] - x
-        saved = np.zeros(n_pts)
-        for k in range(j):
-            denom = right[k + 1] + left[j - k]
-            temp = np.divide(vals[k], denom, out=np.zeros(n_pts), where=denom != 0.0)
-            vals[k] = saved + right[k + 1] * temp
-            saved = left[j - k] * temp
-        vals[j] = saved
+        denom = right[1 : j + 1] + left[j:0:-1]
+        temp = np.divide(vals[:j], denom, out=np.zeros((j, n_pts)), where=denom != 0.0)
+        vals[1 : j + 1] = left[j:0:-1] * temp
+        vals[0] = 0.0
+        vals[:j] += right[1 : j + 1] * temp
     out = np.zeros((n_pts, n_funcs))
     first = np.arange(n_pts) * n_funcs + spans - (order - 1)
     out.ravel()[first[:, None] + np.arange(order)] = vals.T

@@ -26,8 +26,8 @@ score differences, which are exactly zero, and a zero sd drops the grid
 point from every sup. Every sup-t statistic keeps a running per-draw maximum
 over fixed 64-draw slices and the fixed chunks of grid rows of
 ``estimator.grid_chunks``; ``sup_t_single`` scales each chunk of rows by its
-sigma rather than copying the whole G x p rows, and its results are
-memoized on the field.
+sigma rather than copying the whole G x p rows, and memoizes each J's sup
+on the field, so a sup over a J set is the elementwise max of per-J sups.
 """
 
 from __future__ import annotations
@@ -182,28 +182,28 @@ def _slices(n_draws: int) -> list[slice]:
 def sup_t_single(varfield: VarianceField, plan: MultiplierPlan, j_set=None) -> np.ndarray:
     """Per-draw sup over (x, J) of |D*_J(x) / sigma_J(x)|.
 
-    Memoized on the field per (n_draws, base_seed, J set); each call returns
-    a fresh copy of the draws.
+    It is the elementwise max over J of the per-J sups max_x |D*_J(x) / sigma_J(x)|,
+    each formed once per plan and memoized on the field in ``single_sups``;
+    max is exact, so the result does not depend on which sets were asked for
+    before. Each call returns a fresh array.
     """
-    js = tuple(j_set) if j_set is not None else varfield.j_values
+    js = sorted(set(j_set if j_set is not None else varfield.j_values))
     if not js:
         raise ConfigurationError("sup_t_single needs a nonempty J set")
-    missing = [j for j in js if j not in varfield.j_values]
+    missing = [j for j in js if j not in varfield.sigma]
     if missing:
         raise InvalidDimensionError(f"J values {missing} are not in the variance field")
-    key = (plan.n_draws, plan.base_seed, tuple(sorted(set(js))))
-    sups = varfield.sup_t_memo.get(key)
-    if sups is None:
-        proj = _projections(varfield, plan)
+    todo = [j for j in js if (plan, j) not in varfield.single_sups]
+    proj = _projections(varfield, plan) if todo else {}
+    for j in todo:
         sups = np.zeros(plan.n_draws)
-        for j in key[2]:
-            for chunk in grid_chunks(varfield.grid.shape[0]):
-                rows = varfield.rows[j][chunk] / varfield.sigma[j][chunk, None]
-                for cols in _slices(plan.n_draws):
-                    vals, sup = rows @ proj[j][:, cols], sups[cols]
-                    np.maximum(sup, np.abs(vals, out=vals).max(axis=0), out=sup)
-        varfield.sup_t_memo[key] = sups
-    return sups.copy()
+        for chunk in grid_chunks(varfield.grid.shape[0]):
+            rows = varfield.rows[j][chunk] / varfield.sigma[j][chunk, None]
+            for cols in _slices(plan.n_draws):
+                vals, sup = rows @ proj[j][:, cols], sups[cols]
+                np.maximum(sup, np.abs(vals, out=vals).max(axis=0), out=sup)
+        varfield.single_sups[plan, j] = sups
+    return np.max([varfield.single_sups[plan, j] for j in js], axis=0)
 
 
 def sup_t_contrast(

@@ -8,9 +8,13 @@ block set per reported function (h, h1, or each additive component).
 
 All randomness flows from a single seed (flag ``--seed``, falling back to the
 ``NPIVBAND_SEED`` environment variable, then 0). Output files are written
-with 17 significant digits so identical configurations reproduce identical
-bytes; ``run_meta.json`` additionally records wall time (in total and per
-stage: read, select, bands, write) and the peak RSS after each stage, and is
+with 17 significant digits, and ``main`` runs numpy's bundled OpenBLAS on one
+thread (restoring the caller's count on return), so identical configurations
+reproduce identical bytes whatever the host's cores or thread variables;
+with another BLAS the contract holds at one BLAS thread. ``run_meta.json``
+additionally records wall time (in total and per stage: read, select, bands,
+write), the peak RSS after each stage and, under ``outputs.blas``, the BLAS
+library file and thread count (nulls without the OpenBLAS setter), and is
 therefore the one file excluded from the bit-for-bit contract. Its
 ``config`` echoes the subcommand's options.
 
@@ -39,6 +43,7 @@ from . import estimator as est
 from . import extensions as ext
 from . import simgen as sg
 from . import ucb
+from ._linalg import openblas
 from .bootstrap import MultiplierPlan
 from .errors import (
     ConfigurationError,
@@ -63,6 +68,9 @@ _EXIT_CODES = (
 
 _TRANSFORMS = ("none", "ecdf", "affine", "trade_clamp")
 
+#: Rows per block of an all-float table that ``_write_csv`` formats at once.
+_CSV_BLOCK = 4096
+
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
@@ -80,18 +88,28 @@ def _write_json(path: str, payload: dict) -> None:
 
 def _csv_cells(column) -> list[str]:
     """A column's cells: floats at 17 significant digits, None empty, anything else as ``str``."""
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
-        return ["%.17g" % v for v in column.tolist()]
     return ["" if v is None else "%.17g" % v if isinstance(v, (float, np.floating)) else str(v)
             for v in column]
 
 
 def _write_csv(path: str, header: list[str], columns) -> None:
-    """Write the table given by its ``columns``, each formatted once, under ``header``."""
+    """Write the table given by its ``columns`` under ``header``.
+
+    A table of float arrays is written ``_CSV_BLOCK`` rows at a time through one
+    repeated ``%.17g`` row format, which gives the bytes of per-cell formatting
+    and holds one block of text at a time; any other table formats each
+    column's cells once.
+    """
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(zip(*map(_csv_cells, columns)))
+        if not all(isinstance(c, np.ndarray) and c.dtype.kind == "f" for c in columns):
+            writer.writerows(zip(*map(_csv_cells, columns)))
+            return
+        row, n = ",".join(["%.17g"] * len(columns)) + "\n", min(map(len, columns), default=0)
+        for lo in range(0, n, _CSV_BLOCK):
+            block = np.column_stack([c[lo : min(lo + _CSV_BLOCK, n)] for c in columns])
+            fh.write(row * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
@@ -392,14 +410,16 @@ def _run_fit(config: argparse.Namespace, estimates_only: bool = False) -> None:
 
 
 def _write_meta(config: argparse.Namespace, t0: float, extra: dict | None = None) -> None:
+    lib = openblas()
+    blas = {"library": None, "threads": None} if lib is None else {
+        "library": os.path.basename(lib._name), "threads": lib.scipy_openblas_get_num_threads64_()}
     payload = {
         "config": vars(config),
+        "outputs": {**(extra or {}), "blas": blas},
         "seed": config.seed,
         "version": __version__,
         "wall_time_seconds": time.perf_counter() - t0,
     }
-    if extra:
-        payload["outputs"] = extra
     _write_json(os.path.join(config.outdir, "run_meta.json"), payload)
 
 
@@ -490,17 +510,38 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block, and give back the caller's count after it.
+
+    Products and factors round differently at other thread counts, so this
+    makes the outputs independent of the host's cores and thread variables.
+    Without the library's thread setter nothing changes.
+    """
+    lib = openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        config = parser.parse_args(argv)
-        config.seed = _seed_from_env(config.seed)
-        if config.subcommand == "fit":
-            _run_fit(config)
-        elif config.subcommand == "bands-plotdata":
-            _run_fit(config, estimates_only=True)
-        else:
-            _run_simulate(config)
+        with _one_blas_thread():
+            config = parser.parse_args(argv)
+            config.seed = _seed_from_env(config.seed)
+            if config.subcommand == "fit":
+                _run_fit(config)
+            elif config.subcommand == "bands-plotdata":
+                _run_fit(config, estimates_only=True)
+            else:
+                _run_simulate(config)
         return EXIT_OK
     except (NpivError, RuntimeError) as exc:
         # run_mc reports a failed replication as a RuntimeError that names it and chains its cause.

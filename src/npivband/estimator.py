@@ -23,7 +23,6 @@ rows.
 from __future__ import annotations
 
 import copy
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import takewhile
@@ -251,25 +250,9 @@ def sieve_rows(basis: bs.BasisSpec, pts, deriv):
     return bs.design_matrix(basis, pts, deriv), slice(0, basis.n_funcs)
 
 
-class _OnRead(Mapping):
-    """A read-only {J: array} mapping that computes each array when it is read and keeps none."""
-
-    def __init__(self, keys: tuple[int, ...], make: Callable[[int], np.ndarray]):
-        self._keys, self._make = keys, make
-
-    def __getitem__(self, j: int) -> np.ndarray:
-        return self._make(j)
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self) -> int:
-        return len(self._keys)
-
-
 @dataclass(eq=False)
 class VarianceField:
-    """Sieve variance machinery for several fits on one grid, factored through the sieve.
+    """Sieve variance machinery for the fits of one backend on one grid, factored through the sieve.
 
     Per J: the G x p selector rows d^a psi^J(x)', the fit and the slice of
     its coefficients that the rows select. The scores are S_J = rows_J W_J
@@ -284,40 +267,52 @@ class VarianceField:
     the fit's projection, so the draws of J do not depend on which other J
     the field holds. Contrast draws are differences of per-J draws, so no
     contrast rows exist. ``influence`` and ``scores`` compute G x n rows on
-    read. The rows, sigma, cross terms and single-J draws (``sup_t_memo``)
-    stay with the field.
+    read. The field holds the J values that ``cover`` gave it, each fitted
+    by ``backend``; the rows, sigma, cross terms and per-J single sups
+    (``single_sups``) stay with it.
     """
 
+    backend: SieveBackend
     grid: np.ndarray
     deriv: tuple[int, ...]
-    j_values: tuple[int, ...]
-    rows: dict[int, np.ndarray]
-    fits: dict[int, SieveFit]
-    slices: dict[int, slice]
-    weights: dict[int, np.ndarray] = field(init=False)
-    sigma: dict[int, np.ndarray] = field(init=False)
+    rows: dict[int, np.ndarray] = field(init=False, default_factory=dict)
+    fits: dict[int, SieveFit] = field(init=False, default_factory=dict)
+    slices: dict[int, slice] = field(init=False, default_factory=dict)
+    weights: dict[int, np.ndarray] = field(init=False, default_factory=dict)
+    sigma: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     _cross: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
-    sup_t_memo: dict[tuple, np.ndarray] = field(init=False, default_factory=dict, repr=False)
+    single_sups: dict[tuple, np.ndarray] = field(init=False, default_factory=dict, repr=False)
 
-    def __post_init__(self) -> None:
-        self.j_values = tuple(sorted(self.j_values))
-        self.weights = {j: self.fits[j].weights[self.slices[j]] for j in self.j_values}
-        self.sigma = {j: np.sqrt(self.cross(j, j)) for j in self.j_values}
-        max_sigma = max((float(s.max()) for s in self.sigma.values()), default=0.0)
-        if max_sigma == 0.0:
-            raise DegenerateVarianceError(
-                "all residuals are exactly zero; sieve variance and bands are undefined"
-            )
-        for j in self.j_values:
-            if float(self.sigma[j].min()) < VARIANCE_FLOOR * float(self.sigma[j].max()):
-                raise DegenerateVarianceError(
-                    f"sigma_J collapses on the grid for J={j}; variance is degenerate"
-                )
+    @property
+    def j_values(self) -> tuple[int, ...]:
+        """The J values the field holds, ascending."""
+        return tuple(sorted(self.sigma))
+
+    def cover(self, js) -> VarianceField:
+        """Add the fit, selector rows, weights and sigma of each J in ``js`` that the field lacks; returns the field.
+
+        A J's grid quantities do not depend on the field's other J, so the
+        grown field holds the bits of one built over all its J at once, and
+        raises as that one would. A J that raised is not held.
+        """
+        new = sorted(set(js) - self.sigma.keys())
+        for j in new:
+            self.fits[j] = self.backend.fit(j)
+            self.rows[j], self.slices[j] = self.backend.model.selector(self.fits[j].basis, self.grid, self.deriv)
+            self.weights[j] = self.fits[j].weights[self.slices[j]]
+        sigma = {j: np.sqrt(self.cross(j, j)) for j in new}
+        if sigma and max(float(s.max()) for s in (*self.sigma.values(), *sigma.values())) == 0.0:
+            raise DegenerateVarianceError("all residuals are exactly zero; sieve variance and bands are undefined")
+        for j in new:
+            if float(sigma[j].min()) < VARIANCE_FLOOR * float(sigma[j].max()):
+                raise DegenerateVarianceError(f"sigma_J collapses on the grid for J={j}; variance is degenerate")
+        self.sigma.update(sigma)
+        return self
 
     def _fill_cross(self, pairs) -> None:
         """Compute the cross terms of ``pairs`` not yet held, ``GRID_ROWS`` grid rows at a time."""
         todo = sorted({(min(p), max(p)) for p in pairs} - self._cross.keys())
-        missing = sorted({j for key in todo for j in key} - set(self.j_values))
+        missing = sorted({j for key in todo for j in key} - self.weights.keys())
         if missing:
             raise InvalidDimensionError(f"J values {missing} are not in the variance field")
         g = self.grid.shape[0]
@@ -330,17 +325,17 @@ class VarianceField:
 
     @property
     def n(self) -> int:
-        return next(iter(self.fits.values())).u_hat.size
+        return self.backend.n
 
     @property
-    def influence(self) -> Mapping[int, np.ndarray]:
-        """The G x n influence rows rows_J M_J[slice] per J, computed on each read."""
-        return _OnRead(self.j_values, lambda j: self.rows[j] @ self.fits[j].m[self.slices[j]])
+    def influence(self) -> dict[int, np.ndarray]:
+        """The G x n influence rows rows_J M_J[slice] per J, computed on each read; the field keeps none."""
+        return {j: self.rows[j] @ self.fits[j].m[self.slices[j]] for j in self.j_values}
 
     @property
-    def scores(self) -> Mapping[int, np.ndarray]:
-        """The G x n score rows S_J = rows_J W_J per J, computed on each read."""
-        return _OnRead(self.j_values, lambda j: self.rows[j] @ self.weights[j])
+    def scores(self) -> dict[int, np.ndarray]:
+        """The G x n score rows S_J = rows_J W_J per J, computed on each read; the field keeps none."""
+        return {j: self.rows[j] @ self.weights[j] for j in self.j_values}
 
     def fitted(self, j: int) -> np.ndarray:
         """The estimate (d^a h_J)(x) = rows_J(x) coef[slice] on the grid."""
@@ -482,16 +477,11 @@ class SieveBackend:
 
 
 def build_field(backend: SieveBackend, pts, deriv, js) -> VarianceField:
-    """Variance field of the backend's reported function at derivative ``deriv`` over J in ``js``.
+    """A fresh variance field of the backend's reported function at derivative ``deriv``, covered to ``js``.
 
     ``pts`` is any grid ``basis.as_points`` accepts and ``deriv`` any order ``basis.multi_index`` accepts.
     The field reads the backend's fits through the selector's rows and coefficient slices, so every
     field of the backend shares each fit's bootstrap weights and projections.
     """
-    pts = bs.as_points(pts, backend.grid_dim)
-    deriv = bs.multi_index(deriv, backend.grid_dim)
-    rows, fits, slices = {}, {}, {}
-    for j in js:
-        fits[j] = backend.fit(j)
-        rows[j], slices[j] = backend.model.selector(fits[j].basis, pts, deriv)
-    return VarianceField(grid=pts, deriv=deriv, j_values=tuple(js), rows=rows, fits=fits, slices=slices)
+    dim = backend.grid_dim
+    return VarianceField(backend, bs.as_points(pts, dim), bs.multi_index(deriv, dim)).cover(js)

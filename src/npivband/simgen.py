@@ -39,6 +39,7 @@ from . import adaptive as ad
 from . import basis as bs
 from . import estimator as est
 from . import ucb
+from ._linalg import openblas
 from .bootstrap import MultiplierPlan
 from .errors import ConfigurationError, InvalidDimensionError
 
@@ -344,7 +345,10 @@ def _outcome(truth_vals: np.ndarray, b95: ucb.BandResult, b90: ucb.BandResult) -
 
 def _replication(design: Design, n: int, rep: int, plan: MultiplierPlan, grid: np.ndarray,
                  det_js: tuple[int, ...], truth: dict[int, np.ndarray], base_seed: int) -> tuple:
-    """One replication: (J~, flags, a=0 diagnostics or None, {(target, method): outcome})."""
+    """One replication: (J~, flags, a=0 diagnostics or None, {(target, method): outcome}).
+
+    The fixed-J bands read the selection's band field of their order, grown by ``det_js``.
+    """
     data_seed, boot_seed = _rep_seeds(base_seed, n, rep)
     rep_plan = MultiplierPlan(n_draws=plan.n_draws, base_seed=boot_seed)
     sample, _ = generate(design, n, data_seed)
@@ -356,30 +360,16 @@ def _replication(design: Design, n: int, rep: int, plan: MultiplierPlan, grid: n
         if a == 0:
             dev = np.abs(b95.center - truth_vals) / b95.halfwidth * (b95.z_star + b95.a_hat * b95.theta_star)
             diag = (float(dev.max()), b95.z_star, selection.theta_star, selection.a_hat)
-        det_field = est.build_field(selection.backend, grid, (a,), det_js) if det_js else None
+        field_a = selection.band_field(a).cover(det_js)
         for j in det_js:
             outcomes[a, f"J={j}"] = _outcome(truth_vals, *(
-                ucb.band_undersmoothed(det_field, j, rep_plan, alpha=al) for al in (0.05, 0.10)
+                ucb.band_undersmoothed(field_a, j, rep_plan, alpha=al) for al in (0.05, 0.10)
             ))
     return selection.j_tilde, selection.flags, diag, outcomes
 
 
 #: The replication function of a forked pool worker, set by ``_adopt`` as the worker starts.
 _WORKER_JOB = None
-
-
-def _openblas():
-    """numpy's bundled OpenBLAS (under ``numpy.libs`` on wheels) when it exports its thread setter, else None."""
-    import ctypes
-    import glob
-    import os
-
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        lib = ctypes.CDLL(path)
-        if hasattr(lib, "scipy_openblas_set_num_threads64_"):
-            return lib
-    return None
 
 
 def _adopt(job) -> None:
@@ -391,7 +381,7 @@ def _adopt(job) -> None:
     """
     global _WORKER_JOB
     _WORKER_JOB = job
-    lib = _openblas()
+    lib = openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
 
@@ -445,7 +435,7 @@ def run_mc(
     The replications run in ``n_workers`` forked processes (1: in this one), and
     the report is bit-identical for any count. Each worker runs numpy's
     bundled OpenBLAS on one thread; with one worker, pinning BLAS to one
-    thread (``OMP_NUM_THREADS=1``) is left to the caller.
+    thread is left to the caller (``npivband simulate`` does).
     """
     if isinstance(design, str):
         design = get_design(design)

@@ -11,7 +11,10 @@ partially linear model, or an additive component through
 max{theta*, J^{(|a|-p)/d} / sigma(x)} to allow for bias-dominating regimes.
 The undersmoothed band uses a deterministic J, z*_{1-alpha,J} over that J
 alone and no excess. The data-driven and robustness bands read their variance
-field from ``AdaptiveSelection.band_field``, built once per derivative order.
+field from ``AdaptiveSelection.band_field``: one field per derivative order on
+the selection grid, which other J values (the Monte Carlo fixed-J bands) grow
+by ``VarianceField.cover``. z* over a J set is the max of per-J sups, each
+formed once per field and plan (``bootstrap.sup_t_single``).
 """
 
 from __future__ import annotations

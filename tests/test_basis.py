@@ -135,6 +135,47 @@ def test_basis_1d_equals_the_loop_bit_for_bit():
     assert checked > 300
 
 
+def _basis_1d_per_function(knots, order, x):
+    """Reference: the Cox-de Boor recursion one basis function at a time."""
+    n_pts = x.size
+    spans = bs._spans(knots, order, x)
+    vals = np.zeros((order, n_pts))
+    vals[0] = 1.0
+    left = np.empty((order, n_pts))
+    right = np.empty((order, n_pts))
+    for j in range(1, order):
+        left[j] = x - knots[spans + 1 - j]
+        right[j] = knots[spans + j] - x
+        saved = np.zeros(n_pts)
+        for k in range(j):
+            denom = right[k + 1] + left[j - k]
+            temp = np.divide(vals[k], denom, out=np.zeros(n_pts), where=denom != 0.0)
+            vals[k] = saved + right[k + 1] * temp
+            saved = left[j - k] * temp
+        vals[j] = saved
+    out = np.zeros((n_pts, knots.size - order))
+    out.ravel()[(np.arange(n_pts) * out.shape[1] + spans - (order - 1))[:, None] + np.arange(order)] = vals.T
+    return out
+
+
+class TestCoxDeBoor:
+    def test_degree_at_a_time_equals_per_function_bits(self):
+        # 400 random cases: orders 1-6, levels 0-7, dyadic and quantile knots,
+        # points drawn at random, at every knot, at 0 and at 1.
+        rng = np.random.default_rng(41)
+        for case in range(400):
+            order, level = int(rng.integers(1, 7)), int(rng.integers(0, 8))
+            if case % 2:
+                column = rng.beta(0.5 + 2 * rng.random(), 0.5 + 2 * rng.random(), 300)
+                knots = (bs.ColumnQuantiles(column).knots(level),)
+                spec = bs.BasisSpec(order, level, knot_rule="empirical_quantile", interior_knots=knots)
+            else:
+                spec = bs.BasisSpec(order, level)
+            knots = spec.knots(0)
+            x = np.concatenate([rng.random(int(rng.integers(1, 200))), knots, [0.0, 1.0]])
+            assert np.array_equal(bs._basis_1d(knots, order, x), _basis_1d_per_function(knots, order, x)), case
+
+
 class TestNestedness:
     def test_dyadic_refinement(self):
         grid = np.linspace(0, 1, 2000)

@@ -89,7 +89,7 @@ class TestFactoredScores:
         plan = bt.MultiplierPlan(n_draws=130, base_seed=17)
         pairs = [(j, j2) for i, j in enumerate(js) for j2 in js[i + 1:]]
         single = bt.sup_t_single(field, plan, js)
-        assert len(field.sup_t_memo) == 1
+        assert sorted(field.single_sups) == [(plan, j) for j in js]
         _, contrast = bt.sup_t_contrast(field, plan, pairs)
         _, sigma = _dense_scores(field)
         for j in js:
@@ -110,6 +110,48 @@ class TestFactoredScores:
         np.testing.assert_array_equal(small.cross(5, 7), large.cross(5, 7))
         np.testing.assert_array_equal(small.contrast_sd(5, 7), large.contrast_sd(5, 7))
         np.testing.assert_array_equal(bt.sup_t_single(small, plan, (5,)), bt.sup_t_single(large, plan, (5,)))
+
+    @pytest.mark.parametrize("a", [0, 1])
+    @pytest.mark.parametrize("model", ["npiv", "reg2d", "additive_component"])
+    def test_grown_field_equals_fresh_field(self, model, a):
+        # A field built over one J and grown twice holds the bits of a field built
+        # over all three at once from fresh fits; the sup of J=js[0], formed before
+        # the growth, stays valid. 300 points span two chunks of grid rows.
+        grid = np.linspace(0, 1, 300)
+        if model == "reg2d":
+            grid, a, js = np.column_stack([grid, grid[::-1]]), (a, 0), (16, 25, 49)
+        else:
+            js = (4, 5, 7)
+        plan = bt.MultiplierPlan(n_draws=70, base_seed=25)
+        grown = est.build_field(_model_backends()[model], grid, a, js[:1])
+        early = bt.sup_t_single(grown, plan, js[:1])
+        assert grown.cover(js[1:2]).cover(js) is grown and grown.j_values == js
+        fresh = est.build_field(_model_backends()[model], grid, a, js)
+        for j in js:
+            np.testing.assert_array_equal(grown.rows[j], fresh.rows[j])
+            np.testing.assert_array_equal(grown.sigma[j], fresh.sigma[j])
+            np.testing.assert_array_equal(bt.sup_t_single(grown, plan, (j,)), bt.sup_t_single(fresh, plan, (j,)))
+        for j, j2 in [(js[0], js[1]), (js[0], js[2]), (js[1], js[2])]:
+            np.testing.assert_array_equal(grown.cross(j, j2), fresh.cross(j, j2))
+            np.testing.assert_array_equal(grown.contrast_sd(j, j2), fresh.contrast_sd(j, j2))
+        np.testing.assert_array_equal(early, bt.sup_t_single(fresh, plan, js[:1]))
+
+    def test_set_sup_is_the_max_of_per_j_sups_each_formed_once(self, monkeypatch):
+        field = _field(js=(4, 5, 7), grid=np.linspace(0, 1, 300))
+        plan = bt.MultiplierPlan(n_draws=90, base_seed=26)
+        # Each per-J vector takes one pass over the chunks of grid rows.
+        passes, original = [], bt.grid_chunks
+        monkeypatch.setattr(bt, "grid_chunks", lambda g: passes.append(g) or original(g))
+        both = bt.sup_t_single(field, plan, (7, 4))
+        assert len(passes) == 2 and sorted(field.single_sups) == [(plan, 4), (plan, 7)]
+        held = dict(field.single_sups)
+        per_j = {j: bt.sup_t_single(field, plan, (j,)) for j in (4, 5, 7)}
+        assert len(passes) == 3
+        np.testing.assert_array_equal(both, np.maximum(per_j[4], per_j[7]))
+        np.testing.assert_array_equal(bt.sup_t_single(field, plan), np.maximum.reduce(list(per_j.values())))
+        assert len(passes) == 3 and all(field.single_sups[key] is vec for key, vec in held.items())
+        both[:] = 0.0
+        np.testing.assert_array_equal(bt.sup_t_single(field, plan, (4, 7)), np.maximum(per_j[4], per_j[7]))
 
     def test_field_stores_no_grid_by_n_array(self):
         # 10,000 grid points at n=2000: one G x n array alone takes G * n * 8 bytes.
@@ -310,15 +352,11 @@ class TestSupTContrast:
         # zero, also with 19- and 67-column blocks, where BLAS tiles do not line up
         wide = _field(n=2000, js=(19, 67))
         for field, j, j2 in ((_field(js=(4, 7)), 4, 5), (wide, 19, 35), (wide, 67, 131)):
-            fit = field.fits[j]
-            alias = est.VarianceField(
-                grid=field.grid,
-                deriv=(0,),
-                j_values=(j, j2),
-                rows={j: field.rows[j], j2: field.rows[j].copy()},
-                fits={j: fit, j2: replace(fit, m=fit.m.copy(), u_hat=fit.u_hat.copy())},
-                slices={j: field.slices[j], j2: field.slices[j]},
-            )
+            # The backend's fit of J2 is a copy of the fit of J, so J2 reads the rows and slice of J.
+            backend, fit = field.backend, field.fits[j]
+            backend._fits[j2] = replace(fit, m=fit.m.copy(), u_hat=fit.u_hat.copy())
+            alias = est.build_field(backend, field.grid, 0, (j, j2))
+            np.testing.assert_array_equal(alias.rows[j2], field.rows[j])
             stats, sups = bt.sup_t_contrast(alias, bt.MultiplierPlan(50, 1), [(j, j2)])
             np.testing.assert_array_equal(sups, np.zeros(50))
             np.testing.assert_array_equal(alias.contrast_sd(j, j2), np.zeros(field.grid.shape[0]))
@@ -478,9 +516,8 @@ class TestSharedProjections:
 
     def test_shared_arrays_are_read_only(self):
         built = _field(js=(4, 7))
-        # A field constructed directly reads the same fits' weights and projections.
-        direct = est.VarianceField(grid=built.grid, deriv=(0,), j_values=(4,), rows=built.rows,
-                                   fits=built.fits, slices=built.slices)
+        # Another field of the same backend reads the same fits' weights and projections.
+        direct = est.build_field(built.backend, built.grid, 0, (4,))
         assert np.shares_memory(direct.weights[4], built.weights[4])
         for field in (built, direct):
             plan = bt.MultiplierPlan(20, 34)

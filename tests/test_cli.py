@@ -125,6 +125,29 @@ class TestCmdFit:
         assert b"\n-0,-0,r1\n1e-300,1e-300,r2\n" in (tmp_path / "columns.csv").read_bytes()
         assert b'\nnan,"a,b",r5\n0.66666666666666663,,r6\n' in (tmp_path / "columns.csv").read_bytes()
 
+    def test_float_blocks_equal_cell_formatting(self, tmp_path):
+        # An all-float table of two blocks and a part, with nan, +-inf, -0.0 and 1e-300
+        # in each column and the last block, against one formatted cell at a time.
+        from npivband.cli import _CSV_BLOCK, _write_csv
+
+        rng = np.random.default_rng(12)
+        rows = 2 * _CSV_BLOCK + 37
+        special = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, -1e-300, 0.0, 1e300])
+        columns = [rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows) for _ in range(3)]
+        for k, col in enumerate(columns):
+            col[rng.choice(rows, special.size, replace=False)] = special
+            col[-special.size - k:rows - k] = special
+        columns.append(np.arange(rows, dtype=np.float64) / 3.0)
+        header = ["x", "lo95", "hi95", "sigma"]
+        _write_csv(str(tmp_path / "blocks.csv"), header, columns)
+        with open(tmp_path / "cells.csv", "w", encoding="utf-8", newline="\n") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in zip(*columns):
+                writer.writerow([format(float(v), ".17g") for v in row])
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        assert b"\nnan,inf,-inf," in (tmp_path / "blocks.csv").read_bytes()
+
     def test_missing_column_config_error(self, linear_csv, tmp_path):
         rc = main(_fit_args(linear_csv, tmp_path / "o", "--y-col", "nope"))
         assert rc == EXIT_CONFIG
@@ -370,6 +393,35 @@ class TestBandsPlotdata:
         assert ordered[0] > 0.0 and ordered == sorted(ordered)
 
 
+    def test_main_runs_one_blas_thread_and_restores_the_callers_count(self, npiv_csv, tmp_path):
+        from npivband._linalg import openblas
+
+        lib = openblas()
+        if lib is None:
+            pytest.skip("numpy's bundled OpenBLAS exports no thread setter here")
+        before = lib.scipy_openblas_get_num_threads64_()
+        lib.scipy_openblas_set_num_threads64_(2)
+        try:
+            assert main(["fit", "--input", npiv_csv, "--seed", "3", "--draws", "60",
+                         "--grid-size", "25", "--outdir", str(tmp_path / "o")]) == EXIT_OK
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+            assert main(_fit_args(str(tmp_path / "missing.csv"), tmp_path / "e")) == EXIT_DATA
+            assert lib.scipy_openblas_get_num_threads64_() == 2
+        finally:
+            lib.scipy_openblas_set_num_threads64_(before)
+        meta = json.load(open(tmp_path / "o" / "run_meta.json"))
+        assert meta["outputs"]["blas"] == {"library": os.path.basename(lib._name), "threads": 1}
+
+    def test_run_meta_blas_is_null_without_the_setter(self, npiv_csv, tmp_path, monkeypatch):
+        from npivband import cli
+
+        monkeypatch.setattr(cli, "openblas", lambda: None)
+        assert main(["fit", "--input", npiv_csv, "--seed", "3", "--draws", "60",
+                     "--grid-size", "25", "--outdir", str(tmp_path)]) == EXIT_OK
+        meta = json.load(open(tmp_path / "run_meta.json"))
+        assert meta["outputs"]["blas"] == {"library": None, "threads": None}
+
+
 class TestStructuredModes:
     @pytest.fixture()
     def additive_csv(self, tmp_path):
@@ -392,6 +444,8 @@ class TestStructuredModes:
             assert col in header
 
     def test_additive_sigma_is_the_component_field_sigma(self, additive_csv, tmp_path):
+        from dataclasses import replace
+
         from npivband import basis as bs
         from npivband import estimator as est
         from npivband import extensions as ext
@@ -405,7 +459,8 @@ class TestStructuredModes:
         x = data[:, 1:]
         cubic = bs.BasisSpec(4, 0)
         model = ext.additive_model(ext.AdditiveSpec((cubic, cubic)), None)
-        fit = est.fit(est.Sample(data[:, 0], x, x), model, j)
+        sample = est.Sample(data[:, 0], x, x)
+        fit = est.fit(sample, model, j)
         rows = list(csv.reader(open(out / "estimates.csv")))
         header = rows[0]
         grid = np.array([float(r[header.index("x")]) for r in rows[1:]])
@@ -413,10 +468,10 @@ class TestStructuredModes:
             basis, integrals = fit.basis[comp]
             block = ext._centered_block(basis, integrals, grid, 0)
             sl = slice(1 + comp * (j - 1), 1 + (comp + 1) * (j - 1))
-            field = est.VarianceField(
-                grid=grid.reshape(-1, 1), deriv=(0,), j_values=(j,),
-                rows={j: block}, fits={j: fit}, slices={j: sl},
-            )
+            # A backend holding the fit, whose selector gives this block and slice.
+            backend = est.SieveBackend(sample, replace(model, selector=lambda *_: (block, sl), grid_dim=1))
+            backend._fits[j] = fit
+            field = est.build_field(backend, grid, 0, (j,))
             written = [float(r[header.index(f"sigma_c{comp + 1}")]) for r in rows[1:]]
             assert written == field.sigma[j].tolist()
 

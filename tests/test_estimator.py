@@ -313,14 +313,10 @@ class TestVarianceField:
         grid = np.linspace(0, 1, 30)
         rows = bs.design_matrix(f.basis, grid) @ f.m
         c = 0.7
-        vf = est.VarianceField(
-            grid=grid.reshape(-1, 1),
-            deriv=(0,),
-            j_values=(4,),
-            rows={4: bs.design_matrix(f.basis, grid)},
-            fits={4: replace(f, u_hat=np.full(f.u_hat.size, c))},
-            slices={4: slice(0, 4)},
-        )
+        backend = est.SieveBackend(_noisy_sample(), NPIV)
+        # Seed the backend's fit cache with the fit whose residuals are all c.
+        backend._fits[4] = replace(f, u_hat=np.full(f.u_hat.size, c))
+        vf = est.build_field(backend, grid, 0, (4,))
         oracle = c**2 * np.einsum("gi,gi->g", rows, rows)
         np.testing.assert_allclose(vf.cross(4, 4), oracle, rtol=1e-12)
 

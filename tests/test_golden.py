@@ -204,12 +204,31 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-def _generate_pinned(root: str) -> None:
-    """``_generate(root)`` in a fresh interpreter with one BLAS thread, so its bytes do not depend on the host's core count."""
+def _generate_pinned(root: str, pin: bool = True) -> None:
+    """``_generate(root)`` in a fresh interpreter with every BLAS thread variable at 1, or with none set.
+
+    ``cli.main`` runs numpy's bundled OpenBLAS on one thread either way; the
+    pinned variables also hold for another BLAS.
+    """
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    if pin:
+        env.update(dict.fromkeys(_THREAD_VARS, "1"))
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     subprocess.run([sys.executable, os.path.abspath(__file__), "--into", root], env=env, check=True)
+
+
+def test_goldens_without_thread_variables(tmp_path):
+    # With no thread variable set, OpenBLAS starts one thread per core, and the
+    # projections and Cholesky factors round differently on two threads than on
+    # one; cli.main runs it on one thread, so every golden file keeps its bytes.
+    from npivband._linalg import openblas
+
+    if openblas() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread setter here")
+    _generate_pinned(str(tmp_path), pin=False)
+    assert [name for name in _golden_files()
+            if not filecmp.cmp(os.path.join(tmp_path, name), os.path.join(GOLDEN, name), shallow=False)] == []
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf", re.IGNORECASE)

@@ -12,6 +12,7 @@ from npivband import adaptive as ad
 from npivband import basis as bs
 from npivband import estimator as est
 from npivband import simgen as sg
+from npivband._linalg import openblas
 from npivband.bootstrap import MultiplierPlan
 from npivband.errors import ConfigurationError, DomainError
 
@@ -184,12 +185,13 @@ class TestRunMc:
     def test_pool_workers_run_blas_on_one_thread(self):
         # A fresh interpreter with the BLAS thread variables unset, whose parent
         # runs OpenBLAS on 2 threads: each forked worker must read 1.
-        lib = sg._openblas()
-        if lib is None or not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+        lib = openblas()
+        if lib is None:
             pytest.skip("numpy's bundled OpenBLAS with thread controls is not loaded")
         script = textwrap.dedent("""
             from npivband import simgen as sg
-            lib = sg._openblas()
+            from npivband._linalg import openblas
+            lib = openblas()
             lib.scipy_openblas_set_num_threads64_(2)
             threads = lambda n, rep: lib.scipy_openblas_get_num_threads64_()
             print(threads(0, 0), *sg._run_replications(threads, [(1, 0), (1, 1)], 2), threads(0, 0))

@@ -220,7 +220,7 @@ class TestBandFields:
         assert main(_argv(kind, str(tmp_path))) == EXIT_OK
         assert len(calls) == builds
 
-    @pytest.mark.parametrize("design, builds", [("trade_lognormal", 4), ("reg_wiggly", 2)])
+    @pytest.mark.parametrize("design, builds", [("trade_lognormal", 2), ("reg_wiggly", 1)])
     def test_replication_builds_each_field_once(self, design, builds, monkeypatch):
         from npivband import simgen as sg
 
