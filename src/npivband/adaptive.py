@@ -1,12 +1,14 @@
 """Data-driven choice of sieve dimension (bootstrap-calibrated Lepski rule).
 
 The selection runs in three steps. First the upper truncation point J_hat_max
-is the smallest grid dimension where J sqrt(log J) / s_hat_J crosses
-10 sqrt(n) (with 1 / s_hat_J replaced by upsilon_n = max{1, (0.1 log n)^4}
-for regression). Second, the threshold theta* is the (1 - alpha_hat) quantile
-of the bootstrap sup-t contrast statistic over the index set, with
-alpha_hat = min{0.5, sqrt(log J_hat_max / J_hat_max)}; ``sup_t_contrast``
-returns these draws together with each pair's contrast statistic. Third,
+is the smallest dimension of the model's one grid
+(``estimator.candidate_dims``) where J sqrt(log J) / s_hat_J crosses
+10 sqrt(n), with 1 / s_hat_J replaced by upsilon_n = max{1, (0.1 log n)^4}
+for regression. Second, the threshold
+theta* is the (1 - alpha_hat) quantile of the bootstrap sup-t contrast
+statistic over the index set, with alpha_hat = min{0.5, sqrt(log J_hat_max /
+J_hat_max)}; ``sup_t_contrast`` returns these draws together with each
+pair's contrast statistic. Third,
 ``lepski``, a pure function of those statistics and theta*, takes J_hat as
 the smallest dimension whose contrasts against all larger dimensions stay
 within 1.1 theta*, and the selected dimension is J_tilde = min(J_hat, J_hat_n)
@@ -95,63 +97,45 @@ class AdaptiveSelection:
         return self.band_fields[multi].cover(js)
 
 
-def _bracket_min(cands, lhs_fn, target, beyond_fn, next_dim_fn, flags) -> int:
-    """Smallest J on the grid with lhs(J) <= target < lhs(J+)."""
-    if lhs_fn(cands[0]) > target:
+def _j_hat_max(backend: est.SieveBackend, mode: str, flags: list) -> int:
+    """The smallest J of ``backend.candidate_dims()`` with lhs(J) <= 10 sqrt(n) < lhs(J+), J+ the next dimension.
+
+    lhs(J) = J sqrt(log J) upsilon, with upsilon = 1 / s_hat_J for npiv and
+    upsilon_n for regression; both modes bracket on the same grid. Past the
+    grid s_hat cannot be computed, but s_hat <= 1 bounds the npiv lhs below
+    by J sqrt(log J), which often settles the bracket anyway. When no J
+    brackets, the last grid J is taken and flagged ``jmax_capped_by_sample``.
+    """
+    n = backend.n
+    if mode == "regression" and n < 2:
+        raise ConfigurationError("regression truncation rule needs n >= 2")
+    ups = upsilon(n)
+
+    def lhs(j: int) -> float:
+        if mode == "regression":
+            return _j_log_rate(j) * ups
+        return _j_log_rate(j) / max(backend.shat(j), np.finfo(float).tiny)
+
+    beyond = lhs if mode == "regression" else _j_log_rate
+    target = _RATE_CONSTANT * math.sqrt(n)
+    cands = backend.candidate_dims()
+    if lhs(cands[0]) > target:
         flags.append("jmax_left_inequality_violated")
-        warnings.warn(
-            "smallest admissible dimension already violates the truncation rule; "
-            "using it as J_hat_max",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+        warnings.warn("smallest admissible dimension already violates the truncation rule; using it as J_hat_max",
+                      RuntimeWarning, stacklevel=2)
         return cands[0]
     last_ok = cands[0]
     for i, j in enumerate(cands):
-        if lhs_fn(j) > target:
+        if lhs(j) > target:
             continue
         last_ok = j
-        if i + 1 < len(cands):
-            rhs = lhs_fn(cands[i + 1])
-        else:
-            rhs = beyond_fn(next_dim_fn(j))
+        rhs = lhs(cands[i + 1]) if i + 1 < len(cands) else beyond(backend.next_dim(j))
         if rhs > target:
             return j
     flags.append("jmax_capped_by_sample")
-    warnings.warn(
-        "truncation rule did not bracket within the feasible grid; capping J_hat_max",
-        RuntimeWarning,
-        stacklevel=3,
-    )
+    warnings.warn("truncation rule did not bracket within the feasible grid; capping J_hat_max",
+                  RuntimeWarning, stacklevel=2)
     return last_ok
-
-
-def _j_hat_max_npiv(backend, flags) -> int:
-    target = _RATE_CONSTANT * math.sqrt(backend.n)
-    cands = backend.candidate_dims()
-    # Beyond the feasible grid s_hat cannot be computed, but s_hat <= 1 gives a
-    # lower bound J sqrt(log J) that often settles the bracket anyway.
-    return _bracket_min(
-        cands,
-        lambda j: _j_log_rate(j) / max(backend.shat(j), np.finfo(float).tiny),
-        target,
-        _j_log_rate,
-        backend.next_dim,
-        flags,
-    )
-
-
-def _j_hat_max_regression(n: int, spec: bs.BasisSpec, flags) -> int:
-    if n < 2:
-        raise ConfigurationError("regression truncation rule needs n >= 2")
-    ups = upsilon(n)
-    target = _RATE_CONSTANT * math.sqrt(n)
-    cands = bs.dimension_grid(spec, n)
-
-    def lhs(j: int) -> float:
-        return _j_log_rate(j) * ups
-
-    return _bracket_min(cands, lhs, target, lhs, lambda j: bs.next_dimension(spec, j), flags)
 
 
 def lepski(index_set, j_hat_max: int, stats, theta_star: float, mode: str) -> dict:
@@ -194,18 +178,10 @@ def run_selection(backend: est.SieveBackend, plan: MultiplierPlan, mode: str, gr
     if mode not in ("npiv", "regression"):
         raise ConfigurationError(f"unknown selection mode {mode!r}")
     flags: list[str] = []
-    if mode == "npiv":
-        j_hat_max = _j_hat_max_npiv(backend, flags)
-    else:
-        j_hat_max = _j_hat_max_regression(backend.n, backend.model.template, flags)
-
-    cands = backend.candidate_dims()
-    if j_hat_max > cands[-1]:
-        j_hat_max = cands[-1]
-        flags.append("jmax_capped_by_backend")
+    j_hat_max = _j_hat_max(backend, mode, flags)
     # J_hat_max is a candidate and 0.1 log^2 J <= J, so the index set ends at J_hat_max.
     lower = _INDEX_SET_LOWER * math.log(j_hat_max) ** 2
-    index_set = tuple(j for j in cands if lower <= j <= j_hat_max)
+    index_set = tuple(j for j in backend.candidate_dims() if lower <= j <= j_hat_max)
     if j_hat_max >= 2:
         alpha_hat = min(0.5, math.sqrt(math.log(j_hat_max) / j_hat_max))
     else:

@@ -281,11 +281,12 @@ def _selection_payload(selection) -> dict:
     return payload
 
 
-def _load_selection(path: str, backend: est.SieveBackend, grid) -> ad.AdaptiveSelection:
+def _load_selection(path: str, backend: est.SieveBackend, mode: str, grid) -> ad.AdaptiveSelection:
     """Rebuild an AdaptiveSelection from selection.json plus fresh fits.
 
-    Every stored J must be a dimension the backend can fit, which is checked
-    before any fit. The bands build their variance fields over the J values they use.
+    Every stored J must be a dimension the backend can fit, and the stored
+    selection mode must be this run's ``mode``; both are checked before any
+    fit. The bands build their variance fields over the J values they use.
     """
     dims = set(backend.candidate_dims())
     try:
@@ -306,6 +307,8 @@ def _load_selection(path: str, backend: est.SieveBackend, grid) -> ad.AdaptiveSe
             f"selection file {path} holds J values {bad} that this model cannot fit; "
             f"its dimensions on this sample are {sorted(dims)}"
         )
+    if stored["mode"] != mode:
+        raise DataError(f"selection file {path} holds a {stored['mode']!r} selection; this run selects in {mode!r}")
     return ad.AdaptiveSelection(
         **stored, grid=bs.as_points(grid, backend.grid_dim), varfield=None, backend=backend
     )
@@ -391,7 +394,7 @@ def _run_fit(config: argparse.Namespace, estimates_only: bool = False) -> None:
     plan = MultiplierPlan(n_draws=config.draws, base_seed=config.seed)
     with _stage(stages, peaks, "select"):
         if config.from_selection:
-            selection = _load_selection(config.from_selection, backend, grid)
+            selection = _load_selection(config.from_selection, backend, mode, grid)
         else:
             selection = ad.run_selection(backend, plan, mode, grid)
     with _stage(stages, peaks, "bands"):

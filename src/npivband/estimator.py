@@ -13,9 +13,12 @@ from the factors alone and M_J only when asked.
 A ``SieveModel`` describes a model: its design and instruments at J, their
 widths at J, and the selector rows of the function it reports. One ``fit``
 serves every model: it checks the widths, builds the design and runs the one
-TSLS core (``fit_grams``, then ``TslsGrams.solve``) into a ``SieveFit``. The
-shared ``SieveBackend`` caches fits per J, and the Grams of a J asked only
-for its s_hat until ``drop_grams``; ``evaluate``, and the influence rows and ``VarianceField``
+TSLS core (``fit_grams``, then ``TslsGrams.solve``) into a ``SieveFit``, which
+keeps M, the coefficients and the residuals but not the design or the
+instruments. ``candidate_dims`` is every model's one J grid: the admissible
+dimensions whose widths fit the sample. The shared ``SieveBackend`` caches
+fits per J, and the Grams of a J asked only for its s_hat until
+``drop_grams``; ``evaluate``, and the influence rows and ``VarianceField``
 built in ``build_field``, read every reported function through its selector
 rows.
 """
@@ -115,20 +118,17 @@ class SieveFit:
     """One sieve TSLS fit at dimension J, for any model.
 
     ``basis`` is the state the model's selector reads (a ``BasisSpec``, or
-    the additive model's per-axis ``(basis, integrals)`` pairs). ``design``
-    is the n x p design and ``bmat`` the n x K instruments, the design itself
-    for series regression. The rest is the output of ``tsls``. The fit owns
-    its bootstrap arrays: ``weights`` M diag(u_hat) of the whole coefficient
-    vector and, per ``MultiplierPlan``, its projection ``weights @ Omega'``
-    in ``projections``. Every variance field on the fit reads its rows block
-    of both, so they live as long as the fit, and a copy made with
-    ``dataclasses.replace`` starts without them.
+    the additive model's per-axis ``(basis, integrals)`` pairs). The rest is
+    the output of ``TslsGrams.solve``; the design and instruments are not
+    kept. The fit owns its bootstrap arrays: ``weights`` M diag(u_hat) of the
+    whole coefficient vector and, per ``MultiplierPlan``, its projection
+    ``weights @ Omega'`` in ``projections``. Every variance field on the fit
+    reads its rows block of both, so they live as long as the fit, and a copy
+    made with ``dataclasses.replace`` starts without them.
     """
 
     j: int
     basis: object
-    design: np.ndarray
-    bmat: np.ndarray
     m: np.ndarray
     coef: np.ndarray
     u_hat: np.ndarray
@@ -180,7 +180,7 @@ class TslsGrams:
         self.s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
 
     def solve(self, y: np.ndarray):
-        """``(m, coef, u_hat, s_hat, flags)`` of the fit of ``y``, as ``tsls`` returns them."""
+        """The fit of ``y``: ``(m, coef, u_hat, s_hat, flags)`` with coef = M y and u_hat its residuals."""
         design, bmat = self.design, self.bmat
         n, j = design.shape
         if bmat is None:
@@ -195,17 +195,6 @@ class TslsGrams:
             flags.append("shat_reduced_rank")
         coef = m @ y
         return m, coef, y - design @ coef, self.s_hat, tuple(flags)
-
-
-def tsls(design: np.ndarray, bmat: np.ndarray | None, y: np.ndarray):
-    """Sieve TSLS of y on ``design`` with instruments ``bmat``; series least squares when None.
-
-    Returns ``(m, coef, u_hat, s_hat, flags)``: the influence matrix M with
-    coef = M y, the residuals, the singular-value proxy s_hat and the fit
-    flags (see ``TslsGrams``). Each Gram is formed and factored once: by
-    Cholesky, or by its eigenpairs when it has a near-null direction.
-    """
-    return TslsGrams(design, bmat).solve(y)
 
 
 def fit_grams(sample: Sample, model: SieveModel, j: int) -> tuple[object, TslsGrams]:
@@ -231,10 +220,7 @@ def fit(sample: Sample, model: SieveModel, j: int, grams: tuple[object, TslsGram
     """
     basis, grams = grams or fit_grams(sample, model, j)
     m, coef, u_hat, s_hat, flags = grams.solve(sample.y)
-    return SieveFit(
-        j=j, basis=basis, design=grams.design, bmat=grams.design if grams.bmat is None else grams.bmat,
-        m=m, coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags,
-    )
+    return SieveFit(j=j, basis=basis, m=m, coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags)
 
 
 def evaluate(model: SieveModel, fit_: SieveFit, pts, deriv=0) -> np.ndarray:
@@ -420,6 +406,15 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
     )
 
 
+def candidate_dims(model: SieveModel, n: int) -> list[int]:
+    """The model's grid dimensions J, smallest first, while the design and instrument widths are <= n.
+
+    This is the one J grid: the J_hat_max bracket, the index set, the stored
+    selections and the fixed J values of a Monte Carlo study all draw from it.
+    """
+    return list(takewhile(lambda j: max(model.widths(j)) <= n, bs.admissible_dimensions(model.template)))
+
+
 class SieveBackend:
     """Fit cache for one sieve model on one sample, and its reported function.
 
@@ -440,11 +435,8 @@ class SieveBackend:
         return self.model.grid_dim
 
     def candidate_dims(self) -> list[int]:
-        """Grid dimensions J, smallest first, while the design and instrument widths are <= n."""
-        out = list(takewhile(
-            lambda j: max(self.model.widths(j)) <= self.n,
-            bs.admissible_dimensions(self.model.template),
-        ))
+        """``candidate_dims(model, n)`` on this sample; raises when no J fits it."""
+        out = candidate_dims(self.model, self.n)
         if not out:
             raise InsufficientSampleError(f"no admissible dimension J fits the sample size n={self.n}")
         return out

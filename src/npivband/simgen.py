@@ -41,7 +41,7 @@ from . import estimator as est
 from . import ucb
 from ._linalg import openblas
 from .bootstrap import MultiplierPlan
-from .errors import ConfigurationError, InvalidDimensionError
+from .errors import ConfigurationError
 
 DESIGN_NAMES = ("npiv_sine_log", "reg_wiggly", "trade_lognormal", "trade_pareto")
 
@@ -459,15 +459,11 @@ def run_mc(
     if min(n_list) < MIN_N:
         raise ConfigurationError(f"samples below n={MIN_N} are not supported (got n={min(n_list)})")
     model = est.npiv_model(design.x_spec, design.ispec if design.mode == "npiv" else None)
+    dims = est.candidate_dims(model, min(n_list))
     for j in det_js:
-        try:
-            bs.resolution_for_dimension(design.x_spec, j)
-            fits_in_n = max(model.widths(j)) <= min(n_list)
-        except InvalidDimensionError as exc:
-            raise ConfigurationError(f"fixed dimension J={j} is not admissible: {exc}") from None
-        if not fits_in_n:
+        if j not in dims:
             raise ConfigurationError(
-                f"fixed dimension J={j} needs J and K(J) <= n (smallest n={min(n_list)})"
+                f"fixed dimension J={j} is not among the dimensions {dims} whose J and K(J) fit n={min(n_list)}"
             )
 
     truth = {a: (design.truth.h if a == 0 else design.truth.dh)(grid[:, 0]) for a in design.targets}

@@ -160,7 +160,8 @@ def test_criterion_6_property_suite():
     y = np.sin(3 * x) + 0.5 * rng.standard_normal(n)
     sample = est.Sample(y, x, w)
     fit_reg = est.fit(sample, est.npiv_model(cubic, None), 7)
-    m_tsls = est.tsls(fit_reg.design, fit_reg.design, np.zeros(n))[0]
+    psi = est.fit_grams(sample, est.npiv_model(cubic, None), 7)[1].design
+    m_tsls = est.TslsGrams(psi, psi).solve(np.zeros(n))[0]
     ols_err = float(np.abs(m_tsls - fit_reg.m).max())
     checks.append((f"OLS equivalence {ols_err:.1e} < 1e-10", ols_err < 1e-10))
 

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -26,6 +27,22 @@ def _npiv_sample(n=500, seed=0):
     return est.Sample(y, x, w)
 
 
+class _Grid:
+    """A backend stub of sample size ``n``: the cubic grid up to ``cap`` (default n), and one s_hat for every J."""
+
+    def __init__(self, n, cap=None, s_hat=1.0):
+        self.n, self.cap, self.s_hat = n, n if cap is None else cap, s_hat
+
+    def candidate_dims(self):
+        return bs.dimension_grid(CUBIC, self.cap)
+
+    def next_dim(self, j):
+        return bs.next_dimension(CUBIC, j)
+
+    def shat(self, j):
+        return self.s_hat
+
+
 class TestJHatMaxRegression:
     def test_upsilon(self):
         assert ad.upsilon(1000) == 1.0
@@ -34,18 +51,18 @@ class TestJHatMaxRegression:
 
     def test_n_1000(self):
         # 131 sqrt(log 131) ~ 289 <= 316.2 < 610 ~ 259 sqrt(log 259)
-        assert ad._j_hat_max_regression(1000, CUBIC, []) == 131
+        assert ad._j_hat_max(_Grid(1000), "regression", []) == 131
 
     def test_n_10000(self):
         # 259*2.356 ~ 610 <= 1000 < 515*2.498 ~ 1287
-        assert ad._j_hat_max_regression(10_000, CUBIC, []) == 259
+        assert ad._j_hat_max(_Grid(10_000), "regression", []) == 259
 
     def test_upsilon_shrinks_j_max(self):
         # exercise the bracket rule directly at a symbolic huge n: upsilon = 16
         # moves the crossing down relative to upsilon = 1
         flags = []
         n_sym = round(math.e**20)
-        with_ups = ad._j_hat_max_regression(n_sym, CUBIC, flags)
+        with_ups = ad._j_hat_max(_Grid(n_sym), "regression", flags)
         target = 10.0 * math.sqrt(n_sym)
         cands = bs.dimension_grid(CUBIC, n_sym)
         no_ups = max(j for j in cands if ad._j_log_rate(j) <= target)
@@ -53,55 +70,36 @@ class TestJHatMaxRegression:
 
     def test_small_n_rejected(self):
         with pytest.raises(ConfigurationError):
-            ad._j_hat_max_regression(1, CUBIC, [])
+            ad._j_hat_max(_Grid(1), "regression", [])
 
 
 class TestJHatMaxNpiv:
     def test_shat_one_collapse(self):
         # with s_hat == 1 the rule reduces to J sqrt(log J) <= 10 sqrt(n)
-        class _Unit:
-            n = 1000
-            x_spec = CUBIC
-
-            def candidate_dims(self):
-                return bs.dimension_grid(CUBIC, 600)
-
-            def next_dim(self, j):
-                level = bs.resolution_for_dimension(CUBIC, j)
-                return 2 ** (level + 1) + 3
-
-            def shat(self, j):
-                return 1.0
-
         flags = []
-        assert ad._j_hat_max_npiv(_Unit(), flags) == 131
+        assert ad._j_hat_max(_Grid(1000, cap=600), "npiv", flags) == 131
         assert not flags
 
     def test_ill_posed_smaller_than_unit(self):
         sample = _npiv_sample(n=800, seed=3)
-        j_data = ad._j_hat_max_npiv(est.SieveBackend(sample, est.npiv_model(CUBIC, ISPEC)), [])
-        j_unit = ad._j_hat_max_regression(800, CUBIC, [])  # upsilon(800)=1, the s=1 rule
+        j_data = ad._j_hat_max(est.SieveBackend(sample, est.npiv_model(CUBIC, ISPEC)), "npiv", [])
+        j_unit = ad._j_hat_max(_Grid(800), "regression", [])  # upsilon(800)=1, the s=1 rule
         assert j_data < j_unit
 
     def test_left_violation_flagged(self):
-        class _Tiny:
-            n = 1000
-            x_spec = CUBIC
-
-            def candidate_dims(self):
-                return bs.dimension_grid(CUBIC, 600)
-
-            def next_dim(self, j):
-                level = bs.resolution_for_dimension(CUBIC, j)
-                return 2 ** (level + 1) + 3
-
-            def shat(self, j):
-                return 1e-6  # hopeless instruments
-
         flags = []
         with pytest.warns(RuntimeWarning):
-            assert ad._j_hat_max_npiv(_Tiny(), flags) == 4
+            assert ad._j_hat_max(_Grid(1000, cap=600, s_hat=1e-6), "npiv", flags) == 4  # hopeless instruments
         assert "jmax_left_inequality_violated" in flags
+
+    def test_truncation_warning_points_at_run_selection(self):
+        backend = est.SieveBackend(_npiv_sample(n=300, seed=4), est.npiv_model(CUBIC, ISPEC))
+        backend.candidate_dims = lambda: [4, 5]
+        with pytest.warns(RuntimeWarning, match="did not bracket") as record:
+            ad.run_selection(backend, MultiplierPlan(20, 0), "npiv", np.linspace(0, 1, 10))
+        lines, first = inspect.getsourcelines(ad.run_selection)
+        assert record[0].filename == inspect.getsourcefile(ad.run_selection)
+        assert first <= record[0].lineno < first + len(lines)
 
 
 class TestSelect:
@@ -206,7 +204,7 @@ class TestSelect:
         y = np.sin(6 * x) + 0.4 * rng.standard_normal(n)
         sel = ad.select(est.Sample(y, x, x), CUBIC, mode="regression", plan=MultiplierPlan(100, 0))
         assert sel.j_tilde == sel.j_hat
-        assert sel.j_hat_max == ad._j_hat_max_regression(n, CUBIC, [])
+        assert sel.j_hat_max == ad._j_hat_max(_Grid(n), "regression", [])
 
     def test_npiv_requires_instruments(self):
         sample = _npiv_sample(n=100)

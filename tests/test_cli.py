@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from npivband import estimator as est
 from npivband.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
 
@@ -166,6 +167,16 @@ class TestCmdFit:
         rc = main(["fit", "--input", str(path), "--seed", "1", "--draws", "20",
                    "--outdir", str(tmp_path / "o")])
         assert rc == EXIT_NUMERIC
+
+    @pytest.mark.parametrize("mode", ["regression", "npiv"])
+    def test_three_rows_numeric_exit_in_either_mode(self, mode, tmp_path, capsys):
+        # The smallest cubic dimension is 4, so no J fits three rows under either truncation rule.
+        path = tmp_path / "three.csv"
+        _write_csv(path, ["y", "x1", "w1"], [[1.2, 0.2, 0.3], [1.5, 0.5, 0.4], [1.8, 0.8, 0.9]])
+        rc = main(["fit", "--input", str(path), "--mode", mode, "--seed", "1", "--draws", "20",
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == EXIT_NUMERIC
+        assert "n=3" in capsys.readouterr().err
 
     def test_selection_roundtrip(self, npiv_csv, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -347,6 +358,20 @@ class TestBandsPlotdata:
         assert rc == EXIT_DATA
         err = capsys.readouterr().err
         assert "data error" in err and "[16, 25, 49]" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_selection_of_another_mode_data_error(self, tmp_path, capsys, monkeypatch):
+        # Every J of the regression selection fits in npiv mode too, but its rule is not npiv's.
+        args = ["--input", os.path.join(GOLDEN, "npiv.csv"), "--seed", "7", "--draws", "20", "--grid-size", "10"]
+        stored = tmp_path / "reg" / "selection.json"
+        assert main(["fit", *args, "--mode", "regression", "--outdir", str(stored.parent)]) == EXIT_OK
+        capsys.readouterr()
+        monkeypatch.setattr(est, "fit_grams", lambda *a: pytest.fail("a fit ran before the mode check"))
+        rc = main(["bands-plotdata", *args, "--mode", "npiv", "--from-selection", str(stored),
+                   "--outdir", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "'regression' selection" in err
         assert not (tmp_path / "o").exists()
 
     def test_schema(self, npiv_csv, tmp_path):

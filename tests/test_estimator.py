@@ -18,6 +18,12 @@ REG = est.npiv_model(CUBIC, None)
 NPIV = est.npiv_model(CUBIC, ISPEC)
 
 
+def _operands(sample, model, j):
+    """The n x p design of the model's fit at J and its n x K instruments, the design itself for series regression."""
+    grams = est.fit_grams(sample, model, j)[1]
+    return grams.design, grams.design if grams.bmat is None else grams.bmat
+
+
 def _linear_sample(n=200, seed=0, noise=0.0):
     rng = np.random.default_rng(seed)
     x = rng.random(n)
@@ -79,10 +85,12 @@ class TestFit:
         assert np.abs(est.evaluate(NPIV, f, grid) - truth).max() < 1e-9
 
     def test_normal_equations(self):
-        f = est.fit(_noisy_sample(), NPIV, 7)
-        proj = f.bmat @ (np.linalg.pinv(f.bmat.T @ f.bmat) @ (f.bmat.T @ f.u_hat))
-        y_norm = np.linalg.norm(f.u_hat + f.design @ f.coef)
-        assert np.abs(f.design.T @ proj).max() < 1e-8 * y_norm
+        sample = _noisy_sample()
+        f = est.fit(sample, NPIV, 7)
+        design, bmat = _operands(sample, NPIV, 7)
+        proj = bmat @ (np.linalg.pinv(bmat.T @ bmat) @ (bmat.T @ f.u_hat))
+        y_norm = np.linalg.norm(f.u_hat + design @ f.coef)
+        assert np.abs(design.T @ proj).max() < 1e-8 * y_norm
 
     def test_dense_oracle_small_sample(self):
         # n=6 oracle: explicitly formed projection and full-rank dense solve
@@ -90,9 +98,11 @@ class TestFit:
         w6 = np.array([0.1, 0.25, 0.4, 0.6, 0.75, 0.9])
         y6 = np.array([0.3, -0.2, 0.5, 1.0, 0.1, -0.4])
         spec = bs.BasisSpec(2, 0)
-        f = est.fit(est.Sample(y6, x6, w6), est.npiv_model(spec, bs.InstrumentSpec(spec, q=0)), 2)
-        p = f.bmat @ np.linalg.pinv(f.bmat.T @ f.bmat) @ f.bmat.T
-        c_oracle = np.linalg.solve(f.design.T @ p @ f.design, f.design.T @ p @ y6)
+        sample, model = est.Sample(y6, x6, w6), est.npiv_model(spec, bs.InstrumentSpec(spec, q=0))
+        f = est.fit(sample, model, 2)
+        design, bmat = _operands(sample, model, 2)
+        p = bmat @ np.linalg.pinv(bmat.T @ bmat) @ bmat.T
+        c_oracle = np.linalg.solve(design.T @ p @ design, design.T @ p @ y6)
         np.testing.assert_allclose(f.coef, c_oracle, atol=1e-10)
 
     def test_insufficient_sample(self):
@@ -183,10 +193,12 @@ class TestTslsGrams:
         calls = _count_eigh(monkeypatch)
         for spec in (None,) if d.ispec is None else (None, d.ispec):
             for j in (4, 7, 19, 35):
+                model = est.npiv_model(d.x_spec, spec)
+                design, bmat = _operands(sample, model, j)
                 calls.clear()
-                f = est.fit(sample, est.npiv_model(d.x_spec, spec), j)
+                f = est.fit(sample, model, j)
                 assert calls == [] and f.flags == ()
-                want = _reference_tsls(f.design, None if spec is None else f.bmat, sample.y)
+                want = _reference_tsls(design, None if spec is None else bmat, sample.y)
                 for got, ref in zip((f.m, f.coef, f.u_hat, f.s_hat), want):
                     scale = float(np.abs(ref).max())
                     np.testing.assert_allclose(got, ref, rtol=CHOLESKY_RTOL, atol=CHOLESKY_RTOL * scale)
@@ -199,11 +211,12 @@ class TestTslsGrams:
         calls = _count_eigh(monkeypatch)
         for model in models:
             for j in js:
+                design, bmat = _operands(sample, model, j)
+                regression = bmat is design
                 calls.clear()
                 f = est.fit(sample, model, j)
-                regression = f.bmat is f.design
                 assert len(calls) == (1 if regression else 3)
-                want = _reference_tsls(f.design, None if regression else f.bmat, sample.y)
+                want = _reference_tsls(design, None if regression else bmat, sample.y)
                 for got, ref in zip((f.m, f.coef, f.u_hat, f.s_hat), want):
                     np.testing.assert_array_equal(got, ref)
                 assert f.flags == want[4]
@@ -233,6 +246,22 @@ class TestTslsGrams:
         assert factored[-1] == look_ahead and look_ahead not in sel.backend._fits
 
 
+    def test_fits_keep_no_design(self):
+        # Each fit of a selection keeps M and its weights (p x n each), one projection
+        # (p x B), the coefficients and the residuals: no n x p design or instruments.
+        rng = np.random.default_rng(9)
+        n, b = 2000, 100
+        x = rng.random(n)
+        sel = ad.select(est.Sample(np.sin(6 * x) + 0.4 * rng.standard_normal(n), x, x), CUBIC,
+                        mode="regression", plan=MultiplierPlan(b, 0), grid=np.linspace(0, 1, 50))
+        assert len(sel.backend._fits) > 1
+        for f in sel.backend._fits.values():
+            held = [*vars(f).values(), *f.projections.values()]
+            arrays = {id(a): a for a in held if isinstance(a, np.ndarray)}
+            p = f.coef.size
+            assert sum(a.nbytes for a in arrays.values()) <= (2 * n + b) * p * 8 + 2 * (n + p) * 8
+
+
 class TestShat:
     def test_self_instrumented_is_one(self):
         f = est.fit(_noisy_sample(), REG, 7)
@@ -240,8 +269,10 @@ class TestShat:
 
     def test_ols_equivalence(self):
         # with b = psi the TSLS influence matrix equals series least squares
-        f = est.fit(_noisy_sample(), REG, 7)
-        m_tsls = est.tsls(f.design, f.design, np.zeros(f.design.shape[0]))[0]
+        sample = _noisy_sample()
+        f = est.fit(sample, REG, 7)
+        design = _operands(sample, REG, 7)[0]
+        m_tsls = est.TslsGrams(design, design).solve(np.zeros(design.shape[0]))[0]
         assert np.abs(m_tsls - f.m).max() < 1e-10
 
     def test_independent_instruments_near_zero(self):
@@ -271,10 +302,12 @@ class TestShat:
     def test_matches_dense_svd_oracle(self):
         import scipy.linalg as sla
 
-        f = est.fit(_noisy_sample(n=80), NPIV, 4)
-        rb = sla.fractional_matrix_power(f.bmat.T @ f.bmat, -0.5)
-        rp = sla.fractional_matrix_power(f.design.T @ f.design, -0.5)
-        sv = np.linalg.svd(rb @ (f.bmat.T @ f.design) @ rp, compute_uv=False)
+        sample = _noisy_sample(n=80)
+        f = est.fit(sample, NPIV, 4)
+        design, bmat = _operands(sample, NPIV, 4)
+        rb = sla.fractional_matrix_power(bmat.T @ bmat, -0.5)
+        rp = sla.fractional_matrix_power(design.T @ design, -0.5)
+        sv = np.linalg.svd(rb @ (bmat.T @ design) @ rp, compute_uv=False)
         assert f.s_hat == pytest.approx(sv.min(), abs=1e-10)
 
     def test_bounds(self):

@@ -209,9 +209,12 @@ class TestPartiallyLinear:
         y = np.sin(3 * x1) + 1.5 * x2 + 0.1 * rng.standard_normal(n)
         s = est.Sample(y, np.column_stack([x1, x2]), w)
         spec = ext.PartiallyLinearSpec(CUBIC, linear_cols=(1,))
-        fit = est.fit(s, ext.partially_linear_model(spec, bs.InstrumentSpec(CUBIC, q=2)), 4)
-        proj = fit.bmat @ np.linalg.pinv(fit.bmat.T @ fit.bmat) @ fit.bmat.T
-        coef = np.linalg.solve(fit.design.T @ proj @ fit.design, fit.design.T @ proj @ s.y)
+        model = ext.partially_linear_model(spec, bs.InstrumentSpec(CUBIC, q=2))
+        fit = est.fit(s, model, 4)
+        grams = est.fit_grams(s, model, 4)[1]
+        design, bmat = grams.design, grams.bmat
+        proj = bmat @ np.linalg.pinv(bmat.T @ bmat) @ bmat.T
+        coef = np.linalg.solve(design.T @ proj @ design, design.T @ proj @ s.y)
         np.testing.assert_allclose(fit.coef, coef, atol=1e-9)
 
     @pytest.mark.parametrize(
@@ -304,16 +307,19 @@ _ONE_FIT_CASES = [
 
 
 class TestOneFit:
-    """``estimator.fit`` on the structured models equals ``tsls`` on their designs built here."""
+    """``estimator.fit`` on the structured models equals ``TslsGrams(design, bmat).solve`` on their designs built here."""
 
     @pytest.mark.parametrize("name, j", _ONE_FIT_CASES)
     def test_fit_is_tsls_of_the_design(self, name, j):
         sample, model, reference = _one_fit_case(name)
         design, bmat = reference(j)
+        grams = est.fit_grams(sample, model, j)[1]
+        np.testing.assert_array_equal(grams.design, design)
+        assert (grams.bmat is None) == (bmat is None)
+        if bmat is not None:
+            np.testing.assert_array_equal(grams.bmat, bmat)
         fit = est.fit(sample, model, j)
-        np.testing.assert_array_equal(fit.design, design)
-        np.testing.assert_array_equal(fit.bmat, design if bmat is None else bmat)
-        m, coef, u_hat, s_hat, flags = est.tsls(design, bmat, sample.y)
+        m, coef, u_hat, s_hat, flags = est.TslsGrams(design, bmat).solve(sample.y)
         for got, want in ((fit.m, m), (fit.coef, coef), (fit.u_hat, u_hat), (fit.s_hat, s_hat)):
             np.testing.assert_array_equal(got, want)
         assert fit.flags == flags and fit.j == j
@@ -342,6 +348,29 @@ class TestOneFit:
             )  # K(11) = 12^2
         with pytest.raises(InsufficientSampleError):
             est.fit(est.Sample(x.sum(axis=1), x, x), model, 7 if name == "additive" else 11)
+
+
+# The regression rule would take a larger J at each n (upsilon_n = 1, so J_hat_max >= 11), but the
+# stacked widths cap the grid: 1 + 2(J - 1) <= n for the two-coordinate additive model and
+# J + 2 <= n for the partially linear model with two linear columns.
+_TINY_CASES = [("additive", 9, 5), ("additive", 13, 7), ("additive", 21, 11),
+               ("plm", 6, 4), ("plm", 8, 5), ("plm", 12, 7)]
+
+
+@pytest.mark.parametrize("name, n, j_hat_max", _TINY_CASES)
+def test_tiny_regression_samples_cap_j_hat_max_at_the_model_grid(name, n, j_hat_max):
+    rng = np.random.default_rng(n)
+    x = rng.random((n, 2 if name == "additive" else 3))
+    if name == "additive":
+        model = ADDITIVE
+    else:
+        model = ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1, 2)), None)
+    backend = est.SieveBackend(est.Sample(x.sum(axis=1) + rng.standard_normal(n), x, x), model)
+    assert backend.candidate_dims()[-1] == j_hat_max
+    with pytest.warns(RuntimeWarning, match="did not bracket"):
+        sel = ad.run_selection(backend, MultiplierPlan(20, 0), "regression", ad.default_grid(model.grid_dim, 5))
+    assert sel.j_hat_max == j_hat_max
+    assert "jmax_capped_by_sample" in sel.flags and "jmax_capped_by_backend" not in sel.flags
 
 
 class TestFixedEffects:

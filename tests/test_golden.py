@@ -71,17 +71,21 @@ def _argv(kind: str, outdir: str, root: str = GOLDEN) -> list[str]:
         # Two targets, four fixed J values and the reject rate in under a second.
         "simulate": ["simulate", "--design", "trade_lognormal", "--n", "600", "--reps", "2",
                      "--draws", "60", "--seed", "7", "--grid-size", "30"],
+        # The regression rule's J_hat_max and the fixed J values 11 to 67 at a small n.
+        "simulate_reg": ["simulate", "--design", "reg_wiggly", "--n", "300", "--reps", "2",
+                         "--draws", "50", "--seed", "7", "--grid-size", "30"],
     }[kind]
-    return [*argv, *([] if kind == "simulate" else COMMON), "--outdir", outdir]
+    return [*argv, *([] if kind.startswith("simulate") else COMMON), "--outdir", outdir]
 
 
-KINDS = ("fit_npiv", "fit_reg2d", "fit_additive", "fit_plm", "rebands", "simulate")
+KINDS = ("fit_npiv", "fit_reg2d", "fit_additive", "fit_plm", "rebands", "simulate", "simulate_reg")
 
 
 def _files(kind: str) -> tuple[str, ...]:
     return {
         "rebands": ("estimates.csv",),
         "simulate": ("mc_report.csv", "mc_report.json"),
+        "simulate_reg": ("mc_report.csv", "mc_report.json"),
     }.get(kind, ("estimates.csv", "selection.json"))
 
 
