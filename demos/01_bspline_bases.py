@@ -3,6 +3,8 @@
 Run with:  python demos/01_bspline_bases.py
 """
 
+from itertools import takewhile
+
 import numpy as np
 
 from npivband import (
@@ -12,19 +14,27 @@ from npivband import (
     TRADE_CLAMP,
     apply_transform,
     design_matrix,
-    dimension_grid,
     instrument_dim,
 )
+from npivband.basis import admissible_dimensions
 
 # ---------------------------------------------------------------------------
 # The admissible dimension grid
 # ---------------------------------------------------------------------------
 # A cubic basis (order 4) at resolution l has 2^l + 3 functions, so the
 # dimensions we can search over are 4, 5, 7, 11, 19, 35, 67, 131, ...
+# (``admissible_dimensions`` yields them without end; a fit keeps those whose
+# widths fit the sample, ``estimator.candidate_dims``).
+
+
+
+def dimensions_up_to(spec, cap):
+    return list(takewhile(lambda j: j <= cap, admissible_dimensions(spec)))
+
 
 cubic = BasisSpec(order=4, resolution=0)
-print("cubic dimension grid up to 200:", dimension_grid(cubic, 200))
-print("tensor grid in d=2 up to 130:  ", dimension_grid(BasisSpec(4, 0, dim=2), 130))
+print("cubic dimension grid up to 200:", dimensions_up_to(cubic, 200))
+print("tensor grid in d=2 up to 130:  ", dimensions_up_to(BasisSpec(4, 0, dim=2), 130))
 
 # ---------------------------------------------------------------------------
 # Evaluation: partition of unity and local support
@@ -48,7 +58,7 @@ print("first-derivative row at 0.5 sums to", round(d1.sum(), 14))
 # fixes K(J) >= J along the whole grid.
 
 ispec = InstrumentSpec(cubic, q=2)
-for j in dimension_grid(cubic, 40):
+for j in dimensions_up_to(cubic, 40):
     print(f"J = {j:3d}  ->  K(J) = {instrument_dim(ispec, j)}")
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from .basis import (
     TRADE_CLAMP,
     apply_transform,
     design_matrix,
-    dimension_grid,
     instrument_dim,
     make_spec,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "band_undersmoothed",
     "build_field",
     "design_matrix",
-    "dimension_grid",
     "draw_multipliers",
     "evaluate",
     "excludes_constant",

@@ -17,6 +17,7 @@ OpenBLAS, through which pool workers and the CLI run BLAS on one thread.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,13 @@ _EPS = float(np.finfo(np.float64).eps)
 PIVOT_FLOOR = 1e-8
 
 
+@functools.cache
 def openblas():
     """numpy's bundled OpenBLAS (under ``numpy.libs`` on wheels) when it exports its thread setter and getter.
 
-    None for any other BLAS build.
+    None for any other BLAS build. The handle is opened once per process: each
+    ``ctypes.CDLL`` makes its own function-pointer class, cyclic garbage that
+    stays on the heap until a full collection.
     """
     import ctypes
     import glob

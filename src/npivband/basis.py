@@ -15,7 +15,6 @@ well defined on the closed cube.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import takewhile
 
 import numpy as np
 
@@ -180,17 +179,6 @@ def admissible_dimensions(spec: BasisSpec):
     while True:
         yield (2**level + spec.order - 1) ** spec.dim
         level += 1
-
-
-def dimension_grid(spec: BasisSpec, j_cap: int) -> list[int]:
-    """Admissible sieve dimensions {(2^l + r - 1)^d} up to ``j_cap``."""
-    out = list(takewhile(lambda j: j <= j_cap, admissible_dimensions(spec)))
-    if not out:
-        raise InvalidDimensionError(
-            f"j_cap={j_cap} is below the smallest admissible dimension "
-            f"{spec.order ** spec.dim}"
-        )
-    return out
 
 
 def next_dimension(spec: BasisSpec, j: int) -> int:

@@ -11,12 +11,17 @@ and each row's generator is seeded from its words through NumPy's own PCG64
 seeding; this skips B Python-level hashes and moves no bit.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
-only through the projections W Omega' of each fit's whole-coefficient weights
-W = M diag(u_hat). Each is formed once per fit and plan and kept read-only in
-the fit's ``projections``; a field reads the rows of its coefficient slice.
-Omega is drawn only when a field holds a fit without that plan's projection,
-and lives only while the missing projections are formed. The draws of J at
-the grid are D*_J = rows_J W_J Omega'. A contrast draw is the difference
+only through each fit's whole-coefficient weights W = M diag(u_hat) =
+L (R o u_hat)', which no fit stores: ``_projections`` forms the projection
+(R o u_hat)' Omega' = sum_c (R_c o u_c)' Omega_c' over the fit's windowed
+blocks R_c, and a field's rows are its selector rows taken through L. Each
+projection is formed once per fit and plan and kept read-only in the fit's
+``projections``, and every field of the backend reads it. Omega is drawn
+only when a field holds a fit without that plan's projection, with its
+columns in the backend's row order (``multiplier_matrix`` with ``order``),
+so each observation keeps its own multipliers however the backend orders
+the sample, and it lives only while the missing projections are formed.
+The draws of J at the grid are D*_J = rows_J (R_J o u_J)' Omega'. A contrast draw is the difference
 D*_J - D*_J2 of per-J draws, each taken once per chunk of grid rows however
 many pairs share it, and scaled by the pair's sd, which also scales the
 pair's statistic |h_J - h_J2| that ``sup_t_contrast`` returns beside the
@@ -145,33 +150,49 @@ def draw_multipliers(plan: MultiplierPlan, b: int, n: int) -> np.ndarray:
     return rng.standard_normal(int(n))
 
 
-def multiplier_matrix(plan: MultiplierPlan, n: int) -> np.ndarray:
-    """The B x n matrix Omega whose row b is ``draw_multipliers(plan, b, n)``.
+def multiplier_matrix(plan: MultiplierPlan, n: int, order=None) -> np.ndarray:
+    """The B x n matrix Omega whose row b is ``draw_multipliers(plan, b, n)``, or that row taken at ``order``.
 
-    All B substreams are seeded in one pass of ``_seed_words``, and each row
-    is drawn in place.
+    All B substreams are seeded in one pass of ``_seed_words``. Without
+    ``order`` each row is drawn in place; with it, each row is drawn into one
+    n-vector and gathered, so column i holds observation ``order[i]``'s
+    multipliers and no second B x n array is made.
     """
     omega = np.empty((plan.n_draws, int(n)))
-    for row, rng in zip(omega, _generators(plan, np.arange(plan.n_draws))):
-        rng.standard_normal(out=row)
+    generators = _generators(plan, np.arange(plan.n_draws))
+    if order is None:
+        for row, rng in zip(omega, generators):
+            rng.standard_normal(out=row)
+        return omega
+    draw = np.empty(int(n))
+    for row, rng in zip(omega, generators):
+        rng.standard_normal(out=draw)
+        np.take(draw, order, out=row, mode="wrap")
     return omega
 
 
 def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.ndarray]:
-    """The read-only p x B projections {J: W_J Omega'} of the field's weights.
+    """The read-only p x B projections {J: (R_J o u_J)' Omega'} of the field's fits.
 
-    Each fit of the field that lacks the plan's projection gets the product
-    of its whole weights and Omega, drawn once for all of them; J reads the
-    rows of its coefficient slice, a view of the fit's projection.
+    Each fit of the field that lacks the plan's projection gets
+    sum_c (R_c o u_c)' Omega_c' over its windowed blocks R_c, with Omega drawn
+    once for all of them, its columns in the backend's row order. The
+    field's rows are taken through the left factor already, so
+    rows_J @ projection is D*_J = rows_J W_J Omega'. The kept projections are
+    allocated before Omega and the fits share one work array, so a call
+    leaves one free block behind rather than gaps between the kept arrays.
     """
     missing = [fit for fit in varfield.fits.values() if plan not in fit.projections]
     if missing:
-        omega_t = multiplier_matrix(plan, varfield.n).T
-        for fit in missing:
-            proj = fit.weights @ omega_t
+        projs = [np.zeros((fit.right.width, plan.n_draws)) for fit in missing]
+        omega = multiplier_matrix(plan, varfield.n, varfield.backend.order)
+        part = np.empty((max(fit.right.width for fit in missing), plan.n_draws))
+        for fit, proj in zip(missing, projs):
+            for run, window, weighted in fit.right.weighted(fit.u_hat):
+                proj[window] += np.matmul(weighted.T, omega[:, run].T, out=part[:window.stop - window.start])
             proj.flags.writeable = False
             fit.projections[plan] = proj
-    return {j: varfield.fits[j].projections[plan][varfield.slices[j]] for j in varfield.j_values}
+    return {j: varfield.fits[j].projections[plan] for j in varfield.j_values}
 
 
 def _slices(n_draws: int) -> list[slice]:

@@ -8,24 +8,40 @@ inverse measure of ill-posedness. When no instrument spec is given the fit is
 plain series least squares (M_J = (Psi'Psi)^- Psi'), the exogenous special
 case. ``TslsGrams`` factors each Gram once, by Cholesky or, when it has a
 near-null direction, by its eigenpairs (see ``_linalg``); it gives s_hat
-from the factors alone and M_J only when asked.
+from the factors alone and the fit only when asked.
+
+A fit keeps M_J as two factors, M_J = L R': the p x p matrix L, which is
+G^- = (Psi'Psi)^- for series regression and A^- = (Psi'P_K Psi)^- for TSLS,
+and the n x p matrix R, which is the design Psi for series regression and
+the first-stage fitted design P_K Psi for TSLS. R is kept as ``WindowedRows``:
+one block per fixed chunk of ``OBS_ROWS`` observations, holding only the
+columns from the chunk's first to its last nonzero one. A B-spline row has
+only ``order`` nonzeros per axis, so once the observations are ordered by x
+each block of a series-regression design spans a narrow window of columns;
+the projections (R o u)' Omega' and the inner Grams of the cross terms, sums
+over the blocks, then cost the window's width rather than p per observation,
+and a variance field takes its grid rows through L once. Consecutive chunks
+whose windows agree share one block, so where R is dense (TSLS, the additive
+model) it is one block spanning every column and every row.
 
 A ``SieveModel`` describes a model: its design and instruments at J, their
 widths at J, and the selector rows of the function it reports. One ``fit``
 serves every model: it checks the widths, builds the design and runs the one
 TSLS core (``fit_grams``, then ``TslsGrams.solve``) into a ``SieveFit``, which
-keeps M, the coefficients and the residuals but not the design or the
-instruments. ``candidate_dims`` is every model's one J grid: the admissible
-dimensions whose widths fit the sample. The shared ``SieveBackend`` caches
-fits per J, and the Grams of a J asked only for its s_hat until
-``drop_grams``; ``evaluate``, and the influence rows and ``VarianceField``
-built in ``build_field``, read every reported function through its selector
-rows.
+keeps the two factors, the coefficients and the residuals but not the design
+or the instruments. ``candidate_dims`` is every model's one J grid: the
+admissible dimensions whose widths fit the sample. The shared ``SieveBackend``
+fits a model without instruments on its observations ordered by x (a stable
+lexicographic sort, first column first) and a TSLS model in the sample's
+order; it caches fits per J, and the Grams of a J asked only for its s_hat
+until ``drop_grams``. ``evaluate``, and the ``VarianceField`` built in
+``build_field``, read every reported function through its selector rows.
 """
 
 from __future__ import annotations
 
 import copy
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import takewhile
@@ -46,13 +62,20 @@ CONTRAST_CANCELLATION = 0.1
 #: Grid rows per chunk of every grid-wide product: the cross terms, the single sups and the contrast sweep.
 GRID_ROWS = 256
 
+#: Observations per chunk of every n-wide product: the fits' right factors, the projections and the cross terms.
+OBS_ROWS = 256
+
 #: Grid rows per block of n-wide score-difference rows.
 _DIFF_ROWS = 64
 
 
+def _chunks(size: int, rows: int) -> list[slice]:
+    return [slice(lo, min(lo + rows, size)) for lo in range(0, size, rows)]
+
+
 def grid_chunks(g: int) -> list[slice]:
     """The fixed chunks of ``GRID_ROWS`` rows of a G-point grid, over which every grid-wide product is taken."""
-    return [slice(lo, min(lo + GRID_ROWS, g)) for lo in range(0, g, GRID_ROWS)]
+    return _chunks(g, GRID_ROWS)
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,34 +137,123 @@ def _as_matrix(a) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class WindowedRows:
+    """An n x p matrix kept as blocks over runs of its fixed chunks of ``OBS_ROWS`` rows.
+
+    Each chunk's window runs from its first to its last nonzero column, and
+    consecutive chunks whose windows agree share one block, so a dense
+    matrix is a single block. Block c is a read-only copy of the rows
+    ``runs[c]`` and the columns ``windows[c]``; every entry outside the
+    windows is zero. Iterating gives ``(run, window, block)`` triples.
+    """
+
+    runs: tuple[slice, ...]
+    windows: tuple[slice, ...]
+    blocks: tuple[np.ndarray, ...]
+    width: int
+
+    @classmethod
+    def of(cls, matrix: np.ndarray) -> WindowedRows:
+        """The windowed blocks of a dense n x p ``matrix``."""
+        chunks = _chunks(matrix.shape[0], OBS_ROWS)
+        used = np.logical_or.reduceat(matrix != 0.0, [chunk.start for chunk in chunks], axis=0)
+        first, stop = used.argmax(axis=1), used.shape[1] - used[:, ::-1].argmax(axis=1)
+        runs, windows = [], []
+        for chunk, lo, hi, nonzero in zip(chunks, first.tolist(), stop.tolist(), used.any(axis=1).tolist()):
+            window = slice(lo, hi) if nonzero else slice(0, 0)
+            if windows and window == windows[-1]:
+                runs[-1] = slice(runs[-1].start, chunk.stop)
+            else:
+                runs.append(chunk)
+                windows.append(window)
+        blocks = [matrix[run, window].copy() for run, window in zip(runs, windows)]
+        for block in blocks:
+            block.flags.writeable = False
+        return cls(tuple(runs), tuple(windows), tuple(blocks), matrix.shape[1])
+
+    def __iter__(self):
+        return zip(self.runs, self.windows, self.blocks)
+
+    def scaled(self, u: np.ndarray) -> WindowedRows:
+        """diag(u) times the matrix, in the same windowed blocks."""
+        return WindowedRows(self.runs, self.windows, tuple(block * u[run, None] for run, _, block in self), self.width)
+
+    def weighted(self, u: np.ndarray):
+        """Yield ``(run, window, block o u[run])`` per block, each a view of one work array that the next step reuses."""
+        work = np.empty(max(block.size for block in self.blocks))
+        for run, window, block in self:
+            yield run, window, np.multiply(block, u[run, None], out=work[:block.size].reshape(block.shape))
+
+    def pieces(self, other: WindowedRows):
+        """Yield ``(rows, window, block, window2, block2)`` over the rows where one block of each is current.
+
+        The blocks are cut to ``rows``; both matrices have the same n, so the
+        pieces partition it.
+        """
+        i = k = 0
+        while i < len(self.runs) and k < len(other.runs):
+            run, run2 = self.runs[i], other.runs[k]
+            rows = slice(max(run.start, run2.start), min(run.stop, run2.stop))
+            yield (rows, self.windows[i], self.blocks[i][rows.start - run.start:rows.stop - run.start],
+                   other.windows[k], other.blocks[k][rows.start - run2.start:rows.stop - run2.start])
+            i += run.stop == rows.stop
+            k += run2.stop == rows.stop
+
+    @property
+    def n(self) -> int:
+        return self.runs[-1].stop
+
+    def dense(self) -> np.ndarray:
+        """The n x p matrix."""
+        out = np.zeros((self.n, self.width))
+        for chunk, window, block in self:
+            out[chunk, window] = block
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class SieveFit:
     """One sieve TSLS fit at dimension J, for any model.
 
     ``basis`` is the state the model's selector reads (a ``BasisSpec``, or
     the additive model's per-axis ``(basis, integrals)`` pairs). The rest is
     the output of ``TslsGrams.solve``; the design and instruments are not
-    kept. The fit owns its bootstrap arrays: ``weights`` M diag(u_hat) of the
-    whole coefficient vector and, per ``MultiplierPlan``, its projection
-    ``weights @ Omega'`` in ``projections``. Every variance field on the fit
-    reads its rows block of both, so they live as long as the fit, and a copy
-    made with ``dataclasses.replace`` starts without them.
+    kept. M = ``left`` ``right``' is kept as its two factors (see the module
+    docstring), so the bootstrap weights are W = M diag(u_hat) =
+    left (right o u_hat)'. Every array is in the row order of the
+    observations the fit was made on. The fit owns, per ``MultiplierPlan``,
+    its projection (right o u_hat)' Omega' in ``projections`` (so that
+    W Omega' = left times it) and, keyed weakly by the fit of the same or a
+    higher J, the inner Gram sum_c R_c' diag(u_hat u_hat2) R2_c of their cross
+    terms in ``inner_grams``. Every variance field on the fit reads these, so
+    they live as long as the fit, and a copy made with ``dataclasses.replace``
+    starts without them.
     """
 
     j: int
     basis: object
-    m: np.ndarray
+    left: np.ndarray
+    right: WindowedRows
     coef: np.ndarray
     u_hat: np.ndarray
     s_hat: float
     flags: tuple[str, ...] = ()
     projections: dict = field(init=False, default_factory=dict, compare=False, repr=False)
+    inner_grams: weakref.WeakKeyDictionary = field(
+        init=False, default_factory=weakref.WeakKeyDictionary, compare=False, repr=False
+    )
 
-    @cached_property
-    def weights(self) -> np.ndarray:
-        """The read-only p x n bootstrap weights M diag(u_hat), formed on first read."""
-        weights = self.m * self.u_hat[None, :]
-        weights.flags.writeable = False
-        return weights
+    @property
+    def m(self) -> np.ndarray:
+        """The p x n matrix M = left right', formed on each read; the fit keeps none."""
+        return self.left @ self.right.dense().T
+
+    def score_rows(self, rows: np.ndarray) -> np.ndarray:
+        """The k x n score rows ``rows`` (right o u_hat)' of k x p rows already taken through ``left``, block by block."""
+        out = np.empty((rows.shape[0], self.right.n))
+        for run, window, weighted in self.right.weighted(self.u_hat):
+            np.matmul(rows[:, window], weighted.T, out=out[:, run])
+        return out
 
 
 class TslsGrams:
@@ -154,7 +266,7 @@ class TslsGrams:
     rank-deficient Gram it is taken on the reduced rank space and flagged.
     Series regression on a full-rank Gram has s_hat = 1 exactly. ``solve``
     forms the normal matrix Psi'P_K Psi from the same Grams, so a J asked
-    only for its s_hat never forms M.
+    only for its s_hat never forms the fit's factors.
     """
 
     def __init__(self, design: np.ndarray, bmat: np.ndarray | None):
@@ -180,21 +292,29 @@ class TslsGrams:
         self.s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
 
     def solve(self, y: np.ndarray):
-        """The fit of ``y``: ``(m, coef, u_hat, s_hat, flags)`` with coef = M y and u_hat its residuals."""
+        """The fit of ``y``: ``(left, right, coef, u_hat, s_hat, flags)`` with M = left right'.
+
+        left is G^- and right the windowed design for series regression;
+        left is A^- for A = Psi'P_K Psi and right the windowed P_K Psi for
+        TSLS. coef = left (right' y), solved against the Gram rather than
+        multiplied by its explicit inverse, which keeps u_hat, its residuals,
+        accurate to the Gram's conditioning.
+        """
         design, bmat = self.design, self.bmat
         n, j = design.shape
         if bmat is None:
-            m, rank = self.gram_p.inverse() @ design.T, self.gram_p.rank
+            gram, rmat = self.gram_p, design
         else:
-            gram_a = factor_gram(self.cross.T @ self.proj, max(n, j))
-            m, rank = gram_a.solve(self.proj.T) @ bmat.T, gram_a.rank
+            gram, rmat = factor_gram(self.cross.T @ self.proj, max(n, j)), bmat @ self.proj
         flags = list(self.flags)
-        if rank < j:
+        if gram.rank < j:
             flags.append("design_rank_deficient")
         if self.reduced:
             flags.append("shat_reduced_rank")
-        coef = m @ y
-        return m, coef, y - design @ coef, self.s_hat, tuple(flags)
+        left = gram.inverse()
+        left.flags.writeable = False
+        coef = gram.solve(rmat.T @ y)
+        return left, WindowedRows.of(rmat), coef, y - design @ coef, self.s_hat, tuple(flags)
 
 
 def fit_grams(sample: Sample, model: SieveModel, j: int) -> tuple[object, TslsGrams]:
@@ -219,8 +339,8 @@ def fit(sample: Sample, model: SieveModel, j: int, grams: tuple[object, TslsGram
     formed for s_hat alone.
     """
     basis, grams = grams or fit_grams(sample, model, j)
-    m, coef, u_hat, s_hat, flags = grams.solve(sample.y)
-    return SieveFit(j=j, basis=basis, m=m, coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags)
+    left, right, coef, u_hat, s_hat, flags = grams.solve(sample.y)
+    return SieveFit(j=j, basis=basis, left=left, right=right, coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags)
 
 
 def evaluate(model: SieveModel, fit_: SieveFit, pts, deriv=0) -> np.ndarray:
@@ -240,21 +360,24 @@ def sieve_rows(basis: bs.BasisSpec, pts, deriv):
 class VarianceField:
     """Sieve variance machinery for the fits of one backend on one grid, factored through the sieve.
 
-    Per J: the G x p selector rows d^a psi^J(x)', the fit and the slice of
-    its coefficients that the rows select. The scores are S_J = rows_J W_J
-    with p x n weights W_J = M_J[slice] diag(u_J), the slice's rows of the
-    fit's ``weights``. sigma_J^2 and sigma~_{J,J2} are row-wise quadratic
-    forms in the Grams W_J W_J2', each a product of the stored weights alone
-    (the symmetric one when J2 = J), taken over fixed chunks of ``GRID_ROWS``
-    grid rows; so neither depends on which other J the field holds. Where a
-    contrast's variance cancels, ``contrast_sd`` recomputes it from score
-    differences, so fits that alias each other contrast to exactly zero.
-    The bootstrap needs only the projections W_J Omega', the slice's rows of
-    the fit's projection, so the draws of J do not depend on which other J
-    the field holds. Contrast draws are differences of per-J draws, so no
+    Per J: the fit, the slice of its coefficients that the selector rows
+    d^a psi^J(x)' select, the estimate on the grid, and ``rows``, the G x p
+    selector rows taken through the slice's rows of the fit's left factor
+    (p the fit's width). With W_J = left_J (R_J o u_J)' the scores are
+    S_J = rows_J (R_J o u_J)', never formed. sigma_J^2 and sigma~_{J,J2} are
+    row-wise quadratic forms of the rows in the inner Gram
+    C = sum_c R_J,c' diag(u_J u_J2) R_J2,c, a sum over the two fits' windowed
+    blocks that depends on the fits alone; the forms are taken over fixed
+    chunks of ``GRID_ROWS`` grid rows. So neither depends on which other J
+    the field holds. Where a contrast's variance cancels, ``contrast_sd``
+    recomputes it from score differences, so fits that alias each other
+    contrast to exactly zero. The bootstrap needs only the fit's projection
+    (R_J o u_J)' Omega', so the draws of J do not depend on which other J the
+    field holds. Contrast draws are differences of per-J draws, so no
     contrast rows exist. ``influence`` and ``scores`` compute G x n rows on
-    read. The field holds the J values that ``cover`` gave it, each fitted
-    by ``backend``; the rows, sigma, cross terms and per-J single sups
+    read, in the row order of the sample the backend was given. The field
+    holds the J values that ``cover`` gave it, each fitted by ``backend``;
+    the rows, estimates, sigma, cross terms and per-J single sups
     (``single_sups``) stay with it.
     """
 
@@ -264,7 +387,7 @@ class VarianceField:
     rows: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     fits: dict[int, SieveFit] = field(init=False, default_factory=dict)
     slices: dict[int, slice] = field(init=False, default_factory=dict)
-    weights: dict[int, np.ndarray] = field(init=False, default_factory=dict)
+    estimates: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     sigma: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     _cross: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
     single_sups: dict[tuple, np.ndarray] = field(init=False, default_factory=dict, repr=False)
@@ -275,7 +398,7 @@ class VarianceField:
         return tuple(sorted(self.sigma))
 
     def cover(self, js) -> VarianceField:
-        """Add the fit, selector rows, weights and sigma of each J in ``js`` that the field lacks; returns the field.
+        """Add the fit, rows, estimate and sigma of each J in ``js`` that the field lacks; returns the field.
 
         A J's grid quantities do not depend on the field's other J, so the
         grown field holds the bits of one built over all its J at once, and
@@ -283,9 +406,9 @@ class VarianceField:
         """
         new = sorted(set(js) - self.sigma.keys())
         for j in new:
-            self.fits[j] = self.backend.fit(j)
-            self.rows[j], self.slices[j] = self.backend.model.selector(self.fits[j].basis, self.grid, self.deriv)
-            self.weights[j] = self.fits[j].weights[self.slices[j]]
+            fit = self.fits[j] = self.backend.fit(j)
+            rows, sl = self.backend.model.selector(fit.basis, self.grid, self.deriv)
+            self.rows[j], self.slices[j], self.estimates[j] = rows @ fit.left[sl], sl, rows @ fit.coef[sl]
         sigma = {j: np.sqrt(self.cross(j, j)) for j in new}
         if sigma and max(float(s.max()) for s in (*self.sigma.values(), *sigma.values())) == 0.0:
             raise DegenerateVarianceError("all residuals are exactly zero; sieve variance and bands are undefined")
@@ -296,15 +419,31 @@ class VarianceField:
         return self
 
     def _fill_cross(self, pairs) -> None:
-        """Compute the cross terms of ``pairs`` not yet held, ``GRID_ROWS`` grid rows at a time."""
+        """Compute the cross terms of ``pairs`` not yet held.
+
+        The inner Gram of the pair's fits sums, over the rows where one block
+        of each fit is current (``WindowedRows.pieces``), the products of
+        their blocks weighted by their residuals, each fit's weighted blocks
+        formed once per call. It depends on the two fits alone, so the first
+        field to form it keeps it in the lower J's ``inner_grams`` for every
+        field of the backend. The quadratic forms take ``GRID_ROWS`` grid
+        rows at a time.
+        """
         todo = sorted({(min(p), max(p)) for p in pairs} - self._cross.keys())
-        missing = sorted({j for key in todo for j in key} - self.weights.keys())
+        missing = sorted({j for key in todo for j in key} - self.rows.keys())
         if missing:
             raise InvalidDimensionError(f"J values {missing} are not in the variance field")
-        g = self.grid.shape[0]
+        g, weighted = self.grid.shape[0], {}
         for j, j2 in todo:
-            gram = self.weights[j] @ self.weights[j2].T
-            rows, rows2, out = self.rows[j], self.rows[j2], np.empty(g)
+            fit, fit2 = self.fits[j], self.fits[j2]
+            if fit2 not in fit.inner_grams:
+                for k in {j, j2} - weighted.keys():
+                    weighted[k] = self.fits[k].right.scaled(self.fits[k].u_hat)
+                inner = np.zeros((fit.right.width, fit2.right.width))
+                for _, window, block, window2, block2 in weighted[j].pieces(weighted[j2]):
+                    inner[window, window2] += block.T @ block2
+                fit.inner_grams[fit2] = inner
+            gram, rows, rows2, out = fit.inner_grams[fit2], self.rows[j], self.rows[j2], np.empty(g)
             for chunk in grid_chunks(g):
                 np.einsum("gp,gp->g", rows[chunk] @ gram, rows2[chunk], out=out[chunk])
             self._cross[(j, j2)] = np.maximum(out, 0.0, out=out) if j == j2 else out
@@ -313,19 +452,23 @@ class VarianceField:
     def n(self) -> int:
         return self.backend.n
 
+    def _score_rows(self, j: int, idx) -> np.ndarray:
+        """The score rows S_J[idx] = rows_J[idx] (R_J o u_J)', in the backend's row order."""
+        return self.fits[j].score_rows(self.rows[j][idx])
+
     @property
     def influence(self) -> dict[int, np.ndarray]:
-        """The G x n influence rows rows_J M_J[slice] per J, computed on each read; the field keeps none."""
-        return {j: self.rows[j] @ self.fits[j].m[self.slices[j]] for j in self.j_values}
+        """The G x n influence rows rows_J R_J' per J, computed on each read; the field keeps none."""
+        return {j: self.backend.sample_order(self.rows[j] @ self.fits[j].right.dense().T) for j in self.j_values}
 
     @property
     def scores(self) -> dict[int, np.ndarray]:
-        """The G x n score rows S_J = rows_J W_J per J, computed on each read; the field keeps none."""
-        return {j: self.rows[j] @ self.weights[j] for j in self.j_values}
+        """The G x n score rows S_J = rows_J (R_J o u_J)' per J, computed on each read; the field keeps none."""
+        return {j: self.backend.sample_order(self._score_rows(j, slice(None))) for j in self.j_values}
 
     def fitted(self, j: int) -> np.ndarray:
-        """The estimate (d^a h_J)(x) = rows_J(x) coef[slice] on the grid."""
-        return self.rows[j] @ self.fits[j].coef[self.slices[j]]
+        """The estimate (d^a h_J)(x) = d^a psi^J(x)' coef[slice] on the grid, as a fresh array."""
+        return self.estimates[j].copy()
 
     def cross(self, j: int, j2: int) -> np.ndarray:
         """sigma~_{J,J2}(x) = psi' M_J diag(u_J u_J2) M_J2' psi; sigma_J^2(x) when J2 = J."""
@@ -347,8 +490,8 @@ class VarianceField:
         near = np.flatnonzero(var <= CONTRAST_CANCELLATION * total)
         for lo in range(0, near.size, _DIFF_ROWS):
             idx = near[lo:lo + _DIFF_ROWS]
-            diff = self.rows[j][idx] @ self.weights[j]
-            diff -= self.rows[j2][idx] @ self.weights[j2]
+            diff = self._score_rows(j, idx)
+            diff -= self._score_rows(j2, idx)
             var[idx] = np.einsum("gn,gn->g", diff, diff)
         return np.sqrt(np.maximum(var, 0.0))
 
@@ -374,9 +517,10 @@ class SieveModel:
 
     ``design(sample, j)`` gives the basis state the selector reads, the n x p
     design and the n x K instruments (None for series regression) at sieve
-    dimension J. ``template`` is the basis whose dimension grid enumerates J,
-    and ``widths(j)`` gives the design and instrument widths at J, both of
-    which must stay <= n. ``selector(basis, pts, a)`` gives the rows and
+    dimension J; ``instrumented`` says whether it gives instruments.
+    ``template`` is the basis whose dimension grid enumerates J, and
+    ``widths(j)`` gives the design and instrument widths at J, both of which
+    must stay <= n. ``selector(basis, pts, a)`` gives the rows and
     coefficient slice of the reported function, so its a-th derivative at
     ``pts`` is rows @ coef[slice]; ``grid_dim`` is the dimension of that
     function's argument.
@@ -387,6 +531,7 @@ class SieveModel:
     widths: Callable[[int], tuple[int, int]]
     selector: Callable
     grid_dim: int
+    instrumented: bool
 
 
 def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveModel:
@@ -403,6 +548,7 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
         widths=lambda j: (j, j if ispec is None else bs.instrument_dim(ispec, j)),
         selector=sieve_rows,
         grid_dim=x_spec.dim,
+        instrumented=ispec is not None,
     )
 
 
@@ -418,17 +564,35 @@ def candidate_dims(model: SieveModel, n: int) -> list[int]:
 class SieveBackend:
     """Fit cache for one sieve model on one sample, and its reported function.
 
-    Each J is fitted once through ``fit``; a J asked only for its ``shat``
-    forms only its Grams, which a later ``fit`` completes. ``build_field``
-    combines the model's selector rows with the fits.
+    A model without instruments is fitted on the sample's observations
+    ordered by x (``np.lexsort``, first column first, stable), so each chunk
+    of ``OBS_ROWS`` observations of its design touches a window of B-spline
+    columns; ``order`` maps that order's rows to the given sample's
+    (fitted row i is given row ``order[i]``), and ``sample`` is the ordered
+    sample. A TSLS model keeps the given order (``order`` is None), because
+    its right factor P_K Psi is dense anyway. Each J is fitted once through
+    ``fit``; a J asked only for its ``shat`` forms only its Grams, which a
+    later ``fit`` completes. ``build_field`` combines the model's selector
+    rows with the fits.
     """
 
     def __init__(self, sample: Sample, model: SieveModel):
+        self.order = None if model.instrumented else np.lexsort(sample.x.T[::-1])
+        if self.order is not None:
+            sample = Sample(sample.y[self.order], sample.x[self.order], sample.w[self.order])
         self.sample = sample
         self.model = model
         self._fits: dict = {}
         self._grams: dict = {}
         self.n = sample.n
+
+    def sample_order(self, rows: np.ndarray) -> np.ndarray:
+        """The k x n ``rows``, whose columns follow the fitted order, with their columns in the given sample's order."""
+        if self.order is None:
+            return rows
+        out = np.empty_like(rows)
+        out[:, self.order] = rows
+        return out
 
     @property
     def grid_dim(self) -> int:
@@ -473,7 +637,7 @@ def build_field(backend: SieveBackend, pts, deriv, js) -> VarianceField:
 
     ``pts`` is any grid ``basis.as_points`` accepts and ``deriv`` any order ``basis.multi_index`` accepts.
     The field reads the backend's fits through the selector's rows and coefficient slices, so every
-    field of the backend shares each fit's bootstrap weights and projections.
+    field of the backend shares each fit's factors and projections.
     """
     dim = backend.grid_dim
     return VarianceField(backend, bs.as_points(pts, dim), bs.multi_index(deriv, dim)).cover(js)

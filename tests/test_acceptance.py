@@ -161,7 +161,8 @@ def test_criterion_6_property_suite():
     sample = est.Sample(y, x, w)
     fit_reg = est.fit(sample, est.npiv_model(cubic, None), 7)
     psi = est.fit_grams(sample, est.npiv_model(cubic, None), 7)[1].design
-    m_tsls = est.TslsGrams(psi, psi).solve(np.zeros(n))[0]
+    left, right = est.TslsGrams(psi, psi).solve(np.zeros(n))[:2]
+    m_tsls = left @ right.dense().T
     ols_err = float(np.abs(m_tsls - fit_reg.m).max())
     checks.append((f"OLS equivalence {ols_err:.1e} < 1e-10", ols_err < 1e-10))
 
@@ -182,12 +183,7 @@ def test_criterion_6_property_suite():
     # exact conditional normality: KS < 0.01 at B=1e5
     plan_big = MultiplierPlan(100_000, 3)
     row = vf.scores[4][0] / vf.sigma[4][0]
-    t_vals = np.empty(plan_big.n_draws)
-    for start in range(0, plan_big.n_draws, 1000):
-        wblk = np.column_stack(
-            [bt.draw_multipliers(plan_big, b, n) for b in range(start, min(start + 1000, plan_big.n_draws))]
-        )
-        t_vals[start : start + wblk.shape[1]] = row @ wblk
+    t_vals = bt.multiplier_matrix(plan_big, n) @ row
     ks = float(kstest(t_vals, "norm").statistic)
     checks.append((f"conditional normality KS {ks:.4f} < 0.01", ks < 0.01))
 

@@ -34,7 +34,7 @@ class _Grid:
         self.n, self.cap, self.s_hat = n, n if cap is None else cap, s_hat
 
     def candidate_dims(self):
-        return bs.dimension_grid(CUBIC, self.cap)
+        return est.candidate_dims(est.npiv_model(CUBIC, None), self.cap)
 
     def next_dim(self, j):
         return bs.next_dimension(CUBIC, j)
@@ -64,7 +64,7 @@ class TestJHatMaxRegression:
         n_sym = round(math.e**20)
         with_ups = ad._j_hat_max(_Grid(n_sym), "regression", flags)
         target = 10.0 * math.sqrt(n_sym)
-        cands = bs.dimension_grid(CUBIC, n_sym)
+        cands = est.candidate_dims(est.npiv_model(CUBIC, None), n_sym)
         no_ups = max(j for j in cands if ad._j_log_rate(j) <= target)
         assert with_ups < no_ups
 
@@ -108,7 +108,7 @@ class TestSelect:
         sel = ad.select(sample, CUBIC, ISPEC, plan=MultiplierPlan(100, 0), grid=np.linspace(0.01, 0.99, 60))
         jm = sel.j_hat_max
         lower = 0.1 * math.log(jm) ** 2
-        assert sel.index_set == tuple(j for j in bs.dimension_grid(CUBIC, jm) if j >= lower)
+        assert sel.index_set == tuple(j for j in est.candidate_dims(est.npiv_model(CUBIC, None), jm) if j >= lower)
         assert sel.index_set[-1] == sel.j_hat_max
         assert sel.alpha_hat == pytest.approx(min(0.5, math.sqrt(math.log(jm) / jm)))
         assert sel.j_tilde in sel.index_set
@@ -193,7 +193,7 @@ class TestSelect:
         sel = ad.select(_npiv_sample(n=500, seed=8), haar, bs.InstrumentSpec(haar, q=2),
                         plan=MultiplierPlan(100, 0), grid=np.linspace(0.01, 0.99, 40))
         dyadic = {2**level for level in range(12)}
-        assert set(sel.index_set) <= set(bs.dimension_grid(haar, sel.j_hat_max)) <= dyadic
+        assert set(sel.index_set) <= set(est.candidate_dims(est.npiv_model(haar, None), sel.j_hat_max)) <= dyadic
         assert sel.j_tilde in sel.index_set
         assert np.all(np.isfinite(sel.varfield.fitted(sel.j_tilde)))
 

@@ -1,3 +1,5 @@
+from itertools import takewhile
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +13,7 @@ from npivband.errors import (
     ConfigurationError,
     DegenerateColumnError,
     DomainError,
+    InsufficientSampleError,
     InvalidDimensionError,
     UnsupportedDerivativeError,
 )
@@ -19,23 +22,33 @@ from npivband.errors import (
 CUBIC = bs.BasisSpec(4, 0)
 
 
+def _dims(spec, cap):
+    """The admissible dimensions of ``spec`` up to ``cap``."""
+    return list(takewhile(lambda j: j <= cap, bs.admissible_dimensions(spec)))
+
+
 class TestDimensionGrid:
     def test_cubic_univariate(self):
-        assert bs.dimension_grid(CUBIC, 200) == [4, 5, 7, 11, 19, 35, 67, 131]
+        assert _dims(CUBIC, 200) == [4, 5, 7, 11, 19, 35, 67, 131]
+        # The one J grid of a fit keeps the dimensions whose widths fit n.
+        assert est.candidate_dims(est.npiv_model(CUBIC, None), 200) == _dims(CUBIC, 200)
 
     def test_haar(self):
-        assert bs.dimension_grid(bs.BasisSpec(1, 0), 8) == [1, 2, 4, 8]
+        assert _dims(bs.BasisSpec(1, 0), 8) == [1, 2, 4, 8]
 
     def test_tensor_squares(self):
         # squares of the univariate entries, by the tensor formula
-        assert bs.dimension_grid(bs.BasisSpec(4, 0, dim=2), 130) == [16, 25, 49, 121]
+        assert _dims(bs.BasisSpec(4, 0, dim=2), 130) == [16, 25, 49, 121]
 
     def test_cap_below_minimum_is_error(self):
-        with pytest.raises(InvalidDimensionError):
-            bs.dimension_grid(CUBIC, 3)
+        # No J fits three observations: the grid is empty and a backend refuses the sample.
+        x = np.array([0.1, 0.5, 0.9])
+        assert est.candidate_dims(est.npiv_model(CUBIC, None), 3) == []
+        with pytest.raises(InsufficientSampleError):
+            est.SieveBackend(est.Sample(x, x, x), est.npiv_model(CUBIC, None)).candidate_dims()
 
     def test_resolution_roundtrip(self):
-        for j in bs.dimension_grid(CUBIC, 600):
+        for j in _dims(CUBIC, 600):
             level = bs.resolution_for_dimension(CUBIC, j)
             assert (2**level + 3) == j
         with pytest.raises(InvalidDimensionError):
@@ -247,14 +260,14 @@ class TestInstrumentDim:
     def test_order_bump_alone(self):
         # q=0 same dimension: K = 2^l + r > J = 2^l + r - 1
         ispec = bs.InstrumentSpec(CUBIC, q=0)
-        for j in bs.dimension_grid(CUBIC, 200):
+        for j in _dims(CUBIC, 200):
             assert bs.instrument_dim(ispec, j) == j + 1
 
     def test_monotone_and_dominating(self):
         ispec = bs.InstrumentSpec(CUBIC, q=1)
-        ks = [bs.instrument_dim(ispec, j) for j in bs.dimension_grid(CUBIC, 600)]
+        ks = [bs.instrument_dim(ispec, j) for j in _dims(CUBIC, 600)]
         assert all(k2 > k1 for k1, k2 in zip(ks, ks[1:]))
-        assert all(k >= j for k, j in zip(ks, bs.dimension_grid(CUBIC, 600)))
+        assert all(k >= j for k, j in zip(ks, _dims(CUBIC, 600)))
 
     def test_invalid_dimension(self):
         with pytest.raises(InvalidDimensionError):
@@ -395,4 +408,4 @@ class TestSpecValidation:
     def test_grid_membership(self, order, resolution):
         spec = bs.BasisSpec(order, resolution)
         j = spec.n_funcs
-        assert j in bs.dimension_grid(bs.BasisSpec(order, 0), j)
+        assert j in _dims(bs.BasisSpec(order, 0), j)

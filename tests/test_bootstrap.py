@@ -15,12 +15,16 @@ CUBIC = bs.BasisSpec(4, 0)
 ISPEC = bs.InstrumentSpec(CUBIC, q=2)
 
 
-def _npiv_backend(n=120, seed=0):
+def _npiv_sample(n=120, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     w = np.clip(x + 0.15 * rng.standard_normal(n), 0, 1)
     y = np.sin(3 * x) + 0.5 * rng.standard_normal(n)
-    return est.SieveBackend(est.Sample(y, x, w), est.npiv_model(CUBIC, ISPEC))
+    return est.Sample(y, x, w)
+
+
+def _npiv_backend(n=120, seed=0):
+    return est.SieveBackend(_npiv_sample(n, seed), est.npiv_model(CUBIC, ISPEC))
 
 
 def _field(n=120, seed=0, js=(4, 7), grid=None, deriv=0):
@@ -28,15 +32,26 @@ def _field(n=120, seed=0, js=(4, 7), grid=None, deriv=0):
     return est.build_field(backend, grid if grid is not None else np.linspace(0, 1, 30), deriv, js)
 
 
-def _dense_scores(field):
-    """Oracle: the dense score rows S_J = influence * u and their row norms sigma_J, per J."""
-    scores = {j: field.influence[j] * field.fits[j].u_hat[None, :] for j in field.j_values}
+def _dense_scores(field, sample):
+    """Oracle: the dense score rows S_J = rows_J M_J[slice] diag(u_J) and their row norms sigma_J, per J.
+
+    M_J is formed from the model's dense design Psi and instruments B at J,
+    in the row order of ``sample``: pinv(Psi) for series regression, and
+    pinv(P_B Psi) with P_B Psi = B lstsq(B, Psi) for TSLS. u_J = y - Psi M_J y.
+    """
+    model, scores = field.backend.model, {}
+    for j in field.j_values:
+        basis, design, bmat = model.design(sample, j)
+        fitted = design if bmat is None else bmat @ np.linalg.lstsq(bmat, design, rcond=None)[0]
+        m = np.linalg.pinv(fitted)
+        rows, sl = model.selector(basis, field.grid, field.deriv)
+        scores[j] = (rows @ m[sl]) * (sample.y - design @ (m @ sample.y))[None, :]
     return scores, {j: np.sqrt((s**2).sum(axis=1)) for j, s in scores.items()}
 
 
-def _dense_sup_t(field, plan, js=None, pairs=None):
-    """Oracle: per-draw sup of the dense score rows times Omega."""
-    scores, sigma = _dense_scores(field)
+def _dense_sup_t(field, sample, plan, js=None, pairs=None):
+    """Oracle: per-draw sup of the dense score rows times Omega, both in the row order of ``sample``."""
+    scores, sigma = _dense_scores(field, sample)
     if pairs is None:
         rows = [scores[j] / sigma[j][:, None] for j in js]
     else:
@@ -50,52 +65,72 @@ def _dense_sup_t(field, plan, js=None, pairs=None):
     return np.abs(np.vstack(rows) @ omega).max(axis=0)
 
 
-def _model_backends():
-    """Backends of the npiv, 2-D regression, additive, additive component-view and partially linear models."""
+def _model_samples():
+    """The sample and model of the npiv, 1-D and 2-D regression, additive and partially linear backends.
+
+    The 1-D regression sample lists its observations in a shuffled order,
+    which its backend fits ordered by x.
+    """
     rng = np.random.default_rng(21)
     n = 300
     x = rng.random((n, 2))
     w = np.clip(x + 0.1 * rng.standard_normal((n, 2)), 0, 1)
     y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.4 * rng.standard_normal(n)
     sample = est.Sample(y, x, w)
-    additive = est.SieveBackend(sample, ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None))
+    shuffled = rng.permutation(n)
     return {
-        "npiv": est.SieveBackend(est.Sample(y, x[:, 0], w[:, 0]), est.npiv_model(CUBIC, ISPEC)),
-        "reg2d": est.SieveBackend(sample, est.npiv_model(bs.BasisSpec(4, 0, dim=2), None)),
-        "additive": additive,
-        "additive_component": additive.view(ext.component_model(additive.model, 1)),
-        "partially_linear": est.SieveBackend(
-            sample, ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1,)), None)
-        ),
+        "npiv": (est.Sample(y, x[:, 0], w[:, 0]), est.npiv_model(CUBIC, ISPEC)),
+        "regression_shuffled": (est.Sample(y[shuffled], x[shuffled, 0], x[shuffled, 0]), est.npiv_model(CUBIC, None)),
+        "reg2d": (sample, est.npiv_model(bs.BasisSpec(4, 0, dim=2), None)),
+        "additive": (sample, ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)),
+        "partially_linear": (sample, ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1,)), None)),
     }
 
 
+def _model_backends():
+    """Backends of the models of ``_model_samples``, and the view of additive component 1."""
+    backends = {name: est.SieveBackend(*pair) for name, pair in _model_samples().items()}
+    additive = backends["additive"]
+    backends["additive_component"] = additive.view(ext.component_model(additive.model, 1))
+    return backends
+
+
 def _model_field(model):
-    """The field of one selector: on 40 points of a line, or for the 2-D models on a 20 x 20 grid."""
+    """The field of one selector, and its sample: on 40 points of a line, or for the 2-D models on a 20 x 20 grid."""
     if model in ("reg2d", "additive"):
         axis = np.linspace(0, 1, 20)
         grid = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
     else:
         grid = np.linspace(0, 1, 40).reshape(-1, 1)
     js = (16, 25, 49) if model == "reg2d" else (4, 5, 7)
-    return est.build_field(_model_backends()[model], grid, 0, js)
+    sample = _model_samples()["additive" if model == "additive_component" else model][0]
+    return est.build_field(_model_backends()[model], grid, 0, js), sample
+
+
+def _chunked_projection(fit, omega):
+    """The projection's formula: sum_c (R_c o u_c)' Omega_c' over the fit's windowed blocks R_c."""
+    proj = np.zeros((fit.right.width, omega.shape[0]))
+    for run, window, block in fit.right:
+        proj[window] += (block * fit.u_hat[run, None]).T @ omega[:, run].T
+    return proj
 
 
 class TestFactoredScores:
-    @pytest.mark.parametrize("model", ["npiv", "reg2d", "additive", "additive_component", "partially_linear"])
+    @pytest.mark.parametrize("model", ["npiv", "regression_shuffled", "reg2d", "additive", "additive_component",
+                                       "partially_linear"])
     def test_sup_t_matches_dense_oracle(self, model):
-        field = _model_field(model)
+        field, sample = _model_field(model)
         js = field.j_values
         plan = bt.MultiplierPlan(n_draws=130, base_seed=17)
         pairs = [(j, j2) for i, j in enumerate(js) for j2 in js[i + 1:]]
         single = bt.sup_t_single(field, plan, js)
         assert sorted(field.single_sups) == [(plan, j) for j in js]
         _, contrast = bt.sup_t_contrast(field, plan, pairs)
-        _, sigma = _dense_scores(field)
+        _, sigma = _dense_scores(field, sample)
         for j in js:
             np.testing.assert_allclose(field.sigma[j], sigma[j], rtol=1e-12)
-        np.testing.assert_allclose(single, _dense_sup_t(field, plan, js=js), rtol=1e-12)
-        np.testing.assert_allclose(contrast, _dense_sup_t(field, plan, pairs=pairs), rtol=1e-12)
+        np.testing.assert_allclose(single, _dense_sup_t(field, sample, plan, js=js), rtol=1e-12)
+        np.testing.assert_allclose(contrast, _dense_sup_t(field, sample, plan, pairs=pairs), rtol=1e-12)
 
     @pytest.mark.parametrize("model", ["npiv", "additive_component"])
     @pytest.mark.parametrize("points", [30, 600])
@@ -255,6 +290,20 @@ class TestDrawMultipliers:
                 np.testing.assert_array_equal(bt.draw_multipliers(plan, 0, n), oracle[0])
                 np.testing.assert_array_equal(bt.draw_multipliers(plan, n_draws - 1, n), oracle[-1])
 
+    def test_ordered_draws_make_one_b_by_n_array(self):
+        # Omega in a backend's row order holds each observation's own multipliers,
+        # gathered row by row into the one B x n array.
+        plan, n = bt.MultiplierPlan(n_draws=200, base_seed=36), 5000
+        order = np.random.default_rng(36).permutation(n)
+        tracemalloc.start()
+        try:
+            omega = bt.multiplier_matrix(plan, n, order)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * plan.n_draws * n * 8
+        np.testing.assert_array_equal(omega, bt.multiplier_matrix(plan, n)[:, order])
+
     def test_draw_index_bounds(self):
         plan = bt.MultiplierPlan(n_draws=5, base_seed=0)
         with pytest.raises(ConfigurationError):
@@ -354,7 +403,7 @@ class TestSupTContrast:
         for field, j, j2 in ((_field(js=(4, 7)), 4, 5), (wide, 19, 35), (wide, 67, 131)):
             # The backend's fit of J2 is a copy of the fit of J, so J2 reads the rows and slice of J.
             backend, fit = field.backend, field.fits[j]
-            backend._fits[j2] = replace(fit, m=fit.m.copy(), u_hat=fit.u_hat.copy())
+            backend._fits[j2] = replace(fit, left=fit.left.copy(), u_hat=fit.u_hat.copy())
             alias = est.build_field(backend, field.grid, 0, (j, j2))
             np.testing.assert_array_equal(alias.rows[j2], field.rows[j])
             stats, sups = bt.sup_t_contrast(alias, bt.MultiplierPlan(50, 1), [(j, j2)])
@@ -413,7 +462,7 @@ class TestMultiplierReuse:
         plan = bt.MultiplierPlan(n_draws=150, base_seed=13)
         pairs = [(4, 5), (4, 7), (5, 7)]
         _, base = bt.sup_t_contrast(field, plan, pairs)
-        np.testing.assert_allclose(base, _dense_sup_t(field, plan, pairs=pairs), rtol=1e-12)
+        np.testing.assert_allclose(base, _dense_sup_t(field, _npiv_sample(n=1000), plan, pairs=pairs), rtol=1e-12)
         np.testing.assert_array_equal(bt.sup_t_contrast(field, plan, pairs)[1], base)
 
     def test_cache_leaves_plan_identity_alone(self):
@@ -456,9 +505,9 @@ class TestSharedProjections:
         fields = self._fields(_npiv_backend(n=300))
         plan, other = bt.MultiplierPlan(80, 30), bt.MultiplierPlan(80, 31)
         projs = [bt._projections(f, plan)[7] for f in fields]
-        assert all(np.shares_memory(p, projs[0]) for p in projs)
-        assert all(np.shares_memory(f.weights[7], fields[0].weights[7]) for f in fields)
-        assert not np.shares_memory(fields[0].weights[7], fields[0].weights[5])
+        assert all(p is projs[0] for p in projs)
+        assert all(f.fits[7] is fields[0].fits[7] for f in fields)
+        assert not np.shares_memory(fields[0].fits[7].left, fields[0].fits[5].left)
         again = bt._projections(fields[2], other)[7]
         assert not np.shares_memory(again, projs[0])
         assert not np.array_equal(again, projs[0])
@@ -480,48 +529,59 @@ class TestSharedProjections:
             )
 
     def test_component_and_partially_linear_slices_get_their_own_projections(self):
-        # A slice's projection is its block of rows of the whole fit's projection.
+        # A slice's field reads the whole fit's projection (R o u)' Omega'; its rows, taken
+        # through the slice's rows of the left factor, give the slice's draws.
+        # Both backends fit the shared sample ordered by x, so one Omega in that order serves them.
         backends = _model_backends()
         plan = bt.MultiplierPlan(60, 33)
-        omega_t = bt.multiplier_matrix(plan, backends["additive"].n).T
+        omega = bt.multiplier_matrix(plan, backends["additive"].n, backends["additive"].order)
+        np.testing.assert_array_equal(backends["partially_linear"].order, backends["additive"].order)
         full = bt._projections(est.build_field(backends["additive"], np.column_stack([self.GRID] * 2), 0,
                                                (4, 5, 7)), plan)
         # Each additive block keeps J - 1 columns, so component 1 reads 1 + (J - 1) : 1 + 2 (J - 1).
-        for name, sl_of in (("additive_component", lambda j: slice(j, 2 * j - 1)),
-                            ("partially_linear", lambda j: slice(0, j))):
+        for name, sl_of, width in (("additive_component", lambda j: slice(j, 2 * j - 1), lambda j: 2 * j - 1),
+                                   ("partially_linear", lambda j: slice(0, j), lambda j: j + 1)):
             backend = backends[name]
-            proj = bt._projections(est.build_field(backend, self.GRID, 0, (4, 5, 7)), plan)
+            field = est.build_field(backend, self.GRID, 0, (4, 5, 7))
+            proj = bt._projections(field, plan)
             for j in (4, 5, 7):
                 fit = backend.fit(j)
-                sl = sl_of(j)
-                assert proj[j].shape == (sl.stop - sl.start, plan.n_draws)
-                assert np.shares_memory(proj[j], fit.projections[plan])
-                np.testing.assert_array_equal(proj[j], ((fit.m * fit.u_hat) @ omega_t)[sl])
+                assert proj[j] is fit.projections[plan] and proj[j].shape == (width(j), plan.n_draws)
+                np.testing.assert_array_equal(proj[j], _chunked_projection(fit, omega))
+                rows, sl = backend.model.selector(fit.basis, field.grid, (0,))
+                np.testing.assert_array_equal(field.rows[j], rows @ fit.left[sl])
         for j in (4, 5, 7):
-            assert full[j].shape == (1 + 2 * (j - 1), plan.n_draws)
             fit = backends["additive"].fit(j)
-            assert np.shares_memory(full[j], fit.projections[plan])
-            np.testing.assert_array_equal(full[j], (fit.m * fit.u_hat) @ omega_t)
+            assert full[j] is fit.projections[plan] and full[j].shape == (1 + 2 * (j - 1), plan.n_draws)
+            np.testing.assert_array_equal(full[j], _chunked_projection(fit, omega))
+            dense = (fit.m * fit.u_hat) @ omega.T
+            np.testing.assert_allclose(fit.left @ full[j], dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
     def test_replaced_fit_gets_fresh_weights(self):
+        # The weights left (R o u_hat)' are formed per product from the fit's own u_hat.
         backend = _npiv_backend(n=200)
+        plan = bt.MultiplierPlan(40, 35)
         first = est.build_field(backend, self.GRID, 0, (4,))
+        first_proj = bt._projections(first, plan)[4]
         fit = backend.fit(4)
         backend._fits[4] = replace(fit, u_hat=2.0 * fit.u_hat)
-        assert backend._fits[4].projections == {} and "weights" not in vars(backend._fits[4])
+        assert backend._fits[4].projections == {}
         second = est.build_field(backend, self.GRID, 0, (4,))
-        assert second.weights[4] is not first.weights[4]
-        np.testing.assert_array_equal(second.weights[4], fit.m * (2.0 * fit.u_hat))
+        second_proj = bt._projections(second, plan)[4]
+        assert not np.shares_memory(second_proj, first_proj)
+        omega = bt.multiplier_matrix(plan, backend.n, backend.order)
+        np.testing.assert_array_equal(second_proj, _chunked_projection(backend._fits[4], omega))
+        np.testing.assert_array_equal(second_proj, 2.0 * first_proj)
         np.testing.assert_array_equal(second.sigma[4], 2.0 * first.sigma[4])
 
     def test_shared_arrays_are_read_only(self):
         built = _field(js=(4, 7))
-        # Another field of the same backend reads the same fits' weights and projections.
+        # Another field of the same backend reads the same fits' factors and projections.
         direct = est.build_field(built.backend, built.grid, 0, (4,))
-        assert np.shares_memory(direct.weights[4], built.weights[4])
+        assert direct.fits[4] is built.fits[4]
         for field in (built, direct):
             plan = bt.MultiplierPlan(20, 34)
-            for arr in (field.weights[4], bt._projections(field, plan)[4]):
+            for arr in (field.fits[4].left, field.fits[4].right.blocks[0], bt._projections(field, plan)[4]):
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 1.0

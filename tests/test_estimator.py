@@ -126,24 +126,30 @@ def _ref_psd_inverse(a, n_ambient, sqrt=False):
 
 
 def _reference_tsls(psi, bmat, y):
-    """The TSLS formulas with each Gram formed and eigendecomposed where it is used."""
+    """The TSLS formulas with each Gram formed and eigendecomposed where it is used.
+
+    M = L R' with L = G^- and R = Psi for series regression, L = A^- and
+    R = P_K Psi for TSLS; coef = L (R' y), which on the eigen route is how the
+    fit solves for it.
+    """
     n, j = psi.shape
     flags = []
     if bmat is None:
-        g_inv, rank = _ref_psd_inverse(psi.T @ psi, max(n, j))
-        m = g_inv @ psi.T
+        left, rank = _ref_psd_inverse(psi.T @ psi, max(n, j))
+        right = psi
         bmat = psi
     else:
         k = bmat.shape[1]
         gb_inv, rank_b = _ref_psd_inverse(bmat.T @ bmat, max(n, k))
         proj = gb_inv @ (bmat.T @ psi)
-        a_inv, rank = _ref_psd_inverse((bmat.T @ psi).T @ proj, max(n, j))
-        m = (a_inv @ proj.T) @ bmat.T
+        left, rank = _ref_psd_inverse((bmat.T @ psi).T @ proj, max(n, j))
+        right = bmat @ proj
         if rank_b < k:
             flags.append("instrument_gram_rank_deficient")
     if rank < j:
         flags.append("design_rank_deficient")
-    coef = m @ y
+    m = left @ right.T
+    coef = left @ (right.T @ y)
     k = bmat.shape[1]
     rb, rank_b = _ref_psd_inverse(bmat.T @ bmat, max(n, k), sqrt=True)
     rp, rank_p = _ref_psd_inverse(psi.T @ psi, max(n, j), sqrt=True)
@@ -247,8 +253,9 @@ class TestTslsGrams:
 
 
     def test_fits_keep_no_design(self):
-        # Each fit of a selection keeps M and its weights (p x n each), one projection
-        # (p x B), the coefficients and the residuals: no n x p design or instruments.
+        # Each fit of a selection keeps its left factor (p x p), the windowed blocks of its
+        # right factor (at most n x p), one projection (p x B), the coefficients and the
+        # residuals: no n x p design or instruments, and no p x n M or weights.
         rng = np.random.default_rng(9)
         n, b = 2000, 100
         x = rng.random(n)
@@ -257,9 +264,10 @@ class TestTslsGrams:
         assert len(sel.backend._fits) > 1
         for f in sel.backend._fits.values():
             held = [*vars(f).values(), *f.projections.values()]
+            held += [block for value in vars(f).values() for block in getattr(value, "blocks", ())]
             arrays = {id(a): a for a in held if isinstance(a, np.ndarray)}
             p = f.coef.size
-            assert sum(a.nbytes for a in arrays.values()) <= (2 * n + b) * p * 8 + 2 * (n + p) * 8
+            assert sum(a.nbytes for a in arrays.values()) <= (n + b + p) * p * 8 + 2 * (n + p) * 8
 
 
 class TestShat:
@@ -272,7 +280,8 @@ class TestShat:
         sample = _noisy_sample()
         f = est.fit(sample, REG, 7)
         design = _operands(sample, REG, 7)[0]
-        m_tsls = est.TslsGrams(design, design).solve(np.zeros(design.shape[0]))[0]
+        left, right = est.TslsGrams(design, design).solve(np.zeros(design.shape[0]))[:2]
+        m_tsls = left @ right.dense().T
         assert np.abs(m_tsls - f.m).max() < 1e-10
 
     def test_independent_instruments_near_zero(self):

@@ -319,8 +319,10 @@ class TestOneFit:
         if bmat is not None:
             np.testing.assert_array_equal(grams.bmat, bmat)
         fit = est.fit(sample, model, j)
-        m, coef, u_hat, s_hat, flags = est.TslsGrams(design, bmat).solve(sample.y)
-        for got, want in ((fit.m, m), (fit.coef, coef), (fit.u_hat, u_hat), (fit.s_hat, s_hat)):
+        left, right, coef, u_hat, s_hat, flags = est.TslsGrams(design, bmat).solve(sample.y)
+        assert fit.right.windows == right.windows
+        for got, want in ((fit.left, left), (fit.right.dense(), right.dense()), (fit.coef, coef),
+                          (fit.u_hat, u_hat), (fit.s_hat, s_hat)):
             np.testing.assert_array_equal(got, want)
         assert fit.flags == flags and fit.j == j
 
