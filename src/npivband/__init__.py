@@ -16,7 +16,6 @@ from .basis import (
 from .estimator import Sample, SieveFit, VarianceField, build_field, evaluate, fit, npiv_model
 from .bootstrap import (
     MultiplierPlan,
-    draw_multipliers,
     multiplier_matrix,
     quantile,
     sup_t_contrast,
@@ -67,7 +66,6 @@ __all__ = [
     "band_undersmoothed",
     "build_field",
     "design_matrix",
-    "draw_multipliers",
     "evaluate",
     "excludes_constant",
     "fit",

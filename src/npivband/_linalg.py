@@ -13,11 +13,15 @@ are both formed from the retained eigenpairs.
 
 ``openblas`` reaches the thread setter and getter of numpy's bundled
 OpenBLAS, through which pool workers and the CLI run BLAS on one thread.
+``thread_map`` runs independent tasks on threads that live only inside one
+call, one per CPU the process may run on; pool workers set it to one.
 """
 
 from __future__ import annotations
 
 import functools
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +42,6 @@ def openblas():
     """
     import ctypes
     import glob
-    import os
 
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
@@ -49,6 +52,73 @@ def openblas():
             getter.argtypes, getter.restype = [], ctypes.c_int
             return lib
     return None
+
+
+#: The threads every ``thread_map`` of this process may use; None: one per CPU it may run on.
+_map_threads: int | None = None
+
+
+def one_thread_per_map() -> None:
+    """Run every later ``thread_map`` of this process in its caller alone; forked pool workers call it."""
+    global _map_threads
+    _map_threads = 1
+
+
+def map_threads(blas: bool = False) -> int:
+    """The threads a ``thread_map`` of this process may use.
+
+    That is one per CPU the process may run on, or 1 after
+    ``one_thread_per_map``. Tasks that call BLAS (``blas``) get one thread
+    unless numpy's OpenBLAS reports one thread of its own: calls into any
+    other BLAS, or into a threaded one, stay in the caller.
+    """
+    if blas:
+        lib = openblas()
+        if lib is None or lib.scipy_openblas_get_num_threads64_() != 1:
+            return 1
+    if _map_threads is not None:
+        return _map_threads
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+
+
+def thread_map(task, items, make_buffer=None, blas: bool = False) -> None:
+    """Call ``task(item, buffer)`` for every item, on up to ``map_threads(blas)`` threads.
+
+    The threads start inside the call and are joined before it returns; the
+    caller works as one of them, each taking the next item in order until
+    none is left. ``make_buffer()``, when given, makes one buffer per thread
+    in the caller before any thread starts, and a task gets the buffer of
+    the thread that runs it (else None). The tasks must not depend on which
+    thread runs them or on one another. The first exception a task raises is
+    raised here once every thread has joined; no item is started after it.
+    """
+    items = list(items)
+    if not items:
+        return
+    buffers = [make_buffer() if make_buffer is not None else None for _ in range(min(map_threads(blas), len(items)))]
+    queue, lock, errors = iter(range(len(items))), threading.Lock(), []
+
+    def work(buffer) -> None:
+        while not errors:
+            with lock:
+                i = next(queue, None)
+            if i is None:
+                return
+            try:
+                task(items[i], buffer)
+            except BaseException as exc:
+                errors.append(exc)
+
+    threads = [threading.Thread(target=work, args=(buffer,)) for buffer in buffers[1:]]
+    for thread in threads:
+        thread.start()
+    try:
+        work(buffers[0])
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def spectral_cutoff(values: np.ndarray, n_ambient: int) -> float:

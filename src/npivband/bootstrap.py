@@ -10,6 +10,15 @@ every alpha level see the same draws. ``_seed_words`` runs NumPy's
 and each row's generator is seeded from its words through NumPy's own PCG64
 seeding; this skips B Python-level hashes and moves no bit.
 
+Drawing Omega and forming the projections run on ``_linalg.thread_map``,
+whose threads start and are joined inside each call: each fixed 64-row
+slice of Omega is one task, and each missing fit's projection another.
+Every task writes only its own rows or its own projection, by the same
+operations on the same operands as on one thread, so no bit depends on the
+thread count. Projections call BLAS, so they leave the caller only while
+numpy's OpenBLAS runs on one thread; forked Monte Carlo workers use one
+thread for both.
+
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
 only through each fit's whole-coefficient weights W = M diag(u_hat) =
 L (R o u_hat)', which no fit stores: ``_projections`` forms the projection
@@ -37,11 +46,11 @@ on the field, so a sup over a J set is the elementwise max of per-J sups.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._linalg import thread_map
 from .errors import ConfigurationError, InvalidDimensionError
 from .estimator import VarianceField, grid_chunks
 
@@ -137,37 +146,31 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def _generators(plan: MultiplierPlan, draws) -> Iterator[np.random.Generator]:
-    return (np.random.Generator(np.random.PCG64(_StreamSeed(words)))
-            for words in _seed_words(plan.base_seed, draws))
-
-
-def draw_multipliers(plan: MultiplierPlan, b: int, n: int) -> np.ndarray:
-    """The n-vector of N(0,1) multipliers for draw ``b``; deterministic."""
-    if not 0 <= b < plan.n_draws:
-        raise ConfigurationError(f"draw index {b} outside [0, {plan.n_draws})")
-    (rng,) = _generators(plan, [b])
-    return rng.standard_normal(int(n))
-
-
 def multiplier_matrix(plan: MultiplierPlan, n: int, order=None) -> np.ndarray:
-    """The B x n matrix Omega whose row b is ``draw_multipliers(plan, b, n)``, or that row taken at ``order``.
+    """The B x n matrix Omega whose row b is draw b's n multipliers, or those taken at ``order``.
 
-    All B substreams are seeded in one pass of ``_seed_words``. Without
-    ``order`` each row is drawn in place; with it, each row is drawn into one
-    n-vector and gathered, so column i holds observation ``order[i]``'s
-    multipliers and no second B x n array is made.
+    Row b is ``default_rng(SeedSequence((base_seed, b))).standard_normal(n)``.
+    All B substreams are seeded in one pass of ``_seed_words``, and each
+    fixed 64-row slice is drawn as one ``thread_map`` task, which makes each
+    row's generator as it draws the row, so only one generator per thread
+    is alive. Without ``order`` each row is drawn in place; with it, each
+    row is drawn into its thread's n-vector and gathered, so column i holds
+    observation ``order[i]``'s multipliers and no second B x n array is
+    made.
     """
     omega = np.empty((plan.n_draws, int(n)))
-    generators = _generators(plan, np.arange(plan.n_draws))
-    if order is None:
-        for row, rng in zip(omega, generators):
-            rng.standard_normal(out=row)
-        return omega
-    draw = np.empty(int(n))
-    for row, rng in zip(omega, generators):
-        rng.standard_normal(out=draw)
-        np.take(draw, order, out=row, mode="wrap")
+    seeds = _seed_words(plan.base_seed, np.arange(plan.n_draws))
+
+    def draw(rows: slice, buffer) -> None:
+        for row, words in zip(omega[rows], seeds[rows]):
+            rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+            if order is None:
+                rng.standard_normal(out=row)
+            else:
+                rng.standard_normal(out=buffer)
+                np.take(buffer, order, out=row, mode="wrap")
+
+    thread_map(draw, _slices(plan.n_draws), None if order is None else lambda: np.empty(int(n)))
     return omega
 
 
@@ -178,18 +181,28 @@ def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.
     sum_c (R_c o u_c)' Omega_c' over its windowed blocks R_c, with Omega drawn
     once for all of them, its columns in the backend's row order. The
     field's rows are taken through the left factor already, so
-    rows_J @ projection is D*_J = rows_J W_J Omega'. The kept projections are
-    allocated before Omega and the fits share one work array, so a call
-    leaves one free block behind rather than gaps between the kept arrays.
+    rows_J @ projection is D*_J = rows_J W_J Omega'. Each missing fit is one
+    ``thread_map`` task, the largest first: its projection is the same block
+    products in the same order on whichever thread runs it, so no bit
+    depends on the thread count. The kept projections are allocated before
+    Omega, and each thread's work arrays after it in this thread, so a call
+    leaves free blocks behind rather than gaps between the kept arrays.
     """
     missing = [fit for fit in varfield.fits.values() if plan not in fit.projections]
     if missing:
         projs = [np.zeros((fit.right.width, plan.n_draws)) for fit in missing]
         omega = multiplier_matrix(plan, varfield.n, varfield.backend.order)
-        part = np.empty((max(fit.right.width for fit in missing), plan.n_draws))
-        for fit, proj in zip(missing, projs):
-            for run, window, weighted in fit.right.weighted(fit.u_hat):
+
+        def project(task, buffers) -> None:
+            (fit, proj), (part, work) = task, buffers
+            for run, window, weighted in fit.right.weighted(fit.u_hat, work):
                 proj[window] += np.matmul(weighted.T, omega[:, run].T, out=part[:window.stop - window.start])
+
+        width = max(fit.right.width for fit in missing)
+        block = max(fit.right.max_block for fit in missing)
+        tasks = sorted(zip(missing, projs), key=lambda task: -sum(b.size for b in task[0].right.blocks))
+        thread_map(project, tasks, lambda: (np.empty((width, plan.n_draws)), np.empty(block)), blas=True)
+        for fit, proj in zip(missing, projs):
             proj.flags.writeable = False
             fit.projections[plan] = proj
     return {j: varfield.fits[j].projections[plan] for j in varfield.j_values}

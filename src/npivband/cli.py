@@ -43,7 +43,7 @@ from . import estimator as est
 from . import extensions as ext
 from . import simgen as sg
 from . import ucb
-from ._linalg import openblas
+from ._linalg import map_threads, openblas
 from .bootstrap import MultiplierPlan
 from .errors import (
     ConfigurationError,
@@ -416,9 +416,11 @@ def _write_meta(config: argparse.Namespace, t0: float, extra: dict | None = None
     lib = openblas()
     blas = {"library": None, "threads": None} if lib is None else {
         "library": os.path.basename(lib._name), "threads": lib.scipy_openblas_get_num_threads64_()}
+    # The threads the bootstrap's thread maps used: the draws, and the projections, which call BLAS.
+    threads = {"draws": map_threads(), "projections": map_threads(blas=True)}
     payload = {
         "config": vars(config),
-        "outputs": {**(extra or {}), "blas": blas},
+        "outputs": {**(extra or {}), "blas": blas, "bootstrap_threads": threads},
         "seed": config.seed,
         "version": __version__,
         "wall_time_seconds": time.perf_counter() - t0,

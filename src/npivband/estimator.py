@@ -178,9 +178,12 @@ class WindowedRows:
         """diag(u) times the matrix, in the same windowed blocks."""
         return WindowedRows(self.runs, self.windows, tuple(block * u[run, None] for run, _, block in self), self.width)
 
-    def weighted(self, u: np.ndarray):
-        """Yield ``(run, window, block o u[run])`` per block, each a view of one work array that the next step reuses."""
-        work = np.empty(max(block.size for block in self.blocks))
+    def weighted(self, u: np.ndarray, work: np.ndarray | None = None):
+        """Yield ``(run, window, block o u[run])`` per block, each a view of one work array that the next step reuses.
+
+        ``work``, when given, is that array; it needs ``max_block`` entries.
+        """
+        work = np.empty(self.max_block) if work is None else work
         for run, window, block in self:
             yield run, window, np.multiply(block, u[run, None], out=work[:block.size].reshape(block.shape))
 
@@ -202,6 +205,10 @@ class WindowedRows:
     @property
     def n(self) -> int:
         return self.runs[-1].stop
+
+    @property
+    def max_block(self) -> int:
+        return max(block.size for block in self.blocks)
 
     def dense(self) -> np.ndarray:
         """The n x p matrix."""

@@ -39,7 +39,7 @@ from . import adaptive as ad
 from . import basis as bs
 from . import estimator as est
 from . import ucb
-from ._linalg import openblas
+from ._linalg import one_thread_per_map, openblas
 from .bootstrap import MultiplierPlan
 from .errors import ConfigurationError
 
@@ -373,14 +373,16 @@ _WORKER_JOB = None
 
 
 def _adopt(job) -> None:
-    """Pool initializer: keep ``job`` for ``_call_job`` and run numpy's OpenBLAS on one thread.
+    """Pool initializer: keep ``job`` for ``_call_job``, and run numpy's OpenBLAS and every thread map on one thread.
 
     A forked worker inherits the parent's BLAS threads, which would
     oversubscribe the cores; the library has read its environment before
-    the fork, so only its setter can change that.
+    the fork, so only its setter can change that. The workers already share
+    the cores, so their bootstrap starts no threads either.
     """
     global _WORKER_JOB
     _WORKER_JOB = job
+    one_thread_per_map()
     lib = openblas()
     if lib is not None:
         lib.scipy_openblas_set_num_threads64_(1)
@@ -395,8 +397,9 @@ def _run_replications(job, tasks: list[tuple[int, int]], n_workers: int) -> list
 
     Above one worker the tasks run in ``n_workers`` forked processes, which
     inherit ``job`` since a ``Design`` holds closures that do not pickle
-    (npivband starts no threads that a fork could catch holding a lock);
-    only tasks go out and only records come back.
+    (npivband's threads live only inside one call, so none is alive for a
+    fork to catch holding a lock); only tasks go out and only records come
+    back.
     """
     if n_workers == 1:
         return _in_order((job(*task) for task in tasks), tasks)
@@ -434,8 +437,9 @@ def run_mc(
 
     The replications run in ``n_workers`` forked processes (1: in this one), and
     the report is bit-identical for any count. Each worker runs numpy's
-    bundled OpenBLAS on one thread; with one worker, pinning BLAS to one
-    thread is left to the caller (``npivband simulate`` does).
+    bundled OpenBLAS and its bootstrap on one thread; with one worker, the
+    bootstrap uses a thread per CPU, and pinning BLAS to one thread is left
+    to the caller (``npivband simulate`` does).
     """
     if isinstance(design, str):
         design = get_design(design)

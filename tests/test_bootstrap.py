@@ -1,3 +1,4 @@
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -9,10 +10,17 @@ from npivband import basis as bs
 from npivband import bootstrap as bt
 from npivband import estimator as est
 from npivband import extensions as ext
+from npivband import _linalg
 from npivband.errors import ConfigurationError, DegenerateVarianceError, InvalidDimensionError
 
 CUBIC = bs.BasisSpec(4, 0)
 ISPEC = bs.InstrumentSpec(CUBIC, q=2)
+
+
+def _oracle_rows(plan, n, draws):
+    """Oracle: draw b's multipliers from NumPy's own generator for ``SeedSequence((base_seed, b))``, one row per b."""
+    return np.array([np.random.default_rng(np.random.SeedSequence((plan.base_seed, b))).standard_normal(n)
+                     for b in draws]).reshape(len(draws), n)
 
 
 def _npiv_sample(n=120, seed=0):
@@ -61,7 +69,7 @@ def _dense_sup_t(field, sample, plan, js=None, pairs=None):
             sd = np.sqrt((diff**2).sum(axis=1))
             valid = sd > est.VARIANCE_FLOOR * max(sigma[j].max(), sigma[j2].max())
             rows.append(diff[valid] / sd[valid, None])
-    omega = np.column_stack([bt.draw_multipliers(plan, b, field.n) for b in range(plan.n_draws)])
+    omega = _oracle_rows(plan, field.n, range(plan.n_draws)).T
     return np.abs(np.vstack(rows) @ omega).max(axis=0)
 
 
@@ -257,21 +265,24 @@ class TestFactoredScores:
 class TestDrawMultipliers:
     def test_deterministic_per_stream(self):
         plan = bt.MultiplierPlan(n_draws=10, base_seed=99)
-        a = bt.draw_multipliers(plan, 3, 1000)
-        b = bt.draw_multipliers(plan, 3, 1000)
+        a = bt.multiplier_matrix(plan, 1000)[3]
+        b = bt.multiplier_matrix(plan, 1000)[3]
         np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(a, _oracle_rows(plan, 1000, [3])[0])
 
     def test_pooled_variance(self):
         plan = bt.MultiplierPlan(n_draws=10, base_seed=1)
-        pooled = np.concatenate([bt.draw_multipliers(plan, b, 10_000) for b in range(10)])
+        omega = bt.multiplier_matrix(plan, 10_000)
+        np.testing.assert_array_equal(omega, _oracle_rows(plan, 10_000, range(10)))
+        pooled = omega.ravel()
         assert pooled.size == 100_000
         assert 0.99 < pooled.var() < 1.01
         assert abs(pooled.mean()) < 0.02
 
     def test_stream_independence(self):
         plan = bt.MultiplierPlan(n_draws=4, base_seed=2)
-        u = bt.draw_multipliers(plan, 0, 100_000)
-        v = bt.draw_multipliers(plan, 1, 100_000)
+        u, v = bt.multiplier_matrix(plan, 100_000)[:2]
+        np.testing.assert_array_equal(np.stack([u, v]), _oracle_rows(plan, 100_000, [0, 1]))
         assert abs(np.corrcoef(u, v)[0, 1]) < 0.02
 
     @pytest.mark.parametrize("base_seed", [0, 2**32 - 1, 2**32, 2**64 - 1, 2**100])
@@ -287,8 +298,6 @@ class TestDrawMultipliers:
             for n in (0, 1, 50):
                 oracle = np.array([np.random.default_rng(seq).standard_normal(n) for seq in seqs])
                 np.testing.assert_array_equal(bt.multiplier_matrix(plan, n), oracle.reshape(n_draws, n))
-                np.testing.assert_array_equal(bt.draw_multipliers(plan, 0, n), oracle[0])
-                np.testing.assert_array_equal(bt.draw_multipliers(plan, n_draws - 1, n), oracle[-1])
 
     def test_ordered_draws_make_one_b_by_n_array(self):
         # Omega in a backend's row order holds each observation's own multipliers,
@@ -305,9 +314,15 @@ class TestDrawMultipliers:
         np.testing.assert_array_equal(omega, bt.multiplier_matrix(plan, n)[:, order])
 
     def test_draw_index_bounds(self):
+        # Omega's rows are the draws 0 .. n_draws - 1, and the plan keeps n_draws at
+        # or below 2**32, so every draw index is one 32-bit entropy word.
         plan = bt.MultiplierPlan(n_draws=5, base_seed=0)
+        np.testing.assert_array_equal(bt.multiplier_matrix(plan, 10), _oracle_rows(plan, 10, range(5)))
         with pytest.raises(ConfigurationError):
-            bt.draw_multipliers(plan, 5, 10)
+            bt.MultiplierPlan(n_draws=2**32)
+        top = bt.MultiplierPlan(n_draws=2**32 - 1, base_seed=7)
+        np.testing.assert_array_equal(bt._seed_words(top.base_seed, [top.n_draws - 1]),
+                                      np.random.SeedSequence((7, 2**32 - 2)).generate_state(4, np.uint64)[None])
 
     def test_plan_validation(self):
         with pytest.raises(ConfigurationError):
@@ -473,7 +488,7 @@ class TestMultiplierReuse:
         assert omega.shape == (20, 30)
         assert (repr(plan), hash(plan)) == before
         assert plan == twin and hash(plan) == hash(twin)
-        np.testing.assert_array_equal(omega[3], bt.draw_multipliers(plan, 3, 30))
+        np.testing.assert_array_equal(omega[3], _oracle_rows(plan, 30, [3])[0])
 
     def test_mutating_band_draws_leaves_later_bands_alone(self):
         from npivband import adaptive as ad
@@ -585,6 +600,128 @@ class TestSharedProjections:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 1.0
+
+
+class TestThreadMap:
+    """Drawing Omega and forming the projections give the same bytes on any number of threads."""
+
+    COUNTS = (1, 2, 4)
+
+    @pytest.mark.parametrize("n_draws", [1, 63, 64, 65, 500])
+    @pytest.mark.parametrize("n", [1, 40])
+    def test_multiplier_matrix_ignores_the_thread_count(self, n_draws, n, monkeypatch):
+        plan = bt.MultiplierPlan(n_draws, 41)
+        order = np.random.default_rng(41).permutation(n)
+        for with_order in (None, order):
+            results = []
+            for count in self.COUNTS:
+                monkeypatch.setattr(_linalg, "_map_threads", count)
+                results.append(bt.multiplier_matrix(plan, n, with_order).tobytes())
+            assert results[1:] == results[:1] * (len(results) - 1)
+        np.testing.assert_array_equal(bt.multiplier_matrix(plan, n, order),
+                                      _oracle_rows(plan, n, range(n_draws))[:, order])
+
+    @pytest.mark.parametrize("instruments", [None, ISPEC])
+    def test_projections_ignore_the_thread_count(self, instruments, monkeypatch):
+        # A series-regression backend, which sorts its sample, and a TSLS one, each fitted
+        # afresh per count. At n=1000 a TSLS projection split by draw slices changes bits.
+        plan = bt.MultiplierPlan(150, 42)
+        results = []
+        for count in self.COUNTS:
+            monkeypatch.setattr(_linalg, "_map_threads", count)
+            backend = est.SieveBackend(_npiv_sample(n=1000), est.npiv_model(CUBIC, instruments))
+            assert (backend.order is None) == (instruments is not None)
+            field = est.build_field(backend, np.linspace(0, 1, 25), 0, (4, 5, 7, 11))
+            results.append({j: proj.tobytes() for j, proj in bt._projections(field, plan).items()})
+        assert results[1:] == results[:1] * (len(results) - 1)
+        omega = bt.multiplier_matrix(plan, field.n, field.backend.order)
+        for j, proj in bt._projections(field, plan).items():
+            np.testing.assert_array_equal(proj, _chunked_projection(field.fits[j], omega))
+
+    def test_run_mc_report_ignores_the_thread_count(self, monkeypatch):
+        from npivband import simgen as sg
+
+        reports = []
+        for count in self.COUNTS:
+            monkeypatch.setattr(_linalg, "_map_threads", count)
+            report = sg.run_mc("trade_pareto", [300], 2, plan=bt.MultiplierPlan(150, 43), det_js=(5,), base_seed=3)
+            reports.append(report)
+        serial = reports[0]
+        for report in reports[1:]:
+            assert [vars(r) for r in report.rows] == [vars(r) for r in serial.rows]
+            assert report.flags == serial.flags
+            assert report.j_tilde[300].tobytes() == serial.j_tilde[300].tobytes()
+            assert {k: v.tobytes() for k, v in report.diagnostics[300].items()} == {
+                k: v.tobytes() for k, v in serial.diagnostics[300].items()}
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        # So no thread is alive when run_mc forks its workers.
+        from npivband import simgen as sg
+
+        monkeypatch.setattr(_linalg, "_map_threads", 2)
+        before = threading.active_count()
+        bt.multiplier_matrix(bt.MultiplierPlan(300, 44), 50, np.arange(50)[::-1])
+        assert threading.active_count() == before
+        for n_workers in (1, 2):
+            sg.run_mc("trade_pareto", [300], 2, plan=bt.MultiplierPlan(130, 45), det_js=(5,), n_workers=n_workers)
+            assert threading.active_count() == before
+
+    def test_a_failing_task_raises_in_the_caller(self, monkeypatch):
+        monkeypatch.setattr(_linalg, "_map_threads", 2)
+        before, done = threading.active_count(), []
+
+        def task(item, buffer):
+            if item == 3:
+                raise ValueError(f"task {item} failed")
+            done.append(item)
+
+        _linalg.thread_map(task, [0, 1, 2, 4, 5])
+        assert sorted(done) == [0, 1, 2, 4, 5]
+        with pytest.raises(ValueError, match="task 3 failed"):
+            _linalg.thread_map(task, range(8))
+        assert threading.active_count() == before
+
+    def test_every_item_runs_once_under_contention(self, monkeypatch):
+        # More threads than cores and a short switch interval: a lost update of the
+        # shared queue would run an item twice or not at all, and a buffer shared
+        # between threads would mix the gathered rows.
+        import sys
+
+        plan, order = bt.MultiplierPlan(640, 46), np.random.default_rng(46).permutation(64)
+        expected = bt.multiplier_matrix(plan, 64, order).tobytes()
+        monkeypatch.setattr(_linalg, "_map_threads", 8)
+        runs = np.zeros(3000, dtype=int)
+
+        def task(item, buffer):
+            runs[item] += 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _linalg.thread_map(task, range(runs.size))
+            drawn = bt.multiplier_matrix(plan, 64, order).tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+        assert (runs == 1).all()
+        assert drawn == expected
+
+    def test_each_thread_gets_its_own_buffer(self, monkeypatch):
+        monkeypatch.setattr(_linalg, "_map_threads", 2)
+        made, seen = [], []
+
+        def make_buffer():
+            made.append(threading.get_ident())
+            return []
+
+        def task(item, buffer):
+            buffer.append(item)
+            seen.append((threading.get_ident(), id(buffer)))
+
+        _linalg.thread_map(task, range(50), make_buffer)
+        assert made == [threading.get_ident()] * 2
+        assert len(seen) == 50 and len(set(seen)) == len({ident for ident, _ in seen})
+        _linalg.thread_map(task, [], make_buffer)
+        assert len(made) == 2
 
 
 class TestQuantile:

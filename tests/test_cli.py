@@ -419,6 +419,7 @@ class TestBandsPlotdata:
 
 
     def test_main_runs_one_blas_thread_and_restores_the_callers_count(self, npiv_csv, tmp_path):
+        from npivband import _linalg
         from npivband._linalg import openblas
 
         lib = openblas()
@@ -436,6 +437,19 @@ class TestBandsPlotdata:
             lib.scipy_openblas_set_num_threads64_(before)
         meta = json.load(open(tmp_path / "o" / "run_meta.json"))
         assert meta["outputs"]["blas"] == {"library": os.path.basename(lib._name), "threads": 1}
+        # OpenBLAS runs on one thread inside main, so the projections use as many threads as the draws.
+        count = _linalg.map_threads()
+        assert meta["outputs"]["bootstrap_threads"] == {"draws": count, "projections": count}
+
+    def test_run_meta_records_the_bootstrap_threads(self, npiv_csv, tmp_path, monkeypatch):
+        from npivband import _linalg
+
+        monkeypatch.setattr(_linalg, "_map_threads", 3)
+        projections = 3 if _linalg.openblas() is not None else 1
+        assert main(["fit", "--input", npiv_csv, "--seed", "3", "--draws", "60",
+                     "--grid-size", "25", "--outdir", str(tmp_path)]) == EXIT_OK
+        meta = json.load(open(tmp_path / "run_meta.json"))
+        assert meta["outputs"]["bootstrap_threads"] == {"draws": 3, "projections": projections}
 
     def test_run_meta_blas_is_null_without_the_setter(self, npiv_csv, tmp_path, monkeypatch):
         from npivband import cli

@@ -203,6 +203,17 @@ class TestRunMc:
                              check=True, timeout=120)
         assert out.stdout.split() == ["2", "1", "1", "2"]
 
+    def test_pool_workers_run_thread_maps_on_one_thread(self, monkeypatch):
+        # The parent may use 3 threads per thread map; each forked worker uses 1,
+        # and the parent keeps its count.
+        from npivband import _linalg
+
+        monkeypatch.setattr(_linalg, "_map_threads", 3)
+        threads = lambda n, rep: _linalg.map_threads()
+        assert sg._run_replications(threads, [(1, 0), (1, 1)], 2) == [1, 1]
+        assert _linalg.map_threads() == 3
+        assert sg._run_replications(threads, [(1, 0)], 1) == [3]
+
     @pytest.mark.parametrize("n_workers", [1, 2])
     def test_replication_failure_is_identified(self, n_workers):
         design = sg.get_design("reg_wiggly", x_spec=bs.BasisSpec(4, 0, 2))  # broken on purpose
