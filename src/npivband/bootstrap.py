@@ -21,11 +21,12 @@ thread for both.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
 only through each fit's whole-coefficient weights W = M diag(u_hat) =
-L (R o u_hat)', which no fit stores: ``_projections`` forms the projection
-(R o u_hat)' Omega' = sum_c (R_c o u_c)' Omega_c' over the fit's windowed
-blocks R_c, and a field's rows are its selector rows taken through L. Each
-projection is formed once per fit and plan and kept read-only in the fit's
-``projections``, and every field of the backend reads it. Omega is drawn
+L (R o u_hat)', which a fit keeps as L and its right factor R o u_hat:
+``_projections`` forms the projection (R o u_hat)' Omega' = sum_c R_c' Omega_c'
+over the right factor's windowed blocks R_c, and a field's rows are its
+selector rows taken through L. Each projection is formed once per fit and
+plan and kept read-only in the fit's ``projections``, and every field of
+the backend reads it. Omega is drawn
 only when a field holds a fit without that plan's projection, with its
 columns in the backend's row order (``multiplier_matrix`` with ``order``),
 so each observation keeps its own multipliers however the backend orders
@@ -178,30 +179,30 @@ def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.
     """The read-only p x B projections {J: (R_J o u_J)' Omega'} of the field's fits.
 
     Each fit of the field that lacks the plan's projection gets
-    sum_c (R_c o u_c)' Omega_c' over its windowed blocks R_c, with Omega drawn
-    once for all of them, its columns in the backend's row order. The
-    field's rows are taken through the left factor already, so
-    rows_J @ projection is D*_J = rows_J W_J Omega'. Each missing fit is one
-    ``thread_map`` task, the largest first: its projection is the same block
-    products in the same order on whichever thread runs it, so no bit
-    depends on the thread count. The kept projections are allocated before
-    Omega, and each thread's work arrays after it in this thread, so a call
-    leaves free blocks behind rather than gaps between the kept arrays.
+    sum_c R_c' Omega_c' over the windowed blocks R_c of its right factor
+    R o u_hat, with Omega drawn once for all of them, its columns in the
+    backend's row order. The field's rows are taken through the left factor
+    already, so rows_J @ projection is D*_J = rows_J W_J Omega'. Each missing
+    fit is one ``thread_map`` task, the largest first: its projection is the
+    same block products in the same order on whichever thread runs it, so
+    no bit depends on the thread count. The kept projections are allocated
+    before Omega, and each thread's product array after it in this thread,
+    so a call leaves free blocks behind rather than gaps between the kept
+    arrays.
     """
     missing = [fit for fit in varfield.fits.values() if plan not in fit.projections]
     if missing:
         projs = [np.zeros((fit.right.width, plan.n_draws)) for fit in missing]
         omega = multiplier_matrix(plan, varfield.n, varfield.backend.order)
 
-        def project(task, buffers) -> None:
-            (fit, proj), (part, work) = task, buffers
-            for run, window, weighted in fit.right.weighted(fit.u_hat, work):
-                proj[window] += np.matmul(weighted.T, omega[:, run].T, out=part[:window.stop - window.start])
+        def project(task, part) -> None:
+            fit, proj = task
+            for run, window, block in fit.right:
+                proj[window] += np.matmul(block.T, omega[:, run].T, out=part[:window.stop - window.start])
 
         width = max(fit.right.width for fit in missing)
-        block = max(fit.right.max_block for fit in missing)
         tasks = sorted(zip(missing, projs), key=lambda task: -sum(b.size for b in task[0].right.blocks))
-        thread_map(project, tasks, lambda: (np.empty((width, plan.n_draws)), np.empty(block)), blas=True)
+        thread_map(project, tasks, lambda: np.empty((width, plan.n_draws)), blas=True)
         for fit, proj in zip(missing, projs):
             proj.flags.writeable = False
             fit.projections[plan] = proj

@@ -10,26 +10,29 @@ case. ``TslsGrams`` factors each Gram once, by Cholesky or, when it has a
 near-null direction, by its eigenpairs (see ``_linalg``); it gives s_hat
 from the factors alone and the fit only when asked.
 
-A fit keeps M_J as two factors, M_J = L R': the p x p matrix L, which is
-G^- = (Psi'Psi)^- for series regression and A^- = (Psi'P_K Psi)^- for TSLS,
-and the n x p matrix R, which is the design Psi for series regression and
-the first-stage fitted design P_K Psi for TSLS. R is kept as ``WindowedRows``:
+M_J factors as M_J = L R': the p x p matrix L, which is G^- = (Psi'Psi)^-
+for series regression and A^- = (Psi'P_K Psi)^- for TSLS, and the n x p
+matrix R, which is the design Psi for series regression and the first-stage
+fitted design P_K Psi for TSLS. The residuals enter the variance and the
+bootstrap only through the weights W_J = M_J diag(u_hat) = L (R o u_hat)',
+so a fit keeps L and R o u_hat, the latter formed once as ``WindowedRows``:
 one block per fixed chunk of ``OBS_ROWS`` observations, holding only the
-columns from the chunk's first to its last nonzero one. A B-spline row has
-only ``order`` nonzeros per axis, so once the observations are ordered by x
-each block of a series-regression design spans a narrow window of columns;
-the projections (R o u)' Omega' and the inner Grams of the cross terms, sums
-over the blocks, then cost the window's width rather than p per observation,
-and a variance field takes its grid rows through L once. Consecutive chunks
-whose windows agree share one block, so where R is dense (TSLS, the additive
-model) it is one block spanning every column and every row.
+columns from the chunk's first to its last nonzero one of R. A B-spline row
+has only ``order`` nonzeros per axis, so once the observations are ordered
+by x each block of a series-regression design spans a narrow window of
+columns; the projections (R o u)' Omega' and the inner Grams of the cross
+terms, sums over the blocks, then cost the window's width rather than p per
+observation, and a variance field takes its grid rows through L once.
+Consecutive chunks whose windows agree share one block, so where R is dense
+(TSLS, the additive model) it is one block spanning every column and every
+row.
 
 A ``SieveModel`` describes a model: its design and instruments at J, their
 widths at J, and the selector rows of the function it reports. One ``fit``
 serves every model: it checks the widths, builds the design and runs the one
 TSLS core (``fit_grams``, then ``TslsGrams.solve``) into a ``SieveFit``, which
-keeps the two factors, the coefficients and the residuals but not the design
-or the instruments. ``candidate_dims`` is every model's one J grid: the
+keeps the two factors of W_J, the coefficients and the residuals but not the
+design or the instruments. ``candidate_dims`` is every model's one J grid: the
 admissible dimensions whose widths fit the sample. The shared ``SieveBackend``
 fits a model without instruments on its observations ordered by x (a stable
 lexicographic sort, first column first) and a TSLS model in the sample's
@@ -142,9 +145,9 @@ class WindowedRows:
 
     Each chunk's window runs from its first to its last nonzero column, and
     consecutive chunks whose windows agree share one block, so a dense
-    matrix is a single block. Block c is a read-only copy of the rows
-    ``runs[c]`` and the columns ``windows[c]``; every entry outside the
-    windows is zero. Iterating gives ``(run, window, block)`` triples.
+    matrix is a single block. Block c holds the rows ``runs[c]`` and the
+    columns ``windows[c]``, read-only; every entry outside the windows is
+    zero. Iterating gives ``(run, window, block)`` triples.
     """
 
     runs: tuple[slice, ...]
@@ -153,8 +156,13 @@ class WindowedRows:
     width: int
 
     @classmethod
-    def of(cls, matrix: np.ndarray) -> WindowedRows:
-        """The windowed blocks of a dense n x p ``matrix``."""
+    def of(cls, matrix: np.ndarray, u: np.ndarray) -> WindowedRows:
+        """diag(u) ``matrix`` in the windowed blocks of the dense n x p ``matrix``.
+
+        The runs and windows are those of ``matrix`` itself, so a zero in u
+        moves no window, and each block is formed straight from the matrix's
+        rows times u, with no copy of the unweighted rows.
+        """
         chunks = _chunks(matrix.shape[0], OBS_ROWS)
         used = np.logical_or.reduceat(matrix != 0.0, [chunk.start for chunk in chunks], axis=0)
         first, stop = used.argmax(axis=1), used.shape[1] - used[:, ::-1].argmax(axis=1)
@@ -166,26 +174,13 @@ class WindowedRows:
             else:
                 runs.append(chunk)
                 windows.append(window)
-        blocks = [matrix[run, window].copy() for run, window in zip(runs, windows)]
+        blocks = [matrix[run, window] * u[run, None] for run, window in zip(runs, windows)]
         for block in blocks:
             block.flags.writeable = False
         return cls(tuple(runs), tuple(windows), tuple(blocks), matrix.shape[1])
 
     def __iter__(self):
         return zip(self.runs, self.windows, self.blocks)
-
-    def scaled(self, u: np.ndarray) -> WindowedRows:
-        """diag(u) times the matrix, in the same windowed blocks."""
-        return WindowedRows(self.runs, self.windows, tuple(block * u[run, None] for run, _, block in self), self.width)
-
-    def weighted(self, u: np.ndarray, work: np.ndarray | None = None):
-        """Yield ``(run, window, block o u[run])`` per block, each a view of one work array that the next step reuses.
-
-        ``work``, when given, is that array; it needs ``max_block`` entries.
-        """
-        work = np.empty(self.max_block) if work is None else work
-        for run, window, block in self:
-            yield run, window, np.multiply(block, u[run, None], out=work[:block.size].reshape(block.shape))
 
     def pieces(self, other: WindowedRows):
         """Yield ``(rows, window, block, window2, block2)`` over the rows where one block of each is current.
@@ -206,10 +201,6 @@ class WindowedRows:
     def n(self) -> int:
         return self.runs[-1].stop
 
-    @property
-    def max_block(self) -> int:
-        return max(block.size for block in self.blocks)
-
     def dense(self) -> np.ndarray:
         """The n x p matrix."""
         out = np.zeros((self.n, self.width))
@@ -225,15 +216,15 @@ class SieveFit:
     ``basis`` is the state the model's selector reads (a ``BasisSpec``, or
     the additive model's per-axis ``(basis, integrals)`` pairs). The rest is
     the output of ``TslsGrams.solve``; the design and instruments are not
-    kept. M = ``left`` ``right``' is kept as its two factors (see the module
-    docstring), so the bootstrap weights are W = M diag(u_hat) =
-    left (right o u_hat)'. Every array is in the row order of the
-    observations the fit was made on. The fit owns, per ``MultiplierPlan``,
-    its projection (right o u_hat)' Omega' in ``projections`` (so that
-    W Omega' = left times it) and, keyed weakly by the fit of the same or a
-    higher J, the inner Gram sum_c R_c' diag(u_hat u_hat2) R2_c of their cross
-    terms in ``inner_grams``. Every variance field on the fit reads these, so
-    they live as long as the fit, and a copy made with ``dataclasses.replace``
+    kept. The bootstrap weights W = M diag(u_hat) are kept as their two
+    factors, W = ``left`` ``right``' (see the module docstring): ``right`` is
+    R o u_hat, the fit's one residual-weighted array. Every array is in the
+    row order of the observations the fit was made on. The fit owns, per
+    ``MultiplierPlan``, its projection right' Omega' in ``projections`` (so
+    that W Omega' = left times it) and, keyed weakly by the fit of the same
+    or a higher J, the inner Gram sum_c right_c' right2_c of their cross terms
+    in ``inner_grams``. Every variance field on the fit reads these, so they
+    live as long as the fit, and a copy made with ``dataclasses.replace``
     starts without them.
     """
 
@@ -250,16 +241,11 @@ class SieveFit:
         init=False, default_factory=weakref.WeakKeyDictionary, compare=False, repr=False
     )
 
-    @property
-    def m(self) -> np.ndarray:
-        """The p x n matrix M = left right', formed on each read; the fit keeps none."""
-        return self.left @ self.right.dense().T
-
     def score_rows(self, rows: np.ndarray) -> np.ndarray:
-        """The k x n score rows ``rows`` (right o u_hat)' of k x p rows already taken through ``left``, block by block."""
+        """The k x n score rows ``rows`` right' of k x p rows already taken through ``left``, block by block."""
         out = np.empty((rows.shape[0], self.right.n))
-        for run, window, weighted in self.right.weighted(self.u_hat):
-            np.matmul(rows[:, window], weighted.T, out=out[:, run])
+        for run, window, block in self.right:
+            np.matmul(rows[:, window], block.T, out=out[:, run])
         return out
 
 
@@ -301,11 +287,11 @@ class TslsGrams:
     def solve(self, y: np.ndarray):
         """The fit of ``y``: ``(left, right, coef, u_hat, s_hat, flags)`` with M = left right'.
 
-        left is G^- and right the windowed design for series regression;
-        left is A^- for A = Psi'P_K Psi and right the windowed P_K Psi for
-        TSLS. coef = left (right' y), solved against the Gram rather than
-        multiplied by its explicit inverse, which keeps u_hat, its residuals,
-        accurate to the Gram's conditioning.
+        left is G^- and right the n x p design for series regression; left
+        is A^- for A = Psi'P_K Psi and right P_K Psi for TSLS. Neither is
+        weighted by the residuals. coef = left (right' y), solved against the
+        Gram rather than multiplied by its explicit inverse, which keeps
+        u_hat, its residuals, accurate to the Gram's conditioning.
         """
         design, bmat = self.design, self.bmat
         n, j = design.shape
@@ -321,7 +307,7 @@ class TslsGrams:
         left = gram.inverse()
         left.flags.writeable = False
         coef = gram.solve(rmat.T @ y)
-        return left, WindowedRows.of(rmat), coef, y - design @ coef, self.s_hat, tuple(flags)
+        return left, rmat, coef, y - design @ coef, self.s_hat, tuple(flags)
 
 
 def fit_grams(sample: Sample, model: SieveModel, j: int) -> tuple[object, TslsGrams]:
@@ -343,11 +329,13 @@ def fit(sample: Sample, model: SieveModel, j: int, grams: tuple[object, TslsGram
     """The model's sieve TSLS fit at dimension ``j``; series regression when it has no instruments.
 
     ``grams`` passes ``fit_grams(sample, model, j)`` when they were already
-    formed for s_hat alone.
+    formed for s_hat alone. The fit's right factor is the solved R times
+    u_hat, formed once in R's windows.
     """
     basis, grams = grams or fit_grams(sample, model, j)
-    left, right, coef, u_hat, s_hat, flags = grams.solve(sample.y)
-    return SieveFit(j=j, basis=basis, left=left, right=right, coef=coef, u_hat=u_hat, s_hat=s_hat, flags=flags)
+    left, rmat, coef, u_hat, s_hat, flags = grams.solve(sample.y)
+    return SieveFit(j=j, basis=basis, left=left, right=WindowedRows.of(rmat, u_hat), coef=coef, u_hat=u_hat,
+                    s_hat=s_hat, flags=flags)
 
 
 def evaluate(model: SieveModel, fit_: SieveFit, pts, deriv=0) -> np.ndarray:
@@ -367,24 +355,23 @@ def sieve_rows(basis: bs.BasisSpec, pts, deriv):
 class VarianceField:
     """Sieve variance machinery for the fits of one backend on one grid, factored through the sieve.
 
-    Per J: the fit, the slice of its coefficients that the selector rows
-    d^a psi^J(x)' select, the estimate on the grid, and ``rows``, the G x p
-    selector rows taken through the slice's rows of the fit's left factor
-    (p the fit's width). With W_J = left_J (R_J o u_J)' the scores are
-    S_J = rows_J (R_J o u_J)', never formed. sigma_J^2 and sigma~_{J,J2} are
+    Per J: the fit, the estimate on the grid, and ``rows``, the G x p
+    selector rows d^a psi^J(x)' taken through the rows of the fit's left
+    factor that the selector's coefficient slice picks (p the fit's width).
+    With W_J = left_J right_J' and right_J = R_J o u_J the scores are
+    S_J = rows_J right_J', never formed. sigma_J^2 and sigma~_{J,J2} are
     row-wise quadratic forms of the rows in the inner Gram
-    C = sum_c R_J,c' diag(u_J u_J2) R_J2,c, a sum over the two fits' windowed
-    blocks that depends on the fits alone; the forms are taken over fixed
-    chunks of ``GRID_ROWS`` grid rows. So neither depends on which other J
-    the field holds. Where a contrast's variance cancels, ``contrast_sd``
-    recomputes it from score differences, so fits that alias each other
-    contrast to exactly zero. The bootstrap needs only the fit's projection
-    (R_J o u_J)' Omega', so the draws of J do not depend on which other J the
-    field holds. Contrast draws are differences of per-J draws, so no
-    contrast rows exist. ``influence`` and ``scores`` compute G x n rows on
-    read, in the row order of the sample the backend was given. The field
-    holds the J values that ``cover`` gave it, each fitted by ``backend``;
-    the rows, estimates, sigma, cross terms and per-J single sups
+    C = sum_c right_J,c' right_J2,c = sum_c R_J,c' diag(u_J u_J2) R_J2,c, a
+    sum over the two fits' windowed blocks that depends on the fits alone;
+    the forms are taken over fixed chunks of ``GRID_ROWS`` grid rows. So
+    neither depends on which other J the field holds. Where a contrast's
+    variance cancels, ``contrast_sd`` recomputes it from score differences,
+    so fits that alias each other contrast to exactly zero. The bootstrap
+    needs only the fit's projection right_J' Omega', so the draws of J do
+    not depend on which other J the field holds. Contrast draws are
+    differences of per-J draws, so no contrast rows exist. The field holds
+    the J values that ``cover`` gave it, each fitted by ``backend``; the
+    rows, estimates, sigma, cross terms and per-J single sups
     (``single_sups``) stay with it.
     """
 
@@ -393,7 +380,6 @@ class VarianceField:
     deriv: tuple[int, ...]
     rows: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     fits: dict[int, SieveFit] = field(init=False, default_factory=dict)
-    slices: dict[int, slice] = field(init=False, default_factory=dict)
     estimates: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     sigma: dict[int, np.ndarray] = field(init=False, default_factory=dict)
     _cross: dict[tuple[int, int], np.ndarray] = field(init=False, default_factory=dict)
@@ -415,7 +401,7 @@ class VarianceField:
         for j in new:
             fit = self.fits[j] = self.backend.fit(j)
             rows, sl = self.backend.model.selector(fit.basis, self.grid, self.deriv)
-            self.rows[j], self.slices[j], self.estimates[j] = rows @ fit.left[sl], sl, rows @ fit.coef[sl]
+            self.rows[j], self.estimates[j] = rows @ fit.left[sl], rows @ fit.coef[sl]
         sigma = {j: np.sqrt(self.cross(j, j)) for j in new}
         if sigma and max(float(s.max()) for s in (*self.sigma.values(), *sigma.values())) == 0.0:
             raise DegenerateVarianceError("all residuals are exactly zero; sieve variance and bands are undefined")
@@ -429,25 +415,22 @@ class VarianceField:
         """Compute the cross terms of ``pairs`` not yet held.
 
         The inner Gram of the pair's fits sums, over the rows where one block
-        of each fit is current (``WindowedRows.pieces``), the products of
-        their blocks weighted by their residuals, each fit's weighted blocks
-        formed once per call. It depends on the two fits alone, so the first
-        field to form it keeps it in the lower J's ``inner_grams`` for every
-        field of the backend. The quadratic forms take ``GRID_ROWS`` grid
-        rows at a time.
+        of each fit's right factor is current (``WindowedRows.pieces``), the
+        products of their blocks as stored. It depends on the two fits alone,
+        so the first field to form it keeps it in the lower J's
+        ``inner_grams`` for every field of the backend. The quadratic forms
+        take ``GRID_ROWS`` grid rows at a time.
         """
         todo = sorted({(min(p), max(p)) for p in pairs} - self._cross.keys())
         missing = sorted({j for key in todo for j in key} - self.rows.keys())
         if missing:
             raise InvalidDimensionError(f"J values {missing} are not in the variance field")
-        g, weighted = self.grid.shape[0], {}
+        g = self.grid.shape[0]
         for j, j2 in todo:
             fit, fit2 = self.fits[j], self.fits[j2]
             if fit2 not in fit.inner_grams:
-                for k in {j, j2} - weighted.keys():
-                    weighted[k] = self.fits[k].right.scaled(self.fits[k].u_hat)
                 inner = np.zeros((fit.right.width, fit2.right.width))
-                for _, window, block, window2, block2 in weighted[j].pieces(weighted[j2]):
+                for _, window, block, window2, block2 in fit.right.pieces(fit2.right):
                     inner[window, window2] += block.T @ block2
                 fit.inner_grams[fit2] = inner
             gram, rows, rows2, out = fit.inner_grams[fit2], self.rows[j], self.rows[j2], np.empty(g)
@@ -458,20 +441,6 @@ class VarianceField:
     @property
     def n(self) -> int:
         return self.backend.n
-
-    def _score_rows(self, j: int, idx) -> np.ndarray:
-        """The score rows S_J[idx] = rows_J[idx] (R_J o u_J)', in the backend's row order."""
-        return self.fits[j].score_rows(self.rows[j][idx])
-
-    @property
-    def influence(self) -> dict[int, np.ndarray]:
-        """The G x n influence rows rows_J R_J' per J, computed on each read; the field keeps none."""
-        return {j: self.backend.sample_order(self.rows[j] @ self.fits[j].right.dense().T) for j in self.j_values}
-
-    @property
-    def scores(self) -> dict[int, np.ndarray]:
-        """The G x n score rows S_J = rows_J (R_J o u_J)' per J, computed on each read; the field keeps none."""
-        return {j: self.backend.sample_order(self._score_rows(j, slice(None))) for j in self.j_values}
 
     def fitted(self, j: int) -> np.ndarray:
         """The estimate (d^a h_J)(x) = d^a psi^J(x)' coef[slice] on the grid, as a fresh array."""
@@ -497,8 +466,8 @@ class VarianceField:
         near = np.flatnonzero(var <= CONTRAST_CANCELLATION * total)
         for lo in range(0, near.size, _DIFF_ROWS):
             idx = near[lo:lo + _DIFF_ROWS]
-            diff = self._score_rows(j, idx)
-            diff -= self._score_rows(j2, idx)
+            diff = self.fits[j].score_rows(self.rows[j][idx])
+            diff -= self.fits[j2].score_rows(self.rows[j2][idx])
             var[idx] = np.einsum("gn,gn->g", diff, diff)
         return np.sqrt(np.maximum(var, 0.0))
 
@@ -592,14 +561,6 @@ class SieveBackend:
         self._fits: dict = {}
         self._grams: dict = {}
         self.n = sample.n
-
-    def sample_order(self, rows: np.ndarray) -> np.ndarray:
-        """The k x n ``rows``, whose columns follow the fitted order, with their columns in the given sample's order."""
-        if self.order is None:
-            return rows
-        out = np.empty_like(rows)
-        out[:, self.order] = rows
-        return out
 
     @property
     def grid_dim(self) -> int:

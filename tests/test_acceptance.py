@@ -159,11 +159,12 @@ def test_criterion_6_property_suite():
     w = np.clip(x + 0.15 * rng.standard_normal(n), 0, 1)
     y = np.sin(3 * x) + 0.5 * rng.standard_normal(n)
     sample = est.Sample(y, x, w)
-    fit_reg = est.fit(sample, est.npiv_model(cubic, None), 7)
-    psi = est.fit_grams(sample, est.npiv_model(cubic, None), 7)[1].design
+    grams_reg = est.fit_grams(sample, est.npiv_model(cubic, None), 7)[1]
+    left_reg, right_reg = grams_reg.solve(sample.y)[:2]
+    psi = grams_reg.design
     left, right = est.TslsGrams(psi, psi).solve(np.zeros(n))[:2]
-    m_tsls = left @ right.dense().T
-    ols_err = float(np.abs(m_tsls - fit_reg.m).max())
+    m_tsls = left @ right.T
+    ols_err = float(np.abs(m_tsls - left_reg @ right_reg.T).max())
     checks.append((f"OLS equivalence {ols_err:.1e} < 1e-10", ols_err < 1e-10))
 
     # polynomial reproduction < 1e-9
@@ -182,8 +183,8 @@ def test_criterion_6_property_suite():
 
     # exact conditional normality: KS < 0.01 at B=1e5
     plan_big = MultiplierPlan(100_000, 3)
-    row = vf.scores[4][0] / vf.sigma[4][0]
-    t_vals = bt.multiplier_matrix(plan_big, n) @ row
+    row = vf.fits[4].score_rows(vf.rows[4][:1])[0] / vf.sigma[4][0]
+    t_vals = bt.multiplier_matrix(plan_big, n, backend.order) @ row
     ks = float(kstest(t_vals, "norm").statistic)
     checks.append((f"conditional normality KS {ks:.4f} < 0.01", ks < 0.01))
 

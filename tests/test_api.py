@@ -1,7 +1,9 @@
 """The public surface: every exported name resolves, and modules use only each other's public names."""
 
 import ast
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +60,13 @@ def test_imports_only_scipy_special():
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True)
     loaded = {name for name in out.stdout.split() if not name.startswith("_") and name != "version"}
     assert loaded == {"special"}
+
+
+def test_readme_lists_the_sieve_fit_fields():
+    """README's field list of ``SieveFit`` names its constructor fields, in order."""
+    text = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"a\s+`SieveFit`\s+\(([^)]*)\)", text)
+    assert listed is not None
+    assert re.findall(r"`(\w+)`", listed.group(1)) == [
+        f.name for f in dataclasses.fields(npivband.SieveFit) if f.init
+    ]

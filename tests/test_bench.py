@@ -1,8 +1,8 @@
 """Smoke test of the benchmark harness: one traced round of each workload.
 
-The harness patches and reads library names (``adaptive.select``,
-``VarianceField.influence`` and ``.scores``, the traced functions), so a
-library change that breaks it shows here rather than in a benchmark run.
+The harness patches and reads library names (``adaptive.select`` and the
+traced functions), so a library change that breaks it shows here rather
+than in a benchmark run.
 """
 
 import json

@@ -116,11 +116,21 @@ def _model_field(model):
 
 
 def _chunked_projection(fit, omega):
-    """The projection's formula: sum_c (R_c o u_c)' Omega_c' over the fit's windowed blocks R_c."""
+    """The projection's formula: sum_c R_c' Omega_c' over the windowed blocks R_c of the fit's right factor R o u_hat."""
     proj = np.zeros((fit.right.width, omega.shape[0]))
     for run, window, block in fit.right:
-        proj[window] += (block * fit.u_hat[run, None]).T @ omega[:, run].T
+        proj[window] += block.T @ omega[:, run].T
     return proj
+
+
+def _solved(backend, j):
+    """``(left, R)`` of the backend's fit at J as ``TslsGrams.solve`` returns them, R not weighted by u_hat."""
+    return est.fit_grams(backend.sample, backend.model, j)[1].solve(backend.sample.y)[:2]
+
+
+def _with_residuals(backend, j, u):
+    """The backend's fit at J with residuals ``u``: its right factor is the solved R weighted by u."""
+    return replace(backend.fit(j), u_hat=u, right=est.WindowedRows.of(_solved(backend, j)[1], u))
 
 
 class TestFactoredScores:
@@ -354,8 +364,8 @@ class TestSupTSingle:
         # signed t-values at a fixed (x, J) are exactly standard normal
         field = _field(n=60, js=(4,), grid=np.array([0.4]))
         plan = bt.MultiplierPlan(n_draws=100_000, base_seed=4)
-        row = field.scores[4][0] / field.sigma[4][0]
-        t_vals = bt.multiplier_matrix(plan, field.n) @ row
+        row = field.fits[4].score_rows(field.rows[4][:1])[0] / field.sigma[4][0]
+        t_vals = bt.multiplier_matrix(plan, field.n, field.backend.order) @ row
         assert kstest(t_vals, "norm").statistic < 0.01
 
     def test_zero_residuals_error_propagates(self):
@@ -364,7 +374,7 @@ class TestSupTSingle:
         sample = est.Sample(2 + 3 * x, x, x)
         backend = est.SieveBackend(sample, est.npiv_model(CUBIC, None))
         # Seed the backend's fit cache with a fit whose residuals are all zero.
-        backend._fits[4] = replace(backend.fit(4), u_hat=np.zeros(sample.n), s_hat=1.0)
+        backend._fits[4] = replace(_with_residuals(backend, 4, np.zeros(sample.n)), s_hat=1.0)
         with pytest.raises(DegenerateVarianceError):
             est.build_field(backend, np.linspace(0, 1, 10), 0, (4,))
 
@@ -569,17 +579,17 @@ class TestSharedProjections:
             fit = backends["additive"].fit(j)
             assert full[j] is fit.projections[plan] and full[j].shape == (1 + 2 * (j - 1), plan.n_draws)
             np.testing.assert_array_equal(full[j], _chunked_projection(fit, omega))
-            dense = (fit.m * fit.u_hat) @ omega.T
+            left, rmat = _solved(backends["additive"], j)
+            dense = ((left @ rmat.T) * fit.u_hat) @ omega.T
             np.testing.assert_allclose(fit.left @ full[j], dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
     def test_replaced_fit_gets_fresh_weights(self):
-        # The weights left (R o u_hat)' are formed per product from the fit's own u_hat.
+        # The weights left right' are formed per product from the fit's own right factor R o u_hat.
         backend = _npiv_backend(n=200)
         plan = bt.MultiplierPlan(40, 35)
         first = est.build_field(backend, self.GRID, 0, (4,))
         first_proj = bt._projections(first, plan)[4]
-        fit = backend.fit(4)
-        backend._fits[4] = replace(fit, u_hat=2.0 * fit.u_hat)
+        backend._fits[4] = _with_residuals(backend, 4, 2.0 * backend.fit(4).u_hat)
         assert backend._fits[4].projections == {}
         second = est.build_field(backend, self.GRID, 0, (4,))
         second_proj = bt._projections(second, plan)[4]

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,24 @@ def _operands(sample, model, j):
     """The n x p design of the model's fit at J and its n x K instruments, the design itself for series regression."""
     grams = est.fit_grams(sample, model, j)[1]
     return grams.design, grams.design if grams.bmat is None else grams.bmat
+
+
+def _solved(sample, model, j):
+    """``(left, R, u_hat)`` of the fit at J as ``TslsGrams.solve`` returns them, R not weighted by u_hat."""
+    left, rmat, _, u_hat = est.fit_grams(sample, model, j)[1].solve(sample.y)[:4]
+    return left, rmat, u_hat
+
+
+def _solved_m(sample, model, j):
+    """M = left R' of the fit at J, from the factors that ``TslsGrams.solve`` returns."""
+    left, rmat, _ = _solved(sample, model, j)
+    return left @ rmat.T
+
+
+def _with_residuals(backend, j, u):
+    """The backend's fit at J with residuals ``u``: its right factor is the solved R weighted by u."""
+    rmat = _solved(backend.sample, backend.model, j)[1]
+    return replace(backend.fit(j), u_hat=u, right=est.WindowedRows.of(rmat, u))
 
 
 def _linear_sample(n=200, seed=0, noise=0.0):
@@ -205,7 +224,7 @@ class TestTslsGrams:
                 f = est.fit(sample, model, j)
                 assert calls == [] and f.flags == ()
                 want = _reference_tsls(design, None if spec is None else bmat, sample.y)
-                for got, ref in zip((f.m, f.coef, f.u_hat, f.s_hat), want):
+                for got, ref in zip((_solved_m(sample, model, j), f.coef, f.u_hat, f.s_hat), want):
                     scale = float(np.abs(ref).max())
                     np.testing.assert_allclose(got, ref, rtol=CHOLESKY_RTOL, atol=CHOLESKY_RTOL * scale)
 
@@ -223,7 +242,7 @@ class TestTslsGrams:
                 f = est.fit(sample, model, j)
                 assert len(calls) == (1 if regression else 3)
                 want = _reference_tsls(design, None if regression else bmat, sample.y)
-                for got, ref in zip((f.m, f.coef, f.u_hat, f.s_hat), want):
+                for got, ref in zip((_solved_m(sample, model, j), f.coef, f.u_hat, f.s_hat), want):
                     np.testing.assert_array_equal(got, ref)
                 assert f.flags == want[4]
                 assert "design_rank_deficient" in f.flags and "shat_reduced_rank" in f.flags
@@ -254,8 +273,8 @@ class TestTslsGrams:
 
     def test_fits_keep_no_design(self):
         # Each fit of a selection keeps its left factor (p x p), the windowed blocks of its
-        # right factor (at most n x p), one projection (p x B), the coefficients and the
-        # residuals: no n x p design or instruments, and no p x n M or weights.
+        # right factor R o u_hat (at most n x p), one projection (p x B), the coefficients and
+        # the residuals: no n x p design or instruments, and no p x n M or W.
         rng = np.random.default_rng(9)
         n, b = 2000, 100
         x = rng.random(n)
@@ -270,6 +289,32 @@ class TestTslsGrams:
             assert sum(a.nbytes for a in arrays.values()) <= (n + b + p) * p * 8 + 2 * (n + p) * 8
 
 
+class TestRightFactor:
+    """A fit keeps R o u_hat, in the runs and windows of the unweighted R that ``TslsGrams.solve`` returns."""
+
+    @pytest.mark.parametrize("case", ["regression", "tsls", "additive"])
+    def test_right_is_r_times_u_hat_in_the_windows_of_r(self, case):
+        rng = np.random.default_rng(21)
+        n = 700
+        x = rng.random((n, 2))
+        y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
+        if case == "additive":
+            sample, model = est.Sample(y, x, x), ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)
+        else:
+            sample, model = est.Sample(y, x[:, 0], x[:, 1]), REG if case == "regression" else NPIV
+        backend = est.SieveBackend(sample, model)
+        assert (backend.order is None) == (case == "tsls")
+        for j in est.candidate_dims(model, n)[2:5]:
+            fit = backend.fit(j)
+            left, rmat, u_hat = _solved(backend.sample, model, j)
+            layout = est.WindowedRows.of(rmat, np.ones(n))
+            assert fit.right.runs == layout.runs and fit.right.windows == layout.windows
+            assert len(fit.right.runs) > 1 if case == "regression" else fit.right.runs == (slice(0, n),)
+            np.testing.assert_array_equal(fit.right.dense(), rmat * u_hat[:, None])
+            np.testing.assert_array_equal(fit.left, left)
+            np.testing.assert_array_equal(fit.u_hat, u_hat)
+
+
 class TestShat:
     def test_self_instrumented_is_one(self):
         f = est.fit(_noisy_sample(), REG, 7)
@@ -278,11 +323,10 @@ class TestShat:
     def test_ols_equivalence(self):
         # with b = psi the TSLS influence matrix equals series least squares
         sample = _noisy_sample()
-        f = est.fit(sample, REG, 7)
         design = _operands(sample, REG, 7)[0]
         left, right = est.TslsGrams(design, design).solve(np.zeros(design.shape[0]))[:2]
-        m_tsls = left @ right.dense().T
-        assert np.abs(m_tsls - f.m).max() < 1e-10
+        m_tsls = left @ right.T
+        assert np.abs(m_tsls - _solved_m(sample, REG, 7)).max() < 1e-10
 
     def test_independent_instruments_near_zero(self):
         # population smallest singular value is 0 under independence for J >= 2;
@@ -351,13 +395,14 @@ class TestVarianceField:
 
     def test_homoskedastic_oracle(self):
         # inject u == c: sigma^2(x) must equal c^2 sum_i (psi(x)' M)_i^2
-        f = est.fit(_noisy_sample(), NPIV, 4)
+        sample = _noisy_sample()
+        f = est.fit(sample, NPIV, 4)
         grid = np.linspace(0, 1, 30)
-        rows = bs.design_matrix(f.basis, grid) @ f.m
+        rows = bs.design_matrix(f.basis, grid) @ _solved_m(sample, NPIV, 4)
         c = 0.7
-        backend = est.SieveBackend(_noisy_sample(), NPIV)
+        backend = est.SieveBackend(sample, NPIV)
         # Seed the backend's fit cache with the fit whose residuals are all c.
-        backend._fits[4] = replace(f, u_hat=np.full(f.u_hat.size, c))
+        backend._fits[4] = _with_residuals(backend, 4, np.full(sample.n, c))
         vf = est.build_field(backend, grid, 0, (4,))
         oracle = c**2 * np.einsum("gi,gi->g", rows, rows)
         np.testing.assert_allclose(vf.cross(4, 4), oracle, rtol=1e-12)
@@ -366,9 +411,26 @@ class TestVarianceField:
         sample = _linear_sample()
         backend = est.SieveBackend(sample, REG)
         # Seed the backend's fit cache with a fit whose residuals are all zero.
-        backend._fits[4] = replace(backend.fit(4), u_hat=np.zeros(sample.n))
+        backend._fits[4] = _with_residuals(backend, 4, np.zeros(sample.n))
         with pytest.raises(DegenerateVarianceError):
             est.build_field(backend, np.linspace(0, 1, 20), 0, (4,))
+
+    def test_cross_terms_copy_no_right_factor(self):
+        # The inner Grams are sums of products of the fits' own blocks of R o u_hat: building
+        # a field over fitted J values and forming the cross terms of every pair allocates
+        # less than those blocks hold, so no weighted copy of them is made.
+        backend = est.SieveBackend(_noisy_sample(n=3000), NPIV)
+        js = (4, 7, 11, 19)
+        held = sum(block.nbytes for j in js for block in backend.fit(j).right.blocks)
+        tracemalloc.start()
+        try:
+            vf = est.build_field(backend, np.linspace(0, 1, 20), 0, js)
+            vf._fill_cross([(j, j2) for i, j in enumerate(js) for j2 in js[i + 1:]])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(vf._cross) == 10
+        assert peak < held, (peak, held)
 
     def test_shift_invariance(self):
         s = _noisy_sample()

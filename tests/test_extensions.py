@@ -320,8 +320,8 @@ class TestOneFit:
             np.testing.assert_array_equal(grams.bmat, bmat)
         fit = est.fit(sample, model, j)
         left, right, coef, u_hat, s_hat, flags = est.TslsGrams(design, bmat).solve(sample.y)
-        assert fit.right.windows == right.windows
-        for got, want in ((fit.left, left), (fit.right.dense(), right.dense()), (fit.coef, coef),
+        assert fit.right.windows == est.WindowedRows.of(right, u_hat).windows
+        for got, want in ((fit.left, left), (fit.right.dense(), right * u_hat[:, None]), (fit.coef, coef),
                           (fit.u_hat, u_hat), (fit.s_hat, s_hat)):
             np.testing.assert_array_equal(got, want)
         assert fit.flags == flags and fit.j == j
