@@ -12,7 +12,9 @@ the largest dimension involved in forming the matrix (typically
 are both formed from the retained eigenpairs.
 
 ``openblas`` reaches the thread setter and getter of numpy's bundled
-OpenBLAS, through which pool workers and the CLI run BLAS on one thread.
+OpenBLAS, through which pool workers run BLAS on one thread, and
+``one_blas_thread`` runs it on one thread for the length of a CLI command
+or a ``simgen.run_mc`` call.
 ``thread_map`` runs independent tasks on threads that live only inside one
 call, one per CPU the process may run on; pool workers set it to one.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 import functools
 import os
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +55,26 @@ def openblas():
             getter.argtypes, getter.restype = [], ctypes.c_int
             return lib
     return None
+
+
+@contextmanager
+def one_blas_thread():
+    """Run numpy's bundled OpenBLAS on one thread inside the block, and give back the caller's count after it.
+
+    Products and factors round differently at other thread counts, so this
+    makes the outputs independent of the host's cores and thread variables.
+    Without the library's thread setter nothing changes.
+    """
+    lib = openblas()
+    if lib is None:
+        yield
+        return
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 #: The threads every ``thread_map`` of this process may use; None: one per CPU it may run on.

@@ -10,6 +10,12 @@ form the grid {(2^l + r - 1)^d : l = 0, 1, ...}.
 Evaluation uses the Cox-de Boor recursion. Values at interior knots are
 right-limits; values at x = 1 are left-limits, which makes every evaluation
 well defined on the closed cube.
+
+A row of the basis at a point is nonzero only in ``r`` consecutive columns
+per axis (de Boor 1978, *A Practical Guide to Splines*). ``basis_spans``
+keeps the basis at n points as those spans: each row's first nonzero column
+and its ``r``^d values, n r^d numbers in all. ``design_matrix`` scatters the
+same recursion's values into the dense n x J matrix, with the same bits.
 """
 
 from __future__ import annotations
@@ -291,8 +297,31 @@ def _spans(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
     return np.clip(idx, order - 1, knots.size - order - 1)
 
 
-def _basis_1d(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
-    """Cox-de Boor evaluation of all basis functions at 1-d points.
+@dataclass(frozen=True, eq=False)
+class BasisSpans:
+    """A B-spline basis at n points kept as its spans: each row's nonzero columns and their values.
+
+    Row i of the n x ``width`` matrix is nonzero only in the columns
+    ``first[i] + offsets``, where it holds ``values[i]``; ``offsets``
+    ascends from 0 and is the same for every row, so the spans take
+    ``order``^d values per row rather than ``width``. A value inside a span
+    may still be zero (at a knot).
+    """
+
+    first: np.ndarray
+    offsets: np.ndarray
+    values: np.ndarray
+    width: int
+
+    def dense(self) -> np.ndarray:
+        """The n x width matrix, the spans scattered into zeros."""
+        out = np.zeros((self.first.size, self.width))
+        out.ravel()[(np.arange(self.first.size) * self.width + self.first)[:, None] + self.offsets] = self.values
+        return out
+
+
+def _spans_1d(knots: np.ndarray, order: int, x: np.ndarray) -> BasisSpans:
+    """Cox-de Boor evaluation of the ``order`` basis functions that are nonzero at each 1-d point.
 
     Degree j fills rows 0..j of the order x n table at once: with
     temp_k = vals_k / (right_{k+1} + left_{j-k}) (0 where that sum is 0), the
@@ -301,7 +330,6 @@ def _basis_1d(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
     recursion's operations in its order, so the values are the same bits.
     """
     n_pts = x.size
-    n_funcs = knots.size - order
     spans = _spans(knots, order, x)
     # One contiguous row per order; row 0 of left and right is never read.
     vals = np.zeros((order, n_pts))
@@ -316,10 +344,12 @@ def _basis_1d(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
         vals[1 : j + 1] = left[j:0:-1] * temp
         vals[0] = 0.0
         vals[:j] += right[1 : j + 1] * temp
-    out = np.zeros((n_pts, n_funcs))
-    first = np.arange(n_pts) * n_funcs + spans - (order - 1)
-    out.ravel()[first[:, None] + np.arange(order)] = vals.T
-    return out
+    return BasisSpans(spans - (order - 1), np.arange(order), vals.T, knots.size - order)
+
+
+def _basis_1d(knots: np.ndarray, order: int, x: np.ndarray) -> np.ndarray:
+    """All basis functions at 1-d points: the spans of ``_spans_1d`` scattered into an n x J matrix."""
+    return _spans_1d(knots, order, x).dense()
 
 
 def _deriv_matrix(knots: np.ndarray, order: int) -> np.ndarray:
@@ -379,6 +409,26 @@ def design_matrix(spec: BasisSpec, x, deriv=None) -> np.ndarray:
     for axis in range(1, spec.dim):
         mat = _basis_deriv_1d(spec.knots(axis), spec.order, pts[:, axis], multi[axis])
         out = (out[:, :, None] * mat[:, None, :]).reshape(pts.shape[0], -1)
+    return out
+
+
+def basis_spans(spec: BasisSpec, x) -> BasisSpans:
+    """The spans of the basis at points: row i of ``design_matrix(spec, x)`` is ``values[i]`` at its span, else 0.
+
+    A tensor row's nonzero columns are the C-ordered products of the axes'
+    spans, and its values are formed in ``design_matrix``'s order (first
+    axis times second, times third, ...), so they are the same bits.
+    """
+    pts = as_points(x, spec.dim)
+    out = _spans_1d(spec.knots(0), spec.order, pts[:, 0])
+    for axis in range(1, spec.dim):
+        nxt = _spans_1d(spec.knots(axis), spec.order, pts[:, axis])
+        out = BasisSpans(
+            out.first * nxt.width + nxt.first,
+            (out.offsets[:, None] * nxt.width + nxt.offsets[None, :]).ravel(),
+            (out.values[:, :, None] * nxt.values[:, None, :]).reshape(pts.shape[0], -1),
+            out.width * nxt.width,
+        )
     return out
 
 

@@ -43,7 +43,7 @@ from . import estimator as est
 from . import extensions as ext
 from . import simgen as sg
 from . import ucb
-from ._linalg import map_threads, openblas
+from ._linalg import map_threads, one_blas_thread, openblas
 from .bootstrap import MultiplierPlan
 from .errors import (
     ConfigurationError,
@@ -515,30 +515,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextmanager
-def _one_blas_thread():
-    """Run numpy's bundled OpenBLAS on one thread inside the block, and give back the caller's count after it.
-
-    Products and factors round differently at other thread counts, so this
-    makes the outputs independent of the host's cores and thread variables.
-    Without the library's thread setter nothing changes.
-    """
-    lib = openblas()
-    if lib is None:
-        yield
-        return
-    before = lib.scipy_openblas_get_num_threads64_()
-    lib.scipy_openblas_set_num_threads64_(1)
-    try:
-        yield
-    finally:
-        lib.scipy_openblas_set_num_threads64_(before)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        with _one_blas_thread():
+        with one_blas_thread():
             config = parser.parse_args(argv)
             config.seed = _seed_from_env(config.seed)
             if config.subcommand == "fit":

@@ -16,16 +16,26 @@ matrix R, which is the design Psi for series regression and the first-stage
 fitted design P_K Psi for TSLS. The residuals enter the variance and the
 bootstrap only through the weights W_J = M_J diag(u_hat) = L (R o u_hat)',
 so a fit keeps L and R o u_hat, the latter formed once as ``WindowedRows``:
-one block per fixed chunk of ``OBS_ROWS`` observations, holding only the
-columns from the chunk's first to its last nonzero one of R. A B-spline row
-has only ``order`` nonzeros per axis, so once the observations are ordered
-by x each block of a series-regression design spans a narrow window of
-columns; the projections (R o u)' Omega' and the inner Grams of the cross
-terms, sums over the blocks, then cost the window's width rather than p per
+one block per fixed chunk of ``OBS_ROWS`` observations, holding only a
+window of R's columns around the chunk's nonzero ones. A B-spline row has
+only ``order`` nonzeros per axis, so once the observations are ordered by x
+each block of a series-regression design spans a narrow window of columns;
+the projections (R o u)' Omega' and the inner Grams of the cross terms, sums
+over the blocks, then cost the window's width rather than p per
 observation, and a variance field takes its grid rows through L once.
 Consecutive chunks whose windows agree share one block, so where R is dense
 (TSLS, the additive model) it is one block spanning every column and every
 row.
+
+Who builds the blocks, and from what: a B-spline series regression
+(``npiv_model`` without instruments, any dimension) gives its design as the
+basis's spans (``basis.basis_spans``: each row's first nonzero column and
+its ``order``^d values), and ``WindowedRows.of_spans`` scatters each chunk's
+spans straight into its window, so no n x p array exists. ``TslsGrams``
+forms Psi'Psi = sum_c R_c'R_c, Psi'y and the residuals from those blocks,
+and ``fit`` weights them by u_hat in place. Every other model gives a dense
+design: ``TslsGrams`` forms its products densely, and ``fit`` takes R o u_hat
+into the windows of the dense R by ``WindowedRows.of``.
 
 A ``SieveModel`` describes a model: its design and instruments at J, their
 widths at J, and the selector rows of the function it reports. One ``fit``
@@ -139,15 +149,30 @@ def _as_matrix(a) -> np.ndarray:
     return arr
 
 
+def _runs(chunks: list[slice], windows: list[slice]) -> tuple[list[slice], list[slice]]:
+    """The chunks and their windows with each run of consecutive chunks whose windows agree joined into one."""
+    runs, joined = [], []
+    for chunk, window in zip(chunks, windows):
+        if joined and window == joined[-1]:
+            runs[-1] = slice(runs[-1].start, chunk.stop)
+        else:
+            runs.append(chunk)
+            joined.append(window)
+    return runs, joined
+
+
 @dataclass(frozen=True, eq=False)
 class WindowedRows:
     """An n x p matrix kept as blocks over runs of its fixed chunks of ``OBS_ROWS`` rows.
 
-    Each chunk's window runs from its first to its last nonzero column, and
-    consecutive chunks whose windows agree share one block, so a dense
-    matrix is a single block. Block c holds the rows ``runs[c]`` and the
-    columns ``windows[c]``, read-only; every entry outside the windows is
-    zero. Iterating gives ``(run, window, block)`` triples.
+    Each chunk's window holds every nonzero column of its rows: ``of`` scans
+    a dense matrix for its first and last nonzero column per chunk, and
+    ``of_spans`` takes a B-spline design's first and last span column per
+    chunk, which may add columns that are zero at a knot. Consecutive chunks
+    whose windows agree share one block, so a dense matrix is a single
+    block. Block c holds the rows ``runs[c]`` and the columns
+    ``windows[c]``; every entry outside the windows is zero. A fit's blocks
+    are read-only. Iterating gives ``(run, window, block)`` triples.
     """
 
     runs: tuple[slice, ...]
@@ -166,18 +191,69 @@ class WindowedRows:
         chunks = _chunks(matrix.shape[0], OBS_ROWS)
         used = np.logical_or.reduceat(matrix != 0.0, [chunk.start for chunk in chunks], axis=0)
         first, stop = used.argmax(axis=1), used.shape[1] - used[:, ::-1].argmax(axis=1)
-        runs, windows = [], []
-        for chunk, lo, hi, nonzero in zip(chunks, first.tolist(), stop.tolist(), used.any(axis=1).tolist()):
-            window = slice(lo, hi) if nonzero else slice(0, 0)
-            if windows and window == windows[-1]:
-                runs[-1] = slice(runs[-1].start, chunk.stop)
-            else:
-                runs.append(chunk)
-                windows.append(window)
+        windows = [slice(lo, hi) if nonzero else slice(0, 0)
+                   for lo, hi, nonzero in zip(first.tolist(), stop.tolist(), used.any(axis=1).tolist())]
+        runs, windows = _runs(chunks, windows)
         blocks = [matrix[run, window] * u[run, None] for run, window in zip(runs, windows)]
         for block in blocks:
             block.flags.writeable = False
         return cls(tuple(runs), tuple(windows), tuple(blocks), matrix.shape[1])
+
+    @classmethod
+    def of_spans(cls, spans: bs.BasisSpans) -> WindowedRows:
+        """The B-spline design that ``spans`` gives, unweighted, in blocks built straight from the spans.
+
+        A chunk's window runs from its rows' first span column to their last,
+        so it holds the chunk's nonzero window, and more where a span value
+        is zero (at a knot). The blocks are consecutive pieces of one buffer,
+        filled by one scatter of the spans, so no n x p array is formed and
+        the fit's right factor is one allocation rather than one per block;
+        they stay writable for ``weight``.
+        """
+        n = spans.first.size
+        chunks = _chunks(n, OBS_ROWS)
+        starts = [chunk.start for chunk in chunks]
+        lo = np.minimum.reduceat(spans.first, starts).tolist()
+        hi = (np.maximum.reduceat(spans.first, starts) + spans.offsets[-1] + 1).tolist()
+        runs, windows = _runs(chunks, [slice(a, b) for a, b in zip(lo, hi)])
+        rows = [run.stop - run.start for run in runs]
+        widths = [window.stop - window.start for window in windows]
+        ends = np.cumsum([r * w for r, w in zip(rows, widths)]).tolist()
+        # Row i of run c starts at ends[c] - (run.stop - i) * width_c; its spans sit first[i] - window.start on.
+        row_shift = np.repeat([end - run.stop * w - window.start for end, w, run, window
+                               in zip(ends, widths, runs, windows)], rows)
+        buffer = np.zeros(ends[-1])
+        buffer[(row_shift + np.arange(n) * np.repeat(widths, rows) + spans.first)[:, None] + spans.offsets] = spans.values
+        blocks = [buffer[end - r * w:end].reshape(r, w) for end, r, w in zip(ends, rows, widths)]
+        return cls(tuple(runs), tuple(windows), tuple(blocks), spans.width)
+
+    def weight(self, u: np.ndarray) -> WindowedRows:
+        """diag(u) times these rows, formed in place in the blocks, which become read-only; returns self."""
+        for run, _, block in self:
+            block *= u[run, None]
+            block.flags.writeable = False
+        return self
+
+    def gram(self) -> np.ndarray:
+        """The p x p Gram sum_c block_c' block_c."""
+        out = np.zeros((self.width, self.width))
+        for _, window, block in self:
+            out[window, window] += block.T @ block
+        return out
+
+    def transpose_dot(self, y: np.ndarray) -> np.ndarray:
+        """The p-vector of the matrix transposed times ``y``."""
+        out = np.zeros(self.width)
+        for run, window, block in self:
+            out[window] += block.T @ y[run]
+        return out
+
+    def dot(self, coef: np.ndarray) -> np.ndarray:
+        """The n-vector of the matrix times ``coef``."""
+        out = np.empty(self.n)
+        for run, window, block in self:
+            np.matmul(block, coef[window], out=out[run])
+        return out
 
     def __iter__(self):
         return zip(self.runs, self.windows, self.blocks)
@@ -200,6 +276,10 @@ class WindowedRows:
     @property
     def n(self) -> int:
         return self.runs[-1].stop
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, self.width
 
     def dense(self) -> np.ndarray:
         """The n x p matrix."""
@@ -260,12 +340,18 @@ class TslsGrams:
     Series regression on a full-rank Gram has s_hat = 1 exactly. ``solve``
     forms the normal matrix Psi'P_K Psi from the same Grams, so a J asked
     only for its s_hat never forms the fit's factors.
+
+    The design is a dense n x p array, or, for a B-spline series regression,
+    ``WindowedRows`` built from the basis's spans; then Psi'Psi, Psi'y and
+    Psi coef are sums and products over its blocks, and ``solve`` returns
+    those blocks as R, which ``fit`` weights in place, so such Grams serve
+    one fit. The instruments are always dense.
     """
 
-    def __init__(self, design: np.ndarray, bmat: np.ndarray | None):
+    def __init__(self, design: np.ndarray | WindowedRows, bmat: np.ndarray | None):
         n, j = design.shape
         self.design, self.bmat = design, bmat
-        self.gram_p = factor_gram(design.T @ design, max(n, j))
+        self.gram_p = factor_gram(design.gram() if isinstance(design, WindowedRows) else design.T @ design, max(n, j))
         self.flags = []
         if bmat is None:
             k, gram_b, self.cross, self.proj = j, self.gram_p, self.gram_p.a, None
@@ -287,9 +373,10 @@ class TslsGrams:
     def solve(self, y: np.ndarray):
         """The fit of ``y``: ``(left, right, coef, u_hat, s_hat, flags)`` with M = left right'.
 
-        left is G^- and right the n x p design for series regression; left
-        is A^- for A = Psi'P_K Psi and right P_K Psi for TSLS. Neither is
-        weighted by the residuals. coef = left (right' y), solved against the
+        left is G^- and right the n x p design for series regression (the
+        Grams' own ``WindowedRows`` when the design is windowed); left is A^-
+        for A = Psi'P_K Psi and right P_K Psi for TSLS. Neither is weighted
+        by the residuals. coef = left (right' y), solved against the
         Gram rather than multiplied by its explicit inverse, which keeps
         u_hat, its residuals, accurate to the Gram's conditioning.
         """
@@ -306,8 +393,10 @@ class TslsGrams:
             flags.append("shat_reduced_rank")
         left = gram.inverse()
         left.flags.writeable = False
-        coef = gram.solve(rmat.T @ y)
-        return left, rmat, coef, y - design @ coef, self.s_hat, tuple(flags)
+        windowed = isinstance(design, WindowedRows)
+        coef = gram.solve(rmat.transpose_dot(y) if windowed else rmat.T @ y)
+        u_hat = y - (design.dot(coef) if windowed else design @ coef)
+        return left, rmat, coef, u_hat, self.s_hat, tuple(flags)
 
 
 def fit_grams(sample: Sample, model: SieveModel, j: int) -> tuple[object, TslsGrams]:
@@ -334,8 +423,18 @@ def fit(sample: Sample, model: SieveModel, j: int, grams: tuple[object, TslsGram
     """
     basis, grams = grams or fit_grams(sample, model, j)
     left, rmat, coef, u_hat, s_hat, flags = grams.solve(sample.y)
-    return SieveFit(j=j, basis=basis, left=left, right=WindowedRows.of(rmat, u_hat), coef=coef, u_hat=u_hat,
+    return SieveFit(j=j, basis=basis, left=left, right=right_factor(rmat, u_hat), coef=coef, u_hat=u_hat,
                     s_hat=s_hat, flags=flags)
+
+
+def right_factor(rmat: np.ndarray | WindowedRows, u_hat: np.ndarray) -> WindowedRows:
+    """R o u_hat in the runs and windows of the unweighted R that ``TslsGrams.solve`` returns.
+
+    A windowed R (a B-spline series regression) is weighted in place, so its
+    blocks become the fit's and the Grams that gave it serve that one fit; a
+    dense R goes through ``WindowedRows.of``.
+    """
+    return rmat.weight(u_hat) if isinstance(rmat, WindowedRows) else WindowedRows.of(rmat, u_hat)
 
 
 def evaluate(model: SieveModel, fit_: SieveFit, pts, deriv=0) -> np.ndarray:
@@ -493,7 +592,10 @@ class SieveModel:
 
     ``design(sample, j)`` gives the basis state the selector reads, the n x p
     design and the n x K instruments (None for series regression) at sieve
-    dimension J; ``instrumented`` says whether it gives instruments.
+    dimension J; ``instrumented`` says whether it gives instruments. The
+    design is a dense array, or ``WindowedRows`` built from the B-spline
+    spans of the sample's rows in their given order (``npiv_model`` without
+    instruments), so it is windowed only as far as that order makes it.
     ``template`` is the basis whose dimension grid enumerates J, and
     ``widths(j)`` gives the design and instrument widths at J, both of which
     must stay <= n. ``selector(basis, pts, a)`` gives the rows and
@@ -515,8 +617,9 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
 
     def design(sample: Sample, j: int):
         basis = bs.spec_for_dimension(x_spec, j, data=sample.x_quantiles)
-        bmat = bs.instrument_matrix(ispec, j, sample)
-        return basis, bs.design_matrix(basis, sample.x), bmat
+        if ispec is None:
+            return basis, WindowedRows.of_spans(bs.basis_spans(basis, sample.x)), None
+        return basis, bs.design_matrix(basis, sample.x), bs.instrument_matrix(ispec, j, sample)
 
     return SieveModel(
         design=design,

@@ -39,7 +39,7 @@ from . import adaptive as ad
 from . import basis as bs
 from . import estimator as est
 from . import ucb
-from ._linalg import one_thread_per_map, openblas
+from ._linalg import one_blas_thread, one_thread_per_map, openblas
 from .bootstrap import MultiplierPlan
 from .errors import ConfigurationError
 
@@ -436,10 +436,14 @@ def run_mc(
     """Monte Carlo study of losses, coverage, widths, and selected dimensions.
 
     The replications run in ``n_workers`` forked processes (1: in this one), and
-    the report is bit-identical for any count. Each worker runs numpy's
-    bundled OpenBLAS and its bootstrap on one thread; with one worker, the
-    bootstrap uses a thread per CPU, and pinning BLAS to one thread is left
-    to the caller (``npivband simulate`` does).
+    the report is bit-identical for any count. The call runs numpy's bundled
+    OpenBLAS on one thread (``_linalg.one_blas_thread``) and gives the
+    caller's thread count back when it returns or raises; each worker also
+    runs its bootstrap on one thread, while with one worker the bootstrap
+    uses a thread per CPU. With a BLAS that has no thread setter, the
+    caller must run it on one thread (for instance ``OMP_NUM_THREADS=1`` and
+    ``OPENBLAS_NUM_THREADS=1`` before numpy is imported) for the report not
+    to depend on the worker count.
     """
     if isinstance(design, str):
         design = get_design(design)
@@ -475,9 +479,10 @@ def run_mc(
     report = McReport(rows=[], j_tilde={}, flags={}, diagnostics={}, design=design.name, reps=reps,
                       base_seed=base_seed)
     tasks = [(n, rep) for n in n_list for rep in range(reps)]
-    records = _run_replications(
-        lambda n, rep: _replication(design, n, rep, plan, grid, det_js, truth, base_seed), tasks, n_workers
-    )
+    with one_blas_thread():
+        records = _run_replications(
+            lambda n, rep: _replication(design, n, rep, plan, grid, det_js, truth, base_seed), tasks, n_workers
+        )
     for i, n in enumerate(n_list):
         # Transpose the records, in replication order, into the report's per-n arrays and rows.
         js, flags, diags, outcomes = zip(*records[i * reps : (i + 1) * reps])

@@ -1,4 +1,4 @@
-from itertools import takewhile
+from itertools import product, takewhile
 
 import numpy as np
 import pytest
@@ -187,6 +187,66 @@ class TestCoxDeBoor:
             knots = spec.knots(0)
             x = np.concatenate([rng.random(int(rng.integers(1, 200))), knots, [0.0, 1.0]])
             assert np.array_equal(bs._basis_1d(knots, order, x), _basis_1d_per_function(knots, order, x)), case
+
+
+def _reference_design(spec, x, deriv):
+    """``design_matrix`` as it was built before the spans: each axis's dense basis from the per-function
+    recursion (differentiated through ``basis._deriv_matrix``), then C-ordered products, first axis first."""
+    pts = bs.as_points(x, spec.dim)
+
+    def axis_basis(knots, order, col, k):
+        if k == 0:
+            return _basis_1d_per_function(knots, order, col)
+        return axis_basis(knots[1:-1], order - 1, col, k - 1) @ bs._deriv_matrix(knots, order)
+
+    out = None
+    for axis, k in enumerate(bs.normalize_deriv(spec, deriv)):
+        mat = axis_basis(spec.knots(axis), spec.order, pts[:, axis], k)
+        out = mat if out is None else (out[:, :, None] * mat[:, None, :]).reshape(pts.shape[0], -1)
+    return out
+
+
+def _span_battery():
+    """(spec, points) for orders 1-5, d = 1, 2, 3, dyadic and quantile knots, the quantile knots on
+    data rounded to 1/24 so that it ties; the points are that data plus rows on every knot, 0 and 1."""
+    rng = np.random.default_rng(29)
+    cases = []
+    for order in range(1, 6):
+        for dim in (1, 2, 3):
+            for rule in ("uniform_dyadic", "empirical_quantile"):
+                for level in range(0, 4 - dim // 2):
+                    data = np.round(rng.random((150, dim)) * 24) / 24
+                    try:
+                        spec = bs.make_spec(order, level, dim, rule, data=data)
+                    except DegenerateColumnError:
+                        continue
+                    edges = [np.concatenate([spec.knots(axis), [0.0, 1.0]]) for axis in range(dim)]
+                    on_knots = np.column_stack([rng.choice(edge, 60) for edge in edges])
+                    cases.append((spec, np.concatenate([data, on_knots])))
+    return cases
+
+
+class TestBasisSpans:
+    def test_design_matrix_keeps_its_bits(self):
+        # Every derivative multi-index up to order - 2 per axis, on the whole battery.
+        checked = 0
+        for spec, pts in _span_battery():
+            top = max(spec.order - 2, 0)
+            for deriv in product(range(top + 1), repeat=spec.dim):
+                assert np.array_equal(bs.design_matrix(spec, pts, deriv), _reference_design(spec, pts, deriv)), (
+                    spec, deriv)
+                checked += 1
+        assert checked > 250
+
+    def test_spans_scatter_to_the_design(self):
+        # Each row keeps order^d values from its first column on; scattered, they are design_matrix's bits.
+        kinds = set()
+        for spec, pts in _span_battery():
+            spans = bs.basis_spans(spec, pts)
+            assert spans.values.shape == (pts.shape[0], spec.order**spec.dim) and spans.width == spec.n_funcs
+            assert np.array_equal(spans.dense(), bs.design_matrix(spec, pts)), spec
+            kinds.add((spec.dim, spec.knot_rule))
+        assert len(kinds) == 6
 
 
 class TestNestedness:

@@ -50,6 +50,7 @@ def _dense_scores(field, sample):
     model, scores = field.backend.model, {}
     for j in field.j_values:
         basis, design, bmat = model.design(sample, j)
+        design = design.dense() if isinstance(design, est.WindowedRows) else design
         fitted = design if bmat is None else bmat @ np.linalg.lstsq(bmat, design, rcond=None)[0]
         m = np.linalg.pinv(fitted)
         rows, sl = model.selector(basis, field.grid, field.deriv)
@@ -130,7 +131,7 @@ def _solved(backend, j):
 
 def _with_residuals(backend, j, u):
     """The backend's fit at J with residuals ``u``: its right factor is the solved R weighted by u."""
-    return replace(backend.fit(j), u_hat=u, right=est.WindowedRows.of(_solved(backend, j)[1], u))
+    return replace(backend.fit(j), u_hat=u, right=est.right_factor(_solved(backend, j)[1], u))
 
 
 class TestFactoredScores:

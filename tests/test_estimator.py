@@ -10,7 +10,7 @@ from npivband import estimator as est
 from npivband import extensions as ext
 from npivband import simgen as sg
 from npivband.bootstrap import MultiplierPlan, sup_t_contrast
-from npivband._linalg import spectral_cutoff
+from npivband._linalg import factor_gram, spectral_cutoff
 from npivband.errors import DegenerateVarianceError, InsufficientSampleError
 
 CUBIC = bs.BasisSpec(4, 0)
@@ -19,16 +19,22 @@ REG = est.npiv_model(CUBIC, None)
 NPIV = est.npiv_model(CUBIC, ISPEC)
 
 
+def _dense(matrix):
+    """The n x p array of a design or right factor, which a B-spline series regression keeps windowed."""
+    return matrix.dense() if isinstance(matrix, est.WindowedRows) else matrix
+
+
 def _operands(sample, model, j):
     """The n x p design of the model's fit at J and its n x K instruments, the design itself for series regression."""
     grams = est.fit_grams(sample, model, j)[1]
-    return grams.design, grams.design if grams.bmat is None else grams.bmat
+    design = _dense(grams.design)
+    return design, design if grams.bmat is None else grams.bmat
 
 
 def _solved(sample, model, j):
-    """``(left, R, u_hat)`` of the fit at J as ``TslsGrams.solve`` returns them, R not weighted by u_hat."""
+    """``(left, R, u_hat)`` of the fit at J as ``TslsGrams.solve`` returns them, R dense and not weighted by u_hat."""
     left, rmat, _, u_hat = est.fit_grams(sample, model, j)[1].solve(sample.y)[:4]
-    return left, rmat, u_hat
+    return left, _dense(rmat), u_hat
 
 
 def _solved_m(sample, model, j):
@@ -39,8 +45,8 @@ def _solved_m(sample, model, j):
 
 def _with_residuals(backend, j, u):
     """The backend's fit at J with residuals ``u``: its right factor is the solved R weighted by u."""
-    rmat = _solved(backend.sample, backend.model, j)[1]
-    return replace(backend.fit(j), u_hat=u, right=est.WindowedRows.of(rmat, u))
+    rmat = est.fit_grams(backend.sample, backend.model, j)[1].solve(backend.sample.y)[1]
+    return replace(backend.fit(j), u_hat=u, right=est.right_factor(rmat, u))
 
 
 def _linear_sample(n=200, seed=0, noise=0.0):
@@ -149,35 +155,37 @@ def _reference_tsls(psi, bmat, y):
 
     M = L R' with L = G^- and R = Psi for series regression, L = A^- and
     R = P_K Psi for TSLS; coef = L (R' y), which on the eigen route is how the
-    fit solves for it.
+    fit solves for it. A span-built series-regression design (``WindowedRows``)
+    forms Psi'Psi, Psi'y and Psi coef over its blocks, as the fit does.
     """
     n, j = psi.shape
+    windowed = isinstance(psi, est.WindowedRows)
+    gram_p = psi.gram() if windowed else psi.T @ psi
     flags = []
     if bmat is None:
-        left, rank = _ref_psd_inverse(psi.T @ psi, max(n, j))
-        right = psi
-        bmat = psi
+        left, rank = _ref_psd_inverse(gram_p, max(n, j))
+        right, gram_b, cross, k = psi, gram_p, gram_p, j
     else:
         k = bmat.shape[1]
-        gb_inv, rank_b = _ref_psd_inverse(bmat.T @ bmat, max(n, k))
-        proj = gb_inv @ (bmat.T @ psi)
-        left, rank = _ref_psd_inverse((bmat.T @ psi).T @ proj, max(n, j))
+        gram_b, cross = bmat.T @ bmat, bmat.T @ psi
+        gb_inv, rank_b = _ref_psd_inverse(gram_b, max(n, k))
+        proj = gb_inv @ cross
+        left, rank = _ref_psd_inverse(cross.T @ proj, max(n, j))
         right = bmat @ proj
         if rank_b < k:
             flags.append("instrument_gram_rank_deficient")
     if rank < j:
         flags.append("design_rank_deficient")
-    m = left @ right.T
-    coef = left @ (right.T @ y)
-    k = bmat.shape[1]
-    rb, rank_b = _ref_psd_inverse(bmat.T @ bmat, max(n, k), sqrt=True)
-    rp, rank_p = _ref_psd_inverse(psi.T @ psi, max(n, j), sqrt=True)
-    sv = np.linalg.svd(rb @ (bmat.T @ psi) @ rp, compute_uv=False)
+    m = left @ (right.dense() if windowed else right).T
+    coef = left @ (right.transpose_dot(y) if windowed else right.T @ y)
+    rb, rank_b = _ref_psd_inverse(gram_b, max(n, k), sqrt=True)
+    rp, rank_p = _ref_psd_inverse(gram_p, max(n, j), sqrt=True)
+    sv = np.linalg.svd(rb @ cross @ rp, compute_uv=False)
     rank_s = min(rank_b, rank_p, sv.size)
     if rank_b < k or rank_p < j:
         flags.append("shat_reduced_rank")
     s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
-    return m, coef, y - psi @ coef, s_hat, tuple(flags)
+    return m, coef, y - (psi.dot(coef) if windowed else psi @ coef), s_hat, tuple(flags)
 
 
 #: Cholesky-route fits match the eigen-route formulas to this fraction of each array's largest entry.
@@ -236,8 +244,9 @@ class TestTslsGrams:
         calls = _count_eigh(monkeypatch)
         for model in models:
             for j in js:
-                design, bmat = _operands(sample, model, j)
-                regression = bmat is design
+                grams = est.fit_grams(sample, model, j)[1]
+                design, bmat = grams.design, grams.bmat
+                regression = bmat is None
                 calls.clear()
                 f = est.fit(sample, model, j)
                 assert len(calls) == (1 if regression else 3)
@@ -289,6 +298,32 @@ class TestTslsGrams:
             assert sum(a.nbytes for a in arrays.values()) <= (n + b + p) * p * 8 + 2 * (n + p) * 8
 
 
+def _chunk_windows(rows):
+    """The window of each fixed chunk of ``OBS_ROWS`` rows of windowed rows, in row order."""
+    return [window for run, window in zip(rows.runs, rows.windows) for _ in range(run.start, run.stop, est.OBS_ROWS)]
+
+
+def _dense_regression(sample, model, j):
+    """Series regression on the dense n x p B-spline design, by the formulas that span-built fits replaced.
+
+    D'D is factored by ``factor_gram``; left is its (pseudo-)inverse, coef solves it against D'y, and
+    s_hat is 1 on the Cholesky route and the smallest retained singular value of the whitened Gram on
+    the eigen route. Returns ``(left, D o u_hat, coef, u_hat, s_hat, flags, D)``.
+    """
+    basis = bs.spec_for_dimension(model.template, j, data=sample.x_quantiles)
+    design = bs.design_matrix(basis, sample.x)
+    n, p = design.shape
+    gram = factor_gram(design.T @ design, max(n, p))
+    coef = gram.solve(design.T @ sample.y)
+    u_hat = sample.y - design @ coef
+    s_hat, flags = 1.0, ()
+    if gram.eig is not None:
+        s_hat = float(min(np.linalg.svd(gram.whiten_right(gram.whiten(gram.a)), compute_uv=False)[gram.rank - 1], 1.0))
+    if gram.rank < p:
+        flags = ("design_rank_deficient", "shat_reduced_rank")
+    return gram.inverse(), design * u_hat[:, None], coef, u_hat, s_hat, flags, design
+
+
 class TestRightFactor:
     """A fit keeps R o u_hat, in the runs and windows of the unweighted R that ``TslsGrams.solve`` returns."""
 
@@ -307,12 +342,68 @@ class TestRightFactor:
         for j in est.candidate_dims(model, n)[2:5]:
             fit = backend.fit(j)
             left, rmat, u_hat = _solved(backend.sample, model, j)
-            layout = est.WindowedRows.of(rmat, np.ones(n))
-            assert fit.right.runs == layout.runs and fit.right.windows == layout.windows
-            assert len(fit.right.runs) > 1 if case == "regression" else fit.right.runs == (slice(0, n),)
+            if case == "regression":
+                # The windows come from the B-spline spans, so each holds its chunk's window of the dense design.
+                assert len(fit.right.runs) > 1
+                design = _dense_regression(backend.sample, model, j)[-1]
+                nonzero = _chunk_windows(est.WindowedRows.of(design, np.ones(n)))
+                for window, used in zip(_chunk_windows(fit.right), nonzero, strict=True):
+                    assert window.start <= used.start and used.stop <= window.stop
+            else:
+                layout = est.WindowedRows.of(rmat, np.ones(n))
+                assert fit.right.runs == layout.runs and fit.right.windows == layout.windows
+                assert fit.right.runs == (slice(0, n),)
             np.testing.assert_array_equal(fit.right.dense(), rmat * u_hat[:, None])
             np.testing.assert_array_equal(fit.left, left)
             np.testing.assert_array_equal(fit.u_hat, u_hat)
+
+    @pytest.mark.parametrize("case", ["uniform", "tied_quantile_knots", "tensor"])
+    def test_span_built_fit_equals_the_dense_design(self, case):
+        # Fits on observations ordered by x, whose Grams, residuals and right factors are sums and
+        # products over the span-built blocks, match the dense design's to rtol 1e-12 with the same flags.
+        rng = np.random.default_rng(17)
+        if case == "tied_quantile_knots":
+            # Nine distinct x values: J = 11 exceeds the rank, so its Gram takes the eigen route.
+            x = rng.integers(1, 10, 600) / 10
+            model, js = est.npiv_model(bs.BasisSpec(4, 0, knot_rule="empirical_quantile"), None), (4, 5, 7, 11)
+        elif case == "tensor":
+            x = rng.random((900, 2))
+            model, js = est.npiv_model(bs.BasisSpec(4, 0, dim=2), None), (16, 25, 49, 121)
+        else:
+            x = rng.random(1500)
+            model, js = REG, (4, 5, 7, 11, 19, 35, 67, 131)
+        xs = x.reshape(len(x), -1)
+        y = np.sin(3 * xs[:, 0]) + xs[:, -1] ** 2 + 0.3 * rng.standard_normal(len(x))
+        backend = est.SieveBackend(est.Sample(y, x, x), model)
+        for j in js:
+            fit = backend.fit(j)
+            left, right, coef, u_hat, s_hat, flags, _ = _dense_regression(backend.sample, model, j)
+            assert fit.flags == flags
+            if flags:
+                # On the eigen route s_hat is 1 up to the Gram's rounding, which the block sums move.
+                assert fit.s_hat == pytest.approx(s_hat, rel=1e-12)
+            else:
+                assert fit.s_hat == s_hat == 1.0
+            for got, ref in ((fit.coef, coef), (fit.u_hat, u_hat), (fit.left, left), (fit.right.dense(), right)):
+                np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * float(np.abs(ref).max()))
+        assert (case == "tied_quantile_knots") == bool(fit.flags)
+
+    def test_sorted_regression_fit_holds_no_design(self):
+        # The blocks are built from the spans: a fit at n = 2500 and J = 131 peaks below half of
+        # one n x p float array, the kept right factor R o u_hat included.
+        rng = np.random.default_rng(13)
+        n, j = 2500, 131
+        x = rng.random(n)
+        backend = est.SieveBackend(est.Sample(np.sin(8 * x) + 0.3 * rng.standard_normal(n), x, x), REG)
+        backend.fit(4)
+        tracemalloc.start()
+        try:
+            fit = backend.fit(j)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.right.width == j and len(fit.right.runs) > 1
+        assert peak < n * j * 8 / 2, peak
 
 
 class TestShat:

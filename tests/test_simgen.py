@@ -203,6 +203,35 @@ class TestRunMc:
                              check=True, timeout=120)
         assert out.stdout.split() == ["2", "1", "1", "2"]
 
+    def test_report_does_not_depend_on_n_workers_with_default_blas_threads(self):
+        # A fresh interpreter with the BLAS thread variables unset, so OpenBLAS starts on its
+        # default count: run_mc runs it on one thread, so 1 and 2 workers give the same bytes,
+        # and the caller's count is back after each call.
+        script = textwrap.dedent("""
+            import pickle
+            from npivband import simgen as sg
+            from npivband._linalg import openblas
+            from npivband.bootstrap import MultiplierPlan
+            lib = openblas()
+            threads = lambda: lib.scipy_openblas_get_num_threads64_() if lib is not None else 1
+            before = threads()
+            reports, after = [], []
+            for w in (1, 2):
+                report = sg.run_mc("trade_pareto", [300], 2, plan=MultiplierPlan(99, 9), det_js=(5,), n_workers=w)
+                after.append(threads())
+                reports.append(pickle.dumps((report.to_records(), report.j_tilde, report.flags, report.diagnostics)))
+            print(before, *after, reports[0] == reports[1])
+        """)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = {k: v for k, v in os.environ.items() if not k.endswith(("_NUM_THREADS", "_MAXIMUM_THREADS"))}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                             check=True, timeout=300)
+        before, *after, same = out.stdout.split()
+        if before == "1":
+            pytest.skip("OpenBLAS already runs on one thread, or exports no thread getter, in a fresh interpreter")
+        assert after == [before, before] and same == "True"
+
     def test_pool_workers_run_thread_maps_on_one_thread(self, monkeypatch):
         # The parent may use 3 threads per thread map; each forked worker uses 1,
         # and the parent keeps its count.
