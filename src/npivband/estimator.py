@@ -15,27 +15,25 @@ for series regression and A^- = (Psi'P_K Psi)^- for TSLS, and the n x p
 matrix R, which is the design Psi for series regression and the first-stage
 fitted design P_K Psi for TSLS. The residuals enter the variance and the
 bootstrap only through the weights W_J = M_J diag(u_hat) = L (R o u_hat)',
-so a fit keeps L and R o u_hat, the latter formed once as ``WindowedRows``:
-one block per fixed chunk of ``OBS_ROWS`` observations, holding only a
-window of R's columns around the chunk's nonzero ones. A B-spline row has
-only ``order`` nonzeros per axis, so once the observations are ordered by x
-each block of a series-regression design spans a narrow window of columns;
-the projections (R o u)' Omega' and the inner Grams of the cross terms, sums
-over the blocks, then cost the window's width rather than p per
-observation, and a variance field takes its grid rows through L once.
-Consecutive chunks whose windows agree share one block, so where R is dense
-(TSLS, the additive model) it is one block spanning every column and every
-row.
+so a fit keeps L and R o u_hat, the latter formed once, in place in R's
+blocks.
 
-Who builds the blocks, and from what: a B-spline series regression
-(``npiv_model`` without instruments, any dimension) gives its design as the
-basis's spans (``basis.basis_spans``: each row's first nonzero column and
-its ``order``^d values), and ``WindowedRows.of_spans`` scatters each chunk's
-spans straight into its window, so no n x p array exists. ``TslsGrams``
-forms Psi'Psi = sum_c R_c'R_c, Psi'y and the residuals from those blocks,
-and ``fit`` weights them by u_hat in place. Every other model gives a dense
-design: ``TslsGrams`` forms its products densely, and ``fit`` takes R o u_hat
-into the windows of the dense R by ``WindowedRows.of``.
+Every design is a ``WindowedRows``: blocks over runs of fixed chunks of
+``OBS_ROWS`` observations, each holding a window of the matrix's columns.
+A B-spline series regression (``npiv_model`` without instruments, any
+dimension) gives its design as the basis's spans (``basis.basis_spans``:
+each row's first nonzero column and its ``order``^d values), and
+``WindowedRows.of_spans`` scatters each chunk's spans straight into its
+window, so no n x p array exists. A B-spline row has only ``order``
+nonzeros per axis, so once the observations are ordered by x each window
+is narrow; the projections (R o u)' Omega' and the inner Grams of the cross
+terms, sums over the blocks, then cost the window's width rather than p
+per observation, and a variance field takes its grid rows through L once.
+Every other design (TSLS, the additive and partially linear models) is one
+block over every row and column, ``WindowedRows.whole`` of the dense
+matrix. ``TslsGrams`` forms Psi'Psi, B'Psi, Psi'y and the residuals from
+the blocks, by the same block products for either kind, and ``fit``
+weights R by u_hat in place.
 
 A ``SieveModel`` describes a model: its design and instruments at J, their
 widths at J, and the selector rows of the function it reports. One ``fit``
@@ -165,14 +163,12 @@ def _runs(chunks: list[slice], windows: list[slice]) -> tuple[list[slice], list[
 class WindowedRows:
     """An n x p matrix kept as blocks over runs of its fixed chunks of ``OBS_ROWS`` rows.
 
-    Each chunk's window holds every nonzero column of its rows: ``of`` scans
-    a dense matrix for its first and last nonzero column per chunk, and
-    ``of_spans`` takes a B-spline design's first and last span column per
-    chunk, which may add columns that are zero at a knot. Consecutive chunks
-    whose windows agree share one block, so a dense matrix is a single
-    block. Block c holds the rows ``runs[c]`` and the columns
-    ``windows[c]``; every entry outside the windows is zero. A fit's blocks
-    are read-only. Iterating gives ``(run, window, block)`` triples.
+    Block c holds the rows ``runs[c]`` and the columns ``windows[c]``; every
+    entry outside the windows is zero. Only B-spline spans give windows
+    narrower than the matrix: ``of_spans`` takes each chunk's first and last
+    span column, and joins consecutive chunks whose windows agree into one
+    run. ``whole`` wraps a dense matrix as one block. A fit's blocks are
+    read-only. Iterating gives ``(run, window, block)`` triples.
     """
 
     runs: tuple[slice, ...]
@@ -181,23 +177,10 @@ class WindowedRows:
     width: int
 
     @classmethod
-    def of(cls, matrix: np.ndarray, u: np.ndarray) -> WindowedRows:
-        """diag(u) ``matrix`` in the windowed blocks of the dense n x p ``matrix``.
-
-        The runs and windows are those of ``matrix`` itself, so a zero in u
-        moves no window, and each block is formed straight from the matrix's
-        rows times u, with no copy of the unweighted rows.
-        """
-        chunks = _chunks(matrix.shape[0], OBS_ROWS)
-        used = np.logical_or.reduceat(matrix != 0.0, [chunk.start for chunk in chunks], axis=0)
-        first, stop = used.argmax(axis=1), used.shape[1] - used[:, ::-1].argmax(axis=1)
-        windows = [slice(lo, hi) if nonzero else slice(0, 0)
-                   for lo, hi, nonzero in zip(first.tolist(), stop.tolist(), used.any(axis=1).tolist())]
-        runs, windows = _runs(chunks, windows)
-        blocks = [matrix[run, window] * u[run, None] for run, window in zip(runs, windows)]
-        for block in blocks:
-            block.flags.writeable = False
-        return cls(tuple(runs), tuple(windows), tuple(blocks), matrix.shape[1])
+    def whole(cls, matrix: np.ndarray) -> WindowedRows:
+        """The dense n x p ``matrix`` as one block over every row and column; the block is ``matrix`` itself."""
+        n, p = matrix.shape
+        return cls((slice(0, n),), (slice(0, p),), (matrix,), p)
 
     @classmethod
     def of_spans(cls, spans: bs.BasisSpans) -> WindowedRows:
@@ -234,13 +217,6 @@ class WindowedRows:
             block.flags.writeable = False
         return self
 
-    def gram(self) -> np.ndarray:
-        """The p x p Gram sum_c block_c' block_c."""
-        out = np.zeros((self.width, self.width))
-        for _, window, block in self:
-            out[window, window] += block.T @ block
-        return out
-
     def transpose_dot(self, y: np.ndarray) -> np.ndarray:
         """The p-vector of the matrix transposed times ``y``."""
         out = np.zeros(self.width)
@@ -258,20 +234,22 @@ class WindowedRows:
     def __iter__(self):
         return zip(self.runs, self.windows, self.blocks)
 
-    def pieces(self, other: WindowedRows):
-        """Yield ``(rows, window, block, window2, block2)`` over the rows where one block of each is current.
+    def inner(self, other: WindowedRows) -> np.ndarray:
+        """The p x p2 product of this matrix transposed and ``other``, of the same n, as a sum of block products.
 
-        The blocks are cut to ``rows``; both matrices have the same n, so the
-        pieces partition it.
+        Over each stretch of rows where one block of each is current, it adds
+        the product of the two blocks cut to those rows.
         """
+        out = np.zeros((self.width, other.width))
         i = k = 0
         while i < len(self.runs) and k < len(other.runs):
             run, run2 = self.runs[i], other.runs[k]
-            rows = slice(max(run.start, run2.start), min(run.stop, run2.stop))
-            yield (rows, self.windows[i], self.blocks[i][rows.start - run.start:rows.stop - run.start],
-                   other.windows[k], other.blocks[k][rows.start - run2.start:rows.stop - run2.start])
-            i += run.stop == rows.stop
-            k += run2.stop == rows.stop
+            lo, hi = max(run.start, run2.start), min(run.stop, run2.stop)
+            out[self.windows[i], other.windows[k]] += (self.blocks[i][lo - run.start:hi - run.start].T
+                                                       @ other.blocks[k][lo - run2.start:hi - run2.start])
+            i += run.stop == hi
+            k += run2.stop == hi
+        return out
 
     @property
     def n(self) -> int:
@@ -332,40 +310,37 @@ class SieveFit:
 class TslsGrams:
     """The factored Grams of one sieve TSLS problem: s_hat on construction, the fit on ``solve``.
 
-    Psi'Psi and, with instruments, B'B are formed and factored once by
-    ``factor_gram``; series regression is its own instrument. s_hat is the
+    The design is a ``WindowedRows`` and the instruments a dense n x K array
+    (None for series regression). Psi'Psi = ``design.inner(design)`` and,
+    with instruments, B'B are formed and factored once by ``factor_gram``,
+    and B'Psi is ``WindowedRows.whole(bmat).inner(design)``. s_hat is the
     smallest singular value of R_B^{-1} (B'Psi) R_Psi^{-T} for the Grams'
-    square roots R, since any roots give the same singular values. With a
+    square roots R, since any roots give the same singular values; with a
     rank-deficient Gram it is taken on the reduced rank space and flagged.
-    Series regression on a full-rank Gram has s_hat = 1 exactly. ``solve``
+    Series regression is its own instrument, so its whitened Gram is the
+    identity on the Gram's retained rank and s_hat = 1 exactly. ``solve``
     forms the normal matrix Psi'P_K Psi from the same Grams, so a J asked
-    only for its s_hat never forms the fit's factors.
-
-    The design is a dense n x p array, or, for a B-spline series regression,
-    ``WindowedRows`` built from the basis's spans; then Psi'Psi, Psi'y and
-    Psi coef are sums and products over its blocks, and ``solve`` returns
-    those blocks as R, which ``fit`` weights in place, so such Grams serve
-    one fit. The instruments are always dense.
+    only for its s_hat never forms the fit's factors. Its R is the design's
+    own blocks for series regression, which ``fit`` weights in place, so
+    such Grams serve one fit.
     """
 
-    def __init__(self, design: np.ndarray | WindowedRows, bmat: np.ndarray | None):
+    def __init__(self, design: WindowedRows, bmat: np.ndarray | None):
         n, j = design.shape
         self.design, self.bmat = design, bmat
-        self.gram_p = factor_gram(design.gram() if isinstance(design, WindowedRows) else design.T @ design, max(n, j))
+        self.gram_p = factor_gram(design.inner(design), max(n, j))
         self.flags = []
+        self.reduced = self.gram_p.rank < j
         if bmat is None:
-            k, gram_b, self.cross, self.proj = j, self.gram_p, self.gram_p.a, None
-        else:
-            k = bmat.shape[1]
-            gram_b = factor_gram(bmat.T @ bmat, max(n, k))
-            self.cross = bmat.T @ design
-            self.proj = gram_b.solve(self.cross)
-            if gram_b.rank < k:
-                self.flags.append("instrument_gram_rank_deficient")
-        self.reduced = gram_b.rank < k or self.gram_p.rank < j
-        if bmat is None and self.gram_p.eig is None:
             self.s_hat = 1.0
             return
+        k = bmat.shape[1]
+        gram_b = factor_gram(bmat.T @ bmat, max(n, k))
+        self.cross = WindowedRows.whole(bmat).inner(design)
+        self.proj = gram_b.solve(self.cross)
+        if gram_b.rank < k:
+            self.flags.append("instrument_gram_rank_deficient")
+            self.reduced = True
         sv = np.linalg.svd(self.gram_p.whiten_right(gram_b.whiten(self.cross, self.proj)), compute_uv=False)
         rank_s = min(gram_b.rank, self.gram_p.rank, sv.size)
         self.s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
@@ -373,19 +348,19 @@ class TslsGrams:
     def solve(self, y: np.ndarray):
         """The fit of ``y``: ``(left, right, coef, u_hat, s_hat, flags)`` with M = left right'.
 
-        left is G^- and right the n x p design for series regression (the
-        Grams' own ``WindowedRows`` when the design is windowed); left is A^-
-        for A = Psi'P_K Psi and right P_K Psi for TSLS. Neither is weighted
-        by the residuals. coef = left (right' y), solved against the
-        Gram rather than multiplied by its explicit inverse, which keeps
-        u_hat, its residuals, accurate to the Gram's conditioning.
+        left is G^- and right the design's own ``WindowedRows`` for series
+        regression; left is A^- for A = Psi'P_K Psi and right P_K Psi, one
+        block, for TSLS. Neither is weighted by the residuals. coef =
+        left (right' y), solved against the Gram rather than multiplied by
+        its explicit inverse, which keeps u_hat, its residuals, accurate to
+        the Gram's conditioning.
         """
         design, bmat = self.design, self.bmat
         n, j = design.shape
         if bmat is None:
             gram, rmat = self.gram_p, design
         else:
-            gram, rmat = factor_gram(self.cross.T @ self.proj, max(n, j)), bmat @ self.proj
+            gram, rmat = factor_gram(self.cross.T @ self.proj, max(n, j)), WindowedRows.whole(bmat @ self.proj)
         flags = list(self.flags)
         if gram.rank < j:
             flags.append("design_rank_deficient")
@@ -393,10 +368,8 @@ class TslsGrams:
             flags.append("shat_reduced_rank")
         left = gram.inverse()
         left.flags.writeable = False
-        windowed = isinstance(design, WindowedRows)
-        coef = gram.solve(rmat.transpose_dot(y) if windowed else rmat.T @ y)
-        u_hat = y - (design.dot(coef) if windowed else design @ coef)
-        return left, rmat, coef, u_hat, self.s_hat, tuple(flags)
+        coef = gram.solve(rmat.transpose_dot(y))
+        return left, rmat, coef, y - design.dot(coef), self.s_hat, tuple(flags)
 
 
 def fit_grams(sample: Sample, model: SieveModel, j: int) -> tuple[object, TslsGrams]:
@@ -419,22 +392,12 @@ def fit(sample: Sample, model: SieveModel, j: int, grams: tuple[object, TslsGram
 
     ``grams`` passes ``fit_grams(sample, model, j)`` when they were already
     formed for s_hat alone. The fit's right factor is the solved R times
-    u_hat, formed once in R's windows.
+    u_hat, formed in place in R's blocks.
     """
     basis, grams = grams or fit_grams(sample, model, j)
     left, rmat, coef, u_hat, s_hat, flags = grams.solve(sample.y)
-    return SieveFit(j=j, basis=basis, left=left, right=right_factor(rmat, u_hat), coef=coef, u_hat=u_hat,
+    return SieveFit(j=j, basis=basis, left=left, right=rmat.weight(u_hat), coef=coef, u_hat=u_hat,
                     s_hat=s_hat, flags=flags)
-
-
-def right_factor(rmat: np.ndarray | WindowedRows, u_hat: np.ndarray) -> WindowedRows:
-    """R o u_hat in the runs and windows of the unweighted R that ``TslsGrams.solve`` returns.
-
-    A windowed R (a B-spline series regression) is weighted in place, so its
-    blocks become the fit's and the Grams that gave it serve that one fit; a
-    dense R goes through ``WindowedRows.of``.
-    """
-    return rmat.weight(u_hat) if isinstance(rmat, WindowedRows) else WindowedRows.of(rmat, u_hat)
 
 
 def evaluate(model: SieveModel, fit_: SieveFit, pts, deriv=0) -> np.ndarray:
@@ -513,12 +476,11 @@ class VarianceField:
     def _fill_cross(self, pairs) -> None:
         """Compute the cross terms of ``pairs`` not yet held.
 
-        The inner Gram of the pair's fits sums, over the rows where one block
-        of each fit's right factor is current (``WindowedRows.pieces``), the
-        products of their blocks as stored. It depends on the two fits alone,
-        so the first field to form it keeps it in the lower J's
-        ``inner_grams`` for every field of the backend. The quadratic forms
-        take ``GRID_ROWS`` grid rows at a time.
+        The inner Gram of the pair's fits is ``WindowedRows.inner`` of their
+        right factors as stored. It depends on the two fits alone, so the
+        first field to form it keeps it in the lower J's ``inner_grams`` for
+        every field of the backend. The quadratic forms take ``GRID_ROWS``
+        grid rows at a time.
         """
         todo = sorted({(min(p), max(p)) for p in pairs} - self._cross.keys())
         missing = sorted({j for key in todo for j in key} - self.rows.keys())
@@ -528,10 +490,7 @@ class VarianceField:
         for j, j2 in todo:
             fit, fit2 = self.fits[j], self.fits[j2]
             if fit2 not in fit.inner_grams:
-                inner = np.zeros((fit.right.width, fit2.right.width))
-                for _, window, block, window2, block2 in fit.right.pieces(fit2.right):
-                    inner[window, window2] += block.T @ block2
-                fit.inner_grams[fit2] = inner
+                fit.inner_grams[fit2] = fit.right.inner(fit2.right)
             gram, rows, rows2, out = fit.inner_grams[fit2], self.rows[j], self.rows[j2], np.empty(g)
             for chunk in grid_chunks(g):
                 np.einsum("gp,gp->g", rows[chunk] @ gram, rows2[chunk], out=out[chunk])
@@ -591,11 +550,12 @@ class SieveModel:
     """The per-model description the shared backend works from.
 
     ``design(sample, j)`` gives the basis state the selector reads, the n x p
-    design and the n x K instruments (None for series regression) at sieve
-    dimension J; ``instrumented`` says whether it gives instruments. The
-    design is a dense array, or ``WindowedRows`` built from the B-spline
-    spans of the sample's rows in their given order (``npiv_model`` without
-    instruments), so it is windowed only as far as that order makes it.
+    design as a ``WindowedRows`` and the dense n x K instruments (None for
+    series regression) at sieve dimension J; ``instrumented`` says whether
+    it gives instruments. A B-spline series regression (``npiv_model``
+    without instruments) builds its design from the spans of the sample's
+    rows in their given order, so it is windowed only as far as that order
+    makes it; every other design is ``WindowedRows.whole`` of a dense array.
     ``template`` is the basis whose dimension grid enumerates J, and
     ``widths(j)`` gives the design and instrument widths at J, both of which
     must stay <= n. ``selector(basis, pts, a)`` gives the rows and
@@ -619,7 +579,7 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
         basis = bs.spec_for_dimension(x_spec, j, data=sample.x_quantiles)
         if ispec is None:
             return basis, WindowedRows.of_spans(bs.basis_spans(basis, sample.x)), None
-        return basis, bs.design_matrix(basis, sample.x), bs.instrument_matrix(ispec, j, sample)
+        return basis, WindowedRows.whole(bs.design_matrix(basis, sample.x)), bs.instrument_matrix(ispec, j, sample)
 
     return SieveModel(
         design=design,

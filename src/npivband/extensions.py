@@ -103,7 +103,7 @@ def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.
             level_w = _instrument_level(aspec, ispec, j)
             w_basis = bs.make_spec(ispec.order, level_w, ispec.dim_w, ispec.knot_rule, data=sample.w_quantiles)
             bmat = bs.design_matrix(w_basis, sample.w)
-        return axes, _additive_design(axes, sample.x, (0,) * d), bmat
+        return axes, est.WindowedRows.whole(_additive_design(axes, sample.x, (0,) * d)), bmat
 
     def widths(j: int) -> tuple[int, int]:
         width = 1 + d * (j - 1)
@@ -204,7 +204,7 @@ def partially_linear_model(plspec: PartiallyLinearSpec, ispec: bs.InstrumentSpec
         basis = bs.spec_for_dimension(plspec.x1_spec, j, data=tuple(sample.x_quantiles[i] for i in nonpar))
         psi1 = bs.design_matrix(basis, x1)
         bmat = bs.instrument_matrix(ispec, j, sample)
-        return basis, np.hstack([psi1, x2 - x2.mean(axis=0)]), bmat
+        return basis, est.WindowedRows.whole(np.hstack([psi1, x2 - x2.mean(axis=0)])), bmat
 
     return est.SieveModel(
         design=design,

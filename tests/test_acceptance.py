@@ -162,8 +162,8 @@ def test_criterion_6_property_suite():
     grams_reg = est.fit_grams(sample, est.npiv_model(cubic, None), 7)[1]
     left_reg, right_reg = grams_reg.solve(sample.y)[:2]
     psi = right_reg.dense()
-    left, right = est.TslsGrams(psi, psi).solve(np.zeros(n))[:2]
-    m_tsls = left @ right.T
+    left, right = est.TslsGrams(est.WindowedRows.whole(psi), psi).solve(np.zeros(n))[:2]
+    m_tsls = left @ right.dense().T
     ols_err = float(np.abs(m_tsls - left_reg @ psi.T).max())
     checks.append((f"OLS equivalence {ols_err:.1e} < 1e-10", ols_err < 1e-10))
 

@@ -50,7 +50,7 @@ def _dense_scores(field, sample):
     model, scores = field.backend.model, {}
     for j in field.j_values:
         basis, design, bmat = model.design(sample, j)
-        design = design.dense() if isinstance(design, est.WindowedRows) else design
+        design = design.dense()
         fitted = design if bmat is None else bmat @ np.linalg.lstsq(bmat, design, rcond=None)[0]
         m = np.linalg.pinv(fitted)
         rows, sl = model.selector(basis, field.grid, field.deriv)
@@ -131,7 +131,7 @@ def _solved(backend, j):
 
 def _with_residuals(backend, j, u):
     """The backend's fit at J with residuals ``u``: its right factor is the solved R weighted by u."""
-    return replace(backend.fit(j), u_hat=u, right=est.right_factor(_solved(backend, j)[1], u))
+    return replace(backend.fit(j), u_hat=u, right=_solved(backend, j)[1].weight(u))
 
 
 class TestFactoredScores:
@@ -581,7 +581,7 @@ class TestSharedProjections:
             assert full[j] is fit.projections[plan] and full[j].shape == (1 + 2 * (j - 1), plan.n_draws)
             np.testing.assert_array_equal(full[j], _chunked_projection(fit, omega))
             left, rmat = _solved(backends["additive"], j)
-            dense = ((left @ rmat.T) * fit.u_hat) @ omega.T
+            dense = ((left @ rmat.dense().T) * fit.u_hat) @ omega.T
             np.testing.assert_allclose(fit.left @ full[j], dense, rtol=1e-12, atol=1e-12 * np.abs(dense).max())
 
     def test_replaced_fit_gets_fresh_weights(self):

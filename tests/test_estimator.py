@@ -19,22 +19,17 @@ REG = est.npiv_model(CUBIC, None)
 NPIV = est.npiv_model(CUBIC, ISPEC)
 
 
-def _dense(matrix):
-    """The n x p array of a design or right factor, which a B-spline series regression keeps windowed."""
-    return matrix.dense() if isinstance(matrix, est.WindowedRows) else matrix
-
-
 def _operands(sample, model, j):
     """The n x p design of the model's fit at J and its n x K instruments, the design itself for series regression."""
     grams = est.fit_grams(sample, model, j)[1]
-    design = _dense(grams.design)
+    design = grams.design.dense()
     return design, design if grams.bmat is None else grams.bmat
 
 
 def _solved(sample, model, j):
     """``(left, R, u_hat)`` of the fit at J as ``TslsGrams.solve`` returns them, R dense and not weighted by u_hat."""
     left, rmat, _, u_hat = est.fit_grams(sample, model, j)[1].solve(sample.y)[:4]
-    return left, _dense(rmat), u_hat
+    return left, rmat.dense(), u_hat
 
 
 def _solved_m(sample, model, j):
@@ -46,7 +41,7 @@ def _solved_m(sample, model, j):
 def _with_residuals(backend, j, u):
     """The backend's fit at J with residuals ``u``: its right factor is the solved R weighted by u."""
     rmat = est.fit_grams(backend.sample, backend.model, j)[1].solve(backend.sample.y)[1]
-    return replace(backend.fit(j), u_hat=u, right=est.right_factor(rmat, u))
+    return replace(backend.fit(j), u_hat=u, right=rmat.weight(u))
 
 
 def _linear_sample(n=200, seed=0, noise=0.0):
@@ -155,37 +150,37 @@ def _reference_tsls(psi, bmat, y):
 
     M = L R' with L = G^- and R = Psi for series regression, L = A^- and
     R = P_K Psi for TSLS; coef = L (R' y), which on the eigen route is how the
-    fit solves for it. A span-built series-regression design (``WindowedRows``)
-    forms Psi'Psi, Psi'y and Psi coef over its blocks, as the fit does.
+    fit solves for it. ``psi`` is the fit's ``WindowedRows`` design: Psi'Psi,
+    Psi'y and Psi coef are formed over its blocks, as the fit does. Series
+    regression is its own instrument, so its s_hat is 1 in closed form.
     """
     n, j = psi.shape
-    windowed = isinstance(psi, est.WindowedRows)
-    gram_p = psi.gram() if windowed else psi.T @ psi
+    gram_p = psi.inner(psi)
     flags = []
     if bmat is None:
         left, rank = _ref_psd_inverse(gram_p, max(n, j))
-        right, gram_b, cross, k = psi, gram_p, gram_p, j
+        right, rhs, s_hat, reduced = psi.dense(), psi.transpose_dot(y), 1.0, rank < j
     else:
         k = bmat.shape[1]
-        gram_b, cross = bmat.T @ bmat, bmat.T @ psi
+        gram_b, cross = bmat.T @ bmat, bmat.T @ psi.dense()
         gb_inv, rank_b = _ref_psd_inverse(gram_b, max(n, k))
         proj = gb_inv @ cross
         left, rank = _ref_psd_inverse(cross.T @ proj, max(n, j))
         right = bmat @ proj
+        rhs = right.T @ y
         if rank_b < k:
             flags.append("instrument_gram_rank_deficient")
+        rb, rank_b = _ref_psd_inverse(gram_b, max(n, k), sqrt=True)
+        rp, rank_p = _ref_psd_inverse(gram_p, max(n, j), sqrt=True)
+        sv = np.linalg.svd(rb @ cross @ rp, compute_uv=False)
+        rank_s = min(rank_b, rank_p, sv.size)
+        s_hat, reduced = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0, rank_b < k or rank_p < j
     if rank < j:
         flags.append("design_rank_deficient")
-    m = left @ (right.dense() if windowed else right).T
-    coef = left @ (right.transpose_dot(y) if windowed else right.T @ y)
-    rb, rank_b = _ref_psd_inverse(gram_b, max(n, k), sqrt=True)
-    rp, rank_p = _ref_psd_inverse(gram_p, max(n, j), sqrt=True)
-    sv = np.linalg.svd(rb @ cross @ rp, compute_uv=False)
-    rank_s = min(rank_b, rank_p, sv.size)
-    if rank_b < k or rank_p < j:
+    if reduced:
         flags.append("shat_reduced_rank")
-    s_hat = float(min(sv[rank_s - 1], 1.0)) if rank_s else 0.0
-    return m, coef, y - (psi.dot(coef) if windowed else psi @ coef), s_hat, tuple(flags)
+    coef = left @ rhs
+    return left @ right.T, coef, y - psi.dot(coef), s_hat, tuple(flags)
 
 
 #: Cholesky-route fits match the eigen-route formulas to this fraction of each array's largest entry.
@@ -227,11 +222,11 @@ class TestTslsGrams:
         for spec in (None,) if d.ispec is None else (None, d.ispec):
             for j in (4, 7, 19, 35):
                 model = est.npiv_model(d.x_spec, spec)
-                design, bmat = _operands(sample, model, j)
+                grams = est.fit_grams(sample, model, j)[1]
                 calls.clear()
                 f = est.fit(sample, model, j)
                 assert calls == [] and f.flags == ()
-                want = _reference_tsls(design, None if spec is None else bmat, sample.y)
+                want = _reference_tsls(grams.design, grams.bmat, sample.y)
                 for got, ref in zip((_solved_m(sample, model, j), f.coef, f.u_hat, f.s_hat), want):
                     scale = float(np.abs(ref).max())
                     np.testing.assert_allclose(got, ref, rtol=CHOLESKY_RTOL, atol=CHOLESKY_RTOL * scale)
@@ -257,8 +252,17 @@ class TestTslsGrams:
                 assert "design_rank_deficient" in f.flags and "shat_reduced_rank" in f.flags
 
     def test_regression_shat_is_exactly_one(self):
+        # On both Gram routes: the Cholesky route of a uniform sample, and the eigen route of
+        # tied quantile knots (nine distinct x values, so J = 11 exceeds the rank).
         for j in (4, 7, 11):
             assert est.fit(_noisy_sample(), REG, j).s_hat == 1.0
+        rng = np.random.default_rng(17)
+        x = rng.integers(1, 10, 600) / 10
+        sample = est.Sample(np.sin(3 * x) + x**2 + 0.3 * rng.standard_normal(600), x, x)
+        backend = est.SieveBackend(sample, est.npiv_model(bs.BasisSpec(4, 0, knot_rule="empirical_quantile"), None))
+        for j in (4, 5, 7, 11):
+            assert backend.fit(j).s_hat == 1.0
+        assert "shat_reduced_rank" in backend.fit(11).flags
 
     def test_look_ahead_forms_no_m(self, monkeypatch):
         # The J past J_hat_max is factored for its s_hat only; every J's Grams
@@ -303,12 +307,20 @@ def _chunk_windows(rows):
     return [window for run, window in zip(rows.runs, rows.windows) for _ in range(run.start, run.stop, est.OBS_ROWS)]
 
 
+def _nonzero_windows(matrix):
+    """Each fixed chunk of ``OBS_ROWS`` rows of a dense matrix's columns from its first to its last nonzero one."""
+    windows = []
+    for lo in range(0, matrix.shape[0], est.OBS_ROWS):
+        used = np.flatnonzero((matrix[lo:lo + est.OBS_ROWS] != 0.0).any(axis=0))
+        windows.append(slice(int(used[0]), int(used[-1]) + 1) if used.size else slice(0, 0))
+    return windows
+
+
 def _dense_regression(sample, model, j):
     """Series regression on the dense n x p B-spline design, by the formulas that span-built fits replaced.
 
     D'D is factored by ``factor_gram``; left is its (pseudo-)inverse, coef solves it against D'y, and
-    s_hat is 1 on the Cholesky route and the smallest retained singular value of the whitened Gram on
-    the eigen route. Returns ``(left, D o u_hat, coef, u_hat, s_hat, flags, D)``.
+    s_hat is 1, since D instruments itself. Returns ``(left, D o u_hat, coef, u_hat, s_hat, flags, D)``.
     """
     basis = bs.spec_for_dimension(model.template, j, data=sample.x_quantiles)
     design = bs.design_matrix(basis, sample.x)
@@ -316,18 +328,14 @@ def _dense_regression(sample, model, j):
     gram = factor_gram(design.T @ design, max(n, p))
     coef = gram.solve(design.T @ sample.y)
     u_hat = sample.y - design @ coef
-    s_hat, flags = 1.0, ()
-    if gram.eig is not None:
-        s_hat = float(min(np.linalg.svd(gram.whiten_right(gram.whiten(gram.a)), compute_uv=False)[gram.rank - 1], 1.0))
-    if gram.rank < p:
-        flags = ("design_rank_deficient", "shat_reduced_rank")
-    return gram.inverse(), design * u_hat[:, None], coef, u_hat, s_hat, flags, design
+    flags = ("design_rank_deficient", "shat_reduced_rank") if gram.rank < p else ()
+    return gram.inverse(), design * u_hat[:, None], coef, u_hat, 1.0, flags, design
 
 
 class TestRightFactor:
     """A fit keeps R o u_hat, in the runs and windows of the unweighted R that ``TslsGrams.solve`` returns."""
 
-    @pytest.mark.parametrize("case", ["regression", "tsls", "additive"])
+    @pytest.mark.parametrize("case", ["regression", "tsls", "additive", "plm"])
     def test_right_is_r_times_u_hat_in_the_windows_of_r(self, case):
         rng = np.random.default_rng(21)
         n = 700
@@ -335,6 +343,9 @@ class TestRightFactor:
         y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
         if case == "additive":
             sample, model = est.Sample(y, x, x), ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)
+        elif case == "plm":
+            model = ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, linear_cols=(1,)), None)
+            sample = est.Sample(y, x, x)
         else:
             sample, model = est.Sample(y, x[:, 0], x[:, 1]), REG if case == "regression" else NPIV
         backend = est.SieveBackend(sample, model)
@@ -346,13 +357,11 @@ class TestRightFactor:
                 # The windows come from the B-spline spans, so each holds its chunk's window of the dense design.
                 assert len(fit.right.runs) > 1
                 design = _dense_regression(backend.sample, model, j)[-1]
-                nonzero = _chunk_windows(est.WindowedRows.of(design, np.ones(n)))
-                for window, used in zip(_chunk_windows(fit.right), nonzero, strict=True):
+                for window, used in zip(_chunk_windows(fit.right), _nonzero_windows(design), strict=True):
                     assert window.start <= used.start and used.stop <= window.stop
             else:
-                layout = est.WindowedRows.of(rmat, np.ones(n))
-                assert fit.right.runs == layout.runs and fit.right.windows == layout.windows
-                assert fit.right.runs == (slice(0, n),)
+                # A dense design is one block: R o u_hat is the single block over every row and column.
+                assert fit.right.runs == (slice(0, n),) and fit.right.windows == (slice(0, rmat.shape[1]),)
             np.testing.assert_array_equal(fit.right.dense(), rmat * u_hat[:, None])
             np.testing.assert_array_equal(fit.left, left)
             np.testing.assert_array_equal(fit.u_hat, u_hat)
@@ -378,12 +387,7 @@ class TestRightFactor:
         for j in js:
             fit = backend.fit(j)
             left, right, coef, u_hat, s_hat, flags, _ = _dense_regression(backend.sample, model, j)
-            assert fit.flags == flags
-            if flags:
-                # On the eigen route s_hat is 1 up to the Gram's rounding, which the block sums move.
-                assert fit.s_hat == pytest.approx(s_hat, rel=1e-12)
-            else:
-                assert fit.s_hat == s_hat == 1.0
+            assert fit.flags == flags and fit.s_hat == s_hat == 1.0
             for got, ref in ((fit.coef, coef), (fit.u_hat, u_hat), (fit.left, left), (fit.right.dense(), right)):
                 np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * float(np.abs(ref).max()))
         assert (case == "tied_quantile_knots") == bool(fit.flags)
@@ -405,6 +409,23 @@ class TestRightFactor:
         assert fit.right.width == j and len(fit.right.runs) > 1
         assert peak < n * j * 8 / 2, peak
 
+    def test_dense_right_factor_is_weighted_in_place(self):
+        # A TSLS fit at n = 5000 and J = 35 weights its solved R = P_K Psi by u_hat in place:
+        # beyond the Grams it was given, it peaks at R itself plus O(n + p^2), well below two
+        # n x p float arrays (a weighted copy of R would be a second one).
+        d = sg.get_design("npiv_sine_log")
+        sample, _ = sg.generate(d, 5000, 3)
+        model, n, j = est.npiv_model(d.x_spec, d.ispec), 5000, 35
+        grams = est.fit_grams(sample, model, j)
+        tracemalloc.start()
+        try:
+            fit = est.fit(sample, model, j, grams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.right.runs == (slice(0, n),) and fit.right.width == j
+        assert peak < 1.25 * n * j * 8, peak
+
 
 class TestShat:
     def test_self_instrumented_is_one(self):
@@ -415,8 +436,8 @@ class TestShat:
         # with b = psi the TSLS influence matrix equals series least squares
         sample = _noisy_sample()
         design = _operands(sample, REG, 7)[0]
-        left, right = est.TslsGrams(design, design).solve(np.zeros(design.shape[0]))[:2]
-        m_tsls = left @ right.T
+        left, right = est.TslsGrams(est.WindowedRows.whole(design), design).solve(np.zeros(design.shape[0]))[:2]
+        m_tsls = left @ right.dense().T
         assert np.abs(m_tsls - _solved_m(sample, REG, 7)).max() < 1e-10
 
     def test_independent_instruments_near_zero(self):

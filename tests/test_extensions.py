@@ -212,7 +212,7 @@ class TestPartiallyLinear:
         model = ext.partially_linear_model(spec, bs.InstrumentSpec(CUBIC, q=2))
         fit = est.fit(s, model, 4)
         grams = est.fit_grams(s, model, 4)[1]
-        design, bmat = grams.design, grams.bmat
+        design, bmat = grams.design.dense(), grams.bmat
         proj = bmat @ np.linalg.pinv(bmat.T @ bmat) @ bmat.T
         coef = np.linalg.solve(design.T @ proj @ design, design.T @ proj @ s.y)
         np.testing.assert_allclose(fit.coef, coef, atol=1e-9)
@@ -314,14 +314,14 @@ class TestOneFit:
         sample, model, reference = _one_fit_case(name)
         design, bmat = reference(j)
         grams = est.fit_grams(sample, model, j)[1]
-        np.testing.assert_array_equal(grams.design, design)
+        np.testing.assert_array_equal(grams.design.dense(), design)
         assert (grams.bmat is None) == (bmat is None)
         if bmat is not None:
             np.testing.assert_array_equal(grams.bmat, bmat)
         fit = est.fit(sample, model, j)
-        left, right, coef, u_hat, s_hat, flags = est.TslsGrams(design, bmat).solve(sample.y)
-        assert fit.right.windows == est.WindowedRows.of(right, u_hat).windows
-        for got, want in ((fit.left, left), (fit.right.dense(), right * u_hat[:, None]), (fit.coef, coef),
+        left, right, coef, u_hat, s_hat, flags = est.TslsGrams(est.WindowedRows.whole(design), bmat).solve(sample.y)
+        assert fit.right.runs == right.runs == (slice(0, sample.n),) and fit.right.windows == right.windows
+        for got, want in ((fit.left, left), (fit.right.dense(), right.dense() * u_hat[:, None]), (fit.coef, coef),
                           (fit.u_hat, u_hat), (fit.s_hat, s_hat)):
             np.testing.assert_array_equal(got, want)
         assert fit.flags == flags and fit.j == j
