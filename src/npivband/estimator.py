@@ -457,13 +457,22 @@ class VarianceField:
 
         A J's grid quantities do not depend on the field's other J, so the
         grown field holds the bits of one built over all its J at once, and
-        raises as that one would. A J that raised is not held.
+        raises as that one would. A J that raised is not held. The rows are
+        taken through the left factor one ``grid_chunks`` chunk at a time:
+        in place in the selector's fresh rows when its slice of the left
+        factor is square, else into a new G x p array, so no second G x p
+        array is alive beside them.
         """
         new = sorted(set(js) - self.sigma.keys())
         for j in new:
             fit = self.fits[j] = self.backend.fit(j)
             rows, sl = self.backend.model.selector(fit.basis, self.grid, self.deriv)
-            self.rows[j], self.estimates[j] = rows @ fit.left[sl], rows @ fit.coef[sl]
+            self.estimates[j] = rows @ fit.coef[sl]
+            left = fit.left[sl]
+            out = rows if left.shape[0] == left.shape[1] else np.empty((rows.shape[0], left.shape[1]))
+            for chunk in grid_chunks(rows.shape[0]):
+                out[chunk] = rows[chunk] @ left
+            self.rows[j] = out
         sigma = {j: np.sqrt(self.cross(j, j)) for j in new}
         if sigma and max(float(s.max()) for s in (*self.sigma.values(), *sigma.values())) == 0.0:
             raise DegenerateVarianceError("all residuals are exactly zero; sieve variance and bands are undefined")
@@ -560,8 +569,11 @@ class SieveModel:
     ``widths(j)`` gives the design and instrument widths at J, both of which
     must stay <= n. ``selector(basis, pts, a)`` gives the rows and
     coefficient slice of the reported function, so its a-th derivative at
-    ``pts`` is rows @ coef[slice]; ``grid_dim`` is the dimension of that
-    function's argument.
+    ``pts`` is rows @ coef[slice]; the rows are a fresh array that nothing
+    else holds, since ``VarianceField.cover`` may overwrite them (as
+    ``sieve_rows``, the additive model's rows and ``component_model``'s
+    rows all are). ``grid_dim`` is the dimension of that function's
+    argument.
     """
 
     design: Callable

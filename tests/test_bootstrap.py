@@ -229,6 +229,35 @@ class TestFactoredScores:
             tracemalloc.stop()
         assert peak < g * n * 8 / 10
 
+    @pytest.mark.parametrize("model", ["regression", "additive_component"])
+    def test_cover_takes_rows_through_left_a_chunk_at_a_time(self, model):
+        # 20,000 grid points at J=131 (regression) and J=67 (component 1 of a two-column additive
+        # model, a slice of 66 of its 133 coefficients). Above the rows, estimate, sigma and cross
+        # term it stores, cover holds the selector's rows when they are not stored (G x 66 here),
+        # one chunk of rows times the left factor and O(G) values: never a second G x p array.
+        rng = np.random.default_rng(5)
+        n, g = 2000, 20_000
+        x = rng.random((n, 2))
+        y = np.sin(3 * x[:, 0]) + x[:, 1] + 0.5 * rng.standard_normal(n)
+        if model == "regression":
+            backend, j = est.SieveBackend(est.Sample(y, x[:, 0], x[:, 0]), est.npiv_model(CUBIC, None)), 131
+        else:
+            additive = est.SieveBackend(est.Sample(y, x, x), ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None))
+            backend, j = additive.view(ext.component_model(additive.model, 1)), 67
+        p = backend.fit(j).right.width
+        field = est.VarianceField(backend, np.linspace(0, 1, g).reshape(-1, 1), (0,))
+        tracemalloc.start()
+        try:
+            field.cover((j,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(a.nbytes for held in (field.rows, field.estimates, field.sigma, field._cross)
+                     for a in held.values())
+        assert field.rows[j].shape == (g, p)
+        unstored = 0 if model == "regression" else g * (j - 1) * 8
+        assert peak - stored <= unstored + (est.GRID_ROWS * p + 8 * g) * 8
+
     def test_contrast_sweep_bounded(self):
         # J=67 against J=131 on 20,000 grid points at n=2000: the per-J draws are
         # taken in bounded chunks of grid rows, never as one G x (p + p2) array of
