@@ -31,9 +31,9 @@ terms, sums over the blocks, then cost the window's width rather than p
 per observation, and a variance field takes its grid rows through L once.
 Every other design (TSLS, the additive and partially linear models) is one
 block over every row and column, ``WindowedRows.whole`` of the dense
-matrix. ``TslsGrams`` forms Psi'Psi, B'Psi, Psi'y and the residuals from
-the blocks, by the same block products for either kind, and ``fit``
-weights R by u_hat in place.
+matrix, the same single block in any row order. ``TslsGrams`` forms
+Psi'Psi, B'Psi, Psi'y and the residuals from the blocks, by the same block
+products for either kind, and ``fit`` weights R by u_hat in place.
 
 A ``SieveModel`` describes a model: its design and instruments at J, their
 widths at J, and the selector rows of the function it reports. One ``fit``
@@ -42,11 +42,12 @@ TSLS core (``fit_grams``, then ``TslsGrams.solve``) into a ``SieveFit``, which
 keeps the two factors of W_J, the coefficients and the residuals but not the
 design or the instruments. ``candidate_dims`` is every model's one J grid: the
 admissible dimensions whose widths fit the sample. The shared ``SieveBackend``
-fits a model without instruments on its observations ordered by x (a stable
-lexicographic sort, first column first) and a TSLS model in the sample's
-order; it caches fits per J, and the Grams of a J asked only for its s_hat
-until ``drop_grams``. ``evaluate``, and the ``VarianceField`` built in
-``build_field``, read every reported function through its selector rows.
+fits a span-built model (``SieveModel.span_built``) on its observations
+ordered by x (a stable lexicographic sort, first column first) and every
+other model on the given sample as it is; it caches fits per J, and the
+Grams of a J asked only for its s_hat until ``drop_grams``. ``evaluate``,
+and the ``VarianceField`` built in ``build_field``, read every reported
+function through its selector rows.
 """
 
 from __future__ import annotations
@@ -560,11 +561,13 @@ class SieveModel:
 
     ``design(sample, j)`` gives the basis state the selector reads, the n x p
     design as a ``WindowedRows`` and the dense n x K instruments (None for
-    series regression) at sieve dimension J; ``instrumented`` says whether
-    it gives instruments. A B-spline series regression (``npiv_model``
-    without instruments) builds its design from the spans of the sample's
-    rows in their given order, so it is windowed only as far as that order
-    makes it; every other design is ``WindowedRows.whole`` of a dense array.
+    series regression) at sieve dimension J. ``span_built`` says that the
+    design is built from B-spline spans (``basis.basis_spans`` through
+    ``WindowedRows.of_spans``), as only a B-spline series regression's
+    (``npiv_model`` without instruments) is: its windows are narrow only as
+    far as the rows' order makes them, so the backend orders the rows by x.
+    Every other design is ``WindowedRows.whole`` of a dense array, one block
+    in any row order.
     ``template`` is the basis whose dimension grid enumerates J, and
     ``widths(j)`` gives the design and instrument widths at J, both of which
     must stay <= n. ``selector(basis, pts, a)`` gives the rows and
@@ -581,7 +584,7 @@ class SieveModel:
     widths: Callable[[int], tuple[int, int]]
     selector: Callable
     grid_dim: int
-    instrumented: bool
+    span_built: bool = False
 
 
 def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveModel:
@@ -599,7 +602,7 @@ def npiv_model(x_spec: bs.BasisSpec, ispec: bs.InstrumentSpec | None) -> SieveMo
         widths=lambda j: (j, j if ispec is None else bs.instrument_dim(ispec, j)),
         selector=sieve_rows,
         grid_dim=x_spec.dim,
-        instrumented=ispec is not None,
+        span_built=ispec is None,
     )
 
 
@@ -615,21 +618,22 @@ def candidate_dims(model: SieveModel, n: int) -> list[int]:
 class SieveBackend:
     """Fit cache for one sieve model on one sample, and its reported function.
 
-    A model without instruments is fitted on the sample's observations
-    ordered by x (``np.lexsort``, first column first, stable), so each chunk
-    of ``OBS_ROWS`` observations of its design touches a window of B-spline
-    columns; ``order`` maps that order's rows to the given sample's
-    (fitted row i is given row ``order[i]``), and ``sample`` is the ordered
-    sample. A TSLS model keeps the given order (``order`` is None), because
-    its right factor P_K Psi is dense anyway. Each J is fitted once through
-    ``fit``; a J asked only for its ``shat`` forms only its Grams, which a
-    later ``fit`` completes. ``build_field`` combines the model's selector
-    rows with the fits.
+    A span-built model (``SieveModel.span_built``) is fitted on the sample's
+    observations ordered by x (``np.lexsort``, first column first, stable),
+    so each chunk of ``OBS_ROWS`` observations of its design touches a
+    window of B-spline columns; ``order`` maps that order's rows to the
+    given sample's (fitted row i is given row ``order[i]``), and ``sample``
+    is the ordered sample. Every other model's design is one dense block in
+    any order, so its backend keeps the given sample itself (``order`` is
+    None) and the bootstrap draws its multipliers in place. Each J is
+    fitted once through ``fit``; a J asked only for its ``shat`` forms only
+    its Grams, which a later ``fit`` completes. ``build_field`` combines the
+    model's selector rows with the fits.
     """
 
     def __init__(self, sample: Sample, model: SieveModel):
-        self.order = None if model.instrumented else np.lexsort(sample.x.T[::-1])
-        if self.order is not None:
+        self.order = np.lexsort(sample.x.T[::-1]) if model.span_built else None
+        if model.span_built:
             sample = Sample(sample.y[self.order], sample.x[self.order], sample.w[self.order])
         self.sample = sample
         self.model = model

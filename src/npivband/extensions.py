@@ -117,7 +117,6 @@ def additive_model(aspec: AdditiveSpec, ispec: bs.InstrumentSpec | None) -> est.
         widths=widths,
         selector=_additive_rows,
         grid_dim=d,
-        instrumented=ispec is not None,
     )
 
 
@@ -212,7 +211,6 @@ def partially_linear_model(plspec: PartiallyLinearSpec, ispec: bs.InstrumentSpec
         widths=lambda j: (j + d2, j + d2 if ispec is None else bs.instrument_dim(ispec, j)),
         selector=est.sieve_rows,
         grid_dim=plspec.x1_spec.dim,
-        instrumented=ispec is not None,
     )
 
 

@@ -332,6 +332,40 @@ def _dense_regression(sample, model, j):
     return gram.inverse(), design * u_hat[:, None], coef, u_hat, 1.0, flags, design
 
 
+class TestObservationOrder:
+    """A backend orders its observations by x exactly when its model's design is built from B-spline spans."""
+
+    @pytest.mark.parametrize("case", ["npiv", "regression", "tensor", "additive", "additive_iv", "plm", "plm_iv"])
+    def test_backend_sorts_only_span_built_designs(self, case):
+        rng = np.random.default_rng(23)
+        n = 700
+        x = rng.random((n, 2))
+        w = np.clip(x + 0.1 * rng.standard_normal((n, 2)), 0, 1)
+        y = np.sin(3 * x[:, 0]) + x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
+        sample, model = {
+            "npiv": (est.Sample(y, x[:, 0], w[:, 0]), NPIV),
+            "regression": (est.Sample(y, x[:, 0], w[:, 0]), REG),
+            "tensor": (est.Sample(y, x, x), est.npiv_model(bs.BasisSpec(4, 0, dim=2), None)),
+            "additive": (est.Sample(y, x, x), ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None)),
+            "additive_iv": (est.Sample(y, x, w), ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)),
+                                                                    bs.InstrumentSpec(CUBIC, q=1, dim_w=2))),
+            "plm": (est.Sample(y, x, x), ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1,)), None)),
+            "plm_iv": (est.Sample(y, x, w), ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1,)),
+                                                                       bs.InstrumentSpec(CUBIC, q=2, dim_w=2))),
+        }[case]
+        assert model.span_built == (case in ("regression", "tensor"))
+        backend = est.SieveBackend(sample, model)
+        fit = backend.fit(est.candidate_dims(model, n)[3])
+        if model.span_built:
+            # Sorting pays only through the windows it gives the span-built design.
+            np.testing.assert_array_equal(backend.order, np.lexsort(sample.x.T[::-1]))
+            np.testing.assert_array_equal(backend.sample.x, sample.x[backend.order])
+            assert len(fit.right.runs) > 1
+        else:
+            assert backend.order is None and backend.sample is sample
+            assert len(fit.right.runs) == 1
+
+
 class TestRightFactor:
     """A fit keeps R o u_hat, in the runs and windows of the unweighted R that ``TslsGrams.solve`` returns."""
 
@@ -349,7 +383,7 @@ class TestRightFactor:
         else:
             sample, model = est.Sample(y, x[:, 0], x[:, 1]), REG if case == "regression" else NPIV
         backend = est.SieveBackend(sample, model)
-        assert (backend.order is None) == (case == "tsls")
+        assert (backend.order is None) == (case != "regression")
         for j in est.candidate_dims(model, n)[2:5]:
             fit = backend.fit(j)
             left, rmat, u_hat = _solved(backend.sample, model, j)
