@@ -12,12 +12,11 @@ seeding; this skips B Python-level hashes and moves no bit.
 
 Drawing Omega and forming the projections run on ``_linalg.thread_map``,
 whose threads start and are joined inside each call: each fixed 64-row
-slice of Omega is one task, and each missing fit's projection another.
-Every task writes only its own rows or its own projection, by the same
-operations on the same operands as on one thread, so no bit depends on the
-thread count. Projections call BLAS, so they leave the caller only while
-numpy's OpenBLAS runs on one thread; forked Monte Carlo workers use one
-thread for both.
+slice of Omega is one task. Every task writes only its own rows of Omega,
+or its own columns of each projection, by the same operations on the same
+operands as on one thread, so no bit depends on the thread count.
+Projections call BLAS, so they leave the caller only while numpy's
+OpenBLAS runs on one thread; forked Monte Carlo workers use one thread.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
 only through each fit's whole-coefficient weights W = M diag(u_hat) =
@@ -26,11 +25,13 @@ L (R o u_hat)', which a fit keeps as L and its right factor R o u_hat:
 over the right factor's windowed blocks R_c, and a field's rows are its
 selector rows taken through L. Each projection is formed once per fit and
 plan and kept read-only in the fit's ``projections``, and every field of
-the backend reads it. Omega is drawn
-only when a field holds a fit without that plan's projection, with its
-columns in the backend's row order (``multiplier_matrix`` with ``order``),
-so each observation keeps its own multipliers however the backend orders
-the sample, and it lives only while the missing projections are formed.
+the backend reads it. Omega is drawn only when a field holds a fit without
+that plan's projection, with its columns in the backend's row order, so
+each observation keeps its own multipliers however the backend orders the
+sample. It is never held whole: each 64-draw slice is drawn into its
+thread's 64 x n buffer and projected at once into those draws' columns of
+every missing projection. ``multiplier_matrix`` gives the whole matrix,
+row for row the same draws.
 The draws of J at the grid are D*_J = rows_J (R_J o u_J)' Omega'. A contrast draw is the difference
 D*_J - D*_J2 of per-J draws, each taken once per chunk of grid rows however
 many pairs share it, and scaled by the pair's sd, which also scales the
@@ -147,31 +148,36 @@ class _StreamSeed(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
+def _draw(out: np.ndarray, seeds: np.ndarray, order, row) -> None:
+    """Draw the rows of ``out`` from the substreams seeded by the rows of ``seeds``.
+
+    Each row's generator is made as it draws the row, so only one is alive.
+    Without ``order`` each row is drawn in place; with it, each row is drawn
+    into the n-vector ``row`` and gathered, so column i holds observation
+    ``order[i]``'s multiplier.
+    """
+    for dest, words in zip(out, seeds):
+        rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
+        if order is None:
+            rng.standard_normal(out=dest)
+        else:
+            rng.standard_normal(out=row)
+            np.take(row, order, out=dest, mode="wrap")
+
+
 def multiplier_matrix(plan: MultiplierPlan, n: int, order=None) -> np.ndarray:
     """The B x n matrix Omega whose row b is draw b's n multipliers, or those taken at ``order``.
 
     Row b is ``default_rng(SeedSequence((base_seed, b))).standard_normal(n)``.
     All B substreams are seeded in one pass of ``_seed_words``, and each
-    fixed 64-row slice is drawn as one ``thread_map`` task, which makes each
-    row's generator as it draws the row, so only one generator per thread
-    is alive. Without ``order`` each row is drawn in place; with it, each
-    row is drawn into its thread's n-vector and gathered, so column i holds
-    observation ``order[i]``'s multipliers and no second B x n array is
-    made.
+    fixed 64-row slice is drawn by ``_draw`` as one ``thread_map`` task; with
+    ``order``, column i holds observation ``order[i]``'s multipliers and no
+    second B x n array is made.
     """
     omega = np.empty((plan.n_draws, int(n)))
     seeds = _seed_words(plan.base_seed, np.arange(plan.n_draws))
-
-    def draw(rows: slice, buffer) -> None:
-        for row, words in zip(omega[rows], seeds[rows]):
-            rng = np.random.Generator(np.random.PCG64(_StreamSeed(words)))
-            if order is None:
-                rng.standard_normal(out=row)
-            else:
-                rng.standard_normal(out=buffer)
-                np.take(buffer, order, out=row, mode="wrap")
-
-    thread_map(draw, _slices(plan.n_draws), None if order is None else lambda: np.empty(int(n)))
+    thread_map(lambda rows, row: _draw(omega[rows], seeds[rows], order, row), _slices(plan.n_draws),
+               None if order is None else lambda: np.empty(int(n)))
     return omega
 
 
@@ -180,29 +186,35 @@ def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.
 
     Each fit of the field that lacks the plan's projection gets
     sum_c R_c' Omega_c' over the windowed blocks R_c of its right factor
-    R o u_hat, with Omega drawn once for all of them, its columns in the
-    backend's row order. The field's rows are taken through the left factor
-    already, so rows_J @ projection is D*_J = rows_J W_J Omega'. Each missing
-    fit is one ``thread_map`` task, the largest first: its projection is the
-    same block products in the same order on whichever thread runs it, so
-    no bit depends on the thread count. The kept projections are allocated
-    before Omega, and each thread's product array after it in this thread,
-    so a call leaves free blocks behind rather than gaps between the kept
+    R o u_hat, with Omega's columns in the backend's row order. The field's
+    rows are taken through the left factor already, so rows_J @ projection
+    is D*_J = rows_J W_J Omega'. Each fixed 64-draw slice of Omega is one
+    ``thread_map`` task: it draws the slice into its thread's buffer and
+    adds the slice's products to those draws' columns of every missing
+    projection, so no B x n array is made and no bit depends on the thread
+    count. The kept projections are allocated before the thread buffers, so
+    a call leaves free blocks behind rather than gaps between the kept
     arrays.
     """
     missing = [fit for fit in varfield.fits.values() if plan not in fit.projections]
     if missing:
         projs = [np.zeros((fit.right.width, plan.n_draws)) for fit in missing]
-        omega = multiplier_matrix(plan, varfield.n, varfield.backend.order)
-
-        def project(task, part) -> None:
-            fit, proj = task
-            for run, window, block in fit.right:
-                proj[window] += np.matmul(block.T, omega[:, run].T, out=part[:window.stop - window.start])
-
+        n, order = varfield.n, varfield.backend.order
+        seeds = _seed_words(plan.base_seed, np.arange(plan.n_draws))
         width = max(fit.right.width for fit in missing)
-        tasks = sorted(zip(missing, projs), key=lambda task: -sum(b.size for b in task[0].right.blocks))
-        thread_map(project, tasks, lambda: np.empty((width, plan.n_draws)), blas=True)
+
+        def project(cols: slice, buffers) -> None:
+            omega, part, row = buffers
+            omega, part = omega[: cols.stop - cols.start], part[:, : cols.stop - cols.start]
+            _draw(omega, seeds[cols], order, row)
+            for fit, proj in zip(missing, projs):
+                for run, window, block in fit.right:
+                    proj[window, cols] += np.matmul(block.T, omega[:, run].T, out=part[: window.stop - window.start])
+
+        def make_buffers():
+            return np.empty((_BLOCK, n)), np.empty((width, _BLOCK)), None if order is None else np.empty(n)
+
+        thread_map(project, _slices(plan.n_draws), make_buffers, blas=True)
         for fit, proj in zip(missing, projs):
             proj.flags.writeable = False
             fit.projections[plan] = proj

@@ -117,10 +117,14 @@ def _model_field(model):
 
 
 def _chunked_projection(fit, omega):
-    """The projection's formula: sum_c R_c' Omega_c' over the windowed blocks R_c of the fit's right factor R o u_hat."""
+    """The projection's formula: sum_c R_c' Omega_c' over the windowed blocks R_c of the fit's right factor R o u_hat.
+
+    Each fixed 64-draw slice of Omega is its own product, as ``_projections`` forms it.
+    """
     proj = np.zeros((fit.right.width, omega.shape[0]))
-    for run, window, block in fit.right:
-        proj[window] += block.T @ omega[:, run].T
+    for cols in bt._slices(omega.shape[0]):
+        for run, window, block in fit.right:
+            proj[window, cols] += block.T @ omega[cols, run].T
     return proj
 
 
@@ -228,6 +232,28 @@ class TestFactoredScores:
         finally:
             tracemalloc.stop()
         assert peak < g * n * 8 / 10
+
+    @pytest.mark.parametrize("instruments", [None, ISPEC])
+    def test_projections_hold_no_draws_by_n_array(self, instruments, monkeypatch):
+        # B=500 draws at n=4000: the whole Omega would take 500 * 4000 * 8 = 16 MB. Beyond the
+        # kept p x B projections, each of the two threads holds one 64-draw slice of it and one
+        # product, under 1.5 slices each.
+        monkeypatch.setattr(_linalg, "_map_threads", 2)
+        rng = np.random.default_rng(6)
+        n, plan = 4000, bt.MultiplierPlan(n_draws=500, base_seed=25)
+        x = rng.random(n)
+        w = np.clip(x + 0.15 * rng.standard_normal(n), 0, 1)
+        backend = est.SieveBackend(est.Sample(np.sin(3 * x) + 0.5 * rng.standard_normal(n), x, w),
+                                   est.npiv_model(CUBIC, instruments))
+        field = est.build_field(backend, np.linspace(0, 1, 30), 0, (4, 7, 11))
+        tracemalloc.start()
+        try:
+            projs = bt._projections(field, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(proj.nbytes for proj in projs.values())
+        assert peak - kept < 3 * bt._BLOCK * n * 8
 
     @pytest.mark.parametrize("model", ["regression", "additive_component"])
     def test_cover_takes_rows_through_left_a_chunk_at_a_time(self, model):
@@ -665,7 +691,8 @@ class TestThreadMap:
     @pytest.mark.parametrize("instruments", [None, ISPEC])
     def test_projections_ignore_the_thread_count(self, instruments, monkeypatch):
         # A series-regression backend, which sorts its sample, and a TSLS one, each fitted
-        # afresh per count. At n=1000 a TSLS projection split by draw slices changes bits.
+        # afresh per count. At n=1000 a TSLS projection formed over all draws at once
+        # rounds differently, so the oracle takes the same 64-draw slices.
         plan = bt.MultiplierPlan(150, 42)
         results = []
         for count in self.COUNTS:
