@@ -77,7 +77,6 @@ class AdaptiveSelection:
     backend: est.SieveBackend
     theta_draws: np.ndarray | None = None
     contrast_stats: dict = field(default_factory=dict, repr=False)
-    lepski_factor: float = LEPSKI_FACTOR
     flags: tuple[str, ...] = ()
     band_fields: dict = field(init=False, default_factory=dict, compare=False, repr=False)
 

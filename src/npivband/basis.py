@@ -21,6 +21,7 @@ same recursion's values into the dense n x J matrix, with the same bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,17 +96,17 @@ class BasisSpec:
         return np.concatenate([np.zeros(self.order), inner, np.ones(self.order)])
 
 
-def _dyadic_quantiles(column: np.ndarray, level: int) -> np.ndarray:
-    """``np.quantile(column, [i / 2^level for i = 1, ..., 2^level - 1])``, bit for bit, from one sort.
+def _dyadic_quantiles(ordered: np.ndarray, level: int) -> np.ndarray:
+    """``np.quantile(column, [i / 2^level for i = 1, ..., 2^level - 1])``, bit for bit, from the sorted column.
 
     NumPy's default (linear) method: with k + g = (n - 1) p, k an integer and
     0 <= g < 1, the quantile at p lies between the order statistics a = s[k]
     and b = s[k+1], formed as a + (b - a) g, or b - (b - a)(1 - g) when
-    g >= 0.5, as NumPy forms it. One sort serves every probability, while
-    np.quantile's partition slows sharply once the probabilities number about
-    n/2: at n = 1522 its 1023 of level 10 take 3 ms against 0.1 ms at level 4.
+    g >= 0.5, as NumPy forms it. One sort serves every probability and every
+    level, while np.quantile's partition slows sharply once the probabilities
+    number about n/2: at n = 1522 its 1023 of level 10 take 3 ms against
+    0.1 ms at level 4.
     """
-    ordered = np.sort(column)
     index = (ordered.size - 1) * (np.arange(1, 2**level) / 2**level)
     lo = np.floor(index)
     gamma = index - lo
@@ -118,31 +119,27 @@ def _dyadic_quantiles(column: np.ndarray, level: int) -> np.ndarray:
 
 
 class ColumnQuantiles:
-    """One data column's quantile knots at every resolution level.
+    """One data column's quantile knots at every resolution level, from one sort of the column.
 
-    The dyadic probabilities i/2^l of level l are every 2^(L-l)-th of those of
-    a finer level L, so the quantiles at the finest level the column admits
-    (2^L <= n: a basis needs at least 2^l functions per axis, and no more
-    than n can be fitted) serve every level up to L by slicing. They are
-    formed on the first request; a finer level replaces them.
+    The column is sorted on the first request for knots, and every level's
+    quantiles are read from that sorted copy.
     """
 
     def __init__(self, column: np.ndarray):
         self.column = np.asarray(column, dtype=np.float64).ravel()
         if self.column.size == 0:
             raise ConfigurationError("cannot place quantile knots on an empty column")
-        self._finest: tuple[int, np.ndarray] | None = None
+
+    @cached_property
+    def ordered(self) -> np.ndarray:
+        """The column in ascending order."""
+        return np.sort(self.column)
 
     def knots(self, resolution: int) -> tuple[float, ...]:
         """Interior knots at the empirical quantiles i/2^l, i = 1, ..., 2^l - 1."""
         if resolution == 0:
             return ()
-        if self._finest is None or self._finest[0] < resolution:
-            level = max(resolution, self.column.size.bit_length() - 1)
-            self._finest = (level, _dyadic_quantiles(self.column, level))
-        level, finest = self._finest
-        step = 2 ** (level - resolution)
-        knots = finest[step - 1 :: step]
+        knots = _dyadic_quantiles(self.ordered, resolution)
         if np.any(knots <= 0.0) or np.any(knots >= 1.0) or np.any(np.diff(knots) <= 0.0):
             raise DegenerateColumnError(
                 "empirical quantile knots are not strictly increasing inside (0, 1); "
@@ -161,7 +158,7 @@ def make_spec(
     """Build a BasisSpec, computing quantile knots from ``data`` when needed.
 
     ``data`` is an (n, dim) point array or one ``ColumnQuantiles`` per axis,
-    which keeps each column's quantiles for the next level.
+    which keeps each column sorted for the next level.
     """
     if knot_rule == "empirical_quantile":
         if data is None:

@@ -269,13 +269,14 @@ def _estimates_table(selection, plan, config: argparse.Namespace) -> tuple[list[
 # The AdaptiveSelection fields that selection.json stores and --from-selection reads.
 _STORED = (
     "j_hat_max", "index_set", "alpha_hat", "theta_star", "j_hat", "j_hat_n", "j_tilde",
-    "j_minus_set", "a_hat", "lepski_factor", "s_hat_by_j", "mode", "flags",
+    "j_minus_set", "a_hat", "s_hat_by_j", "mode", "flags",
 )
 
 
 def _selection_payload(selection) -> dict:
-    """The ``_STORED`` fields, and ``fit_flags_by_j``: per J of the index set, its fit's flags (not read back)."""
+    """The ``_STORED`` fields, the rule's ``lepski_factor`` and ``fit_flags_by_j``, each J's fit flags (not read)."""
     payload = {name: getattr(selection, name) for name in _STORED}
+    payload["lepski_factor"] = ad.LEPSKI_FACTOR
     payload["s_hat_by_j"] = {str(j): v for j, v in selection.s_hat_by_j.items()}
     payload["fit_flags_by_j"] = {str(j): list(selection.backend.fit(j).flags) for j in selection.index_set}
     return payload
@@ -285,14 +286,15 @@ def _load_selection(path: str, backend: est.SieveBackend, mode: str, grid) -> ad
     """Rebuild an AdaptiveSelection from selection.json plus fresh fits.
 
     Every stored J must be a dimension the backend can fit, and the stored
-    selection mode must be this run's ``mode``; both are checked before any
-    fit. The bands build their variance fields over the J values they use.
+    mode and Lepski factor must be this run's ``mode`` and the rule's; all
+    are checked before any fit. The bands' variance fields cover the J they use.
     """
     dims = set(backend.candidate_dims())
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         stored = {name: payload[name] for name in _STORED}
+        factor = payload["lepski_factor"]
         stored.update(
             index_set=tuple(stored["index_set"]),
             j_minus_set=tuple(stored["j_minus_set"]),
@@ -309,6 +311,8 @@ def _load_selection(path: str, backend: est.SieveBackend, mode: str, grid) -> ad
         )
     if stored["mode"] != mode:
         raise DataError(f"selection file {path} holds a {stored['mode']!r} selection; this run selects in {mode!r}")
+    if factor != ad.LEPSKI_FACTOR:
+        raise DataError(f"selection file {path} holds Lepski factor {factor!r}; the rule uses {ad.LEPSKI_FACTOR}")
     return ad.AdaptiveSelection(
         **stored, grid=bs.as_points(grid, backend.grid_dim), varfield=None, backend=backend
     )

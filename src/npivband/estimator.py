@@ -45,9 +45,9 @@ admissible dimensions whose widths fit the sample. The shared ``SieveBackend``
 fits a span-built model (``SieveModel.span_built``) on its observations
 ordered by x (a stable lexicographic sort, first column first) and every
 other model on the given sample as it is; it caches fits per J, and the
-Grams of a J asked only for its s_hat until ``drop_grams``. ``evaluate``,
-and the ``VarianceField`` built in ``build_field``, read every reported
-function through its selector rows.
+Grams of a J asked only for its s_hat until ``drop_grams``. ``evaluate`` and
+the ``VarianceField`` of ``build_field`` read every reported function through
+its selector rows, the field one chunk of ``GRID_ROWS`` grid points at a time.
 """
 
 from __future__ import annotations
@@ -122,12 +122,12 @@ class Sample:
 
     @cached_property
     def x_quantiles(self) -> tuple[bs.ColumnQuantiles, ...]:
-        """One ``basis.ColumnQuantiles`` per column of x, which every J's quantile knots slice."""
+        """One ``basis.ColumnQuantiles`` per column of x, from which every J's quantile knots are read."""
         return tuple(bs.ColumnQuantiles(col) for col in self.x.T)
 
     @cached_property
     def w_quantiles(self) -> tuple[bs.ColumnQuantiles, ...]:
-        """One ``basis.ColumnQuantiles`` per column of w, which every J's quantile knots slice."""
+        """One ``basis.ColumnQuantiles`` per column of w, from which every J's quantile knots are read."""
         return tuple(bs.ColumnQuantiles(col) for col in self.w.T)
 
     @property
@@ -414,14 +414,29 @@ def sieve_rows(basis: bs.BasisSpec, pts, deriv):
     return bs.design_matrix(basis, pts, deriv), slice(0, basis.n_funcs)
 
 
+def _forms(fit: SieveFit, rows: np.ndarray, fit2: SieveFit, rows2: np.ndarray) -> np.ndarray:
+    """The row-wise quadratic forms of ``rows`` and ``rows2`` in the two fits' inner Gram, clipped at 0 for one fit.
+
+    The Gram (``WindowedRows.inner`` of the right factors as stored) depends on the fits alone, so the first
+    field to form it keeps it in ``fit.inner_grams`` for every field; the forms take ``GRID_ROWS`` rows at a time.
+    """
+    if fit2 not in fit.inner_grams:
+        fit.inner_grams[fit2] = fit.right.inner(fit2.right)
+    gram, out = fit.inner_grams[fit2], np.empty(rows.shape[0])
+    for chunk in grid_chunks(out.size):
+        np.einsum("gp,gp->g", rows[chunk] @ gram, rows2[chunk], out=out[chunk])
+    return np.maximum(out, 0.0, out=out) if fit is fit2 else out
+
+
 @dataclass(eq=False)
 class VarianceField:
     """Sieve variance machinery for the fits of one backend on one grid, factored through the sieve.
 
     Per J: the fit, the estimate on the grid, and ``rows``, the G x p
     selector rows d^a psi^J(x)' taken through the rows of the fit's left
-    factor that the selector's coefficient slice picks (p the fit's width).
-    With W_J = left_J right_J' and right_J = R_J o u_J the scores are
+    factor that the selector's coefficient slice picks (p the fit's width),
+    both filled one chunk of ``GRID_ROWS`` grid rows at a time. With
+    W_J = left_J right_J' and right_J = R_J o u_J the scores are
     S_J = rows_J right_J', never formed. sigma_J^2 and sigma~_{J,J2} are
     row-wise quadratic forms of the rows in the inner Gram
     C = sum_c right_J,c' right_J2,c = sum_c R_J,c' diag(u_J u_J2) R_J2,c, a
@@ -458,53 +473,39 @@ class VarianceField:
 
         A J's grid quantities do not depend on the field's other J, so the
         grown field holds the bits of one built over all its J at once, and
-        raises as that one would. A J that raised is not held. The rows are
-        taken through the left factor one ``grid_chunks`` chunk at a time:
-        in place in the selector's fresh rows when its slice of the left
-        factor is square, else into a new G x p array, so no second G x p
-        array is alive beside them.
+        raises as that one would; a call that raises adds nothing. The rows
+        and the estimate are filled one ``grid_chunks`` chunk at a time from
+        that chunk's selector rows, so no selector array of more than
+        ``GRID_ROWS`` rows is alive.
         """
-        new = sorted(set(js) - self.sigma.keys())
-        for j in new:
-            fit = self.fits[j] = self.backend.fit(j)
-            rows, sl = self.backend.model.selector(fit.basis, self.grid, self.deriv)
-            self.estimates[j] = rows @ fit.coef[sl]
-            left = fit.left[sl]
-            out = rows if left.shape[0] == left.shape[1] else np.empty((rows.shape[0], left.shape[1]))
-            for chunk in grid_chunks(rows.shape[0]):
-                out[chunk] = rows[chunk] @ left
-            self.rows[j] = out
-        sigma = {j: np.sqrt(self.cross(j, j)) for j in new}
+        model, g, new = self.backend.model, self.grid.shape[0], {}
+        for j in sorted(set(js) - self.sigma.keys()):
+            fit = self.backend.fit(j)
+            rows, estimate = np.empty((g, fit.left.shape[1])), np.empty(g)
+            for chunk in grid_chunks(g):
+                block, sl = model.selector(fit.basis, self.grid[chunk], self.deriv)
+                np.matmul(block, fit.coef[sl], out=estimate[chunk])
+                np.matmul(block, fit.left[sl], out=rows[chunk])
+            new[j] = fit, rows, estimate, _forms(fit, rows, fit, rows)
+        sigma = {j: np.sqrt(var) for j, (*_, var) in new.items()}
         if sigma and max(float(s.max()) for s in (*self.sigma.values(), *sigma.values())) == 0.0:
             raise DegenerateVarianceError("all residuals are exactly zero; sieve variance and bands are undefined")
-        for j in new:
-            if float(sigma[j].min()) < VARIANCE_FLOOR * float(sigma[j].max()):
+        for j, s in sigma.items():
+            if float(s.min()) < VARIANCE_FLOOR * float(s.max()):
                 raise DegenerateVarianceError(f"sigma_J collapses on the grid for J={j}; variance is degenerate")
+        for j, (fit, rows, estimate, var) in new.items():
+            self.fits[j], self.rows[j], self.estimates[j], self._cross[(j, j)] = fit, rows, estimate, var
         self.sigma.update(sigma)
         return self
 
     def _fill_cross(self, pairs) -> None:
-        """Compute the cross terms of ``pairs`` not yet held.
-
-        The inner Gram of the pair's fits is ``WindowedRows.inner`` of their
-        right factors as stored. It depends on the two fits alone, so the
-        first field to form it keeps it in the lower J's ``inner_grams`` for
-        every field of the backend. The quadratic forms take ``GRID_ROWS``
-        grid rows at a time.
-        """
+        """Compute the cross terms of ``pairs`` not yet held; every J of them must be one the field holds."""
         todo = sorted({(min(p), max(p)) for p in pairs} - self._cross.keys())
-        missing = sorted({j for key in todo for j in key} - self.rows.keys())
+        missing = sorted({j for key in todo for j in key} - self.sigma.keys())
         if missing:
             raise InvalidDimensionError(f"J values {missing} are not in the variance field")
-        g = self.grid.shape[0]
         for j, j2 in todo:
-            fit, fit2 = self.fits[j], self.fits[j2]
-            if fit2 not in fit.inner_grams:
-                fit.inner_grams[fit2] = fit.right.inner(fit2.right)
-            gram, rows, rows2, out = fit.inner_grams[fit2], self.rows[j], self.rows[j2], np.empty(g)
-            for chunk in grid_chunks(g):
-                np.einsum("gp,gp->g", rows[chunk] @ gram, rows2[chunk], out=out[chunk])
-            self._cross[(j, j2)] = np.maximum(out, 0.0, out=out) if j == j2 else out
+            self._cross[(j, j2)] = _forms(self.fits[j], self.rows[j], self.fits[j2], self.rows[j2])
 
     @property
     def n(self) -> int:
@@ -572,11 +573,9 @@ class SieveModel:
     ``widths(j)`` gives the design and instrument widths at J, both of which
     must stay <= n. ``selector(basis, pts, a)`` gives the rows and
     coefficient slice of the reported function, so its a-th derivative at
-    ``pts`` is rows @ coef[slice]; the rows are a fresh array that nothing
-    else holds, since ``VarianceField.cover`` may overwrite them (as
-    ``sieve_rows``, the additive model's rows and ``component_model``'s
-    rows all are). ``grid_dim`` is the dimension of that function's
-    argument.
+    ``pts`` is rows @ coef[slice]; a variance field asks for the rows of
+    one chunk of grid points at a time. ``grid_dim`` is the dimension of
+    that function's argument.
     """
 
     design: Callable

@@ -119,7 +119,7 @@ class TestSelect:
         sample = _npiv_sample(n=600, seed=2)
         sel = ad.select(sample, CUBIC, ISPEC, plan=MultiplierPlan(100, 1), grid=np.linspace(0.01, 0.99, 60))
         stats = sel.contrast_stats
-        thresh = sel.lepski_factor * sel.theta_star
+        thresh = ad.LEPSKI_FACTOR * sel.theta_star
         # the selected j_hat passes its own test ...
         larger = [j for j in sel.index_set if j > sel.j_hat]
         if larger:

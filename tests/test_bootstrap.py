@@ -194,6 +194,40 @@ class TestFactoredScores:
             np.testing.assert_array_equal(grown.contrast_sd(j, j2), fresh.contrast_sd(j, j2))
         np.testing.assert_array_equal(early, bt.sup_t_single(fresh, plan, js[:1]))
 
+    @pytest.mark.parametrize("model", ["npiv", "reg2d", "additive", "additive_component", "partially_linear"])
+    def test_cover_asks_the_selector_one_chunk_at_a_time(self, model):
+        # 600 points, three chunks of grid rows: each selector call sees at most GRID_ROWS points,
+        # and the rows and estimate hold the bits of the whole grid's selector rows taken a chunk at a time.
+        backend = _model_backends()[model]
+        line = np.linspace(0, 1, 600)
+        grid = np.column_stack([line, line[::-1]]) if model in ("reg2d", "additive") else line.reshape(-1, 1)
+        j = 16 if model == "reg2d" else 7
+        seen, selector = [], backend.model.selector
+        view = backend.view(replace(backend.model, selector=lambda b, pts, a: seen.append(len(pts)) or selector(b, pts, a)))
+        field = est.build_field(view, grid, 0, (j,))
+        assert seen == [256, 256, 88]
+        fit = field.fits[j]
+        rows, sl = selector(fit.basis, grid, (0,) * grid.shape[1])
+        for chunk in est.grid_chunks(600):
+            np.testing.assert_array_equal(field.rows[j][chunk], rows[chunk] @ fit.left[sl])
+        np.testing.assert_array_equal(field.estimates[j], rows @ fit.coef[sl])
+
+    def test_cover_that_raises_adds_nothing(self):
+        # J=6 is no cubic dimension: cover((4, 6)) raises at J=6 and keeps no part of J=4,
+        # so a contrast against J=4 raises as sup_t_single does, not with a KeyError.
+        field = _field(js=(7,))
+        plan = bt.MultiplierPlan(10, 0)
+        with pytest.raises(InvalidDimensionError):
+            field.cover((4, 6))
+        assert field.j_values == (7,)
+        assert list(field.rows) == list(field.fits) == list(field.estimates) == [7]
+        assert sorted(field._cross) == [(7, 7)]
+        with pytest.raises(InvalidDimensionError):
+            bt.sup_t_contrast(field, plan, [(4, 7)])
+        with pytest.raises(InvalidDimensionError):
+            bt.sup_t_single(field, plan, (4, 7))
+        assert field.cover((4,)).j_values == (4, 7)
+
     def test_set_sup_is_the_max_of_per_j_sups_each_formed_once(self, monkeypatch):
         field = _field(js=(4, 5, 7), grid=np.linspace(0, 1, 300))
         plan = bt.MultiplierPlan(n_draws=90, base_seed=26)
@@ -255,23 +289,32 @@ class TestFactoredScores:
         kept = sum(proj.nbytes for proj in projs.values())
         assert peak - kept < 3 * bt._BLOCK * n * 8
 
-    @pytest.mark.parametrize("model", ["regression", "additive_component"])
+    @pytest.mark.parametrize("model", ["regression", "additive", "additive_component", "partially_linear_h1"])
     def test_cover_takes_rows_through_left_a_chunk_at_a_time(self, model):
-        # 20,000 grid points at J=131 (regression) and J=67 (component 1 of a two-column additive
-        # model, a slice of 66 of its 133 coefficients). Above the rows, estimate, sigma and cross
-        # term it stores, cover holds the selector's rows when they are not stored (G x 66 here),
-        # one chunk of rows times the left factor and O(G) values: never a second G x p array.
+        # 20,000 grid points at J=131 (regression), J=67 (the full two-column additive model, p = 133,
+        # on a 2-D grid, and its component 1, a slice of 66 of the 133 coefficients) and J=131 (the
+        # partially linear h1 block, a slice of 131 of 132). Above the rows, estimate, sigma and cross
+        # term it stores, cover holds one chunk of selector rows and its product with the left factor
+        # and O(G) values: never a G x p selector array.
         rng = np.random.default_rng(5)
         n, g = 2000, 20_000
         x = rng.random((n, 2))
         y = np.sin(3 * x[:, 0]) + x[:, 1] + 0.5 * rng.standard_normal(n)
+        grid = np.linspace(0, 1, g).reshape(-1, 1)
         if model == "regression":
             backend, j = est.SieveBackend(est.Sample(y, x[:, 0], x[:, 0]), est.npiv_model(CUBIC, None)), 131
+        elif model == "partially_linear_h1":
+            plm = ext.partially_linear_model(ext.PartiallyLinearSpec(CUBIC, (1,)), None)
+            backend, j = est.SieveBackend(est.Sample(y, x, x), plm), 131
         else:
             additive = est.SieveBackend(est.Sample(y, x, x), ext.additive_model(ext.AdditiveSpec((CUBIC, CUBIC)), None))
-            backend, j = additive.view(ext.component_model(additive.model, 1)), 67
+            backend, j = additive, 67
+            if model == "additive":
+                grid = np.column_stack([grid[:, 0], grid[::-1, 0]])
+            else:
+                backend = additive.view(ext.component_model(additive.model, 1))
         p = backend.fit(j).right.width
-        field = est.VarianceField(backend, np.linspace(0, 1, g).reshape(-1, 1), (0,))
+        field = est.VarianceField(backend, grid, (0,) * grid.shape[1])
         tracemalloc.start()
         try:
             field.cover((j,))
@@ -281,8 +324,7 @@ class TestFactoredScores:
         stored = sum(a.nbytes for held in (field.rows, field.estimates, field.sigma, field._cross)
                      for a in held.values())
         assert field.rows[j].shape == (g, p)
-        unstored = 0 if model == "regression" else g * (j - 1) * 8
-        assert peak - stored <= unstored + (est.GRID_ROWS * p + 8 * g) * 8
+        assert peak - stored <= (est.GRID_ROWS * p + 8 * g) * 8
 
     def test_contrast_sweep_bounded(self):
         # J=67 against J=131 on 20,000 grid points at n=2000: the per-J draws are

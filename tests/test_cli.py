@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from npivband import adaptive as ad
 from npivband import estimator as est
 from npivband.cli import EXIT_CONFIG, EXIT_DATA, EXIT_NUMERIC, EXIT_OK, main
 
@@ -374,6 +375,24 @@ class TestBandsPlotdata:
         assert "data error" in err and "'regression' selection" in err
         assert not (tmp_path / "o").exists()
 
+    def test_selection_of_another_lepski_factor_data_error(self, tmp_path, capsys, monkeypatch):
+        # The rule always uses adaptive.LEPSKI_FACTOR, so a stored selection made with another factor
+        # cannot be reproduced; the golden npiv selection itself loads.
+        payload = json.load(open(os.path.join(GOLDEN, "fit_npiv", "selection.json")))
+        assert payload["lepski_factor"] == ad.LEPSKI_FACTOR
+        args = ["--input", os.path.join(GOLDEN, "npiv.csv"), "--seed", "7", "--draws", "20", "--grid-size", "10"]
+        assert main(["bands-plotdata", *args, "--from-selection", os.path.join(GOLDEN, "fit_npiv", "selection.json"),
+                     "--outdir", str(tmp_path / "golden")]) == EXIT_OK
+        stored = tmp_path / "selection.json"
+        stored.write_text(json.dumps({**payload, "lepski_factor": 1.2}))
+        capsys.readouterr()
+        monkeypatch.setattr(est, "fit_grams", lambda *a: pytest.fail("a fit ran before the factor check"))
+        rc = main(["bands-plotdata", *args, "--from-selection", str(stored), "--outdir", str(tmp_path / "o")])
+        assert rc == EXIT_DATA
+        err = capsys.readouterr().err
+        assert "data error" in err and "Lepski factor 1.2" in err
+        assert not (tmp_path / "o").exists()
+
     def test_schema(self, npiv_csv, tmp_path):
         out = tmp_path / "o"
         rc = main(["bands-plotdata", "--input", npiv_csv, "--seed", "3", "--draws", "60",
@@ -483,8 +502,6 @@ class TestStructuredModes:
             assert col in header
 
     def test_additive_sigma_is_the_component_field_sigma(self, additive_csv, tmp_path):
-        from dataclasses import replace
-
         from npivband import basis as bs
         from npivband import estimator as est
         from npivband import extensions as ext
@@ -504,11 +521,8 @@ class TestStructuredModes:
         header = rows[0]
         grid = np.array([float(r[header.index("x")]) for r in rows[1:]])
         for comp in (0, 1):
-            basis, integrals = fit.basis[comp]
-            block = ext._centered_block(basis, integrals, grid, 0)
-            sl = slice(1 + comp * (j - 1), 1 + (comp + 1) * (j - 1))
-            # A backend holding the fit, whose selector gives this block and slice.
-            backend = est.SieveBackend(sample, replace(model, selector=lambda *_: (block, sl), grid_dim=1))
+            # A backend holding the fit that reports component comp.
+            backend = est.SieveBackend(sample, ext.component_model(model, comp))
             backend._fits[j] = fit
             field = est.build_field(backend, grid, 0, (j,))
             written = [float(r[header.index(f"sigma_c{comp + 1}")]) for r in rows[1:]]
