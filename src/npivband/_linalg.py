@@ -15,8 +15,9 @@ are both formed from the retained eigenpairs.
 OpenBLAS, through which pool workers run BLAS on one thread, and
 ``one_blas_thread`` runs it on one thread for the length of a CLI command
 or a ``simgen.run_mc`` call.
-``thread_map`` runs independent tasks on threads that live only inside one
-call, one per CPU the process may run on; pool workers set it to one.
+``thread_map`` runs independent tasks, any of which may call BLAS, on
+threads that live only inside one call: one per CPU the process may run on
+(one in pool workers) while numpy's OpenBLAS reports one thread, else one.
 """
 
 from __future__ import annotations
@@ -87,25 +88,24 @@ def one_thread_per_map() -> None:
     _map_threads = 1
 
 
-def map_threads(blas: bool = False) -> int:
+def map_threads() -> int:
     """The threads a ``thread_map`` of this process may use.
 
-    That is one per CPU the process may run on, or 1 after
-    ``one_thread_per_map``. Tasks that call BLAS (``blas``) get one thread
-    unless numpy's OpenBLAS reports one thread of its own: calls into any
-    other BLAS, or into a threaded one, stay in the caller.
+    Every task may call BLAS, so that is 1 unless numpy's OpenBLAS reports
+    one thread of its own: calls into any other BLAS, or into a threaded
+    one, stay in the caller. Otherwise it is one per CPU the process may run
+    on, or 1 after ``one_thread_per_map``.
     """
-    if blas:
-        lib = openblas()
-        if lib is None or lib.scipy_openblas_get_num_threads64_() != 1:
-            return 1
+    lib = openblas()
+    if lib is None or lib.scipy_openblas_get_num_threads64_() != 1:
+        return 1
     if _map_threads is not None:
         return _map_threads
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def thread_map(task, items, make_buffer=None, blas: bool = False) -> None:
-    """Call ``task(item, buffer)`` for every item, on up to ``map_threads(blas)`` threads.
+def thread_map(task, items, make_buffer=None) -> None:
+    """Call ``task(item, buffer)`` for every item, on up to ``map_threads()`` threads.
 
     The threads start inside the call and are joined before it returns; the
     caller works as one of them, each taking the next item in order until
@@ -118,7 +118,7 @@ def thread_map(task, items, make_buffer=None, blas: bool = False) -> None:
     items = list(items)
     if not items:
         return
-    buffers = [make_buffer() if make_buffer is not None else None for _ in range(min(map_threads(blas), len(items)))]
+    buffers = [make_buffer() if make_buffer is not None else None for _ in range(min(map_threads(), len(items)))]
     queue, lock, errors = iter(range(len(items))), threading.Lock(), []
 
     def work(buffer) -> None:

@@ -14,9 +14,9 @@ Drawing Omega and forming the projections run on ``_linalg.thread_map``,
 whose threads start and are joined inside each call: each fixed 64-row
 slice of Omega is one task. Every task writes only its own rows of Omega,
 or its own columns of each projection, by the same operations on the same
-operands as on one thread, so no bit depends on the thread count.
-Projections call BLAS, so they leave the caller only while numpy's
-OpenBLAS runs on one thread; forked Monte Carlo workers use one thread.
+operands as on one thread, so no bit depends on the thread count. Like
+every map, they leave the caller only while numpy's OpenBLAS runs on one
+thread; forked Monte Carlo workers use one thread.
 
 The scores factor through the sieve (see ``VarianceField``), so Omega enters
 only through each fit's whole-coefficient weights W = M diag(u_hat) =
@@ -214,7 +214,7 @@ def _projections(varfield: VarianceField, plan: MultiplierPlan) -> dict[int, np.
         def make_buffers():
             return np.empty((_BLOCK, n)), np.empty((width, _BLOCK)), None if order is None else np.empty(n)
 
-        thread_map(project, _slices(plan.n_draws), make_buffers, blas=True)
+        thread_map(project, _slices(plan.n_draws), make_buffers)
         for fit, proj in zip(missing, projs):
             proj.flags.writeable = False
             fit.projections[plan] = proj

@@ -48,6 +48,7 @@ from .bootstrap import MultiplierPlan
 from .errors import (
     ConfigurationError,
     DataError,
+    DegenerateColumnError,
     DegenerateVarianceError,
     InsufficientSampleError,
     NpivError,
@@ -61,7 +62,7 @@ EXIT_NUMERIC = 4
 # The first match names the exit code of an error; the package's other errors exit 2.
 _EXIT_CODES = (
     (ConfigurationError, "configuration error", EXIT_CONFIG),
-    (DataError, "data error", EXIT_DATA),
+    ((DataError, DegenerateColumnError), "data error", EXIT_DATA),
     ((DegenerateVarianceError, InsufficientSampleError), "numerical degeneracy", EXIT_NUMERIC),
     (NpivError, "error", EXIT_CONFIG),
 )
@@ -116,15 +117,15 @@ def _read_table(path: str) -> tuple[list[str], list[list[str]]]:
     if not os.path.exists(path):
         raise DataError(f"input file not found: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"input file {path} is empty") from None
-        rows = list(reader)
+        rows = list(csv.reader(fh))
+    # csv.reader gives [] for an empty line; trailing ones end the file.
+    while rows and not rows[-1]:
+        rows.pop()
     if not rows:
+        raise DataError(f"input file {path} is empty")
+    if len(rows) == 1:
         raise DataError(f"input file {path} has no data rows")
-    return [h.strip() for h in header], rows
+    return [h.strip() for h in rows[0]], rows[1:]
 
 
 def _numbered(header: list[str], prefix: str) -> list[str]:
@@ -420,11 +421,9 @@ def _write_meta(config: argparse.Namespace, t0: float, extra: dict | None = None
     lib = openblas()
     blas = {"library": None, "threads": None} if lib is None else {
         "library": os.path.basename(lib._name), "threads": lib.scipy_openblas_get_num_threads64_()}
-    # The threads the bootstrap's thread maps used: the draws, and the projections, which call BLAS.
-    threads = {"draws": map_threads(), "projections": map_threads(blas=True)}
     payload = {
         "config": vars(config),
-        "outputs": {**(extra or {}), "blas": blas, "bootstrap_threads": threads},
+        "outputs": {**(extra or {}), "blas": blas, "bootstrap_threads": map_threads()},
         "seed": config.seed,
         "version": __version__,
         "wall_time_seconds": time.perf_counter() - t0,

@@ -86,6 +86,47 @@ class TestCmdFit:
         assert rc == EXIT_DATA
         assert "row 17" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("column, extra", [
+        ("nan", ["--x-transform", "none"]),
+        ("nan", ["--x-transform", "ecdf"]),
+        ("nan", ["--x-transform", "affine"]),
+        ("nan", ["--x-transform", "trade_clamp"]),
+        ("constant", ["--x-transform", "ecdf"]),
+        ("three_values", ["--knot-rule", "empirical_quantile"]),
+    ], ids=["nan-none", "nan-ecdf", "nan-affine", "nan-trade_clamp", "constant-ecdf", "three_values-quantile_knots"])
+    def test_unusable_x_column_data_error(self, column, extra, linear_csv, tmp_path, capsys):
+        # A non-finite cell, a constant column under the empirical CDF, or a column too discrete
+        # for quantile knots is a fault of the data, whichever step finds it.
+        header, *rows = list(csv.reader(open(linear_csv)))
+        for i, row in enumerate(rows):
+            if column == "constant":
+                row[1] = "0.3"
+            elif column == "three_values":
+                row[1] = str(i % 3 / 2)
+        if column == "nan":
+            rows[17][1] = "nan"
+        bad = tmp_path / "bad.csv"
+        _write_csv(bad, header, rows)
+        rc = main(_fit_args(str(bad), tmp_path / "o", *extra))
+        assert rc == EXIT_DATA
+        assert "data error" in capsys.readouterr().err
+
+    def test_trailing_blank_line_is_ignored(self, linear_csv, tmp_path):
+        blank = tmp_path / "blank.csv"
+        blank.write_bytes(open(linear_csv, "rb").read() + b"\r\n")
+        assert main(_fit_args(linear_csv, tmp_path / "a")) == EXIT_OK
+        assert main(_fit_args(str(blank), tmp_path / "b")) == EXIT_OK
+        for name in ("estimates.csv", "selection.json"):
+            assert filecmp.cmp(tmp_path / "a" / name, tmp_path / "b" / name, shallow=False)
+
+    def test_blank_line_between_rows_names_row(self, linear_csv, tmp_path, capsys):
+        lines = open(linear_csv, newline="").read().split("\r\n")
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\r\n".join([*lines[:18], "", *lines[18:]]), newline="")
+        rc = main(_fit_args(str(bad), tmp_path / "o"))
+        assert rc == EXIT_DATA
+        assert "row 18 has 0 fields" in capsys.readouterr().err
+
     def test_column_parse_equals_row_scan(self):
         from npivband.cli import DataError, _columns, _parse_numeric
 
@@ -456,19 +497,41 @@ class TestBandsPlotdata:
             lib.scipy_openblas_set_num_threads64_(before)
         meta = json.load(open(tmp_path / "o" / "run_meta.json"))
         assert meta["outputs"]["blas"] == {"library": os.path.basename(lib._name), "threads": 1}
-        # OpenBLAS runs on one thread inside main, so the projections use as many threads as the draws.
-        count = _linalg.map_threads()
-        assert meta["outputs"]["bootstrap_threads"] == {"draws": count, "projections": count}
+        # OpenBLAS runs on one thread inside main, so the bootstrap may use a thread per CPU.
+        assert meta["outputs"]["bootstrap_threads"] == _linalg.map_threads()
 
     def test_run_meta_records_the_bootstrap_threads(self, npiv_csv, tmp_path, monkeypatch):
         from npivband import _linalg
 
         monkeypatch.setattr(_linalg, "_map_threads", 3)
-        projections = 3 if _linalg.openblas() is not None else 1
+        threads = 3 if _linalg.openblas() is not None else 1
         assert main(["fit", "--input", npiv_csv, "--seed", "3", "--draws", "60",
                      "--grid-size", "25", "--outdir", str(tmp_path)]) == EXIT_OK
         meta = json.load(open(tmp_path / "run_meta.json"))
-        assert meta["outputs"]["bootstrap_threads"] == {"draws": 3, "projections": projections}
+        assert meta["outputs"]["bootstrap_threads"] == threads
+
+    def test_run_meta_records_the_draw_threads_without_the_setter(self, npiv_csv, tmp_path, monkeypatch):
+        # Without numpy's OpenBLAS thread setter the bootstrap stays in the caller, and the
+        # meta says so however many threads a map might otherwise use.
+        import threading
+
+        from npivband import _linalg, cli
+        from npivband import bootstrap as bt
+
+        monkeypatch.setattr(_linalg, "openblas", lambda: None)
+        monkeypatch.setattr(cli, "openblas", lambda: None)
+        monkeypatch.setattr(_linalg, "_map_threads", 3)
+        draw, idents = bt._draw, set()
+
+        def counted(*args):
+            idents.add(threading.get_ident())
+            draw(*args)
+
+        monkeypatch.setattr(bt, "_draw", counted)
+        assert main(["fit", "--input", npiv_csv, "--seed", "3", "--draws", "200",
+                     "--grid-size", "25", "--outdir", str(tmp_path)]) == EXIT_OK
+        meta = json.load(open(tmp_path / "run_meta.json"))
+        assert meta["outputs"]["bootstrap_threads"] == len(idents) == 1
 
     def test_run_meta_blas_is_null_without_the_setter(self, npiv_csv, tmp_path, monkeypatch):
         from npivband import cli
